@@ -242,14 +242,24 @@ fn eval_node_range(node: &Node, relation: &Relation, start: usize, end: usize) -
 /// Evaluates a predicate over the whole relation into a selection mask,
 /// through kernels when the shape allows it and the interpreter otherwise.
 pub fn predicate_mask(relation: &Relation, expr: &Expr) -> Result<SelectionMask> {
+    predicate_mask_range(relation, expr, 0..relation.len())
+}
+
+/// [`predicate_mask`] restricted to rows `range` (one operator-core ingest):
+/// bit `i` of the result is row `range.start + i`.
+pub(crate) fn predicate_mask_range(
+    relation: &Relation,
+    expr: &Expr,
+    range: std::ops::Range<usize>,
+) -> Result<SelectionMask> {
     if let Some(plan) = KernelPlan::compile(expr, relation) {
-        return Ok(plan.eval(relation));
+        return Ok(plan.eval_range(relation, range.start, range.end));
     }
     let bound = expr.bind(relation)?;
-    let mut mask = SelectionMask::all_false(relation.len());
-    for rid in 0..relation.len() {
+    let mut mask = SelectionMask::all_false(range.len());
+    for rid in range.clone() {
         if bound.eval_bool(relation, rid)? {
-            mask.set(rid);
+            mask.set(rid - range.start);
         }
     }
     Ok(mask)

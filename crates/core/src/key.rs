@@ -73,7 +73,7 @@ impl HashKey {
 
 /// Extracts hash keys for a set of key columns of a relation, resolved once
 /// per operator.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct KeyExtractor<'a> {
     columns: Vec<&'a Column>,
 }

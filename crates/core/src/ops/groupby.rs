@@ -21,18 +21,24 @@
 //! SPJA block is where backward lineage for the query output is materialized.
 
 use std::collections::HashMap;
-use std::time::Instant;
+use std::ops::Range;
+use std::time::{Duration, Instant};
 
 use smoke_lineage::{
-    CaptureStats, CsrBuilder, InputLineage, LineageIndex, OperatorLineage, PartitionedRidIndex,
-    RidArray, RidIndex,
+    CaptureStats, CsrBuilder, CsrRidIndex, InputLineage, LineageIndex, OperatorLineage,
+    PartitionedRidIndex, RidArray, RidIndex, NO_RID,
 };
-use smoke_storage::{Column, DataType, Relation, Rid, Value};
+use smoke_storage::kernels as sk;
+use smoke_storage::{Column, DataType, Field, Morsel, Relation, Rid, Schema, SelectionMask};
 
 use crate::agg::{AggExpr, AggFunc, AggState};
 use crate::error::{EngineError, Result};
-use crate::instrument::{CaptureMode, CardinalityHints, DirectionFilter, WorkloadOptions};
+use crate::instrument::{
+    AggPushdown, CaptureMode, CardinalityHints, DirectionFilter, WorkloadOptions,
+};
+use crate::kernels::predicate_mask_range;
 use crate::key::{HashKey, KeyExtractor, KeyPart};
+use crate::ops::RowSource;
 use crate::workload::{LineageCube, WorkloadArtifacts};
 
 /// Options controlling group-by instrumentation.
@@ -97,12 +103,12 @@ pub struct GroupByResult {
 }
 
 struct GroupEntry {
-    key_values: Vec<Value>,
+    key: HashKey,
     states: Vec<AggState>,
     i_rids: RidArray,
-    count: u32,
-    /// Rows that passed the selection push-down (== `count` without one);
-    /// the exact backward cardinality the Defer pass allocates with.
+    /// Rows that passed the selection push-down (every row without one);
+    /// the exact backward cardinality the Defer pass and the morsel
+    /// fragments allocate with.
     lineage_count: u32,
 }
 
@@ -116,83 +122,126 @@ enum Probe {
     Miss(HashKey),
 }
 
-/// Vectorized group-key lookup, specialised by the typed shape of the key
-/// columns (paper §3.2.3's `γht`, hardware-conscious edition).
+/// The γht table (group key → group id), owned by the core across ingests
+/// and specialised by the typed shape of the key columns (paper §3.2.3's
+/// `γht`, hardware-conscious edition).
 ///
 /// Single integer keys with a bounded domain use a dense gid table (one
 /// array index per row instead of a hash); wide integer domains and integer
 /// pairs hash the primitive key directly (no per-row [`HashKey`]
 /// construction, no allocation for composite keys); everything else falls
 /// back to the generic [`HashKey`] path.
+enum GroupTable {
+    DenseInt { min: i64, slots: Vec<u32> },
+    HashInt(HashMap<i64, u32>),
+    HashPair(HashMap<(i64, i64), u32>),
+    Generic(HashMap<HashKey, u32>),
+}
+
+impl GroupTable {
+    fn for_columns(columns: &[&Column]) -> GroupTable {
+        match columns {
+            [Column::Int(_)] => GroupTable::DenseInt {
+                min: 0,
+                slots: Vec::new(),
+            },
+            [Column::Int(_), Column::Int(_)] => GroupTable::HashPair(HashMap::new()),
+            _ => GroupTable::Generic(HashMap::new()),
+        }
+    }
+
+    /// Makes room for the integer keys of the next ingest: the dense table is
+    /// widened to cover them (a single ingest sizes it exactly once), or
+    /// demoted to hashing once the domain outgrows its cap. The dense table
+    /// pays 4 bytes per domain slot; the cap is a small multiple of the rows
+    /// the core will see, so sparse domains hash instead.
+    fn admit(&mut self, keys: &[i64], rows: usize) {
+        let GroupTable::DenseInt { min, slots } = self else {
+            return;
+        };
+        let Some((mut lo, mut hi)) = sk::int_min_max(keys) else {
+            return;
+        };
+        if !slots.is_empty() {
+            lo = lo.min(*min);
+            hi = hi.max(*min + (slots.len() as i64 - 1));
+        }
+        let width = hi as i128 - lo as i128 + 1;
+        if width > 4 * rows.max(256) as i128 {
+            let ht = slots.iter().enumerate().filter(|(_, &gid)| gid != NO_GROUP);
+            *self = GroupTable::HashInt(ht.map(|(i, &gid)| (*min + i as i64, gid)).collect());
+        } else if width as usize != slots.len() {
+            let mut wider = vec![NO_GROUP; width as usize];
+            if !slots.is_empty() {
+                let at = (*min - lo) as usize;
+                wider[at..at + slots.len()].copy_from_slice(slots);
+            }
+            (*min, *slots) = (lo, wider);
+        }
+    }
+
+    /// Rebinds the table to the key columns of the relation being ingested.
+    fn bind<'a>(&'a mut self, extractor: &KeyExtractor<'a>) -> KeyMode<'a> {
+        match (self, extractor.columns()) {
+            (GroupTable::DenseInt { min, slots }, [Column::Int(keys)]) => KeyMode::DenseInt {
+                keys,
+                min: *min,
+                slots,
+            },
+            (GroupTable::HashInt(ht), [Column::Int(keys)]) => KeyMode::HashInt { keys, ht },
+            (GroupTable::HashPair(ht), [Column::Int(a), Column::Int(b)]) => {
+                KeyMode::HashPair { a, b, ht }
+            }
+            (GroupTable::Generic(ht), _) => KeyMode::Generic { ht },
+            _ => unreachable!("a core's key columns keep their types across ingests"),
+        }
+    }
+}
+
+/// A [`GroupTable`] bound to the typed key vectors of one ingest: the
+/// vectorized group-key lookup.
 enum KeyMode<'a> {
     DenseInt {
         keys: &'a [i64],
         min: i64,
-        table: Vec<u32>,
+        slots: &'a mut [u32],
     },
     HashInt {
         keys: &'a [i64],
-        ht: HashMap<i64, u32>,
+        ht: &'a mut HashMap<i64, u32>,
     },
     HashPair {
-        keys: Vec<(i64, i64)>,
-        ht: HashMap<(i64, i64), u32>,
+        a: &'a [i64],
+        b: &'a [i64],
+        ht: &'a mut HashMap<(i64, i64), u32>,
     },
     Generic {
-        ht: HashMap<HashKey, u32>,
+        ht: &'a mut HashMap<HashKey, u32>,
     },
 }
 
-impl<'a> KeyMode<'a> {
-    fn new(extractor: &KeyExtractor<'a>, n: usize) -> KeyMode<'a> {
-        if let Some(keys) = smoke_storage::kernels::int_keys(extractor.columns()) {
-            if let Some((min, max)) = smoke_storage::kernels::int_min_max(keys) {
-                let width = max as i128 - min as i128 + 1;
-                // The dense table pays 4 bytes per domain slot; cap it at a
-                // small multiple of the input so sparse domains hash instead.
-                if width <= 4 * n.max(256) as i128 {
-                    return KeyMode::DenseInt {
-                        keys,
-                        min,
-                        table: vec![NO_GROUP; width as usize],
-                    };
-                }
-            }
-            return KeyMode::HashInt {
-                keys,
-                ht: HashMap::new(),
-            };
-        }
-        if let Some(keys) = smoke_storage::kernels::int_key_pairs(extractor.columns()) {
-            return KeyMode::HashPair {
-                keys,
-                ht: HashMap::new(),
-            };
-        }
-        KeyMode::Generic { ht: HashMap::new() }
-    }
-
-    /// Looks up the group of `rid`, or reports the key a new group needs.
+impl KeyMode<'_> {
+    /// Looks up the group of row `i`, or reports the key a new group needs.
     #[inline]
-    fn probe(&self, rid: usize, extractor: &KeyExtractor) -> Probe {
+    fn probe(&self, i: usize, extractor: &KeyExtractor) -> Probe {
         match self {
-            KeyMode::DenseInt { keys, min, table } => match table[(keys[rid] - min) as usize] {
-                NO_GROUP => Probe::Miss(HashKey::Int(keys[rid])),
+            KeyMode::DenseInt { keys, min, slots } => match slots[(keys[i] - min) as usize] {
+                NO_GROUP => Probe::Miss(HashKey::Int(keys[i])),
                 gid => Probe::Hit(gid),
             },
-            KeyMode::HashInt { keys, ht } => match ht.get(&keys[rid]) {
+            KeyMode::HashInt { keys, ht } => match ht.get(&keys[i]) {
                 Some(&gid) => Probe::Hit(gid),
-                None => Probe::Miss(HashKey::Int(keys[rid])),
+                None => Probe::Miss(HashKey::Int(keys[i])),
             },
-            KeyMode::HashPair { keys, ht } => match ht.get(&keys[rid]) {
+            KeyMode::HashPair { a, b, ht } => match ht.get(&(a[i], b[i])) {
                 Some(&gid) => Probe::Hit(gid),
-                None => {
-                    let (a, b) = keys[rid];
-                    Probe::Miss(HashKey::Composite(vec![KeyPart::Int(a), KeyPart::Int(b)]))
-                }
+                None => Probe::Miss(HashKey::Composite(vec![
+                    KeyPart::Int(a[i]),
+                    KeyPart::Int(b[i]),
+                ])),
             },
             KeyMode::Generic { ht } => {
-                let key = extractor.key(rid);
+                let key = extractor.key(i);
                 match ht.get(&key) {
                     Some(&gid) => Probe::Hit(gid),
                     None => Probe::Miss(key),
@@ -201,29 +250,21 @@ impl<'a> KeyMode<'a> {
         }
     }
 
-    /// Registers a freshly created group for `rid` (the second half of a
+    /// Registers a freshly created group for row `i` (the second half of a
     /// [`Probe::Miss`]; only runs once per distinct group).
-    fn record(&mut self, rid: usize, key: HashKey, gid: u32) {
+    fn record(&mut self, i: usize, key: &HashKey, gid: u32) {
         match self {
-            KeyMode::DenseInt { keys, min, table } => {
-                table[(keys[rid] - *min) as usize] = gid;
-            }
-            KeyMode::HashInt { keys, ht } => {
-                ht.insert(keys[rid], gid);
-            }
-            KeyMode::HashPair { keys, ht } => {
-                ht.insert(keys[rid], gid);
-            }
-            KeyMode::Generic { ht } => {
-                ht.insert(key, gid);
-            }
+            KeyMode::DenseInt { keys, min, slots } => slots[(keys[i] - *min) as usize] = gid,
+            KeyMode::HashInt { keys, ht } => drop(ht.insert(keys[i], gid)),
+            KeyMode::HashPair { a, b, ht } => drop(ht.insert((a[i], b[i]), gid)),
+            KeyMode::Generic { ht } => drop(ht.insert(key.clone(), gid)),
         }
     }
 
-    /// The (existing) group of `rid`, used by the Defer re-probe pass.
+    /// The (existing) group of row `i`, used by the Defer re-probe pass.
     #[inline]
-    fn lookup(&self, rid: usize, extractor: &KeyExtractor) -> u32 {
-        match self.probe(rid, extractor) {
+    fn lookup(&self, i: usize, extractor: &KeyExtractor) -> u32 {
+        match self.probe(i, extractor) {
             Probe::Hit(gid) => gid,
             Probe::Miss(_) => unreachable!("defer pass re-probes only known keys"),
         }
@@ -267,7 +308,8 @@ impl<'a> AggInputs<'a> {
 }
 
 /// Executes `SELECT keys, aggs FROM input GROUP BY keys` with the configured
-/// instrumentation.
+/// instrumentation: one ingest of the whole resident relation (and one
+/// re-probe of it under Defer).
 pub fn group_by(
     input: &Relation,
     keys: &[String],
@@ -276,257 +318,457 @@ pub fn group_by(
 ) -> Result<GroupByResult> {
     let start = Instant::now();
     let n = input.len();
-    let extractor = KeyExtractor::new(input, keys)?;
-    let agg_inputs = AggInputs::resolve(input, aggs)?;
+    let mut core = GroupByCore::new(keys, aggs, opts, n);
+    core.ingest(input, 0..n, 0)?;
+    if core.defer {
+        core.ingest_defer(input, 0..n, 0)?;
+    }
+    core.finish(input, start)
+}
 
-    let capture = opts.mode.captures();
-    let capture_b = capture && opts.directions.backward();
-    let capture_f = capture && opts.directions.forward();
-    // For group-by there are only two paradigms; DeferForward degenerates to
-    // Inject (it is join-specific).
-    let inject = matches!(opts.mode, CaptureMode::Inject | CaptureMode::DeferForward);
+/// The group-by operator, written once. [`group_by`], the morsel driver in
+/// [`crate::parallel`] and the page-run driver in [`crate::paged`] differ
+/// only in which rows they hand to [`GroupByCore::ingest`] (γht with Inject
+/// capture fused in) and [`GroupByCore::ingest_defer`] (the Defer re-probe)
+/// before [`GroupByCore::finish`] (γagg, lineage assembly, stats).
+pub(crate) struct GroupByCore<'o> {
+    keys: &'o [String],
+    aggs: &'o [AggExpr],
+    opts: &'o GroupByOptions,
+    capture: bool,
+    capture_b: bool,
+    capture_f: bool,
+    /// Whether ingest pushes `i_rids` / sets `forward` (Inject). A morsel
+    /// fragment fuses only the forward write: its gids are morsel-local.
+    fuse_b: bool,
+    fuse_f: bool,
+    /// Whether the driver owes the core a second scan, through
+    /// [`GroupByCore::ingest_defer`], after the last [`GroupByCore::ingest`].
+    pub(crate) defer: bool,
+    /// Global rid of `forward[0]`, and how many rows the core covers.
+    base: usize,
+    rows: usize,
+    /// Chosen from the key column types at the first ingest.
+    table: Option<GroupTable>,
+    groups: Vec<GroupEntry>,
+    forward: RidArray,
+    partitioned: Option<PartitionedRidIndex>,
+    cube: Option<LineageCube>,
+    /// Exact-count backward index under construction by the Defer re-probe.
+    deferred_backward: Option<CsrBuilder>,
+    defer_start: Option<Instant>,
+    /// A backward index already in CSR form: a sealed fragment's, or the
+    /// merge of all fragments'.
+    backward_csr: Option<CsrRidIndex>,
+}
 
-    // Workload-aware set-up. The push-down predicate is evaluated once for
-    // the whole input through the kernel layer (falling back to the
-    // interpreter for arbitrary shapes); the capture loop then tests a bit
-    // per row instead of re-interpreting the expression. Uninstrumented runs
-    // never read the mask, so they only bind (validating the expression)
-    // without paying for the scan.
-    let wl = &opts.workload;
-    let pushdown_mask = match &wl.selection_pushdown {
-        Some(expr) if capture => Some(crate::kernels::predicate_mask(input, expr)?),
-        Some(expr) => {
-            expr.bind(input)?;
-            None
+impl<'o> GroupByCore<'o> {
+    /// A core that will see all `rows` input rows, in rid order.
+    pub(crate) fn new(
+        keys: &'o [String],
+        aggs: &'o [AggExpr],
+        opts: &'o GroupByOptions,
+        rows: usize,
+    ) -> Self {
+        let capture = opts.mode.captures();
+        let capture_b = capture && opts.directions.backward();
+        let capture_f = capture && opts.directions.forward();
+        // For group-by there are only two paradigms; DeferForward degenerates
+        // to Inject (it is join-specific).
+        let inject = matches!(opts.mode, CaptureMode::Inject | CaptureMode::DeferForward);
+        let fuse_f = capture_f && inject;
+        let wl = &opts.workload;
+        let skipping = capture && !wl.skipping_partition_by.is_empty();
+        GroupByCore {
+            keys,
+            aggs,
+            opts,
+            capture,
+            capture_b,
+            capture_f,
+            fuse_b: capture_b && inject,
+            fuse_f,
+            defer: capture && !inject,
+            base: 0,
+            rows,
+            table: None,
+            groups: Vec::new(),
+            forward: RidArray::filled(if fuse_f { rows } else { 0 }),
+            partitioned: skipping
+                .then(|| PartitionedRidIndex::new(wl.skipping_partition_by.join(","))),
+            cube: wl
+                .agg_pushdown
+                .as_ref()
+                .filter(|_| capture)
+                .map(|pd| LineageCube::new(0, pd.partition_by.clone(), pd.aggs.clone())),
+            deferred_backward: None,
+            defer_start: None,
+            backward_csr: None,
         }
-        None => None,
-    };
-    let skip_extractor = if capture && !wl.skipping_partition_by.is_empty() {
-        Some(KeyExtractor::new(input, &wl.skipping_partition_by)?)
-    } else {
-        None
-    };
-    let cube_setup = match (&wl.agg_pushdown, capture) {
-        (Some(pd), true) => {
-            let ex = KeyExtractor::new(input, &pd.partition_by)?;
-            let cols = AggInputs::resolve(input, &pd.aggs)?;
-            Some((pd, ex, cols))
+    }
+
+    /// A per-morsel core, run to completion on a worker: an independent
+    /// group table over rows `m` of `input` whose captured lineage is sealed
+    /// as a morsel-local backward CSR plus the local gid of every row. Global
+    /// gids are assigned later, by [`GroupByCore::merge`].
+    pub(crate) fn fragment(
+        keys: &'o [String],
+        aggs: &'o [AggExpr],
+        opts: &'o GroupByOptions,
+        input: &Relation,
+        m: Morsel,
+    ) -> Result<Self> {
+        let mut core = GroupByCore::new(keys, aggs, opts, m.len());
+        core.base = m.start;
+        (core.fuse_b, core.fuse_f, core.defer) = (false, core.capture, false);
+        if core.capture {
+            core.forward = RidArray::filled(m.len());
         }
-        _ => None,
-    };
-
-    // γht: build phase. The group-id lookup runs over typed key vectors
-    // extracted once (dense table / primitive-key hash for integer keys),
-    // falling back to per-row `HashKey` construction for other shapes.
-    let mut key_mode = KeyMode::new(&extractor, n);
-    let mut groups: Vec<GroupEntry> = Vec::new();
-    let mut forward = if capture_f && inject {
-        RidArray::filled(n)
-    } else {
-        RidArray::new()
-    };
-    let mut partitioned = skip_extractor
-        .as_ref()
-        .map(|_| PartitionedRidIndex::new(wl.skipping_partition_by.join(",")));
-    let mut cube = cube_setup
-        .as_ref()
-        .map(|(pd, _, _)| LineageCube::new(0, pd.partition_by.clone(), pd.aggs.clone()));
-
-    for rid in 0..n {
-        let gid = match key_mode.probe(rid, &extractor) {
-            Probe::Hit(gid) => gid,
-            Probe::Miss(key) => {
-                let gid = groups.len() as u32;
-                let hinted_cap = opts.hints.as_ref().and_then(|h| h.cardinality(&key));
-                let i_rids = match hinted_cap {
-                    Some(cap) if capture_b && inject => RidArray::with_capacity(cap),
-                    _ => RidArray::new(),
-                };
-                groups.push(GroupEntry {
-                    key_values: key.to_values(),
-                    states: aggs.iter().map(AggExpr::new_state).collect(),
-                    i_rids,
-                    count: 0,
-                    lineage_count: 0,
-                });
-                key_mode.record(rid, key, gid);
-                gid
+        core.ingest(input, m.start..m.end, 0)?;
+        if core.capture_b {
+            let counts = core.groups.iter().map(|g| g.lineage_count as usize);
+            let mut csr = CsrBuilder::with_counts(counts);
+            for (i, gid) in core.forward.iter().enumerate() {
+                if gid != NO_RID {
+                    csr.append(gid as usize, (m.start + i) as Rid);
+                }
             }
-        };
-        let entry = &mut groups[gid as usize];
-        agg_inputs.update(&mut entry.states, aggs, rid);
-        entry.count += 1;
+            core.backward_csr = Some(csr.finish());
+        }
+        Ok(core)
+    }
 
-        if capture {
+    /// γht over rows `range` of `rel`, whose global rid is `rid_offset + i`,
+    /// with Inject capture and the workload-aware artifacts fused in. The
+    /// group-id lookup runs over typed key vectors rebound per ingest (dense
+    /// table / primitive-key hash for integer keys), falling back to per-row
+    /// `HashKey` construction for other shapes.
+    pub(crate) fn ingest(
+        &mut self,
+        rel: &Relation,
+        range: Range<usize>,
+        rid_offset: usize,
+    ) -> Result<()> {
+        let extractor = KeyExtractor::new(rel, self.keys)?;
+        let agg_inputs = AggInputs::resolve(rel, self.aggs)?;
+
+        // Workload-aware set-up. The push-down predicate is evaluated once
+        // per ingest through the kernel layer (falling back to the
+        // interpreter for arbitrary shapes); the capture loop then tests a
+        // bit per row instead of re-interpreting the expression.
+        // Uninstrumented runs never read the mask, so they only bind
+        // (validating the expression) without paying for the scan.
+        let wl = &self.opts.workload;
+        let pushdown_mask = self.pushdown_mask(rel, &range)?;
+        let skip_extractor = match self.partitioned {
+            Some(_) => Some(KeyExtractor::new(rel, &wl.skipping_partition_by)?),
+            None => None,
+        };
+        let cube_setup = match (&wl.agg_pushdown, &self.cube) {
+            (Some(pd), Some(_)) => {
+                let ex = KeyExtractor::new(rel, &pd.partition_by)?;
+                Some((pd, ex, AggInputs::resolve(rel, &pd.aggs)?))
+            }
+            _ => None,
+        };
+
+        let table = self
+            .table
+            .get_or_insert_with(|| GroupTable::for_columns(extractor.columns()));
+        if let Some(keys) = sk::int_keys(extractor.columns()) {
+            table.admit(&keys[range.clone()], self.rows);
+        }
+        let mut key_mode = table.bind(&extractor);
+        let (aggs, hints) = (self.aggs, self.opts.hints.as_ref());
+        let (capture, fuse_b, fuse_f) = (self.capture, self.fuse_b, self.fuse_f);
+        let (groups, forward, base) = (&mut self.groups, &mut self.forward, self.base);
+        let first = range.start;
+
+        for i in range {
+            let gid = match key_mode.probe(i, &extractor) {
+                Probe::Hit(gid) => gid,
+                Probe::Miss(key) => {
+                    let gid = groups.len() as u32;
+                    let i_rids = match hints.and_then(|h| h.cardinality(&key)) {
+                        Some(cap) if fuse_b => RidArray::with_capacity(cap),
+                        _ => RidArray::new(),
+                    };
+                    key_mode.record(i, &key, gid);
+                    groups.push(GroupEntry {
+                        key,
+                        states: aggs.iter().map(AggExpr::new_state).collect(),
+                        i_rids,
+                        lineage_count: 0,
+                    });
+                    gid
+                }
+            };
+            let entry = &mut groups[gid as usize];
+            agg_inputs.update(&mut entry.states, aggs, i);
+
             // Selection push-down: only rows satisfying the future consuming
             // query's predicate enter the lineage indexes.
-            let include = pushdown_mask.as_ref().is_none_or(|m| m.get(rid));
-            if include {
+            if capture && pushdown_mask.as_ref().is_none_or(|m| m.get(i - first)) {
+                let rid = rid_offset + i;
                 entry.lineage_count += 1;
-                if capture_b && inject {
+                if fuse_b {
                     entry.i_rids.push(rid as Rid);
                 }
-                if capture_f && inject {
-                    forward.set(rid, gid);
+                if fuse_f {
+                    forward.set(rid - base, gid);
                 }
-                if let Some(part) = partitioned.as_mut() {
-                    let key = skip_extractor.as_ref().unwrap().key(rid);
-                    part.append(gid as usize, &render_partition_key(&key), rid as Rid);
+                if let (Some(part), Some(skip)) = (self.partitioned.as_mut(), &skip_extractor) {
+                    let key = render_partition_key(&skip.key(i));
+                    part.append(gid as usize, &key, rid as Rid);
                 }
-                if let Some((pd, ex, cols)) = cube_setup.as_ref() {
-                    let pkey = ex.key(rid);
-                    let key_values = pkey.to_values();
-                    let mut inputs = Vec::with_capacity(pd.aggs.len());
-                    let mut distinct = Vec::with_capacity(pd.aggs.len());
-                    for (i, agg) in pd.aggs.iter().enumerate() {
-                        match (&agg.func, cols.columns[i]) {
-                            (AggFunc::CountDistinct, Some(col)) => {
-                                inputs.push(0.0);
-                                distinct.push(Some(col.value(rid).group_key()));
-                            }
-                            (_, Some(col)) => {
-                                inputs.push(col.numeric(rid).unwrap_or(0.0));
-                                distinct.push(None);
-                            }
-                            (_, None) => {
-                                inputs.push(0.0);
-                                distinct.push(None);
-                            }
-                        }
-                    }
-                    cube.as_mut().unwrap().update(
-                        gid as usize,
-                        &render_partition_key(&pkey),
-                        &key_values,
-                        &inputs,
-                        &distinct,
-                    );
+                if let (Some(cube), Some(setup)) = (self.cube.as_mut(), &cube_setup) {
+                    cube_update(cube, setup, gid as usize, i);
                 }
             }
         }
+        Ok(())
     }
 
-    // γagg: scan phase — finalize aggregates and emit output records.
-    let mut key_cols: Vec<Column> = keys
-        .iter()
-        .map(|name| {
-            let idx = input.column_index(name).expect("validated by extractor");
-            Column::with_capacity(input.schema().field(idx).data_type, groups.len())
+    fn pushdown_mask(&self, rel: &Relation, range: &Range<usize>) -> Result<Option<SelectionMask>> {
+        Ok(match &self.opts.workload.selection_pushdown {
+            Some(expr) if self.capture => Some(predicate_mask_range(rel, expr, range.clone())?),
+            Some(expr) => {
+                expr.bind(rel)?;
+                None
+            }
+            None => None,
         })
-        .collect();
-    let mut agg_cols: Vec<Column> = aggs
-        .iter()
-        .map(|a| Column::with_capacity(a.output_type(), groups.len()))
-        .collect();
+    }
 
-    let mut backward = RidIndex::with_len(0);
-    for entry in groups.iter_mut() {
-        for (i, col) in key_cols.iter_mut().enumerate() {
-            col.push(entry.key_values[i].clone())?;
+    /// Per-group cardinalities are exact once γht is done, so the Defer pass
+    /// builds the backward index directly in CSR form — two flat buffers
+    /// allocated once, zero resizes, no per-group arrays.
+    fn begin_defer(&mut self) {
+        if self.defer_start.is_some() {
+            return;
         }
-        for (i, col) in agg_cols.iter_mut().enumerate() {
-            col.push(entry.states[i].finalize())?;
+        self.defer_start = Some(Instant::now());
+        if self.capture_b {
+            let counts = self.groups.iter().map(|g| g.lineage_count as usize);
+            self.deferred_backward = Some(CsrBuilder::with_counts(counts));
         }
-        if capture_b && inject {
-            backward.push_entry(std::mem::take(&mut entry.i_rids));
+        if self.capture_f {
+            self.forward = RidArray::filled(self.rows);
         }
     }
 
-    let mut builder = Relation::builder(format!("groupby({})", input.name()));
-    for name in keys {
-        let idx = input.column_index(name)?;
-        builder = builder.column(name.clone(), input.schema().field(idx).data_type);
-    }
-    for agg in aggs {
-        builder = builder.column(agg.alias.clone(), agg.output_type());
-    }
-    let schema = builder.build()?.schema().clone();
-    let mut columns = key_cols;
-    columns.append(&mut agg_cols);
-    let output = Relation::from_columns(format!("groupby({})", input.name()), schema, columns)?;
-    let base_query = start.elapsed();
-
-    if !capture {
-        let stats = CaptureStats {
-            base_query,
-            ..Default::default()
+    /// The Defer pass over rows `range` of `rel`: re-probes the pinned hash
+    /// table and appends each row to its group's exactly-sized entry.
+    pub(crate) fn ingest_defer(
+        &mut self,
+        rel: &Relation,
+        range: Range<usize>,
+        rid_offset: usize,
+    ) -> Result<()> {
+        self.begin_defer();
+        let extractor = KeyExtractor::new(rel, self.keys)?;
+        let pushdown_mask = self.pushdown_mask(rel, &range)?;
+        let Some(table) = self.table.as_mut() else {
+            return Ok(());
         };
-        return Ok(GroupByResult {
-            output,
-            lineage: OperatorLineage::none(),
-            artifacts: WorkloadArtifacts::default(),
-            stats,
-        });
-    }
-
-    // Defer pass: re-probe the pinned hash table. Per-group cardinalities
-    // are exact by now, so the backward index is built directly in CSR form —
-    // two flat buffers allocated once, zero resizes, no per-group arrays.
-    let defer_start = Instant::now();
-    let mut deferred_backward: Option<CsrBuilder> = None;
-    if !inject {
-        if capture_b {
-            deferred_backward = Some(CsrBuilder::with_counts(
-                groups.iter().map(|g| g.lineage_count as usize),
-            ));
-        }
-        if capture_f {
-            forward = RidArray::filled(n);
-        }
-        for rid in 0..n {
-            let include = pushdown_mask.as_ref().is_none_or(|m| m.get(rid));
-            if !include {
+        let key_mode = table.bind(&extractor);
+        let first = range.start;
+        for i in range {
+            if !pushdown_mask.as_ref().is_none_or(|m| m.get(i - first)) {
                 continue;
             }
-            let gid = key_mode.lookup(rid, &extractor);
-            if let Some(b) = deferred_backward.as_mut() {
+            let gid = key_mode.lookup(i, &extractor);
+            let rid = rid_offset + i;
+            if let Some(b) = self.deferred_backward.as_mut() {
                 b.append(gid as usize, rid as Rid);
             }
-            if capture_f {
-                forward.set(rid, gid);
+            if self.capture_f {
+                self.forward.set(rid - self.base, gid);
+            }
+        }
+        Ok(())
+    }
+
+    /// Deterministic merge of per-morsel fragments, in morsel order, into one
+    /// core ready for [`GroupByCore::finish`]. Global group ids are assigned
+    /// by first occurrence across the ordered fragments, matching the
+    /// sequential scan's group order exactly; partial states fold through
+    /// [`AggState::merge`]; the lineage fragments combine by
+    /// memcpy-with-rebase ([`CsrRidIndex::merge_remapped`]) and the forward
+    /// array is filled in the same walk.
+    pub(crate) fn merge(
+        keys: &'o [String],
+        aggs: &'o [AggExpr],
+        opts: &'o GroupByOptions,
+        rows: usize,
+        parts: Vec<GroupByCore<'_>>,
+    ) -> Self {
+        let mut core = GroupByCore::new(keys, aggs, opts, rows);
+        // The merged core ingests nothing: there are no `i_rids` to reuse
+        // and no re-probe to wait for, only a forward array to fill.
+        (core.fuse_b, core.defer) = (false, false);
+        if core.capture_f && !core.fuse_f {
+            core.forward = RidArray::filled(rows);
+        }
+        let mut gid_of: HashMap<HashKey, u32> = HashMap::new();
+        let mut maps: Vec<Vec<u32>> = Vec::with_capacity(parts.len());
+        let mut csrs: Vec<CsrRidIndex> = Vec::with_capacity(parts.len());
+        for part in parts {
+            let map: Vec<u32> = (part.groups.into_iter())
+                .map(|local| match gid_of.get(&local.key) {
+                    Some(&gid) => {
+                        let global = &mut core.groups[gid as usize];
+                        for (g, l) in global.states.iter_mut().zip(&local.states) {
+                            g.merge(l);
+                        }
+                        global.lineage_count += local.lineage_count;
+                        gid
+                    }
+                    None => {
+                        let gid = core.groups.len() as u32;
+                        gid_of.insert(local.key.clone(), gid);
+                        core.groups.push(local);
+                        gid
+                    }
+                })
+                .collect();
+            if core.capture_f {
+                for (i, local) in part.forward.iter().enumerate() {
+                    if local != NO_RID {
+                        core.forward.set(part.base + i, map[local as usize]);
+                    }
+                }
+            }
+            csrs.extend(part.backward_csr);
+            maps.push(map);
+        }
+        if core.capture_b {
+            let merged = CsrRidIndex::merge_remapped(&csrs, &maps, core.groups.len());
+            core.backward_csr = Some(merged);
+        }
+        core
+    }
+
+    /// γagg: scans the group table, finalizes aggregates, emits one output
+    /// record per group, and assembles the lineage indexes and stats.
+    pub(crate) fn finish(
+        mut self,
+        input: &impl RowSource,
+        start: Instant,
+    ) -> Result<GroupByResult> {
+        if self.defer {
+            self.begin_defer();
+        }
+        if let Some(b) = self.deferred_backward.take() {
+            self.backward_csr = Some(b.finish());
+        }
+        let deferred = self.defer_start.map_or(Duration::ZERO, |t| t.elapsed());
+
+        let n_groups = self.groups.len();
+        let mut fields = Vec::with_capacity(self.keys.len() + self.aggs.len());
+        let mut columns = Vec::with_capacity(fields.capacity());
+        for name in self.keys {
+            let idx = (input.schema().index_of(name))
+                .ok_or_else(|| EngineError::UnknownColumn(name.clone()))?;
+            let data_type = input.schema().field(idx).data_type;
+            fields.push(Field::new(name.clone(), data_type));
+            columns.push(Column::with_capacity(data_type, n_groups));
+        }
+        for agg in self.aggs {
+            fields.push(Field::new(agg.alias.clone(), agg.output_type()));
+            columns.push(Column::with_capacity(agg.output_type(), n_groups));
+        }
+        let (key_cols, agg_cols) = columns.split_at_mut(self.keys.len());
+        let mut backward = RidIndex::with_len(0);
+        for entry in self.groups.iter_mut() {
+            for (col, value) in key_cols.iter_mut().zip(entry.key.to_values()) {
+                col.push(value)?;
+            }
+            for (col, state) in agg_cols.iter_mut().zip(&entry.states) {
+                col.push(state.finalize())?;
+            }
+            // Inject: the per-group arrays *are* the backward index
+            // (data-structure reuse, principle P4).
+            if self.fuse_b {
+                backward.push_entry(std::mem::take(&mut entry.i_rids));
+            }
+        }
+        let name = format!("groupby({})", input.name());
+        let output = Relation::from_columns(name, Schema::new(fields)?, columns)?;
+        let mut stats = CaptureStats {
+            base_query: start.elapsed().saturating_sub(deferred),
+            deferred,
+            ..Default::default()
+        };
+
+        // Without capture every index and artifact below is `None`.
+        let backward_index = self.capture_b.then(|| match self.backward_csr.take() {
+            Some(csr) => LineageIndex::Csr(csr),
+            None => LineageIndex::Index(backward),
+        });
+        let forward_index = self.capture_f.then_some(LineageIndex::Array(self.forward));
+        if let Some(b) = &backward_index {
+            stats.edges += b.edge_count() as u64;
+            stats.rid_resizes += b.resizes();
+            stats.lineage_bytes += b.heap_bytes() as u64;
+        }
+        if let Some(f) = &forward_index {
+            stats.rid_resizes += f.resizes();
+            stats.lineage_bytes += f.heap_bytes() as u64;
+        }
+
+        Ok(GroupByResult {
+            output,
+            lineage: match self.capture {
+                true => OperatorLineage::unary(InputLineage {
+                    backward: backward_index,
+                    forward: forward_index,
+                }),
+                false => OperatorLineage::none(),
+            },
+            artifacts: WorkloadArtifacts {
+                partitioned: self.partitioned,
+                cube: self.cube,
+            },
+            stats,
+        })
+    }
+}
+
+/// Folds row `i` into the push-down cube cell of (output group `gid`, the
+/// row's partition key).
+fn cube_update(
+    cube: &mut LineageCube,
+    (pd, extractor, cols): &(&AggPushdown, KeyExtractor, AggInputs),
+    gid: usize,
+    i: usize,
+) {
+    let pkey = extractor.key(i);
+    let mut inputs = Vec::with_capacity(pd.aggs.len());
+    let mut distinct = Vec::with_capacity(pd.aggs.len());
+    for (agg, col) in pd.aggs.iter().zip(&cols.columns) {
+        match (&agg.func, col) {
+            (AggFunc::CountDistinct, Some(col)) => {
+                inputs.push(0.0);
+                distinct.push(Some(col.value(i).group_key()));
+            }
+            (_, Some(col)) => {
+                inputs.push(col.numeric(i).unwrap_or(0.0));
+                distinct.push(None);
+            }
+            (_, None) => {
+                inputs.push(0.0);
+                distinct.push(None);
             }
         }
     }
-    let deferred = if inject {
-        std::time::Duration::ZERO
-    } else {
-        defer_start.elapsed()
-    };
-
-    let backward_index = if capture_b {
-        Some(match deferred_backward {
-            Some(b) => LineageIndex::Csr(b.finish()),
-            None => LineageIndex::Index(backward),
-        })
-    } else {
-        None
-    };
-    let forward_index = capture_f.then_some(LineageIndex::Array(forward));
-
-    let mut stats = CaptureStats {
-        base_query,
-        deferred,
-        ..Default::default()
-    };
-    if let Some(b) = &backward_index {
-        stats.edges += b.edge_count() as u64;
-        stats.rid_resizes += b.resizes();
-        stats.lineage_bytes += b.heap_bytes() as u64;
-    }
-    if let Some(f) = &forward_index {
-        stats.rid_resizes += f.resizes();
-        stats.lineage_bytes += f.heap_bytes() as u64;
-    }
-
-    Ok(GroupByResult {
-        output,
-        lineage: OperatorLineage::unary(InputLineage {
-            backward: backward_index,
-            forward: forward_index,
-        }),
-        artifacts: WorkloadArtifacts { partitioned, cube },
-        stats,
-    })
+    cube.update(
+        gid,
+        &render_partition_key(&pkey),
+        &pkey.to_values(),
+        &inputs,
+        &distinct,
+    );
 }
 
 /// Renders a partition key in a stable human-readable form (partition
@@ -568,7 +810,7 @@ pub fn output_key_type(input: &Relation, key: &str) -> Result<DataType> {
 mod tests {
     use super::*;
     use crate::agg::microbenchmark_aggs;
-    use smoke_storage::DataType;
+    use smoke_storage::Value;
 
     fn rel() -> Relation {
         // z values: 1,2,1,3,2,1 ; v values: 10,20,30,40,50,60

@@ -21,17 +21,20 @@
 //!   pre-allocated and Inject/Defer coincide.
 
 use std::collections::HashMap;
-use std::time::Instant;
+use std::hash::Hash;
+use std::ops::Range;
+use std::time::{Duration, Instant};
 
 use smoke_lineage::{
-    CaptureStats, CsrBuilder, CsrRidIndex, InputLineage, LineageIndex, OperatorLineage, RidArray,
-    RidIndex,
+    CaptureStats, CsrBuilder, InputLineage, LineageIndex, OperatorLineage, RidArray, RidIndex,
 };
-use smoke_storage::{Relation, Rid, Schema};
+use smoke_storage::kernels as sk;
+use smoke_storage::{Column, Relation, Rid, Schema};
 
 use crate::error::Result;
 use crate::instrument::{CaptureMode, CardinalityHints, DirectionFilter};
-use crate::key::KeyExtractor;
+use crate::key::{HashKey, KeyExtractor, KeyPart};
+use crate::ops::RowSource;
 
 /// Options controlling join instrumentation.
 #[derive(Debug, Clone)]
@@ -125,20 +128,102 @@ pub struct JoinResult {
     pub stats: CaptureStats,
 }
 
-struct BuildEntry {
-    rids: Vec<Rid>,
-    o_rids: Vec<Rid>,
+/// A typed join-key representation: how to read row `i`'s key out of the key
+/// columns of whichever relation is being ingested. Plain `i64` keys,
+/// borrowed `&str` keys (no per-probe `String` clone) and `(i64, i64)` pairs
+/// key the hash table by the primitive value; everything else goes through
+/// generic [`HashKey`]s. `&str` keys borrow from the build relation, so only
+/// drivers whose inputs outlive the join (resident, morsel) can pick them.
+pub(crate) trait JoinKey<'a>: Eq + Hash + Sized {
+    /// The key columns of one relation, viewed as typed slices.
+    type View;
+    /// `None` when the key columns do not have this representation's shape.
+    fn view(extractor: &KeyExtractor<'a>) -> Option<Self::View>;
+    fn at(view: &Self::View, i: usize) -> Self;
+    /// Renders the key back as a [`HashKey`] for cardinality-hint lookups
+    /// (called once per distinct build key, never per row).
+    fn hint_key(&self) -> HashKey;
 }
 
+impl<'a> JoinKey<'a> for i64 {
+    type View = &'a [i64];
+    fn view(extractor: &KeyExtractor<'a>) -> Option<Self::View> {
+        sk::int_keys(extractor.columns())
+    }
+    fn at(view: &Self::View, i: usize) -> Self {
+        view[i]
+    }
+    fn hint_key(&self) -> HashKey {
+        HashKey::Int(*self)
+    }
+}
+
+impl<'a> JoinKey<'a> for &'a str {
+    type View = &'a [String];
+    fn view(extractor: &KeyExtractor<'a>) -> Option<Self::View> {
+        sk::str_keys(extractor.columns())
+    }
+    fn at(view: &Self::View, i: usize) -> Self {
+        view[i].as_str()
+    }
+    fn hint_key(&self) -> HashKey {
+        HashKey::Str((*self).to_string())
+    }
+}
+
+impl<'a> JoinKey<'a> for (i64, i64) {
+    type View = (&'a [i64], &'a [i64]);
+    fn view(extractor: &KeyExtractor<'a>) -> Option<Self::View> {
+        match extractor.columns() {
+            [Column::Int(a), Column::Int(b)] => Some((a, b)),
+            _ => None,
+        }
+    }
+    fn at(view: &Self::View, i: usize) -> Self {
+        (view.0[i], view.1[i])
+    }
+    fn hint_key(&self) -> HashKey {
+        HashKey::Composite(vec![KeyPart::Int(self.0), KeyPart::Int(self.1)])
+    }
+}
+
+impl<'a> JoinKey<'a> for HashKey {
+    type View = KeyExtractor<'a>;
+    fn view(extractor: &KeyExtractor<'a>) -> Option<Self::View> {
+        Some(extractor.clone())
+    }
+    fn at(view: &Self::View, i: usize) -> Self {
+        view.key(i)
+    }
+    fn hint_key(&self) -> HashKey {
+        self.clone()
+    }
+}
+
+/// Whether both sides' key columns can be read as `K`.
+pub(crate) fn fits<'a, K: JoinKey<'a>>(left: &KeyExtractor<'a>, right: &KeyExtractor<'a>) -> bool {
+    K::view(left).is_some() && K::view(right).is_some()
+}
+
+/// Evaluates to `$run::<K> $args` for the first typed key representation in
+/// the list that fits both sides' key columns, or for generic [`HashKey`]s.
+macro_rules! with_join_key {
+    ([], $l:expr, $r:expr, $run:ident $args:tt) => {
+        $run::<$crate::key::HashKey> $args
+    };
+    ([$k:ty $(, $rest:ty)*], $l:expr, $r:expr, $run:ident $args:tt) => {
+        if $crate::ops::join::fits::<$k>($l, $r) {
+            $run::<$k> $args
+        } else {
+            $crate::ops::join::with_join_key!([$($rest),*], $l, $r, $run $args)
+        }
+    };
+}
+pub(crate) use with_join_key;
+
 /// Executes `left ⋈ right ON left_keys = right_keys` with the configured
-/// instrumentation.
-///
-/// The build and probe phases are keyed by typed key vectors when the join
-/// columns allow it — plain `i64` keys, borrowed `&str` keys (no per-probe
-/// `String` clone), or `(i64, i64)` pairs — and fall back to generic
-/// [`HashKey`](crate::key::HashKey)s otherwise. Lineage capture is emitted
-/// inside the probe loop in every variant, so Inject stays fused with the
-/// base join.
+/// instrumentation: one build ingest of the whole left relation, one probe
+/// ingest of the whole right relation.
 pub fn hash_join(
     left: &Relation,
     right: &Relation,
@@ -146,315 +231,445 @@ pub fn hash_join(
     right_keys: &[String],
     opts: &JoinOptions,
 ) -> Result<JoinResult> {
-    use smoke_storage::kernels as sk;
-
-    let start = Instant::now();
+    fn run<'a, K: JoinKey<'a>>(
+        left: &'a Relation,
+        right: &'a Relation,
+        left_keys: &[String],
+        right_keys: &[String],
+        opts: &JoinOptions,
+    ) -> Result<JoinResult> {
+        let start = Instant::now();
+        let mut build = JoinBuild::<K>::new(left.len());
+        build.ingest(left, left_keys, 0..left.len(), |i| i as Rid)?;
+        let mut probe = JoinProbe::new(opts, &build, right.len());
+        probe.ingest(&build, right, right_keys, 0..right.len(), |i| i as Rid)?;
+        probe.finish(&build, left, right, start)
+    }
     let left_extract = KeyExtractor::new(left, left_keys)?;
     let right_extract = KeyExtractor::new(right, right_keys)?;
-
-    if let (Some(lk), Some(rk)) = (
-        sk::int_keys(left_extract.columns()),
-        sk::int_keys(right_extract.columns()),
-    ) {
-        return hash_join_keyed(
-            start,
-            left,
-            right,
-            |rid| lk[rid],
-            |rid| rk[rid],
-            |&k| crate::key::HashKey::Int(k),
-            opts,
-        );
-    }
-    if let (Some(lk), Some(rk)) = (
-        sk::str_keys(left_extract.columns()),
-        sk::str_keys(right_extract.columns()),
-    ) {
-        return hash_join_keyed(
-            start,
-            left,
-            right,
-            |rid| lk[rid].as_str(),
-            |rid| rk[rid].as_str(),
-            |k: &&str| crate::key::HashKey::Str((*k).to_string()),
-            opts,
-        );
-    }
-    if let (Some(lk), Some(rk)) = (
-        sk::int_key_pairs(left_extract.columns()),
-        sk::int_key_pairs(right_extract.columns()),
-    ) {
-        return hash_join_keyed(
-            start,
-            left,
-            right,
-            |rid| lk[rid],
-            |rid| rk[rid],
-            |&(a, b)| {
-                crate::key::HashKey::Composite(vec![
-                    crate::key::KeyPart::Int(a),
-                    crate::key::KeyPart::Int(b),
-                ])
-            },
-            opts,
-        );
-    }
-    hash_join_keyed(
-        start,
-        left,
-        right,
-        |rid| left_extract.key(rid),
-        |rid| right_extract.key(rid),
-        |k: &crate::key::HashKey| k.clone(),
-        opts,
+    with_join_key!(
+        [i64, &str, (i64, i64)],
+        &left_extract,
+        &right_extract,
+        run(left, right, left_keys, right_keys, opts)
     )
 }
 
-/// The join body, generic over the key representation. `hint_key` renders a
-/// key back as a [`HashKey`](crate::key::HashKey) for cardinality-hint
-/// lookups (called once per distinct build key, never per row).
-fn hash_join_keyed<K: Eq + std::hash::Hash>(
-    start: Instant,
-    left: &Relation,
-    right: &Relation,
-    left_key: impl Fn(usize) -> K,
-    right_key: impl Fn(usize) -> K,
-    hint_key: impl Fn(&K) -> crate::key::HashKey,
-    opts: &JoinOptions,
-) -> Result<JoinResult> {
-    let capture = opts.mode.captures();
-    let cap_a_b = capture && opts.left_directions.backward();
-    let cap_a_f = capture && opts.left_directions.forward();
-    let cap_b_b = capture && opts.right_directions.backward();
-    let cap_b_f = capture && opts.right_directions.forward();
-    let defer_left = capture && opts.mode == CaptureMode::Defer;
-    let defer_forward = capture && opts.mode == CaptureMode::DeferForward;
+/// Which indexes a join captures, and which of the left-side ones wait for
+/// the post-probe hash-table scan.
+#[derive(Clone, Copy)]
+struct Capture {
+    any: bool,
+    a_b: bool,
+    a_f: bool,
+    b_b: bool,
+    b_f: bool,
+    defer_left: bool,
+    defer_forward: bool,
+}
 
-    // ⋈ht: build phase over the left relation.
-    let mut ht: HashMap<K, BuildEntry> = HashMap::new();
-    let mut pk_fk = true;
-    for rid in 0..left.len() {
-        let key = left_key(rid);
-        let entry = ht.entry(key).or_insert_with(|| BuildEntry {
-            rids: Vec::with_capacity(1),
-            o_rids: Vec::new(),
-        });
-        entry.rids.push(rid as Rid);
-        if entry.rids.len() > 1 {
-            pk_fk = false;
+impl Capture {
+    fn of(opts: &JoinOptions) -> Capture {
+        let any = opts.mode.captures();
+        Capture {
+            any,
+            a_b: any && opts.left_directions.backward(),
+            a_f: any && opts.left_directions.forward(),
+            b_b: any && opts.right_directions.backward(),
+            b_f: any && opts.right_directions.forward(),
+            defer_left: any && opts.mode == CaptureMode::Defer,
+            defer_forward: any && opts.mode == CaptureMode::DeferForward,
         }
     }
 
-    // When the build side is a primary key the output cardinality is bounded
-    // by the probe side cardinality, so backward arrays can be pre-allocated.
-    let prealloc = if pk_fk { right.len() } else { 0 };
-    let mut out_left: Vec<Rid> = Vec::with_capacity(prealloc);
-    let mut out_right: Vec<Rid> = Vec::with_capacity(prealloc);
+    fn defers(self) -> bool {
+        self.defer_left || self.defer_forward
+    }
+}
 
-    // Left forward index assembled as per-left-rid arrays so that hint-based
-    // pre-allocation preserves its resize accounting. Defer modes skip this
-    // entirely: they build the index in CSR form after the probe, when every
-    // per-entry cardinality is known exactly.
-    let mut a_fw: Vec<RidArray> = if cap_a_f && !defer_left && !defer_forward {
-        let mut arrays: Vec<RidArray> = vec![RidArray::new(); left.len()];
-        if let Some(hints) = &opts.hints {
-            for (key, entry) in &ht {
-                if let Some(cap) = hints.cardinality(&hint_key(key)) {
-                    for &l in &entry.rids {
-                        arrays[l as usize] = RidArray::with_capacity(cap);
+struct BuildEntry {
+    rids: Vec<Rid>,
+    /// Position of this entry's `o_rids` in [`JoinProbe`]: everything a probe
+    /// mutates lives in the probe, so morsel workers can share one build.
+    slot: u32,
+}
+
+/// ⋈ht: the build side of the hash join, written once and fed by its drivers
+/// one ingest at a time.
+pub(crate) struct JoinBuild<K> {
+    ht: HashMap<K, BuildEntry>,
+    /// Whether the build side is unique so far (pk-fk join).
+    pub(crate) pk_fk: bool,
+    rows: usize,
+}
+
+impl<K> JoinBuild<K> {
+    /// A build table for a left relation of `rows` rows.
+    pub(crate) fn new(rows: usize) -> Self {
+        JoinBuild {
+            ht: HashMap::new(),
+            pk_fk: true,
+            rows,
+        }
+    }
+
+    /// Inserts rows `range` of `rel`; `rid_of(i)` is row `i`'s global rid
+    /// (`offset + i` for scans, the carried original rid for spilled grace
+    /// partitions).
+    pub(crate) fn ingest<'a>(
+        &mut self,
+        rel: &'a Relation,
+        keys: &[String],
+        range: Range<usize>,
+        rid_of: impl Fn(usize) -> Rid,
+    ) -> Result<()>
+    where
+        K: JoinKey<'a>,
+    {
+        let extractor = KeyExtractor::new(rel, keys)?;
+        let view = K::view(&extractor).expect("the driver dispatched on these key column types");
+        for i in range {
+            let slot = self.ht.len() as u32;
+            let entry = self
+                .ht
+                .entry(K::at(&view, i))
+                .or_insert_with(|| BuildEntry {
+                    rids: Vec::with_capacity(1),
+                    slot,
+                });
+            entry.rids.push(rid_of(i));
+            if entry.rids.len() > 1 {
+                self.pk_fk = false;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// ⋈probe: the probe side of the hash join with Inject capture fused in,
+/// written once. Under [`JoinOptions::baseline`] it captures nothing and just
+/// emits `(left rid, right rid)` output runs — the form morsel workers and
+/// grace partitions run it in, leaving lineage to [`finish_from_runs`].
+pub(crate) struct JoinProbe<'o> {
+    opts: &'o JoinOptions,
+    capture: Capture,
+    out_left: Vec<Rid>,
+    out_right: Vec<Rid>,
+    a_fw: Vec<RidArray>,
+    b_fw_index: RidIndex,
+    b_fw_array: RidArray,
+    /// Defer modes: per build entry, the rid of the *first* output record of
+    /// every probe match.
+    o_rids: Vec<Vec<Rid>>,
+    out_counter: usize,
+}
+
+impl<'o> JoinProbe<'o> {
+    /// Probe state against a finished `build`, for `right_rows` probe rows.
+    pub(crate) fn new<'a, K: JoinKey<'a>>(
+        opts: &'o JoinOptions,
+        build: &JoinBuild<K>,
+        right_rows: usize,
+    ) -> Self {
+        let capture = Capture::of(opts);
+        let pk_fk = build.pk_fk;
+        // When the build side is a primary key the output cardinality is
+        // bounded by the probe side cardinality, so backward arrays can be
+        // pre-allocated.
+        let prealloc = if pk_fk { right_rows } else { 0 };
+
+        // Left forward index assembled as per-left-rid arrays so that
+        // hint-based pre-allocation preserves its resize accounting. Defer
+        // modes skip this entirely: they build the index in CSR form after
+        // the probe, when every per-entry cardinality is known exactly.
+        let mut a_fw = Vec::new();
+        if capture.a_f && !capture.defers() {
+            a_fw = vec![RidArray::new(); build.rows];
+            if let Some(hints) = &opts.hints {
+                for (key, entry) in &build.ht {
+                    if let Some(cap) = hints.cardinality(&key.hint_key()) {
+                        for &l in &entry.rids {
+                            a_fw[l as usize] = RidArray::with_capacity(cap);
+                        }
                     }
                 }
             }
         }
-        arrays
-    } else {
-        Vec::new()
-    };
-    let mut b_fw_index = RidIndex::with_len(if cap_b_f && !pk_fk { right.len() } else { 0 });
-    let mut b_fw_array = if cap_b_f && pk_fk {
-        RidArray::filled(right.len())
-    } else {
-        RidArray::new()
-    };
-
-    // ⋈probe: probe phase over the right relation.
-    let mut out_counter: usize = 0;
-    for rid in 0..right.len() {
-        let key = right_key(rid);
-        let Some(entry) = ht.get_mut(&key) else {
-            continue;
-        };
-        if defer_left || defer_forward {
-            entry.o_rids.push(out_counter as Rid);
+        JoinProbe {
+            opts,
+            capture,
+            out_left: Vec::with_capacity(prealloc),
+            out_right: Vec::with_capacity(prealloc),
+            a_fw,
+            b_fw_index: RidIndex::with_len(if capture.b_f && !pk_fk { right_rows } else { 0 }),
+            b_fw_array: match capture.b_f && pk_fk {
+                true => RidArray::filled(right_rows),
+                false => RidArray::new(),
+            },
+            o_rids: vec![Vec::new(); if capture.defers() { build.ht.len() } else { 0 }],
+            out_counter: 0,
         }
-        let k = entry.rids.len();
-        for (j, &l) in entry.rids.iter().enumerate() {
-            let o = (out_counter + j) as Rid;
-            if opts.materialize_output || (cap_a_b && !defer_left) {
-                out_left.push(l);
-            }
-            if opts.materialize_output || cap_b_b {
-                out_right.push(rid as Rid);
-            }
-            if cap_a_f && !defer_left && !defer_forward {
-                a_fw[l as usize].push(o);
-            }
-            if cap_b_f {
-                if pk_fk {
-                    b_fw_array.set(rid, o);
-                } else {
-                    b_fw_index.append(rid, o);
-                }
-            }
-        }
-        out_counter += k;
     }
-    let base_query = start.elapsed();
 
-    // Deferred construction of the left-side indexes. The forward index is
-    // built directly in CSR form: per-left-rid cardinalities are exact after
-    // the probe, so both flat buffers are allocated once and never resized.
-    let defer_start = Instant::now();
-    let mut a_bw_deferred: Option<RidArray> = None;
-    let mut a_fw_deferred: Option<CsrRidIndex> = None;
-    if defer_left || defer_forward {
-        if defer_left && cap_a_b {
-            a_bw_deferred = Some(RidArray::filled(out_counter));
-        }
-        if cap_a_f {
-            let mut counts = vec![0usize; left.len()];
-            for entry in ht.values() {
-                if entry.o_rids.is_empty() {
-                    continue;
+    /// Probes rows `range` of `rel` against `build`, emitting output records
+    /// and populating every non-deferred index in the same loop.
+    pub(crate) fn ingest<'a, K: JoinKey<'a>>(
+        &mut self,
+        build: &JoinBuild<K>,
+        rel: &'a Relation,
+        keys: &[String],
+        range: Range<usize>,
+        rid_of: impl Fn(usize) -> Rid,
+    ) -> Result<()> {
+        let extractor = KeyExtractor::new(rel, keys)?;
+        let view = K::view(&extractor).expect("the driver dispatched on these key column types");
+        let c = self.capture;
+        let push_left = self.opts.materialize_output || (c.a_b && !c.defer_left);
+        let push_right = self.opts.materialize_output || c.b_b;
+        let fuse_a_fw = c.a_f && !c.defers();
+        for i in range {
+            let Some(entry) = build.ht.get(&K::at(&view, i)) else {
+                continue;
+            };
+            let rid = rid_of(i);
+            if c.defers() {
+                self.o_rids[entry.slot as usize].push(self.out_counter as Rid);
+            }
+            for (j, &l) in entry.rids.iter().enumerate() {
+                let o = (self.out_counter + j) as Rid;
+                if push_left {
+                    self.out_left.push(l);
                 }
-                for &l in &entry.rids {
-                    counts[l as usize] = entry.o_rids.len();
+                if push_right {
+                    self.out_right.push(rid);
+                }
+                if fuse_a_fw {
+                    self.a_fw[l as usize].push(o);
+                }
+                if c.b_f {
+                    if build.pk_fk {
+                        self.b_fw_array.set(rid as usize, o);
+                    } else {
+                        self.b_fw_index.append(rid as usize, o);
+                    }
                 }
             }
-            let mut builder = CsrBuilder::with_counts(counts);
-            for entry in ht.values() {
-                if entry.o_rids.is_empty() {
-                    continue;
+            self.out_counter += entry.rids.len();
+        }
+        Ok(())
+    }
+
+    /// The `(left rid, right rid)` output runs of a capture-free probe.
+    pub(crate) fn into_runs(self) -> (Vec<Rid>, Vec<Rid>) {
+        (self.out_left, self.out_right)
+    }
+
+    /// Builds the deferred left-side indexes, materializes the output and
+    /// assembles the lineage indexes and stats.
+    pub(crate) fn finish<K>(
+        self,
+        build: &JoinBuild<K>,
+        left: &impl RowSource,
+        right: &impl RowSource,
+        start: Instant,
+    ) -> Result<JoinResult> {
+        let c = self.capture;
+        let base_query = start.elapsed();
+
+        // Deferred construction of the left-side indexes: a scan of the
+        // hash table, never of the inputs. The forward index is built
+        // directly in CSR form: per-left-rid cardinalities are exact after
+        // the probe, so both flat buffers are allocated once and never
+        // resized.
+        let defer_start = Instant::now();
+        let mut a_bw_deferred = (c.defer_left && c.a_b).then(|| RidArray::filled(self.out_counter));
+        let mut a_fw_deferred: Option<CsrBuilder> = None;
+        if c.defers() && c.a_f {
+            let mut counts = vec![0usize; build.rows];
+            for entry in build.ht.values() {
+                for &l in &entry.rids {
+                    counts[l as usize] = self.o_rids[entry.slot as usize].len();
                 }
+            }
+            a_fw_deferred = Some(CsrBuilder::with_counts(counts));
+        }
+        if a_bw_deferred.is_some() || a_fw_deferred.is_some() {
+            for entry in build.ht.values() {
                 for (j, &l) in entry.rids.iter().enumerate() {
-                    for &start_o in &entry.o_rids {
+                    for &start_o in &self.o_rids[entry.slot as usize] {
                         let o = start_o + j as Rid;
-                        builder.append(l as usize, o);
+                        if let Some(fw) = a_fw_deferred.as_mut() {
+                            fw.append(l as usize, o);
+                        }
                         if let Some(bw) = a_bw_deferred.as_mut() {
                             bw.set(o as usize, l);
                         }
                     }
                 }
             }
-            a_fw_deferred = Some(builder.finish());
-        } else if defer_left && cap_a_b {
-            for entry in ht.values() {
-                for (j, &l) in entry.rids.iter().enumerate() {
-                    for &start_o in &entry.o_rids {
-                        a_bw_deferred
-                            .as_mut()
-                            .expect("allocated above")
-                            .set((start_o + j as Rid) as usize, l);
-                    }
-                }
-            }
         }
-    }
-    let deferred = if defer_left || defer_forward {
-        defer_start.elapsed()
-    } else {
-        std::time::Duration::ZERO
-    };
+        let deferred = match c.defers() {
+            true => defer_start.elapsed(),
+            false => Duration::ZERO,
+        };
 
-    // Output materialization.
-    let joined_schema: Schema = left.schema().concat(right.schema(), right.name());
-    let output_name = format!("join({},{})", left.name(), right.name());
-    let output = if opts.materialize_output {
-        let mut columns = Vec::with_capacity(joined_schema.arity());
-        for col in left.columns() {
-            columns.push(col.gather(&out_left));
-        }
-        for col in right.columns() {
-            columns.push(col.gather(&out_right));
-        }
-        Relation::from_columns(output_name, joined_schema, columns)?
-    } else {
-        Relation::empty(output_name, joined_schema)
-    };
-
-    if !capture {
-        return Ok(JoinResult {
-            output,
-            lineage: OperatorLineage::none(),
-            output_rows: out_counter,
-            pk_fk,
-            grace_partitions: 1,
-            stats: CaptureStats {
-                base_query,
-                ..Default::default()
-            },
+        let output = join_output(self.opts, left, right, &self.out_left, &self.out_right)?;
+        // The output is gathered, so the runs move into the backward indexes.
+        let a_backward = (c.a_b)
+            .then(|| a_bw_deferred.unwrap_or_else(|| RidArray::from_vec(self.out_left)))
+            .map(LineageIndex::Array);
+        let a_forward = c.a_f.then(|| match a_fw_deferred {
+            Some(csr) => LineageIndex::Csr(csr.finish()),
+            None => LineageIndex::Index(RidIndex::from_arrays(self.a_fw)),
         });
+        let b_backward = (c.b_b).then(|| LineageIndex::Array(RidArray::from_vec(self.out_right)));
+        let b_forward = c.b_f.then_some(match build.pk_fk {
+            true => LineageIndex::Array(self.b_fw_array),
+            false => LineageIndex::Index(self.b_fw_index),
+        });
+        let indexes = [a_backward, a_forward, b_backward, b_forward];
+        let shape = (self.out_counter, build.pk_fk, 1);
+        Ok(join_result(
+            output,
+            shape,
+            (base_query, deferred),
+            c,
+            indexes,
+        ))
+    }
+}
+
+/// Merged probe output of a join whose probes ran capture-free, in the
+/// resident operator's probe order.
+pub(crate) struct JoinRuns {
+    pub(crate) out_left: Vec<Rid>,
+    pub(crate) out_right: Vec<Rid>,
+    pub(crate) pk_fk: bool,
+    pub(crate) grace_partitions: usize,
+}
+
+/// The epilogue of every driver that probes capture-free (morsel workers,
+/// grace partitions): materializes the output from the merged runs and
+/// rebuilds all four lineage indexes from them with exact counts. Backward
+/// lineage on both sides is the runs themselves. The 1-to-N forward indexes
+/// are CSR when `csr` is set (the morsel drivers' representation); otherwise
+/// they take the representation the resident operator picks per capture mode
+/// — CSR for the deferred left side, rid indexes elsewhere.
+pub(crate) fn finish_from_runs(
+    opts: &JoinOptions,
+    left: &impl RowSource,
+    right: &impl RowSource,
+    runs: JoinRuns,
+    csr: bool,
+    start: Instant,
+) -> Result<JoinResult> {
+    fn forward(run: &[Rid], entries: usize, csr: bool) -> LineageIndex {
+        let outputs = run.iter().enumerate().map(|(o, &i)| (i as usize, o as Rid));
+        if !csr {
+            let mut index = RidIndex::with_len(entries);
+            outputs.for_each(|(i, o)| index.append(i, o));
+            return LineageIndex::Index(index);
+        }
+        let mut counts = vec![0usize; entries];
+        run.iter().for_each(|&i| counts[i as usize] += 1);
+        let mut builder = CsrBuilder::with_counts(counts);
+        outputs.for_each(|(i, o)| builder.append(i, o));
+        LineageIndex::Csr(builder.finish())
     }
 
-    // Assemble lineage indexes.
-    let a_backward = if cap_a_b {
-        Some(LineageIndex::Array(match a_bw_deferred {
-            Some(bw) => bw,
-            None => RidArray::from_vec(out_left.clone()),
-        }))
-    } else {
-        None
-    };
-    let a_forward = if cap_a_f {
-        Some(match a_fw_deferred {
-            Some(csr) => LineageIndex::Csr(csr),
-            None => LineageIndex::Index(RidIndex::from_arrays(a_fw)),
-        })
-    } else {
-        None
-    };
-    let b_backward = cap_b_b.then(|| LineageIndex::Array(RidArray::from_vec(out_right.clone())));
-    let b_forward = if cap_b_f {
-        Some(if pk_fk {
-            LineageIndex::Array(b_fw_array)
-        } else {
-            LineageIndex::Index(b_fw_index)
-        })
-    } else {
-        None
-    };
+    let c = Capture::of(opts);
+    let base_query = start.elapsed();
+    let JoinRuns {
+        out_left,
+        out_right,
+        pk_fk,
+        grace_partitions,
+    } = runs;
+    let output = join_output(opts, left, right, &out_left, &out_right)?;
 
+    let defer_start = Instant::now();
+    let a_forward = (c.a_f).then(|| forward(&out_left, left.rows(), csr || c.defers()));
+    let deferred = match c.defers() {
+        true => defer_start.elapsed(),
+        false => Duration::ZERO,
+    };
+    let b_forward = c.b_f.then(|| match pk_fk {
+        true => {
+            let mut array = RidArray::filled(right.rows());
+            for (o, &r) in out_right.iter().enumerate() {
+                array.set(r as usize, o as Rid);
+            }
+            LineageIndex::Array(array)
+        }
+        false => forward(&out_right, right.rows(), csr),
+    });
+    let output_rows = out_left.len();
+    let a_backward = (c.a_b).then(|| LineageIndex::Array(RidArray::from_vec(out_left)));
+    let b_backward = (c.b_b).then(|| LineageIndex::Array(RidArray::from_vec(out_right)));
+    let indexes = [a_backward, a_forward, b_backward, b_forward];
+    let shape = (output_rows, pk_fk, grace_partitions);
+    Ok(join_result(
+        output,
+        shape,
+        (base_query, deferred),
+        c,
+        indexes,
+    ))
+}
+
+/// Output materialization: gathers both sides by the output runs.
+fn join_output(
+    opts: &JoinOptions,
+    left: &impl RowSource,
+    right: &impl RowSource,
+    out_left: &[Rid],
+    out_right: &[Rid],
+) -> Result<Relation> {
+    let schema: Schema = left.schema().concat(right.schema(), right.name());
+    let name = format!("join({},{})", left.name(), right.name());
+    if !opts.materialize_output {
+        return Ok(Relation::empty(name, schema));
+    }
+    let mut columns = left.gather_rows(out_left, String::new())?.into_columns();
+    columns.extend(right.gather_rows(out_right, String::new())?.into_columns());
+    Ok(Relation::from_columns(name, schema, columns)?)
+}
+
+/// The one place a [`JoinResult`] is put together: `(output_rows, pk_fk,
+/// grace_partitions)`, `(base_query, deferred)` and the `[left backward,
+/// left forward, right backward, right forward]` indexes, which the stats
+/// account for.
+fn join_result(
+    output: Relation,
+    (output_rows, pk_fk, grace_partitions): (usize, bool, usize),
+    (base_query, deferred): (Duration, Duration),
+    capture: Capture,
+    indexes: [Option<LineageIndex>; 4],
+) -> JoinResult {
     let mut stats = CaptureStats {
         base_query,
         deferred,
         ..Default::default()
     };
-    for idx in [&a_backward, &a_forward, &b_backward, &b_forward]
-        .into_iter()
-        .flatten()
-    {
+    for idx in indexes.iter().flatten() {
         stats.edges += idx.edge_count() as u64;
         stats.rid_resizes += idx.resizes();
         stats.lineage_bytes += idx.heap_bytes() as u64;
     }
-
-    Ok(JoinResult {
+    let [a_backward, a_forward, b_backward, b_forward] = indexes;
+    let sides = [(a_backward, a_forward), (b_backward, b_forward)];
+    let [a, b] = sides.map(|(backward, forward)| InputLineage { backward, forward });
+    JoinResult {
         output,
-        lineage: OperatorLineage::binary(
-            InputLineage {
-                backward: a_backward,
-                forward: a_forward,
-            },
-            InputLineage {
-                backward: b_backward,
-                forward: b_forward,
-            },
-        ),
-        output_rows: out_counter,
+        lineage: match capture.any {
+            true => OperatorLineage::binary(a, b),
+            false => OperatorLineage::none(),
+        },
+        output_rows,
         pk_fk,
-        grace_partitions: 1,
+        grace_partitions,
         stats,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -16,8 +16,9 @@
 //! stays fused with the base query exactly as §3.2 prescribes, and both
 //! indexes are allocated exactly (the bitmap's popcount subsumes the
 //! `Smoke-I+EC` selectivity estimate). Arbitrary expressions fall back to the
-//! row-at-a-time interpreter loop below.
+//! row-at-a-time interpreter inside the same ingest.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use smoke_lineage::{CaptureStats, InputLineage, LineageIndex, OperatorLineage, RidArray};
@@ -27,7 +28,7 @@ use crate::error::Result;
 use crate::expr::Expr;
 use crate::instrument::DirectionFilter;
 use crate::kernels::KernelPlan;
-use crate::ops::OpOutput;
+use crate::ops::{OpOutput, RowSource};
 
 /// Options controlling selection instrumentation.
 #[derive(Debug, Clone)]
@@ -91,98 +92,141 @@ impl SelectOptions {
 }
 
 /// Executes `SELECT * FROM input WHERE predicate` with optional lineage
-/// capture.
+/// capture: one ingest of the whole resident relation.
 pub fn select(input: &Relation, predicate: &Expr, opts: &SelectOptions) -> Result<OpOutput> {
     let start = Instant::now();
-    let n = input.len();
+    let mut core = SelectCore::new(predicate, opts, input.len());
+    core.ingest(input, 0..input.len(), 0)?;
+    core.finish(input, start)
+}
 
-    let capture_backward = opts.capture && opts.directions.backward();
-    let capture_forward = opts.capture && opts.directions.forward();
+/// Emits one match: the next output rid is the match count so far.
+#[inline]
+fn emit(matching: &mut Vec<Rid>, forward: &mut Option<RidArray>, rid: usize) {
+    if let Some(forward) = forward {
+        forward.set(rid, matching.len() as Rid);
+    }
+    matching.push(rid as Rid);
+}
 
-    let kernel = if opts.use_kernels {
-        KernelPlan::compile(predicate, input)
-    } else {
-        None
-    };
+/// The selection operator, written once. [`select`], the morsel driver in
+/// [`crate::parallel`] and the page-run driver in [`crate::paged`] differ
+/// only in which rows they hand to [`SelectCore::ingest`].
+pub(crate) struct SelectCore<'o> {
+    predicate: &'o Expr,
+    opts: &'o SelectOptions,
+    /// Total input rows; scales the selectivity-estimate pre-allocation.
+    rows: usize,
+    /// Matching rids are needed to materialize the output regardless of
+    /// capture; the *backward index* is exactly this array, so Smoke reuses
+    /// it (reuse principle P4) and the marginal capture cost is the forward
+    /// array.
+    matching: Vec<Rid>,
+    forward: Option<RidArray>,
+}
 
-    // Matching rids are needed to materialize the output regardless of
-    // capture; the *backward index* is exactly this array, so Smoke reuses it
-    // (reuse principle P4) and the marginal capture cost is the forward array.
-    let mut forward = if capture_forward {
-        RidArray::filled(n)
-    } else {
-        RidArray::new()
-    };
-
-    let matching: Vec<Rid> = if let Some(plan) = &kernel {
-        // Kernel path: evaluate the pipeline into a bitmap, then emit both
-        // lineage directions in one fused pass over it. The popcount gives
-        // the exact output cardinality, so nothing ever resizes.
-        let mask = plan.eval(input);
-        let mut matching: Vec<Rid> = Vec::with_capacity(mask.count_ones());
-        let mut ctr_o: Rid = 0;
-        mask.for_each_one(|rid| {
-            matching.push(rid as Rid);
-            if capture_forward {
-                forward.set(rid, ctr_o);
-            }
-            ctr_o += 1;
-        });
-        matching
-    } else {
-        // Interpreter fallback. The matching array is pre-sized from the
-        // selectivity estimate when one is given, and from the input
-        // cardinality otherwise — in *every* mode, so the uninstrumented
-        // baseline never pays resize costs the instrumented run avoids.
-        let bound = predicate.bind(input)?;
-        let mut matching: Vec<Rid> = match opts.selectivity_estimate {
-            Some(s) => Vec::with_capacity(((n as f64) * s.clamp(0.0, 1.0)) as usize),
-            None => Vec::with_capacity(n),
-        };
-        let mut ctr_o: Rid = 0;
-        for rid in 0..n {
-            if bound.eval_bool(input, rid)? {
-                matching.push(rid as Rid);
-                if capture_forward {
-                    forward.set(rid, ctr_o);
-                }
-                ctr_o += 1;
-            }
+impl<'o> SelectCore<'o> {
+    /// A core that will see all `rows` input rows, in rid order.
+    pub(crate) fn new(predicate: &'o Expr, opts: &'o SelectOptions, rows: usize) -> Self {
+        let capture_forward = opts.capture && opts.directions.forward();
+        SelectCore {
+            predicate,
+            opts,
+            rows,
+            matching: Vec::new(),
+            forward: capture_forward.then(|| RidArray::filled(rows)),
         }
-        matching
-    };
-
-    let output = input.gather(&matching, format!("select({})", input.name()));
-    let elapsed = start.elapsed();
-
-    let mut stats = CaptureStats {
-        base_query: elapsed,
-        ..Default::default()
-    };
-
-    if !opts.capture {
-        return Ok(OpOutput::baseline(output, stats));
     }
 
-    let backward_index = LineageIndex::Array(RidArray::from_vec(matching));
-    stats.edges = output.len() as u64;
-    stats.lineage_bytes = (backward_index.heap_bytes()
-        + if capture_forward {
-            forward.heap_bytes()
+    /// A per-morsel core: it only collects matches, because output rids are
+    /// unknown until the ordered merge ([`SelectCore::absorb`]).
+    pub(crate) fn fragment(predicate: &'o Expr, opts: &'o SelectOptions) -> Self {
+        SelectCore {
+            forward: None,
+            ..SelectCore::new(predicate, opts, 0)
+        }
+    }
+
+    /// Scans rows `range` of `rel`, whose global rid is `rid_offset + i`, and
+    /// emits both lineage directions for every match in the same pass.
+    pub(crate) fn ingest(
+        &mut self,
+        rel: &Relation,
+        range: Range<usize>,
+        rid_offset: usize,
+    ) -> Result<()> {
+        let SelectCore {
+            matching, forward, ..
+        } = self;
+        let kernel = self
+            .opts
+            .use_kernels
+            .then(|| KernelPlan::compile(self.predicate, rel));
+        if let Some(plan) = kernel.flatten() {
+            // Kernel path: evaluate the pipeline into a bitmap, then emit
+            // both lineage directions in one fused pass over it. The
+            // popcount gives the exact output cardinality, so a single
+            // ingest never resizes.
+            let mask = plan.eval_range(rel, range.start, range.end);
+            matching.reserve(mask.count_ones());
+            mask.for_each_one(|i| emit(matching, forward, rid_offset + range.start + i));
         } else {
-            0
-        }) as u64;
+            // Interpreter fallback. The matching array is pre-sized from the
+            // selectivity estimate when one is given, and from the rows
+            // ingested otherwise — in *every* mode, so the uninstrumented
+            // baseline never pays resize costs the instrumented run avoids.
+            let bound = self.predicate.bind(rel)?;
+            matching.reserve(match self.opts.selectivity_estimate {
+                Some(s) => (((self.rows as f64) * s.clamp(0.0, 1.0)) as usize)
+                    .saturating_sub(matching.len()),
+                None => range.len(),
+            });
+            for i in range {
+                if bound.eval_bool(rel, i)? {
+                    emit(matching, forward, rid_offset + i);
+                }
+            }
+        }
+        Ok(())
+    }
 
-    let lineage = InputLineage {
-        backward: capture_backward.then_some(backward_index),
-        forward: capture_forward.then_some(LineageIndex::Array(forward)),
-    };
+    /// Ordered merge: appends the matches of the next morsel's fragment.
+    /// Fragments arrive in morsel order, so the concatenation reproduces the
+    /// sequential scan's ascending rid order and output rids exactly.
+    pub(crate) fn absorb(&mut self, part: SelectCore<'_>) {
+        self.matching.reserve(part.matching.len());
+        for rid in part.matching {
+            emit(&mut self.matching, &mut self.forward, rid as usize);
+        }
+    }
 
-    Ok(OpOutput {
-        output,
-        lineage: OperatorLineage::unary(lineage),
-        stats,
-    })
+    /// Gathers the output and assembles lineage and [`CaptureStats`].
+    pub(crate) fn finish(self, input: &impl RowSource, start: Instant) -> Result<OpOutput> {
+        let output = input.gather_rows(&self.matching, format!("select({})", input.name()))?;
+        let mut stats = CaptureStats {
+            base_query: start.elapsed(),
+            ..Default::default()
+        };
+        if !self.opts.capture {
+            return Ok(OpOutput::baseline(output, stats));
+        }
+
+        let backward_index = LineageIndex::Array(RidArray::from_vec(self.matching));
+        stats.edges = output.len() as u64;
+        stats.lineage_bytes = (backward_index.heap_bytes()
+            + self.forward.as_ref().map_or(0, RidArray::heap_bytes))
+            as u64;
+
+        let lineage = InputLineage {
+            backward: self.opts.directions.backward().then_some(backward_index),
+            forward: self.forward.map(LineageIndex::Array),
+        };
+        Ok(OpOutput {
+            output,
+            lineage: OperatorLineage::unary(lineage),
+            stats,
+        })
+    }
 }
 
 #[cfg(test)]

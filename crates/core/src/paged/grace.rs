@@ -14,8 +14,9 @@
 //! scan order), and every right rid hashes to exactly one partition, so a
 //! P-way merge by right rid reconstructs the global probe sequence —
 //! rid-for-rid, including the per-key build order of M:N duplicates.
-//! Deferred forward lineage is captured into per-partition CSR indexes and
-//! stitched with [`CsrRidIndex::merge_remapped`].
+//! Each partition pair runs the ordinary [`JoinBuild`] / [`JoinProbe`] core
+//! capture-free; lineage is rebuilt from the merged output runs by the same
+//! [`finish_from_runs`] epilogue the morsel-parallel join ends with.
 //!
 //! Eligibility (checked by [`grace_plan`]): every key column on both sides
 //! must be numeric — partitions spill through fixed-width
@@ -24,24 +25,23 @@
 //! fall back to the resident-build path, which remains correct for any
 //! input (only its hash table outgrows the budget).
 
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use smoke_lineage::{
-    CaptureStats, CsrBuilder, CsrRidIndex, InputLineage, LineageIndex, OperatorLineage, RidArray,
-    RidIndex,
-};
 use smoke_storage::{
     Column, DataType, Field, FixedRunWriter, PageId, PagedRelation, Relation, Rid, Schema,
     StorageError, PAGE_SIZE,
 };
 
 use crate::error::Result;
-use crate::instrument::CaptureMode;
 use crate::key::{HashKey, KeyExtractor};
-use crate::ops::join::{JoinOptions, JoinResult};
+use crate::ops::join::{
+    finish_from_runs, with_join_key, JoinBuild, JoinKey, JoinOptions, JoinProbe, JoinResult,
+    JoinRuns,
+};
 
-use super::{align_chunk, chunk_bounds};
+use super::{align_chunk, chunk_bounds, scan_chunks};
 
 /// Rough per-row footprint of the resident build hash table (key, rid vec,
 /// bucket overhead). Deliberately coarse: it only decides *when* to switch
@@ -125,29 +125,19 @@ fn key_chunk(name: &str, fields: &[Field], columns: Vec<Column>) -> Result<Relat
     )?)
 }
 
-/// One side of the join, hash-partitioned into spilled page runs.
-struct PartitionedSide {
-    /// One relation per partition: the key columns plus `__grace_rid`.
-    parts: Vec<PagedRelation>,
-    /// Per-partition original rids in partition-local order (ascending).
-    /// Kept only for the build side, where it doubles as the
-    /// [`CsrRidIndex::merge_remapped`] rebase map.
-    rid_maps: Vec<Vec<u32>>,
-}
-
 /// Streams `rel`'s key columns twice: a histogram pass sizes every
 /// partition exactly, then a write pass appends each row's key values and
 /// original rid to its partition's runs. Writes go directly to the segment
 /// store ([`FixedRunWriter`]), so partitioning never evicts the pool's
-/// working set.
+/// working set. Returns one relation per partition: the key columns plus
+/// `__grace_rid`, in ascending original rid.
 fn partition_side(
     rel: &PagedRelation,
     keys: &[String],
     partitions: usize,
     chunk_rows: usize,
     side: &str,
-    keep_maps: bool,
-) -> Result<PartitionedSide> {
+) -> Result<Vec<PagedRelation>> {
     let key_idx: Vec<usize> = keys
         .iter()
         .map(|k| {
@@ -190,11 +180,6 @@ fn partition_side(
                 .collect()
         })
         .collect();
-    let mut rid_maps: Vec<Vec<u32>> = if keep_maps {
-        hist.iter().map(|&rows| Vec::with_capacity(rows)).collect()
-    } else {
-        Vec::new()
-    };
     for (cs, ce) in chunk_bounds(rel.len(), chunk_rows) {
         rel.prefetch_rows(ce, ce + chunk_rows);
         let cols: Vec<Column> = key_idx
@@ -211,9 +196,6 @@ fn partition_side(
             }
             let rid = (cs + local) as u64;
             runs[key_idx.len()].push(rid.to_le_bytes())?;
-            if keep_maps {
-                rid_maps[p].push((cs + local) as u32);
-            }
         }
     }
 
@@ -241,7 +223,12 @@ fn partition_side(
             pool,
         )?);
     }
-    Ok(PartitionedSide { parts, rid_maps })
+    Ok(parts)
+}
+
+/// The original rids a partition chunk carries in its last column.
+fn carried_rids(chunk: &Relation) -> &[i64] {
+    chunk.columns().last().map_or(&[], |c| c.as_int())
 }
 
 /// Grace-hash join over paged relations: partition both sides by join key,
@@ -259,223 +246,90 @@ pub fn paged_grace_hash_join(
     chunk_rows: usize,
     partitions: usize,
 ) -> Result<JoinResult> {
-    let start = Instant::now();
-    let chunk_rows = align_chunk(chunk_rows);
-    let partitions = partitions.max(2);
+    fn run<K: for<'a> JoinKey<'a>>(
+        left: &PagedRelation,
+        right: &PagedRelation,
+        (left_keys, right_keys): (&[String], &[String]),
+        opts: &JoinOptions,
+        (chunk_rows, partitions): (usize, usize),
+    ) -> Result<JoinResult> {
+        let start = Instant::now();
+        let build_parts = partition_side(left, left_keys, partitions, chunk_rows, "l")?;
+        let probe_parts = partition_side(right, right_keys, partitions, chunk_rows, "r")?;
 
-    let capture = opts.mode.captures();
-    let cap_a_b = capture && opts.left_directions.backward();
-    let cap_a_f = capture && opts.left_directions.forward();
-    let cap_b_b = capture && opts.right_directions.backward();
-    let cap_b_f = capture && opts.right_directions.forward();
-    let defer = capture && matches!(opts.mode, CaptureMode::Defer | CaptureMode::DeferForward);
+        // Join partition pairs, one resident hash table at a time. Partition
+        // rows arrive in ascending original rid, so per-key build order and
+        // per-partition probe order both match the resident operator's.
+        let runs_only = JoinOptions::baseline();
+        let mut pk_fk = true;
+        let mut pairs: Vec<(Vec<Rid>, Vec<Rid>)> = Vec::with_capacity(partitions);
+        for (build_part, probe_part) in build_parts.iter().zip(&probe_parts) {
+            let mut build = JoinBuild::<K>::new(build_part.len());
+            scan_chunks(build_part, chunk_rows, |chunk, _| {
+                let rids = carried_rids(chunk);
+                build.ingest(chunk, left_keys, 0..chunk.len(), |i| rids[i] as Rid)
+            })?;
+            pk_fk &= build.pk_fk;
+            let mut probe = JoinProbe::new(&runs_only, &build, probe_part.len());
+            scan_chunks(probe_part, chunk_rows, |chunk, _| {
+                let rids = carried_rids(chunk);
+                probe.ingest(&build, chunk, right_keys, 0..chunk.len(), |i| {
+                    rids[i] as Rid
+                })
+            })?;
+            pairs.push(probe.into_runs());
+        }
 
-    // Surface schema errors before any partition I/O, like the resident path.
-    KeyExtractor::new(&left.chunk(0, 0)?, left_keys)?;
-    KeyExtractor::new(&right.chunk(0, 0)?, right_keys)?;
-
-    // Partition both inputs into spilled runs.
-    let build = partition_side(left, left_keys, partitions, chunk_rows, "l", true)?;
-    let probe = partition_side(right, right_keys, partitions, chunk_rows, "r", false)?;
-
-    // Join partition pairs, one resident hash table at a time. Partition
-    // rows arrive in ascending original rid, so per-key build order and
-    // per-partition probe order both match the resident operator's.
-    let mut pk_fk = true;
-    let mut pairs: Vec<Vec<(Rid, Rid)>> = Vec::with_capacity(partitions);
-    for p in 0..partitions {
-        let part = &build.parts[p];
-        let mut ht: HashMap<HashKey, Vec<Rid>> = HashMap::new();
-        for (cs, ce) in chunk_bounds(part.len(), chunk_rows) {
-            part.prefetch_rows(ce, ce + chunk_rows);
-            let chunk = part.chunk(cs, ce)?;
-            let extractor = KeyExtractor::new(&chunk, left_keys)?;
-            let rids = chunk.columns().last().map(|c| c.as_int()).unwrap_or(&[]);
-            for (local, &rid) in rids.iter().enumerate().take(chunk.len()) {
-                let entry = ht.entry(extractor.key(local)).or_default();
-                entry.push(rid as Rid);
-                if entry.len() > 1 {
-                    pk_fk = false;
-                }
-            }
-        }
-        let part = &probe.parts[p];
-        let mut part_pairs: Vec<(Rid, Rid)> = Vec::new();
-        for (cs, ce) in chunk_bounds(part.len(), chunk_rows) {
-            part.prefetch_rows(ce, ce + chunk_rows);
-            let chunk = part.chunk(cs, ce)?;
-            let extractor = KeyExtractor::new(&chunk, right_keys)?;
-            let rids = chunk.columns().last().map(|c| c.as_int()).unwrap_or(&[]);
-            for (local, &rid) in rids.iter().enumerate().take(chunk.len()) {
-                if let Some(matched) = ht.get(&extractor.key(local)) {
-                    let r = rid as Rid;
-                    part_pairs.extend(matched.iter().map(|&l| (l, r)));
-                }
-            }
-        }
-        pairs.push(part_pairs);
-    }
-
-    // Merge phase: every right rid lives in exactly one partition and each
-    // partition's pairs are grouped by ascending right rid, so a P-way merge
-    // by right rid replays the resident probe sequence exactly.
-    let out_counter: usize = pairs.iter().map(Vec::len).sum();
-    let mut out_left: Vec<Rid> = Vec::with_capacity(out_counter);
-    let mut out_right: Vec<Rid> = Vec::with_capacity(out_counter);
-    let mut cursors = vec![0usize; partitions];
-    let mut heap: BinaryHeap<std::cmp::Reverse<(Rid, usize)>> = BinaryHeap::new();
-    for (p, part_pairs) in pairs.iter().enumerate() {
-        if let Some(&(_, r)) = part_pairs.first() {
-            heap.push(std::cmp::Reverse((r, p)));
-        }
-    }
-    while let Some(std::cmp::Reverse((r, p))) = heap.pop() {
-        let part_pairs = &pairs[p];
-        let mut c = cursors[p];
-        while c < part_pairs.len() && part_pairs[c].1 == r {
-            out_left.push(part_pairs[c].0);
-            out_right.push(part_pairs[c].1);
-            c += 1;
-        }
-        cursors[p] = c;
-        if c < part_pairs.len() {
-            heap.push(std::cmp::Reverse((part_pairs[c].1, p)));
-        }
-    }
-    drop(pairs);
-    let base_query = start.elapsed();
-
-    // Deferred forward lineage: per-partition CSRs over partition-local
-    // build rows, stitched into the global id space with `merge_remapped`.
-    let defer_start = Instant::now();
-    let mut a_fw_deferred: Option<CsrRidIndex> = None;
-    if defer && cap_a_f {
-        let mut local_of = vec![0u32; left.len()];
-        let mut part_of = vec![0u8; left.len()];
-        for (p, map) in build.rid_maps.iter().enumerate() {
-            for (local, &global) in map.iter().enumerate() {
-                local_of[global as usize] = local as u32;
-                part_of[global as usize] = p as u8;
-            }
-        }
-        let mut counts: Vec<Vec<usize>> = build
-            .rid_maps
-            .iter()
-            .map(|m| vec![0usize; m.len()])
-            .collect();
-        for &l in &out_left {
-            counts[part_of[l as usize] as usize][local_of[l as usize] as usize] += 1;
-        }
-        let mut builders: Vec<CsrBuilder> =
-            counts.into_iter().map(CsrBuilder::with_counts).collect();
-        for (o, &l) in out_left.iter().enumerate() {
-            builders[part_of[l as usize] as usize].append(local_of[l as usize] as usize, o as Rid);
-        }
-        let parts_csr: Vec<CsrRidIndex> = builders.into_iter().map(CsrBuilder::finish).collect();
-        a_fw_deferred = Some(CsrRidIndex::merge_remapped(
-            &parts_csr,
-            &build.rid_maps,
-            left.len(),
-        ));
-    }
-    let deferred = if defer {
-        defer_start.elapsed()
-    } else {
-        std::time::Duration::ZERO
-    };
-
-    // Output materialization gathers from the ORIGINAL paged inputs — the
-    // partitions carry only keys and rids.
-    let joined_schema: Schema = left.schema().concat(right.schema(), right.name());
-    let output_name = format!("join({},{})", left.name(), right.name());
-    let output = if opts.materialize_output {
-        let mut columns = Vec::with_capacity(joined_schema.arity());
-        columns.extend(left.gather(&out_left, "l")?.columns().iter().cloned());
-        columns.extend(right.gather(&out_right, "r")?.columns().iter().cloned());
-        Relation::from_columns(output_name, joined_schema, columns)?
-    } else {
-        Relation::empty(output_name, joined_schema)
-    };
-
-    if !capture {
-        return Ok(JoinResult {
-            output,
-            lineage: OperatorLineage::none(),
-            output_rows: out_counter,
+        // Merge phase: every right rid lives in exactly one partition and
+        // each partition's pairs are grouped by ascending right rid, so a
+        // P-way merge by right rid replays the resident probe sequence
+        // exactly.
+        let total: usize = pairs.iter().map(|(l, _)| l.len()).sum();
+        let mut runs = JoinRuns {
+            out_left: Vec::with_capacity(total),
+            out_right: Vec::with_capacity(total),
             pk_fk,
             grace_partitions: partitions,
-            stats: CaptureStats {
-                base_query,
-                ..Default::default()
-            },
-        });
+        };
+        let mut cursors = vec![0usize; partitions];
+        let mut heap: BinaryHeap<Reverse<(Rid, usize)>> = (pairs.iter().enumerate())
+            .filter_map(|(p, (_, rights))| rights.first().map(|&r| Reverse((r, p))))
+            .collect();
+        while let Some(Reverse((r, p))) = heap.pop() {
+            let (lefts, rights) = &pairs[p];
+            let mut c = cursors[p];
+            while c < rights.len() && rights[c] == r {
+                runs.out_left.push(lefts[c]);
+                runs.out_right.push(r);
+                c += 1;
+            }
+            cursors[p] = c;
+            if c < rights.len() {
+                heap.push(Reverse((rights[c], p)));
+            }
+        }
+        drop(pairs);
+
+        // The output gathers from the ORIGINAL paged inputs — the partitions
+        // carry only keys and rids — and lineage takes the representations
+        // the resident path picks per capture mode.
+        finish_from_runs(opts, left, right, runs, false, start)
     }
 
-    // Assemble lineage indexes with the same representations the resident
-    // path picks per capture mode, rebuilt from the merged output run.
-    let a_backward = cap_a_b.then(|| LineageIndex::Array(RidArray::from_vec(out_left.clone())));
-    let a_forward = if cap_a_f {
-        Some(match a_fw_deferred {
-            Some(csr) => LineageIndex::Csr(csr),
-            None => {
-                let mut arrays: Vec<RidArray> = vec![RidArray::new(); left.len()];
-                for (o, &l) in out_left.iter().enumerate() {
-                    arrays[l as usize].push(o as Rid);
-                }
-                LineageIndex::Index(RidIndex::from_arrays(arrays))
-            }
-        })
-    } else {
-        None
-    };
-    let b_backward = cap_b_b.then(|| LineageIndex::Array(RidArray::from_vec(out_right.clone())));
-    let b_forward = if cap_b_f {
-        Some(if pk_fk {
-            let mut arr = RidArray::filled(right.len());
-            for (o, &r) in out_right.iter().enumerate() {
-                arr.set(r as usize, o as Rid);
-            }
-            LineageIndex::Array(arr)
-        } else {
-            let mut index = RidIndex::with_len(right.len());
-            for (o, &r) in out_right.iter().enumerate() {
-                index.append(r as usize, o as Rid);
-            }
-            LineageIndex::Index(index)
-        })
-    } else {
-        None
-    };
-
-    let mut stats = CaptureStats {
-        base_query,
-        deferred,
-        ..Default::default()
-    };
-    for idx in [&a_backward, &a_forward, &b_backward, &b_forward]
-        .into_iter()
-        .flatten()
-    {
-        stats.edges += idx.edge_count() as u64;
-        stats.rid_resizes += idx.resizes();
-        stats.lineage_bytes += idx.heap_bytes() as u64;
-    }
-
-    Ok(JoinResult {
-        output,
-        lineage: OperatorLineage::binary(
-            InputLineage {
-                backward: a_backward,
-                forward: a_forward,
-            },
-            InputLineage {
-                backward: b_backward,
-                forward: b_forward,
-            },
-        ),
-        output_rows: out_counter,
-        pk_fk,
-        grace_partitions: partitions,
-        stats,
-    })
+    // Surface schema errors before any partition I/O, like the resident path.
+    let (lprobe, rprobe) = (left.chunk(0, 0)?, right.chunk(0, 0)?);
+    let left_extract = KeyExtractor::new(&lprobe, left_keys)?;
+    let right_extract = KeyExtractor::new(&rprobe, right_keys)?;
+    with_join_key!(
+        [i64, (i64, i64)],
+        &left_extract,
+        &right_extract,
+        run(
+            left,
+            right,
+            (left_keys, right_keys),
+            opts,
+            (align_chunk(chunk_rows), partitions.max(2))
+        )
+    )
 }

@@ -1,14 +1,17 @@
 //! Out-of-core operator execution over [`PagedRelation`]s.
 //!
-//! These are the paged twins of the in-RAM operators in [`crate::ops`]: the
-//! input relation lives in a buffer-pool-backed segment store, and the
-//! operator streams page-aligned **chunks** ([`PagedRelation::chunk`])
-//! through the same per-row algorithms the in-RAM operators use. Only the
-//! scan is chunked — hash tables, aggregation state, and lineage indexes
-//! stay in RAM (they are the operator's working set; the paper's capture
-//! paradigms assume as much) — so every operator here is **rid-for-rid
-//! equivalent** to its in-RAM twin: same output rows in the same order, same
-//! lineage indexes, for any pool budget down to a single page.
+//! These are page-run *drivers* over the one fused-capture core each
+//! operator has in [`crate::ops`]: the input relation lives in a
+//! buffer-pool-backed segment store, and the driver streams page-aligned
+//! **chunks** ([`PagedRelation::chunk`]) into the same ingest the in-RAM
+//! operator feeds with one whole-relation range. Only the scan is chunked —
+//! hash tables, aggregation state, and lineage indexes stay in RAM (they are
+//! the operator's working set; the paper's capture paradigms assume as much)
+//! — so every operator here is **rid-for-rid equivalent** to its in-RAM
+//! entry point: same output rows in the same order, same lineage indexes in
+//! the same representations, for any pool budget down to a single page. The
+//! typed key fast paths live in the cores and rebind their key slices per
+//! chunk, so paged execution hashes primitive keys too.
 //!
 //! Lineage capture stays fused with the chunk scan exactly as §3.2
 //! prescribes: Inject populates indexes while pages are pinned for the base
@@ -24,26 +27,18 @@ mod grace;
 
 pub use grace::{paged_grace_hash_join, BUILD_BYTES_PER_ROW, MAX_GRACE_PARTITIONS};
 
-use std::collections::HashMap;
 use std::time::Instant;
 
-use smoke_lineage::{
-    CaptureStats, CsrBuilder, CsrRidIndex, InputLineage, LineageIndex, OperatorLineage,
-    PartitionedRidIndex, RidArray, RidIndex,
-};
-use smoke_storage::{Column, PagedRelation, Relation, Rid, Schema, ROWS_PER_PAGE};
+use smoke_storage::{PagedRelation, Relation, Rid, ROWS_PER_PAGE};
 
-use crate::agg::{AggExpr, AggFunc, AggState};
+use crate::agg::AggExpr;
 use crate::error::Result;
 use crate::expr::Expr;
-use crate::instrument::CaptureMode;
-use crate::kernels::{predicate_mask, KernelPlan};
-use crate::key::{HashKey, KeyExtractor};
-use crate::ops::groupby::{render_partition_key, AggInputs, GroupByOptions, GroupByResult};
-use crate::ops::join::{JoinOptions, JoinResult};
-use crate::ops::select::SelectOptions;
+use crate::key::KeyExtractor;
+use crate::ops::groupby::{GroupByCore, GroupByOptions, GroupByResult};
+use crate::ops::join::{with_join_key, JoinBuild, JoinKey, JoinOptions, JoinProbe, JoinResult};
+use crate::ops::select::{SelectCore, SelectOptions};
 use crate::ops::OpOutput;
-use crate::workload::{LineageCube, WorkloadArtifacts};
 
 /// Rounds a requested chunk size up to a whole number of pages (at least
 /// one), so a chunk scan pins every covering page exactly once.
@@ -58,6 +53,25 @@ fn chunk_bounds(len: usize, chunk_rows: usize) -> impl Iterator<Item = (usize, u
         .map(move |s| (s, (s + chunk_rows).min(len)))
 }
 
+/// One scan of `input` as page-aligned chunks: `ingest(chunk, cs)` sees rows
+/// `cs..` of the input as a transient relation, while the pool reads one
+/// chunk ahead. The scan opens with the zero-row chunk, which pins nothing:
+/// every core binds its columns per ingest, so schema and bind errors
+/// surface before any page I/O (exactly as the in-RAM operators surface them
+/// before their scan) and an empty input still reaches the core once.
+fn scan_chunks(
+    input: &PagedRelation,
+    chunk_rows: usize,
+    mut ingest: impl FnMut(&Relation, usize) -> Result<()>,
+) -> Result<()> {
+    ingest(&input.chunk(0, 0)?, 0)?;
+    for (cs, ce) in chunk_bounds(input.len(), chunk_rows) {
+        input.prefetch_rows(ce, ce + chunk_rows);
+        ingest(&input.chunk(cs, ce)?, cs)?;
+    }
+    Ok(())
+}
+
 /// Executes `SELECT * FROM input WHERE predicate` over a paged relation,
 /// streaming page-aligned chunks. Rid-for-rid equivalent to
 /// [`crate::ops::select::select`] on the materialized relation.
@@ -68,94 +82,11 @@ pub fn paged_select(
     chunk_rows: usize,
 ) -> Result<OpOutput> {
     let start = Instant::now();
-    let n = input.len();
-    let chunk_rows = align_chunk(chunk_rows);
-
-    let capture_backward = opts.capture && opts.directions.backward();
-    let capture_forward = opts.capture && opts.directions.forward();
-
-    // Surface bind errors before any page I/O, exactly like the in-RAM
-    // operator surfaces them before its scan.
-    predicate.bind(&input.chunk(0, 0)?)?;
-
-    let mut forward = if capture_forward {
-        RidArray::filled(n)
-    } else {
-        RidArray::new()
-    };
-    let mut matching: Vec<Rid> = match opts.selectivity_estimate {
-        Some(s) => Vec::with_capacity(((n as f64) * s.clamp(0.0, 1.0)) as usize),
-        None => Vec::new(),
-    };
-
-    let mut ctr_o: Rid = 0;
-    for (cs, ce) in chunk_bounds(n, chunk_rows) {
-        input.prefetch_rows(ce, ce + chunk_rows);
-        let chunk = input.chunk(cs, ce)?;
-        let kernel = if opts.use_kernels {
-            KernelPlan::compile(predicate, &chunk)
-        } else {
-            None
-        };
-        if let Some(plan) = kernel {
-            let mask = plan.eval(&chunk);
-            mask.for_each_one(|local| {
-                matching.push((cs + local) as Rid);
-                if capture_forward {
-                    forward.set(cs + local, ctr_o);
-                }
-                ctr_o += 1;
-            });
-        } else {
-            let bound = predicate.bind(&chunk)?;
-            for local in 0..chunk.len() {
-                if bound.eval_bool(&chunk, local)? {
-                    matching.push((cs + local) as Rid);
-                    if capture_forward {
-                        forward.set(cs + local, ctr_o);
-                    }
-                    ctr_o += 1;
-                }
-            }
-        }
-    }
-
-    let output = input.gather(&matching, format!("select({})", input.name()))?;
-    let elapsed = start.elapsed();
-
-    let mut stats = CaptureStats {
-        base_query: elapsed,
-        ..Default::default()
-    };
-    if !opts.capture {
-        return Ok(OpOutput::baseline(output, stats));
-    }
-
-    let backward_index = LineageIndex::Array(RidArray::from_vec(matching));
-    stats.edges = output.len() as u64;
-    stats.lineage_bytes = (backward_index.heap_bytes()
-        + if capture_forward {
-            forward.heap_bytes()
-        } else {
-            0
-        }) as u64;
-
-    let lineage = InputLineage {
-        backward: capture_backward.then_some(backward_index),
-        forward: capture_forward.then_some(LineageIndex::Array(forward)),
-    };
-    Ok(OpOutput {
-        output,
-        lineage: OperatorLineage::unary(lineage),
-        stats,
-    })
-}
-
-struct PagedGroupEntry {
-    key_values: Vec<smoke_storage::Value>,
-    states: Vec<AggState>,
-    i_rids: RidArray,
-    lineage_count: u32,
+    let mut core = SelectCore::new(predicate, opts, input.len());
+    scan_chunks(input, align_chunk(chunk_rows), |chunk, cs| {
+        core.ingest(chunk, 0..chunk.len(), cs)
+    })?;
+    core.finish(input, start)
 }
 
 /// Executes `SELECT keys, aggs FROM input GROUP BY keys` over a paged
@@ -171,295 +102,20 @@ pub fn paged_group_by(
     chunk_rows: usize,
 ) -> Result<GroupByResult> {
     let start = Instant::now();
-    let n = input.len();
     let chunk_rows = align_chunk(chunk_rows);
-
-    let capture = opts.mode.captures();
-    let capture_b = capture && opts.directions.backward();
-    let capture_f = capture && opts.directions.forward();
-    let inject = matches!(opts.mode, CaptureMode::Inject | CaptureMode::DeferForward);
-    let wl = &opts.workload;
-
-    // Validate every referenced column against a zero-row chunk so schema
-    // errors surface before any page I/O.
-    {
-        let probe = input.chunk(0, 0)?;
-        KeyExtractor::new(&probe, keys)?;
-        AggInputs::resolve(&probe, aggs)?;
-        if let Some(expr) = &wl.selection_pushdown {
-            expr.bind(&probe)?;
-        }
-        if !wl.skipping_partition_by.is_empty() {
-            KeyExtractor::new(&probe, &wl.skipping_partition_by)?;
-        }
-        if let Some(pd) = &wl.agg_pushdown {
-            KeyExtractor::new(&probe, &pd.partition_by)?;
-            AggInputs::resolve(&probe, &pd.aggs)?;
-        }
-    }
-
-    // γht over streamed chunks. The key mode is the generic `HashKey` path:
-    // chunk-local typed key vectors die with their chunk, and `HashKey`
-    // equality coincides with typed equality, so gid assignment (first
-    // occurrence order) is identical to the in-RAM operator's.
-    let mut ht: HashMap<HashKey, u32> = HashMap::new();
-    let mut groups: Vec<PagedGroupEntry> = Vec::new();
-    let mut forward = if capture_f && inject {
-        RidArray::filled(n)
-    } else {
-        RidArray::new()
-    };
-    let mut partitioned = (capture && !wl.skipping_partition_by.is_empty())
-        .then(|| PartitionedRidIndex::new(wl.skipping_partition_by.join(",")));
-    let mut cube = match (&wl.agg_pushdown, capture) {
-        (Some(pd), true) => Some(LineageCube::new(
-            0,
-            pd.partition_by.clone(),
-            pd.aggs.clone(),
-        )),
-        _ => None,
-    };
-
-    for (cs, ce) in chunk_bounds(n, chunk_rows) {
-        input.prefetch_rows(ce, ce + chunk_rows);
-        let chunk = input.chunk(cs, ce)?;
-        let extractor = KeyExtractor::new(&chunk, keys)?;
-        let agg_inputs = AggInputs::resolve(&chunk, aggs)?;
-        let pushdown_mask = match &wl.selection_pushdown {
-            Some(expr) if capture => Some(predicate_mask(&chunk, expr)?),
-            _ => None,
-        };
-        let skip_extractor = match (capture, wl.skipping_partition_by.is_empty()) {
-            (true, false) => Some(KeyExtractor::new(&chunk, &wl.skipping_partition_by)?),
-            _ => None,
-        };
-        let cube_setup = match (&wl.agg_pushdown, capture) {
-            (Some(pd), true) => Some((
-                pd,
-                KeyExtractor::new(&chunk, &pd.partition_by)?,
-                AggInputs::resolve(&chunk, &pd.aggs)?,
-            )),
-            _ => None,
-        };
-
-        for local in 0..chunk.len() {
-            let rid = cs + local;
-            let key = extractor.key(local);
-            let gid = match ht.get(&key) {
-                Some(&gid) => gid,
-                None => {
-                    let gid = groups.len() as u32;
-                    let hinted_cap = opts.hints.as_ref().and_then(|h| h.cardinality(&key));
-                    let i_rids = match hinted_cap {
-                        Some(cap) if capture_b && inject => RidArray::with_capacity(cap),
-                        _ => RidArray::new(),
-                    };
-                    groups.push(PagedGroupEntry {
-                        key_values: key.to_values(),
-                        states: aggs.iter().map(AggExpr::new_state).collect(),
-                        i_rids,
-                        lineage_count: 0,
-                    });
-                    ht.insert(key, gid);
-                    gid
-                }
-            };
-            let entry = &mut groups[gid as usize];
-            agg_inputs.update(&mut entry.states, aggs, local);
-
-            if capture {
-                let include = pushdown_mask.as_ref().is_none_or(|m| m.get(local));
-                if include {
-                    entry.lineage_count += 1;
-                    if capture_b && inject {
-                        entry.i_rids.push(rid as Rid);
-                    }
-                    if capture_f && inject {
-                        forward.set(rid, gid);
-                    }
-                    if let (Some(part), Some(skip)) =
-                        (partitioned.as_mut(), skip_extractor.as_ref())
-                    {
-                        let pkey = skip.key(local);
-                        part.append(gid as usize, &render_partition_key(&pkey), rid as Rid);
-                    }
-                    if let (Some(cube), Some((pd, ex, cols))) = (cube.as_mut(), cube_setup.as_ref())
-                    {
-                        let pkey = ex.key(local);
-                        let key_values = pkey.to_values();
-                        let mut inputs = Vec::with_capacity(pd.aggs.len());
-                        let mut distinct = Vec::with_capacity(pd.aggs.len());
-                        for (i, agg) in pd.aggs.iter().enumerate() {
-                            match (&agg.func, cols.columns[i]) {
-                                (AggFunc::CountDistinct, Some(col)) => {
-                                    inputs.push(0.0);
-                                    distinct.push(Some(col.value(local).group_key()));
-                                }
-                                (_, Some(col)) => {
-                                    inputs.push(col.numeric(local).unwrap_or(0.0));
-                                    distinct.push(None);
-                                }
-                                (_, None) => {
-                                    inputs.push(0.0);
-                                    distinct.push(None);
-                                }
-                            }
-                        }
-                        cube.update(
-                            gid as usize,
-                            &render_partition_key(&pkey),
-                            &key_values,
-                            &inputs,
-                            &distinct,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    // γagg: emit output records exactly as the in-RAM operator does.
-    let mut key_cols: Vec<Column> = keys
-        .iter()
-        .map(|name| {
-            let idx = input.schema().index_of(name).unwrap_or_default(); // validated by the probe extractor above
-            Column::with_capacity(input.schema().field(idx).data_type, groups.len())
-        })
-        .collect();
-    let mut agg_cols: Vec<Column> = aggs
-        .iter()
-        .map(|a| Column::with_capacity(a.output_type(), groups.len()))
-        .collect();
-    let mut backward = RidIndex::with_len(0);
-    for entry in groups.iter_mut() {
-        for (i, col) in key_cols.iter_mut().enumerate() {
-            col.push(entry.key_values[i].clone())?;
-        }
-        for (i, col) in agg_cols.iter_mut().enumerate() {
-            col.push(entry.states[i].finalize())?;
-        }
-        if capture_b && inject {
-            backward.push_entry(std::mem::take(&mut entry.i_rids));
-        }
-    }
-
-    let mut fields = Vec::with_capacity(keys.len() + aggs.len());
-    for name in keys {
-        let idx = input.schema().index_of(name).unwrap_or_default();
-        fields.push(smoke_storage::Field::new(
-            name.clone(),
-            input.schema().field(idx).data_type,
-        ));
-    }
-    for agg in aggs {
-        fields.push(smoke_storage::Field::new(
-            agg.alias.clone(),
-            agg.output_type(),
-        ));
-    }
-    let schema = Schema::new(fields)?;
-    let mut columns = key_cols;
-    columns.append(&mut agg_cols);
-    let output = Relation::from_columns(format!("groupby({})", input.name()), schema, columns)?;
-    let base_query = start.elapsed();
-
-    if !capture {
-        return Ok(GroupByResult {
-            output,
-            lineage: OperatorLineage::none(),
-            artifacts: WorkloadArtifacts::default(),
-            stats: CaptureStats {
-                base_query,
-                ..Default::default()
-            },
-        });
-    }
-
+    let mut core = GroupByCore::new(keys, aggs, opts, input.len());
+    scan_chunks(input, chunk_rows, |chunk, cs| {
+        core.ingest(chunk, 0..chunk.len(), cs)
+    })?;
     // Defer pass: replay the chunk scan against the pinned hash table. Out
     // of core this re-pins every data page — the realistic I/O cost the
     // paged benchmarks measure for deferral.
-    let defer_start = Instant::now();
-    let mut deferred_backward: Option<CsrBuilder> = None;
-    if !inject {
-        if capture_b {
-            deferred_backward = Some(CsrBuilder::with_counts(
-                groups.iter().map(|g| g.lineage_count as usize),
-            ));
-        }
-        if capture_f {
-            forward = RidArray::filled(n);
-        }
-        for (cs, ce) in chunk_bounds(n, chunk_rows) {
-            input.prefetch_rows(ce, ce + chunk_rows);
-            let chunk = input.chunk(cs, ce)?;
-            let extractor = KeyExtractor::new(&chunk, keys)?;
-            let pushdown_mask = match &wl.selection_pushdown {
-                Some(expr) => Some(predicate_mask(&chunk, expr)?),
-                None => None,
-            };
-            for local in 0..chunk.len() {
-                let include = pushdown_mask.as_ref().is_none_or(|m| m.get(local));
-                if !include {
-                    continue;
-                }
-                let key = extractor.key(local);
-                let Some(&gid) = ht.get(&key) else {
-                    continue; // unreachable: the build pass saw every key
-                };
-                if let Some(b) = deferred_backward.as_mut() {
-                    b.append(gid as usize, (cs + local) as Rid);
-                }
-                if capture_f {
-                    forward.set(cs + local, gid);
-                }
-            }
-        }
+    if core.defer {
+        scan_chunks(input, chunk_rows, |chunk, cs| {
+            core.ingest_defer(chunk, 0..chunk.len(), cs)
+        })?;
     }
-    let deferred = if inject {
-        std::time::Duration::ZERO
-    } else {
-        defer_start.elapsed()
-    };
-
-    let backward_index = if capture_b {
-        Some(match deferred_backward {
-            Some(b) => LineageIndex::Csr(b.finish()),
-            None => LineageIndex::Index(backward),
-        })
-    } else {
-        None
-    };
-    let forward_index = capture_f.then_some(LineageIndex::Array(forward));
-
-    let mut stats = CaptureStats {
-        base_query,
-        deferred,
-        ..Default::default()
-    };
-    if let Some(b) = &backward_index {
-        stats.edges += b.edge_count() as u64;
-        stats.rid_resizes += b.resizes();
-        stats.lineage_bytes += b.heap_bytes() as u64;
-    }
-    if let Some(f) = &forward_index {
-        stats.rid_resizes += f.resizes();
-        stats.lineage_bytes += f.heap_bytes() as u64;
-    }
-
-    Ok(GroupByResult {
-        output,
-        lineage: OperatorLineage::unary(InputLineage {
-            backward: backward_index,
-            forward: forward_index,
-        }),
-        artifacts: WorkloadArtifacts { partitioned, cube },
-        stats,
-    })
-}
-
-struct PagedBuildEntry {
-    rids: Vec<Rid>,
-    o_rids: Vec<Rid>,
+    core.finish(input, start)
 }
 
 /// Executes `left ⋈ right ON left_keys = right_keys` over two paged
@@ -481,627 +137,49 @@ pub fn paged_hash_join(
     opts: &JoinOptions,
     chunk_rows: usize,
 ) -> Result<JoinResult> {
+    fn run<K: for<'a> JoinKey<'a>>(
+        left: &PagedRelation,
+        right: &PagedRelation,
+        (left_keys, right_keys): (&[String], &[String]),
+        opts: &JoinOptions,
+        chunk_rows: usize,
+    ) -> Result<JoinResult> {
+        let start = Instant::now();
+        let mut build = JoinBuild::<K>::new(left.len());
+        scan_chunks(left, chunk_rows, |chunk, cs| {
+            build.ingest(chunk, left_keys, 0..chunk.len(), |i| (cs + i) as Rid)
+        })?;
+        let mut probe = JoinProbe::new(opts, &build, right.len());
+        scan_chunks(right, chunk_rows, |chunk, cs| {
+            probe.ingest(&build, chunk, right_keys, 0..chunk.len(), |i| {
+                (cs + i) as Rid
+            })
+        })?;
+        // The deferred left-side indexes touch only the (in-RAM) hash table,
+        // no pages; the output gathers from the paged inputs.
+        probe.finish(&build, left, right, start)
+    }
+
     if let Some(partitions) = grace::grace_plan(left, right, left_keys, right_keys) {
         return paged_grace_hash_join(
             left, right, left_keys, right_keys, opts, chunk_rows, partitions,
         );
     }
-    let start = Instant::now();
-    let chunk_rows = align_chunk(chunk_rows);
-
-    let capture = opts.mode.captures();
-    let cap_a_b = capture && opts.left_directions.backward();
-    let cap_a_f = capture && opts.left_directions.forward();
-    let cap_b_b = capture && opts.right_directions.backward();
-    let cap_b_f = capture && opts.right_directions.forward();
-    let defer_left = capture && opts.mode == CaptureMode::Defer;
-    let defer_forward = capture && opts.mode == CaptureMode::DeferForward;
-
-    KeyExtractor::new(&left.chunk(0, 0)?, left_keys)?;
-    KeyExtractor::new(&right.chunk(0, 0)?, right_keys)?;
-
-    // ⋈ht: build phase over streamed left chunks.
-    let mut ht: HashMap<HashKey, PagedBuildEntry> = HashMap::new();
-    let mut pk_fk = true;
-    for (cs, ce) in chunk_bounds(left.len(), chunk_rows) {
-        left.prefetch_rows(ce, ce + chunk_rows);
-        let chunk = left.chunk(cs, ce)?;
-        let extractor = KeyExtractor::new(&chunk, left_keys)?;
-        for local in 0..chunk.len() {
-            let key = extractor.key(local);
-            let entry = ht.entry(key).or_insert_with(|| PagedBuildEntry {
-                rids: Vec::with_capacity(1),
-                o_rids: Vec::new(),
-            });
-            entry.rids.push((cs + local) as Rid);
-            if entry.rids.len() > 1 {
-                pk_fk = false;
-            }
-        }
-    }
-
-    let prealloc = if pk_fk { right.len() } else { 0 };
-    let mut out_left: Vec<Rid> = Vec::with_capacity(prealloc);
-    let mut out_right: Vec<Rid> = Vec::with_capacity(prealloc);
-
-    let mut a_fw: Vec<RidArray> = if cap_a_f && !defer_left && !defer_forward {
-        let mut arrays: Vec<RidArray> = vec![RidArray::new(); left.len()];
-        if let Some(hints) = &opts.hints {
-            for (key, entry) in &ht {
-                if let Some(cap) = hints.cardinality(key) {
-                    for &l in &entry.rids {
-                        arrays[l as usize] = RidArray::with_capacity(cap);
-                    }
-                }
-            }
-        }
-        arrays
-    } else {
-        Vec::new()
-    };
-    let mut b_fw_index = RidIndex::with_len(if cap_b_f && !pk_fk { right.len() } else { 0 });
-    let mut b_fw_array = if cap_b_f && pk_fk {
-        RidArray::filled(right.len())
-    } else {
-        RidArray::new()
-    };
-
-    // ⋈probe: probe phase over streamed right chunks.
-    let mut out_counter: usize = 0;
-    for (cs, ce) in chunk_bounds(right.len(), chunk_rows) {
-        right.prefetch_rows(ce, ce + chunk_rows);
-        let chunk = right.chunk(cs, ce)?;
-        let extractor = KeyExtractor::new(&chunk, right_keys)?;
-        for local in 0..chunk.len() {
-            let rid = cs + local;
-            let key = extractor.key(local);
-            let Some(entry) = ht.get_mut(&key) else {
-                continue;
-            };
-            if defer_left || defer_forward {
-                entry.o_rids.push(out_counter as Rid);
-            }
-            let k = entry.rids.len();
-            for (j, &l) in entry.rids.iter().enumerate() {
-                let o = (out_counter + j) as Rid;
-                if opts.materialize_output || (cap_a_b && !defer_left) {
-                    out_left.push(l);
-                }
-                if opts.materialize_output || cap_b_b {
-                    out_right.push(rid as Rid);
-                }
-                if cap_a_f && !defer_left && !defer_forward {
-                    a_fw[l as usize].push(o);
-                }
-                if cap_b_f {
-                    if pk_fk {
-                        b_fw_array.set(rid, o);
-                    } else {
-                        b_fw_index.append(rid, o);
-                    }
-                }
-            }
-            out_counter += k;
-        }
-    }
-    let base_query = start.elapsed();
-
-    // Deferred construction of the left-side indexes — identical to the
-    // in-RAM operator: it touches only the (in-RAM) hash table, no pages.
-    let defer_start = Instant::now();
-    let mut a_bw_deferred: Option<RidArray> = None;
-    let mut a_fw_deferred: Option<CsrRidIndex> = None;
-    if defer_left || defer_forward {
-        if defer_left && cap_a_b {
-            a_bw_deferred = Some(RidArray::filled(out_counter));
-        }
-        if cap_a_f {
-            let mut counts = vec![0usize; left.len()];
-            for entry in ht.values() {
-                if entry.o_rids.is_empty() {
-                    continue;
-                }
-                for &l in &entry.rids {
-                    counts[l as usize] = entry.o_rids.len();
-                }
-            }
-            let mut builder = CsrBuilder::with_counts(counts);
-            for entry in ht.values() {
-                if entry.o_rids.is_empty() {
-                    continue;
-                }
-                for (j, &l) in entry.rids.iter().enumerate() {
-                    for &start_o in &entry.o_rids {
-                        let o = start_o + j as Rid;
-                        builder.append(l as usize, o);
-                        if let Some(bw) = a_bw_deferred.as_mut() {
-                            bw.set(o as usize, l);
-                        }
-                    }
-                }
-            }
-            a_fw_deferred = Some(builder.finish());
-        } else if defer_left && cap_a_b {
-            for entry in ht.values() {
-                for (j, &l) in entry.rids.iter().enumerate() {
-                    for &start_o in &entry.o_rids {
-                        if let Some(bw) = a_bw_deferred.as_mut() {
-                            bw.set((start_o + j as Rid) as usize, l);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let deferred = if defer_left || defer_forward {
-        defer_start.elapsed()
-    } else {
-        std::time::Duration::ZERO
-    };
-
-    // Output materialization gathers from the paged inputs (pinning only the
-    // pages the matched rids touch).
-    let joined_schema: Schema = left.schema().concat(right.schema(), right.name());
-    let output_name = format!("join({},{})", left.name(), right.name());
-    let output = if opts.materialize_output {
-        let mut columns = Vec::with_capacity(joined_schema.arity());
-        columns.extend(left.gather(&out_left, "l")?.columns().iter().cloned());
-        columns.extend(right.gather(&out_right, "r")?.columns().iter().cloned());
-        Relation::from_columns(output_name, joined_schema, columns)?
-    } else {
-        Relation::empty(output_name, joined_schema)
-    };
-
-    if !capture {
-        return Ok(JoinResult {
-            output,
-            lineage: OperatorLineage::none(),
-            output_rows: out_counter,
-            pk_fk,
-            grace_partitions: 1,
-            stats: CaptureStats {
-                base_query,
-                ..Default::default()
-            },
-        });
-    }
-
-    let a_backward = if cap_a_b {
-        Some(LineageIndex::Array(match a_bw_deferred {
-            Some(bw) => bw,
-            None => RidArray::from_vec(out_left.clone()),
-        }))
-    } else {
-        None
-    };
-    let a_forward = if cap_a_f {
-        Some(match a_fw_deferred {
-            Some(csr) => LineageIndex::Csr(csr),
-            None => LineageIndex::Index(RidIndex::from_arrays(a_fw)),
-        })
-    } else {
-        None
-    };
-    let b_backward = cap_b_b.then(|| LineageIndex::Array(RidArray::from_vec(out_right.clone())));
-    let b_forward = if cap_b_f {
-        Some(if pk_fk {
-            LineageIndex::Array(b_fw_array)
-        } else {
-            LineageIndex::Index(b_fw_index)
-        })
-    } else {
-        None
-    };
-
-    let mut stats = CaptureStats {
-        base_query,
-        deferred,
-        ..Default::default()
-    };
-    for idx in [&a_backward, &a_forward, &b_backward, &b_forward]
-        .into_iter()
-        .flatten()
-    {
-        stats.edges += idx.edge_count() as u64;
-        stats.rid_resizes += idx.resizes();
-        stats.lineage_bytes += idx.heap_bytes() as u64;
-    }
-
-    Ok(JoinResult {
-        output,
-        lineage: OperatorLineage::binary(
-            InputLineage {
-                backward: a_backward,
-                forward: a_forward,
-            },
-            InputLineage {
-                backward: b_backward,
-                forward: b_forward,
-            },
-        ),
-        output_rows: out_counter,
-        pk_fk,
-        grace_partitions: 1,
-        stats,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::agg::microbenchmark_aggs;
-    use crate::ops::groupby::group_by;
-    use crate::ops::join::hash_join;
-    use crate::ops::select::select;
-    use smoke_pager::{BufferPool, ReplacementPolicy, SegmentStore};
-    use smoke_storage::{DataType, Value};
-    use std::sync::Arc;
-
-    fn pool(budget: usize) -> Arc<BufferPool> {
-        Arc::new(BufferPool::new(
-            SegmentStore::in_memory(),
-            budget,
-            ReplacementPolicy::Sieve,
-        ))
-    }
-
-    fn zipfish(rows: usize) -> Relation {
-        let mut b = Relation::builder("zipf")
-            .column("z", DataType::Int)
-            .column("v", DataType::Float)
-            .column("v_bin", DataType::Int);
-        for i in 0..rows {
-            let z = (i * i % 7) as i64;
-            b = b.row(vec![
-                Value::Int(z),
-                Value::Float(i as f64 * 0.25),
-                Value::Int((i % 4) as i64),
-            ]);
-        }
-        b.build().unwrap()
-    }
-
-    fn assert_same_lineage(
-        a: &OperatorLineage,
-        b: &OperatorLineage,
-        input_lens: &[usize],
-        out_rows: usize,
-    ) {
-        for (input, &ilen) in input_lens.iter().enumerate() {
-            let la = a.input(input);
-            let lb = b.input(input);
-            assert_eq!(la.backward.is_some(), lb.backward.is_some());
-            assert_eq!(la.forward.is_some(), lb.forward.is_some());
-            if la.backward.is_some() {
-                for o in 0..out_rows as Rid {
-                    assert_eq!(la.backward().lookup(o), lb.backward().lookup(o), "o={o}");
-                }
-            }
-            if la.forward.is_some() {
-                for i in 0..ilen as Rid {
-                    let mut x = la.forward().lookup(i);
-                    let mut y = lb.forward().lookup(i);
-                    x.sort_unstable();
-                    y.sort_unstable();
-                    assert_eq!(x, y, "i={i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn paged_select_matches_in_ram() {
-        let rel = zipfish(3000); // 3 pages per numeric column
-        let paged = PagedRelation::spill(&rel, &pool(1)).unwrap();
-        let pred = Expr::col("z")
-            .ge(Expr::lit(3))
-            .and(Expr::col("v").lt(Expr::lit(600.0)));
-        for opts in [
-            SelectOptions::baseline(),
-            SelectOptions::inject(),
-            SelectOptions::inject().scalar(),
-        ] {
-            let ram = select(&rel, &pred, &opts).unwrap();
-            let out = paged_select(&paged, &pred, &opts, 1024).unwrap();
-            assert_eq!(out.output, ram.output);
-            if opts.capture {
-                assert_same_lineage(&out.lineage, &ram.lineage, &[rel.len()], ram.output.len());
-            } else {
-                assert!(out.lineage.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn paged_group_by_matches_in_ram() {
-        let rel = zipfish(3000);
-        let paged = PagedRelation::spill(&rel, &pool(2)).unwrap();
-        let keys = ["z".to_string()];
-        let aggs = microbenchmark_aggs("v");
-        for opts in [
-            GroupByOptions::baseline(),
-            GroupByOptions::inject(),
-            GroupByOptions::defer(),
-        ] {
-            let ram = group_by(&rel, &keys, &aggs, &opts).unwrap();
-            let out = paged_group_by(&paged, &keys, &aggs, &opts, 1024).unwrap();
-            assert_eq!(out.output, ram.output);
-            if opts.mode.captures() {
-                assert_same_lineage(&out.lineage, &ram.lineage, &[rel.len()], ram.output.len());
-            }
-        }
-    }
-
-    #[test]
-    fn paged_group_by_workload_artifacts_match() {
-        let rel = zipfish(2100);
-        let paged = PagedRelation::spill(&rel, &pool(2)).unwrap();
-        let keys = ["z".to_string()];
-        let mut opts = GroupByOptions::inject();
-        opts.workload.selection_pushdown = Some(Expr::col("v").lt(Expr::lit(400.0)));
-        opts.workload.skipping_partition_by = vec!["v_bin".to_string()];
-        let ram = group_by(&rel, &keys, &[AggExpr::count("cnt")], &opts).unwrap();
-        let out = paged_group_by(&paged, &keys, &[AggExpr::count("cnt")], &opts, 1024).unwrap();
-        assert_eq!(out.output, ram.output);
-        let (pp, rp) = (
-            out.artifacts.partitioned.as_ref().unwrap(),
-            ram.artifacts.partitioned.as_ref().unwrap(),
-        );
-        for gid in 0..out.output.len() {
-            for part in ["0", "1", "2", "3"] {
-                assert_eq!(pp.partition(gid, part), rp.partition(gid, part));
-            }
-        }
-        assert_same_lineage(&out.lineage, &ram.lineage, &[rel.len()], ram.output.len());
-    }
-
-    #[test]
-    fn paged_join_matches_in_ram() {
-        let mut b = Relation::builder("dims").column("id", DataType::Int);
-        for i in 0..7 {
-            b = b.row(vec![Value::Int(i)]);
-        }
-        let left = b.build().unwrap();
-        let right = zipfish(2500);
-        let lp = PagedRelation::spill(&left, &pool(1)).unwrap();
-        let rp = PagedRelation::spill(&right, &pool(2)).unwrap();
-        let lk = ["id".to_string()];
-        let rk = ["z".to_string()];
-        for opts in [
-            JoinOptions::baseline(),
-            JoinOptions::inject(),
-            JoinOptions::defer(),
-            JoinOptions::defer_forward(),
-        ] {
-            let ram = hash_join(&left, &right, &lk, &rk, &opts).unwrap();
-            let out = paged_hash_join(&lp, &rp, &lk, &rk, &opts, 1024).unwrap();
-            assert_eq!(out.grace_partitions, 1, "small build side stays resident");
-            assert_eq!(out.output, ram.output);
-            assert_eq!(out.output_rows, ram.output_rows);
-            assert_eq!(out.pk_fk, ram.pk_fk);
-            if opts.mode.captures() {
-                assert_same_lineage(
-                    &out.lineage,
-                    &ram.lineage,
-                    &[left.len(), right.len()],
-                    ram.output_rows,
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mn_paged_join_matches_in_ram() {
-        let mut b = Relation::builder("A").column("z", DataType::Int);
-        for z in [1, 1, 2, 3, 1] {
-            b = b.row(vec![Value::Int(z)]);
-        }
-        let left = b.build().unwrap();
-        let mut b = Relation::builder("B").column("z", DataType::Int);
-        for z in [1, 2, 1, 3, 9] {
-            b = b.row(vec![Value::Int(z)]);
-        }
-        let right = b.build().unwrap();
-        let lp = PagedRelation::spill(&left, &pool(1)).unwrap();
-        let rp = PagedRelation::spill(&right, &pool(1)).unwrap();
-        let k = ["z".to_string()];
-        for opts in [JoinOptions::inject(), JoinOptions::defer()] {
-            let ram = hash_join(&left, &right, &k, &k, &opts).unwrap();
-            let out = paged_hash_join(&lp, &rp, &k, &k, &opts, 1024).unwrap();
-            assert!(!out.pk_fk);
-            assert_eq!(out.output, ram.output);
-            assert_same_lineage(
-                &out.lineage,
-                &ram.lineage,
-                &[left.len(), right.len()],
-                ram.output_rows,
-            );
-        }
-    }
-
-    #[test]
-    fn grace_join_engages_over_budget_and_matches_in_ram() {
-        // 1000 build rows × 48 bytes ≫ a one-frame budget, so the join
-        // auto-dispatches to the grace path; 2500 probe rows with 7 distinct
-        // keys make it M:N.
-        let mut b = Relation::builder("dims")
-            .column("id", DataType::Int)
-            .column("w", DataType::Float);
-        for i in 0..1000 {
-            b = b.row(vec![Value::Int(i % 7), Value::Float(i as f64 * 0.5)]);
-        }
-        let left = b.build().unwrap();
-        let right = zipfish(2500);
-        let lp = PagedRelation::spill(&left, &pool(1)).unwrap();
-        let rp = PagedRelation::spill(&right, &pool(2)).unwrap();
-        let lk = ["id".to_string()];
-        let rk = ["z".to_string()];
-        for opts in [
-            JoinOptions::baseline(),
-            JoinOptions::inject(),
-            JoinOptions::defer(),
-            JoinOptions::defer_forward(),
-        ] {
-            let ram = hash_join(&left, &right, &lk, &rk, &opts).unwrap();
-            let out = paged_hash_join(&lp, &rp, &lk, &rk, &opts, 1024).unwrap();
-            assert!(out.grace_partitions > 1, "expected the grace path");
-            assert_eq!(out.output, ram.output);
-            assert_eq!(out.output_rows, ram.output_rows);
-            assert_eq!(out.pk_fk, ram.pk_fk);
-            if opts.mode.captures() {
-                assert_same_lineage(
-                    &out.lineage,
-                    &ram.lineage,
-                    &[left.len(), right.len()],
-                    ram.output_rows,
-                );
-            } else {
-                assert!(out.lineage.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn grace_join_handles_float_keys() {
-        let mut b = Relation::builder("fl").column("f", DataType::Float);
-        for i in 0..500 {
-            b = b.row(vec![Value::Float((i % 5) as f64 * 0.5)]);
-        }
-        let left = b.build().unwrap();
-        let mut b = Relation::builder("fr").column("f", DataType::Float);
-        for i in 0..600 {
-            b = b.row(vec![Value::Float((i % 8) as f64 * 0.5)]);
-        }
-        let right = b.build().unwrap();
-        let lp = PagedRelation::spill(&left, &pool(1)).unwrap();
-        let rp = PagedRelation::spill(&right, &pool(1)).unwrap();
-        let k = ["f".to_string()];
-        for opts in [JoinOptions::inject(), JoinOptions::defer()] {
-            let ram = hash_join(&left, &right, &k, &k, &opts).unwrap();
-            let out = paged_hash_join(&lp, &rp, &k, &k, &opts, 1024).unwrap();
-            assert!(out.grace_partitions > 1);
-            assert_eq!(out.output, ram.output);
-            assert_same_lineage(
-                &out.lineage,
-                &ram.lineage,
-                &[left.len(), right.len()],
-                ram.output_rows,
-            );
-        }
-    }
-
-    #[test]
-    fn grace_falls_back_to_resident_for_string_keys() {
-        // Over budget, but the key column is Str: partitions spill through
-        // fixed-width runs only, so the join must stay on the resident path
-        // (and still be correct).
-        let mut b = Relation::builder("sl").column("s", DataType::Str);
-        for i in 0..1000 {
-            b = b.row(vec![Value::Str(format!("k{}", i % 6))]);
-        }
-        let left = b.build().unwrap();
-        let mut b = Relation::builder("sr").column("s", DataType::Str);
-        for i in 0..800 {
-            b = b.row(vec![Value::Str(format!("k{}", i % 9))]);
-        }
-        let right = b.build().unwrap();
-        let lp = PagedRelation::spill(&left, &pool(1)).unwrap();
-        let rp = PagedRelation::spill(&right, &pool(1)).unwrap();
-        let k = ["s".to_string()];
-        let ram = hash_join(&left, &right, &k, &k, &JoinOptions::inject()).unwrap();
-        let out = paged_hash_join(&lp, &rp, &k, &k, &JoinOptions::inject(), 1024).unwrap();
-        assert_eq!(out.grace_partitions, 1, "Str keys must not take grace");
-        assert_eq!(out.output, ram.output);
-        assert_same_lineage(
-            &out.lineage,
-            &ram.lineage,
-            &[left.len(), right.len()],
-            ram.output_rows,
-        );
-    }
-
-    #[test]
-    fn explicit_grace_join_matches_on_small_inputs() {
-        // Direct invocation with a fixed fan-out on inputs far under the
-        // budget: the grace machinery itself (not the dispatch heuristic)
-        // must reproduce the resident join, empty partitions included.
-        let mut b = Relation::builder("A").column("z", DataType::Int);
-        for z in [1, 1, 2, 3, 1] {
-            b = b.row(vec![Value::Int(z)]);
-        }
-        let left = b.build().unwrap();
-        let mut b = Relation::builder("B").column("z", DataType::Int);
-        for z in [1, 2, 1, 3, 9] {
-            b = b.row(vec![Value::Int(z)]);
-        }
-        let right = b.build().unwrap();
-        let lp = PagedRelation::spill(&left, &pool(1)).unwrap();
-        let rp = PagedRelation::spill(&right, &pool(1)).unwrap();
-        let k = ["z".to_string()];
-        for opts in [
-            JoinOptions::inject(),
-            JoinOptions::defer(),
-            JoinOptions::defer_forward(),
-        ] {
-            let ram = hash_join(&left, &right, &k, &k, &opts).unwrap();
-            let out = paged_grace_hash_join(&lp, &rp, &k, &k, &opts, 1024, 3).unwrap();
-            assert_eq!(out.grace_partitions, 3);
-            assert!(!out.pk_fk);
-            assert_eq!(out.output, ram.output);
-            assert_same_lineage(
-                &out.lineage,
-                &ram.lineage,
-                &[left.len(), right.len()],
-                ram.output_rows,
-            );
-        }
-    }
-
-    #[test]
-    fn unknown_columns_error_before_io() {
-        let rel = zipfish(100);
-        let paged = PagedRelation::spill(&rel, &pool(1)).unwrap();
-        assert!(paged_select(
-            &paged,
-            &Expr::col("nope").lt(Expr::lit(1)),
-            &SelectOptions::inject(),
-            1024
+    let (lprobe, rprobe) = (left.chunk(0, 0)?, right.chunk(0, 0)?);
+    let left_extract = KeyExtractor::new(&lprobe, left_keys)?;
+    let right_extract = KeyExtractor::new(&rprobe, right_keys)?;
+    // Chunk-local `&str` keys would die with their chunk, so strings take the
+    // generic owned-key path.
+    with_join_key!(
+        [i64, (i64, i64)],
+        &left_extract,
+        &right_extract,
+        run(
+            left,
+            right,
+            (left_keys, right_keys),
+            opts,
+            align_chunk(chunk_rows)
         )
-        .is_err());
-        assert!(paged_group_by(
-            &paged,
-            &["nope".to_string()],
-            &[],
-            &GroupByOptions::inject(),
-            1024
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn empty_paged_relation_executes() {
-        let rel = Relation::builder("e")
-            .column("z", DataType::Int)
-            .column("v", DataType::Float)
-            .build()
-            .unwrap();
-        let paged = PagedRelation::spill(&rel, &pool(1)).unwrap();
-        let out = paged_select(
-            &paged,
-            &Expr::col("z").gt(Expr::lit(0)),
-            &SelectOptions::inject(),
-            1024,
-        )
-        .unwrap();
-        assert_eq!(out.output.len(), 0);
-        let gb = paged_group_by(
-            &paged,
-            &["z".to_string()],
-            &[AggExpr::sum("v", "s")],
-            &GroupByOptions::inject(),
-            1024,
-        )
-        .unwrap();
-        assert_eq!(gb.output.len(), 0);
-    }
+    )
 }

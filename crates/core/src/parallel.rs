@@ -1,16 +1,16 @@
 //! Morsel-driven parallel operator drivers with per-thread lineage capture.
 //!
-//! The sequential operators in [`crate::ops`] stay the reference
-//! implementations; this module adds partition-parallel drivers on top of
-//! them, following Leis et al.'s morsel-driven design adapted to Smoke's
-//! fused capture (paper §3.2): the input relation is split into fixed-size
-//! [`Morsel`]s, a scoped pool of worker threads claims morsels dynamically
-//! through an atomic cursor, and *each worker captures lineage into its own
-//! private buffers* — no locks, no sharing, no atomics on the per-row hot
-//! path. A deterministic merge in morsel order then rebases the per-worker
-//! results into the global rid space:
+//! Each operator in [`crate::ops`] is one fused-capture core; this module is
+//! the driver that feeds it morsels instead of the whole relation, following
+//! Leis et al.'s morsel-driven design adapted to Smoke's fused capture
+//! (paper §3.2): the input relation is split into fixed-size [`Morsel`]s, a
+//! scoped pool of worker threads claims morsels dynamically through an
+//! atomic cursor, and *each worker runs a private core per morsel* — no
+//! locks, no sharing, no atomics on the per-row hot path. A deterministic
+//! merge in morsel order then folds the per-morsel cores into one, which
+//! goes through the operator's ordinary finish:
 //!
-//! * selection masks stitch word-aligned ([`SelectionMask::append`]);
+//! * selection fragments concatenate their matching rids;
 //! * per-morsel group tables merge through [`AggState::merge`], and the
 //!   per-morsel CSR lineage fragments merge by offset-shifting
 //!   ([`CsrRidIndex::merge_remapped`] — a memcpy-with-rebase, since CSR is
@@ -21,35 +21,32 @@
 //! Because the merge order is the morsel order (not the thread completion
 //! order), every driver is deterministic: output rows, group order, rid
 //! order within lineage entries, and float aggregate results are identical
-//! across runs and degrees of parallelism. With `dop <= 1` — or whenever a
-//! shape the parallel path does not cover is requested (interpreter-only
-//! predicates, workload push-downs, cardinality hints, Defer join modes) —
-//! the drivers delegate to the sequential operators, so degree-of-parallelism
-//! 1 is bit-for-bit the existing engine.
+//! across runs and degrees of parallelism. With `dop <= 1` — or for the few
+//! shapes a per-morsel core cannot cover (interpreter-only predicates in
+//! [`par_select`]; cardinality hints; data-skipping partitions and the
+//! push-down cube in [`par_group_by`]) — the drivers delegate to the
+//! single-ingest entry points, so degree-of-parallelism 1 is bit-for-bit
+//! the sequential engine.
 //!
-//! [`SelectionMask::append`]: smoke_storage::SelectionMask::append
 //! [`CsrRidIndex::merge_remapped`]: smoke_lineage::CsrRidIndex::merge_remapped
 //! [`AggState::merge`]: crate::agg::AggState::merge
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use smoke_lineage::{
-    CaptureStats, CsrBuilder, CsrRidIndex, InputLineage, LineageIndex, OperatorLineage, RidArray,
-};
-use smoke_storage::kernels as sk;
-use smoke_storage::{morsels, Column, Morsel, Relation, Rid, DEFAULT_MORSEL_ROWS};
+use smoke_storage::{morsels, Morsel, Relation, Rid, DEFAULT_MORSEL_ROWS};
 
-use crate::agg::{AggExpr, AggState};
+use crate::agg::AggExpr;
 use crate::error::Result;
 use crate::expr::Expr;
-use crate::instrument::CaptureMode;
 use crate::kernels::KernelPlan;
-use crate::key::{HashKey, KeyExtractor};
-use crate::ops::groupby::{group_by, AggInputs, GroupByOptions, GroupByResult};
-use crate::ops::join::{hash_join, JoinOptions, JoinResult};
-use crate::ops::select::{select, SelectOptions};
+use crate::key::KeyExtractor;
+use crate::ops::groupby::{group_by, GroupByCore, GroupByOptions, GroupByResult};
+use crate::ops::join::{
+    finish_from_runs, hash_join, with_join_key, JoinBuild, JoinKey, JoinOptions, JoinProbe,
+    JoinResult, JoinRuns,
+};
+use crate::ops::select::{select, SelectCore, SelectOptions};
 use crate::ops::OpOutput;
 
 /// Degree-of-parallelism and morsel-size configuration for the parallel
@@ -153,122 +150,56 @@ where
 
 /// Parallel `SELECT * FROM input WHERE predicate`.
 ///
-/// Each worker evaluates the compiled kernel pipeline over its morsels
-/// ([`KernelPlan::eval_range`]) and emits the morsel-local matching rid list;
-/// the merge concatenates those lists in morsel order, which reproduces the
-/// sequential scan's ascending rid order exactly. Falls back to
-/// [`select`] when the predicate does not compile to kernels or when fewer
-/// than two workers would run.
+/// Each worker ingests its morsels into a private `SelectCore` fragment
+/// (kernel bitmap, then one fused pass emitting global rids); the merge
+/// absorbs the fragments in morsel order, which reproduces the sequential
+/// scan's ascending rid order exactly — the concatenation *is* the backward
+/// index (reuse principle P4), and the forward array is filled in the same
+/// walk. Falls back to [`select`] when the predicate does not compile to
+/// kernels or when fewer than two workers would run.
 pub fn par_select(
     input: &Relation,
     predicate: &Expr,
     opts: &SelectOptions,
     par: &ParallelOptions,
 ) -> Result<OpOutput> {
-    let n = input.len();
-    let ms = morsels(n, par.morsel_rows);
+    let ms = morsels(input.len(), par.morsel_rows);
     let workers = par.workers(ms.len());
-    let plan = if opts.use_kernels && workers > 1 {
-        KernelPlan::compile(predicate, input)
-    } else {
-        None
-    };
-    let Some(plan) = plan else {
+    if workers <= 1 || !opts.use_kernels || KernelPlan::compile(predicate, input).is_none() {
         return select(input, predicate, opts);
-    };
+    }
 
     let start = Instant::now();
-    let capture_backward = opts.capture && opts.directions.backward();
-    let capture_forward = opts.capture && opts.directions.forward();
-
-    // Per-morsel scan: kernel bitmap, then one fused pass emitting global
-    // rids. Workers never see each other's output.
-    let per_morsel: Vec<Vec<Rid>> = run_morsels(&ms, workers, |m| {
-        let mask = plan.eval_range(input, m.start, m.end);
-        let mut matching: Vec<Rid> = Vec::with_capacity(mask.count_ones());
-        mask.for_each_one(|i| matching.push((m.start + i) as Rid));
-        matching
+    let parts = run_morsels(&ms, workers, |m| {
+        let mut part = SelectCore::fragment(predicate, opts);
+        part.ingest(input, m.start..m.end, 0).map(|()| part)
     });
-
-    // Merge in morsel order: the concatenation *is* the backward index
-    // (reuse principle P4), and the forward array is filled in the same walk.
-    let total: usize = per_morsel.iter().map(Vec::len).sum();
-    let mut matching: Vec<Rid> = Vec::with_capacity(total);
-    let mut forward = if capture_forward {
-        RidArray::filled(n)
-    } else {
-        RidArray::new()
-    };
-    let mut ctr_o: Rid = 0;
-    for part in &per_morsel {
-        for &rid in part {
-            matching.push(rid);
-            if capture_forward {
-                forward.set(rid as usize, ctr_o);
-            }
-            ctr_o += 1;
-        }
+    let mut core = SelectCore::new(predicate, opts, input.len());
+    for part in parts {
+        core.absorb(part?);
     }
-
-    let output = input.gather(&matching, format!("select({})", input.name()));
-    let elapsed = start.elapsed();
-
-    let mut stats = CaptureStats {
-        base_query: elapsed,
-        ..Default::default()
-    };
-    if !opts.capture {
-        return Ok(OpOutput::baseline(output, stats));
-    }
-
-    let backward_index = LineageIndex::Array(RidArray::from_vec(matching));
-    stats.edges = output.len() as u64;
-    stats.lineage_bytes = (backward_index.heap_bytes()
-        + if capture_forward {
-            forward.heap_bytes()
-        } else {
-            0
-        }) as u64;
-
-    let lineage = InputLineage {
-        backward: capture_backward.then_some(backward_index),
-        forward: capture_forward.then_some(LineageIndex::Array(forward)),
-    };
-    Ok(OpOutput {
-        output,
-        lineage: OperatorLineage::unary(lineage),
-        stats,
-    })
-}
-
-/// Per-morsel partial aggregation state produced by a group-by worker.
-struct MorselGroups {
-    /// Group keys in this morsel's first-occurrence order.
-    keys: Vec<HashKey>,
-    /// Partial aggregation states, one vector per local group.
-    states: Vec<Vec<AggState>>,
-    /// The local group id of every row of the morsel, in rid order.
-    row_gids: Vec<u32>,
-    /// Morsel-local backward lineage: local group → rids of this morsel.
-    csr: Option<CsrRidIndex>,
+    core.finish(input, start)
 }
 
 /// Parallel `SELECT keys, aggs FROM input GROUP BY keys`.
 ///
-/// Phase 1 (parallel): each worker builds an independent group table per
-/// morsel — keys, partial [`AggState`]s, per-group row counts, and a
-/// morsel-local backward CSR. Phase 2 (sequential, morsel order): the
-/// partial tables merge into the global table ([`AggState::merge`]), local
-/// group ids are rebased through per-morsel gid maps, and the lineage
-/// fragments combine via [`CsrRidIndex::merge_remapped`]. Scanning partials
-/// in morsel order makes the global group order the global first-occurrence
-/// order — identical to the sequential operator no matter how threads were
-/// scheduled — and keeps each group's rids ascending.
+/// Phase 1 (parallel): each worker runs an independent `GroupByCore`
+/// fragment per morsel — its own γht over the typed key fast paths, partial
+/// [`AggState`]s, the selection push-down applied as a per-morsel mask, and
+/// a morsel-local backward CSR. Phase 2 (sequential, morsel order):
+/// `GroupByCore::merge` folds the fragments into one core, whose ordinary
+/// finish emits the output. Scanning fragments in morsel order makes the
+/// global group order the global first-occurrence order — identical to the
+/// sequential operator no matter how threads were scheduled — and keeps each
+/// group's rids ascending.
 ///
 /// Falls back to [`group_by`] for shapes the parallel path does not cover:
-/// fewer than two workers, cardinality hints, or active workload push-downs.
-/// The parallel path always builds its backward index in CSR form (the Defer
-/// representation); lookups are equal to Inject's either way.
+/// fewer than two workers, cardinality hints, data-skipping partitions, or
+/// the push-down cube. The parallel path always builds its backward index in
+/// CSR form (the Defer representation); lookups are equal to Inject's either
+/// way.
+///
+/// [`AggState`]: crate::agg::AggState
 pub fn par_group_by(
     input: &Relation,
     keys: &[String],
@@ -276,219 +207,39 @@ pub fn par_group_by(
     opts: &GroupByOptions,
     par: &ParallelOptions,
 ) -> Result<GroupByResult> {
-    let n = input.len();
-    let ms = morsels(n, par.morsel_rows);
+    let ms = morsels(input.len(), par.morsel_rows);
     let workers = par.workers(ms.len());
-    if workers <= 1 || opts.hints.is_some() || opts.workload.is_active() {
+    let wl = &opts.workload;
+    if workers <= 1
+        || opts.hints.is_some()
+        || !wl.skipping_partition_by.is_empty()
+        || wl.agg_pushdown.is_some()
+    {
         return group_by(input, keys, aggs, opts);
     }
 
     let start = Instant::now();
-    let extractor = KeyExtractor::new(input, keys)?;
-    let agg_inputs = AggInputs::resolve(input, aggs)?;
-    let int_keys = sk::int_keys(extractor.columns());
-
-    let capture = opts.mode.captures();
-    let capture_b = capture && opts.directions.backward();
-    let capture_f = capture && opts.directions.forward();
-
-    // Phase 1: independent per-morsel group tables (γht per partition).
-    let partials: Vec<MorselGroups> = run_morsels(&ms, workers, |m| {
-        let mut keys_out: Vec<HashKey> = Vec::new();
-        let mut states: Vec<Vec<AggState>> = Vec::new();
-        let mut counts: Vec<usize> = Vec::new();
-        let mut row_gids: Vec<u32> = Vec::with_capacity(if capture { m.len() } else { 0 });
-        let mut int_ht: HashMap<i64, u32> = HashMap::new();
-        let mut gen_ht: HashMap<HashKey, u32> = HashMap::new();
-        for rid in m.start..m.end {
-            let gid = if let Some(ik) = int_keys {
-                *int_ht.entry(ik[rid]).or_insert_with(|| {
-                    let gid = keys_out.len() as u32;
-                    keys_out.push(HashKey::Int(ik[rid]));
-                    states.push(aggs.iter().map(AggExpr::new_state).collect());
-                    counts.push(0);
-                    gid
-                })
-            } else {
-                let key = extractor.key(rid);
-                match gen_ht.get(&key) {
-                    Some(&gid) => gid,
-                    None => {
-                        let gid = keys_out.len() as u32;
-                        keys_out.push(key.clone());
-                        states.push(aggs.iter().map(AggExpr::new_state).collect());
-                        counts.push(0);
-                        gen_ht.insert(key, gid);
-                        gid
-                    }
-                }
-            };
-            agg_inputs.update(&mut states[gid as usize], aggs, rid);
-            counts[gid as usize] += 1;
-            if capture {
-                row_gids.push(gid);
-            }
-        }
-        let csr = capture_b.then(|| {
-            let mut b = CsrBuilder::with_counts(counts.iter().copied());
-            for (i, &gid) in row_gids.iter().enumerate() {
-                b.append(gid as usize, (m.start + i) as Rid);
-            }
-            b.finish()
-        });
-        MorselGroups {
-            keys: keys_out,
-            states,
-            row_gids,
-            csr,
-        }
+    let parts = run_morsels(&ms, workers, |m| {
+        GroupByCore::fragment(keys, aggs, opts, input, m)
     });
-
-    // Phase 2: deterministic merge in morsel order. Global group ids are
-    // assigned by first occurrence across the ordered partials, matching the
-    // sequential scan's group order exactly.
-    let mut global_ht: HashMap<HashKey, u32> = HashMap::new();
-    let mut global_keys: Vec<HashKey> = Vec::new();
-    let mut global_states: Vec<Vec<AggState>> = Vec::new();
-    let mut maps: Vec<Vec<u32>> = Vec::with_capacity(partials.len());
-    for part in &partials {
-        let mut map = Vec::with_capacity(part.keys.len());
-        for (local, key) in part.keys.iter().enumerate() {
-            let gid = match global_ht.get(key) {
-                Some(&gid) => {
-                    for (g, l) in global_states[gid as usize]
-                        .iter_mut()
-                        .zip(&part.states[local])
-                    {
-                        g.merge(l);
-                    }
-                    gid
-                }
-                None => {
-                    let gid = global_keys.len() as u32;
-                    global_keys.push(key.clone());
-                    global_states.push(part.states[local].clone());
-                    global_ht.insert(key.clone(), gid);
-                    gid
-                }
-            };
-            map.push(gid);
-        }
-        maps.push(map);
-    }
-    drop(global_ht);
-
-    // γagg: emit one output record per global group.
-    let mut key_cols: Vec<Column> = keys
-        .iter()
-        .map(|name| {
-            let idx = input.column_index(name).expect("validated by extractor");
-            Column::with_capacity(input.schema().field(idx).data_type, global_keys.len())
-        })
-        .collect();
-    let mut agg_cols: Vec<Column> = aggs
-        .iter()
-        .map(|a| Column::with_capacity(a.output_type(), global_keys.len()))
-        .collect();
-    for (key, states) in global_keys.iter().zip(global_states.iter_mut()) {
-        let values = key.to_values();
-        for (i, col) in key_cols.iter_mut().enumerate() {
-            col.push(values[i].clone())?;
-        }
-        for (i, col) in agg_cols.iter_mut().enumerate() {
-            col.push(states[i].finalize())?;
-        }
-    }
-
-    let mut builder = Relation::builder(format!("groupby({})", input.name()));
-    for name in keys {
-        let idx = input.column_index(name)?;
-        builder = builder.column(name.clone(), input.schema().field(idx).data_type);
-    }
-    for agg in aggs {
-        builder = builder.column(agg.alias.clone(), agg.output_type());
-    }
-    let schema = builder.build()?.schema().clone();
-    let mut columns = key_cols;
-    columns.append(&mut agg_cols);
-    let output = Relation::from_columns(format!("groupby({})", input.name()), schema, columns)?;
-
-    if !capture {
-        let stats = CaptureStats {
-            base_query: start.elapsed(),
-            ..Default::default()
-        };
-        return Ok(GroupByResult {
-            output,
-            lineage: OperatorLineage::none(),
-            artifacts: Default::default(),
-            stats,
-        });
-    }
-
-    // Finalize lineage: memcpy-with-rebase merge of the per-morsel CSR
-    // fragments, plus a sequential forward fill in morsel order.
-    let backward_index = if capture_b {
-        let csrs: Vec<CsrRidIndex> = partials
-            .iter()
-            .map(|p| p.csr.clone().expect("built when capture_b"))
-            .collect();
-        Some(LineageIndex::Csr(CsrRidIndex::merge_remapped(
-            &csrs,
-            &maps,
-            global_keys.len(),
-        )))
-    } else {
-        None
-    };
-    let forward_index = if capture_f {
-        let mut forward = RidArray::filled(n);
-        for (part, (m, map)) in partials.iter().zip(ms.iter().zip(&maps)) {
-            for (i, &local) in part.row_gids.iter().enumerate() {
-                forward.set(m.start + i, map[local as usize]);
-            }
-        }
-        Some(LineageIndex::Array(forward))
-    } else {
-        None
-    };
-
-    let mut stats = CaptureStats {
-        base_query: start.elapsed(),
-        ..Default::default()
-    };
-    if let Some(b) = &backward_index {
-        stats.edges += b.edge_count() as u64;
-        stats.lineage_bytes += b.heap_bytes() as u64;
-    }
-    if let Some(f) = &forward_index {
-        stats.lineage_bytes += f.heap_bytes() as u64;
-    }
-
-    Ok(GroupByResult {
-        output,
-        lineage: OperatorLineage::unary(InputLineage {
-            backward: backward_index,
-            forward: forward_index,
-        }),
-        artifacts: Default::default(),
-        stats,
-    })
+    let parts = parts.into_iter().collect::<Result<Vec<_>>>()?;
+    GroupByCore::merge(keys, aggs, opts, input.len(), parts).finish(input, start)
 }
 
 /// Parallel `left ⋈ right ON left_keys = right_keys` (hash equi-join).
 ///
-/// The build phase stays sequential (the hash table on the left relation is
-/// shared read-only by every worker); the probe phase runs
-/// morsel-parallel over the right relation, each worker emitting its own
-/// `(left rid, right rid)` output run. Concatenating the runs in morsel
-/// order reproduces the sequential probe's output order exactly, so backward
-/// lineage is the concatenation itself and forward lineage is rebuilt from
-/// it in CSR form with exact counts.
+/// The build phase stays sequential (the `JoinBuild` table on the left
+/// relation is shared read-only by every worker); the probe phase runs
+/// morsel-parallel over the right relation, each worker running a
+/// capture-free `JoinProbe` that emits its own `(left rid, right rid)`
+/// output run — no output counter is shared. Concatenating the runs in
+/// morsel order reproduces the sequential probe's output order exactly, so
+/// `finish_from_runs` takes backward lineage to be the concatenation
+/// itself and rebuilds forward lineage from it in CSR form with exact counts
+/// — which is the Defer representation, so every capture mode runs parallel.
 ///
-/// Falls back to [`hash_join`] for fewer than two workers, Defer modes
-/// (whose deferred left-index construction is already post-probe and
-/// representation-specific), or cardinality hints.
+/// Falls back to [`hash_join`] for fewer than two workers or cardinality
+/// hints.
 pub fn par_hash_join(
     left: &Relation,
     right: &Relation,
@@ -497,199 +248,45 @@ pub fn par_hash_join(
     opts: &JoinOptions,
     par: &ParallelOptions,
 ) -> Result<JoinResult> {
+    fn run<'a, K: JoinKey<'a> + Sync>(
+        left: &'a Relation,
+        right: &'a Relation,
+        (left_keys, right_keys): (&[String], &[String]),
+        opts: &JoinOptions,
+        (ms, workers): (&[Morsel], usize),
+    ) -> Result<JoinResult> {
+        let start = Instant::now();
+        let mut build = JoinBuild::<K>::new(left.len());
+        build.ingest(left, left_keys, 0..left.len(), |i| i as Rid)?;
+
+        let runs_only = JoinOptions::baseline();
+        let parts = run_morsels(ms, workers, |m| {
+            let mut probe = JoinProbe::new(&runs_only, &build, m.len());
+            probe.ingest(&build, right, right_keys, m.start..m.end, |i| i as Rid)?;
+            Ok(probe.into_runs())
+        });
+        let parts = parts.into_iter().collect::<Result<Vec<_>>>()?;
+        let (lefts, rights): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+        let runs = JoinRuns {
+            out_left: lefts.concat(),
+            out_right: rights.concat(),
+            pk_fk: build.pk_fk,
+            grace_partitions: 1,
+        };
+        finish_from_runs(opts, left, right, runs, true, start)
+    }
+
     let ms = morsels(right.len(), par.morsel_rows);
     let workers = par.workers(ms.len());
-    if workers <= 1
-        || matches!(opts.mode, CaptureMode::Defer | CaptureMode::DeferForward)
-        || opts.hints.is_some()
-    {
+    if workers <= 1 || opts.hints.is_some() {
         return hash_join(left, right, left_keys, right_keys, opts);
     }
-
-    let start = Instant::now();
     let left_extract = KeyExtractor::new(left, left_keys)?;
     let right_extract = KeyExtractor::new(right, right_keys)?;
-
-    if let (Some(lk), Some(rk)) = (
-        sk::int_keys(left_extract.columns()),
-        sk::int_keys(right_extract.columns()),
-    ) {
-        return par_join_keyed(
-            start,
-            left,
-            right,
-            |rid| lk[rid],
-            |rid| rk[rid],
-            opts,
-            &ms,
-            workers,
-        );
-    }
-    par_join_keyed(
-        start,
-        left,
-        right,
-        |rid| left_extract.key(rid),
-        |rid| right_extract.key(rid),
-        opts,
-        &ms,
-        workers,
+    with_join_key!(
+        [i64, &str, (i64, i64)],
+        &left_extract,
+        &right_extract,
+        run(left, right, (left_keys, right_keys), opts, (&ms, workers))
     )
-}
-
-/// The parallel join body, generic over the key representation (primitive
-/// `i64` fast path or generic [`HashKey`]s).
-#[allow(clippy::too_many_arguments)]
-fn par_join_keyed<K: Eq + std::hash::Hash + Sync>(
-    start: Instant,
-    left: &Relation,
-    right: &Relation,
-    left_key: impl Fn(usize) -> K + Sync,
-    right_key: impl Fn(usize) -> K + Sync,
-    opts: &JoinOptions,
-    ms: &[Morsel],
-    workers: usize,
-) -> Result<JoinResult> {
-    let capture = opts.mode.captures();
-    let cap_a_b = capture && opts.left_directions.backward();
-    let cap_a_f = capture && opts.left_directions.forward();
-    let cap_b_b = capture && opts.right_directions.backward();
-    let cap_b_f = capture && opts.right_directions.forward();
-
-    // ⋈ht: sequential build over the left relation; the table is shared
-    // read-only by every probe worker.
-    let mut ht: HashMap<K, Vec<Rid>> = HashMap::new();
-    let mut pk_fk = true;
-    for rid in 0..left.len() {
-        let entry = ht
-            .entry(left_key(rid))
-            .or_insert_with(|| Vec::with_capacity(1));
-        entry.push(rid as Rid);
-        if entry.len() > 1 {
-            pk_fk = false;
-        }
-    }
-
-    // ⋈probe: morsel-parallel over the right relation. Each worker emits its
-    // own (left, right) output run; no output counter is shared — global
-    // output rids are assigned at merge time from the morsel-ordered runs.
-    let runs: Vec<(Vec<Rid>, Vec<Rid>)> = run_morsels(ms, workers, |m| {
-        let mut out_left: Vec<Rid> = Vec::new();
-        let mut out_right: Vec<Rid> = Vec::new();
-        for rid in m.start..m.end {
-            if let Some(entry) = ht.get(&right_key(rid)) {
-                for &l in entry {
-                    out_left.push(l);
-                    out_right.push(rid as Rid);
-                }
-            }
-        }
-        (out_left, out_right)
-    });
-
-    let total: usize = runs.iter().map(|(l, _)| l.len()).sum();
-    let mut out_left: Vec<Rid> = Vec::with_capacity(total);
-    let mut out_right: Vec<Rid> = Vec::with_capacity(total);
-    for (l, r) in &runs {
-        out_left.extend_from_slice(l);
-        out_right.extend_from_slice(r);
-    }
-    let out_counter = total;
-
-    // Output materialization.
-    let joined_schema = left.schema().concat(right.schema(), right.name());
-    let output_name = format!("join({},{})", left.name(), right.name());
-    let output = if opts.materialize_output {
-        let mut columns = Vec::with_capacity(joined_schema.arity());
-        for col in left.columns() {
-            columns.push(col.gather(&out_left));
-        }
-        for col in right.columns() {
-            columns.push(col.gather(&out_right));
-        }
-        Relation::from_columns(output_name, joined_schema, columns)?
-    } else {
-        Relation::empty(output_name, joined_schema)
-    };
-    let base_query = start.elapsed();
-
-    if !capture {
-        return Ok(JoinResult {
-            output,
-            lineage: OperatorLineage::none(),
-            output_rows: out_counter,
-            pk_fk,
-            grace_partitions: 1,
-            stats: CaptureStats {
-                base_query,
-                ..Default::default()
-            },
-        });
-    }
-
-    // Backward lineage on both sides is the merged output run itself;
-    // forward lineage is rebuilt from it with exact counts (CSR for 1-to-N,
-    // a rid array for the pk-fk probe side).
-    let a_backward = cap_a_b.then(|| LineageIndex::Array(RidArray::from_vec(out_left.clone())));
-    let a_forward = cap_a_f.then(|| {
-        let mut counts = vec![0usize; left.len()];
-        for &l in &out_left {
-            counts[l as usize] += 1;
-        }
-        let mut b = CsrBuilder::with_counts(counts);
-        for (o, &l) in out_left.iter().enumerate() {
-            b.append(l as usize, o as Rid);
-        }
-        LineageIndex::Csr(b.finish())
-    });
-    let b_backward = cap_b_b.then(|| LineageIndex::Array(RidArray::from_vec(out_right.clone())));
-    let b_forward = cap_b_f.then(|| {
-        if pk_fk {
-            let mut fw = RidArray::filled(right.len());
-            for (o, &r) in out_right.iter().enumerate() {
-                fw.set(r as usize, o as Rid);
-            }
-            LineageIndex::Array(fw)
-        } else {
-            let mut counts = vec![0usize; right.len()];
-            for &r in &out_right {
-                counts[r as usize] += 1;
-            }
-            let mut b = CsrBuilder::with_counts(counts);
-            for (o, &r) in out_right.iter().enumerate() {
-                b.append(r as usize, o as Rid);
-            }
-            LineageIndex::Csr(b.finish())
-        }
-    });
-
-    let mut stats = CaptureStats {
-        base_query,
-        ..Default::default()
-    };
-    for idx in [&a_backward, &a_forward, &b_backward, &b_forward]
-        .into_iter()
-        .flatten()
-    {
-        stats.edges += idx.edge_count() as u64;
-        stats.lineage_bytes += idx.heap_bytes() as u64;
-    }
-
-    Ok(JoinResult {
-        output,
-        lineage: OperatorLineage::binary(
-            InputLineage {
-                backward: a_backward,
-                forward: a_forward,
-            },
-            InputLineage {
-                backward: b_backward,
-                forward: b_forward,
-            },
-        ),
-        output_rows: out_counter,
-        pk_fk,
-        grace_partitions: 1,
-        stats,
-    })
 }

@@ -1,0 +1,642 @@
+//! One equivalence suite for every chunk source. `select`, `group_by` and
+//! `hash_join` each have one fused-capture core; the resident, morsel and
+//! page-run entry points are drivers that only differ in which rows they
+//! hand it. Every case below runs one operator through a [`Source`] and
+//! diffs it against the resident single-ingest run: output relation, group
+//! order, per-entry lineage lookups *in rid order*, `pk_fk`, `output_rows`,
+//! workload artifacts — for every capture mode. Page-run drivers must also
+//! produce the resident index representation per mode; morsel drivers emit
+//! CSR for 1-to-N indexes.
+//!
+//! Float columns hold dyadic rationals (multiples of 0.5) so partial-sum
+//! merges are exact and aggregates compare bit-for-bit. `SumSqrt` is absent:
+//! square roots are not dyadic, so it only agrees up to the last ulp.
+//!
+//! Rows that only the shared core makes reachable:
+//! `typed_group_keys_reach_the_page_run_driver` (int-pair and `Str` keys, a
+//! dense domain that widens chunk by chunk) and
+//! `defer_join_and_selection_pushdown_run_morsel_parallel`.
+
+use std::mem::discriminant;
+use std::sync::Arc;
+
+use proptest::prelude::*;
+use smoke_core::ops::groupby::{group_by, GroupByOptions, GroupByResult};
+use smoke_core::ops::join::{hash_join, JoinOptions, JoinResult};
+use smoke_core::ops::select::{select, SelectOptions};
+use smoke_core::ops::OpOutput;
+use smoke_core::paged::paged_grace_hash_join;
+use smoke_core::parallel::{par_group_by, par_hash_join, par_select, ParallelOptions};
+use smoke_core::{paged_group_by, paged_hash_join, paged_select, AggExpr, AggPushdown, Expr};
+use smoke_lineage::{LineageIndex, OperatorLineage};
+use smoke_pager::{BufferPool, ReplacementPolicy, SegmentStore};
+use smoke_storage::{DataType, PagedRelation, Relation, Rid, Value, ROWS_PER_PAGE};
+
+/// Where an operator core's rows come from.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// One ingest of the whole relation: the reference.
+    Resident,
+    /// `(dop, morsel_rows)`: one core per morsel on `dop` workers, then an
+    /// ordered merge.
+    Morsels(usize, usize),
+    /// `(budget, policy, prefetch)`: one ingest per one-page chunk, pinned
+    /// through a pool of `budget` frames — every chunk boundary is a page
+    /// boundary, and a budget of 1 means every page fault evicts. With
+    /// `prefetch` the pool carries a live prefetcher, so run-ahead hints
+    /// really load pages concurrently with the scan.
+    PageRuns(usize, ReplacementPolicy, bool),
+}
+
+/// 64-row morsels: any table longer than 64 rows spans several morsels, so
+/// small proptest inputs already exercise boundary-straddling groups.
+fn morsels(dop: usize) -> Source {
+    Source::Morsels(dop, 64)
+}
+
+fn page_runs(budget: usize, policy: ReplacementPolicy) -> Source {
+    Source::PageRuns(budget, policy, false)
+}
+
+const CHUNK: usize = ROWS_PER_PAGE;
+
+impl Source {
+    fn par(self) -> ParallelOptions {
+        let Source::Morsels(dop, morsel_rows) = self else {
+            unreachable!("only morsel sources run on the pool")
+        };
+        ParallelOptions::new(dop).with_morsel_rows(morsel_rows)
+    }
+
+    fn spill(self, table: &Relation) -> PagedRelation {
+        let Source::PageRuns(budget, policy, prefetch) = self else {
+            unreachable!("only page-run sources spill")
+        };
+        let store = SegmentStore::in_memory();
+        let pool = match prefetch {
+            true => BufferPool::with_prefetch(store, budget, policy, 2),
+            false => BufferPool::new(store, budget, policy),
+        };
+        PagedRelation::spill(table, &Arc::new(pool)).unwrap()
+    }
+
+    /// Whether this source must reproduce the resident index representation
+    /// (`Array` / `Index` / `Csr`) and not just its lookups.
+    fn keeps_representation(self) -> bool {
+        !matches!(self, Source::Morsels(dop, _) if dop > 1)
+    }
+
+    fn select(
+        self,
+        t: &Relation,
+        pred: &Expr,
+        opts: &SelectOptions,
+    ) -> smoke_core::Result<OpOutput> {
+        match self {
+            Source::Resident => select(t, pred, opts),
+            Source::Morsels(..) => par_select(t, pred, opts, &self.par()),
+            Source::PageRuns(..) => paged_select(&self.spill(t), pred, opts, CHUNK),
+        }
+    }
+
+    fn group_by(
+        self,
+        t: &Relation,
+        keys: &[String],
+        aggs: &[AggExpr],
+        opts: &GroupByOptions,
+    ) -> smoke_core::Result<GroupByResult> {
+        match self {
+            Source::Resident => group_by(t, keys, aggs, opts),
+            Source::Morsels(..) => par_group_by(t, keys, aggs, opts, &self.par()),
+            Source::PageRuns(..) => paged_group_by(&self.spill(t), keys, aggs, opts, CHUNK),
+        }
+    }
+
+    fn join(self, l: &Relation, r: &Relation, on: &[String], opts: &JoinOptions) -> JoinResult {
+        match self {
+            Source::Resident => hash_join(l, r, on, on, opts),
+            Source::Morsels(..) => par_hash_join(l, r, on, on, opts, &self.par()),
+            Source::PageRuns(..) => {
+                paged_hash_join(&self.spill(l), &self.spill(r), on, on, opts, CHUNK)
+            }
+        }
+        .unwrap()
+    }
+}
+
+/// `t(a, b, s, c)` from `rows` tiled `reps` times, so small proptest inputs
+/// still span several pages. `a` is a small-domain int so groups recur
+/// across morsel and page boundaries, `b` a dyadic float, `s` a short
+/// string (spilled as offsets + payload runs), `c` a second int for pair
+/// keys.
+fn table_from(rows: &[(i64, i64)], reps: usize) -> Relation {
+    let mut b = Relation::builder("t")
+        .column("a", DataType::Int)
+        .column("b", DataType::Float)
+        .column("s", DataType::Str)
+        .column("c", DataType::Int);
+    for _ in 0..reps {
+        for &(x, y) in rows {
+            let s = ["red", "green", "blue", "cyan"][(y % 4).unsigned_abs() as usize];
+            b = b.row(vec![
+                Value::Int(x),
+                Value::Float(y as f64 * 0.5),
+                Value::Str(s.into()),
+                Value::Int(y % 3),
+            ]);
+        }
+    }
+    b.build().unwrap()
+}
+
+fn strs(names: &[&str]) -> Vec<String> {
+    names.iter().map(|s| s.to_string()).collect()
+}
+
+/// Every aggregate whose merge is exact on dyadic-rational inputs.
+fn exact_aggs(col: &str) -> Vec<AggExpr> {
+    vec![
+        AggExpr::count("cnt"),
+        AggExpr::sum(col, "sum_v"),
+        AggExpr::sum_sq(col, "sum_v2"),
+        AggExpr::avg(col, "avg_v"),
+        AggExpr::min(col, "min_v"),
+        AggExpr::max(col, "max_v"),
+        AggExpr::count_distinct(col, "dcnt_v"),
+    ]
+}
+
+fn select_modes() -> [SelectOptions; 3] {
+    [
+        SelectOptions::baseline(),
+        SelectOptions::inject(),
+        SelectOptions::inject().scalar(),
+    ]
+}
+
+fn group_by_modes() -> [GroupByOptions; 3] {
+    [
+        GroupByOptions::baseline(),
+        GroupByOptions::inject(),
+        GroupByOptions::defer(),
+    ]
+}
+
+fn join_modes() -> [JoinOptions; 4] {
+    [
+        JoinOptions::baseline(),
+        JoinOptions::inject(),
+        JoinOptions::defer(),
+        JoinOptions::defer_forward(),
+    ]
+}
+
+/// Group-by options with the full workload surface on: a selection
+/// push-down, skipping partitions and an aggregate push-down cube.
+fn workload_opts() -> GroupByOptions {
+    let mut opts = GroupByOptions::inject();
+    opts.workload.selection_pushdown = Some(Expr::col("b").lt(Expr::lit(20.0)));
+    opts.workload.skipping_partition_by = strs(&["c"]);
+    opts.workload.agg_pushdown = Some(AggPushdown {
+        partition_by: strs(&["c"]),
+        aggs: vec![AggExpr::count("cnt"), AggExpr::sum("b", "total")],
+    });
+    opts
+}
+
+/// Lineage equality against the resident run `w`: the same indexes present,
+/// in the representation the source owes, and every entry's lookup equal
+/// element for element.
+fn same_lineage(src: Source, w: &OperatorLineage, g: &OperatorLineage, lens: &[usize], out: usize) {
+    assert_eq!(w.is_none(), g.is_none(), "{src:?}");
+    let same = |what: &str, w: &Option<LineageIndex>, g: &Option<LineageIndex>, entries| {
+        let (Some(w), Some(g)) = (w, g) else {
+            return assert_eq!(w.is_some(), g.is_some(), "{src:?}: {what} presence");
+        };
+        let one_to_n_as_csr = !src.keeps_representation()
+            && !matches!(w, LineageIndex::Array(_))
+            && matches!(g, LineageIndex::Csr(_));
+        let same_repr = discriminant(w) == discriminant(g);
+        assert!(
+            same_repr || one_to_n_as_csr,
+            "{src:?}: {what} representation"
+        );
+        for pos in 0..entries as Rid {
+            assert_eq!(w.lookup(pos), g.lookup(pos), "{src:?}: {what} at {pos}");
+        }
+    };
+    for (i, &len) in lens.iter().enumerate().filter(|_| !w.is_none()) {
+        same(
+            &format!("backward[{i}]"),
+            &w.input(i).backward,
+            &g.input(i).backward,
+            out,
+        );
+        same(
+            &format!("forward[{i}]"),
+            &w.input(i).forward,
+            &g.input(i).forward,
+            len,
+        );
+    }
+}
+
+fn check_select(src: Source, table: &Relation, pred: &Expr) {
+    for opts in select_modes() {
+        let w = select(table, pred, &opts).unwrap();
+        let g = src.select(table, pred, &opts).unwrap();
+        assert_eq!(w.output, g.output, "{src:?}: output for {pred:?}");
+        assert_eq!(w.stats.edges, g.stats.edges);
+        same_lineage(src, &w.lineage, &g.lineage, &[table.len()], w.output.len());
+    }
+}
+
+/// Group-by on `keys` with every exact aggregate, under Baseline / Inject /
+/// Defer and then each of `extra`.
+fn check_group_by(src: Source, table: &Relation, keys: &[&str], extra: &[GroupByOptions]) {
+    let (keys, aggs) = (strs(keys), exact_aggs("b"));
+    for opts in group_by_modes().iter().chain(extra) {
+        let w = group_by(table, &keys, &aggs, opts).unwrap();
+        let g = src.group_by(table, &keys, &aggs, opts).unwrap();
+        assert_eq!(w.output, g.output, "{src:?}: group-by output on {keys:?}");
+        same_lineage(src, &w.lineage, &g.lineage, &[table.len()], w.output.len());
+
+        // Workload artifacts captured through any driver must match the
+        // resident ones partition-for-partition and cell-for-cell.
+        let (wp, gp) = (&w.artifacts.partitioned, &g.artifacts.partitioned);
+        assert_eq!(wp.is_some(), gp.is_some(), "{src:?}: partitioned presence");
+        if let (Some(wp), Some(gp)) = (wp, gp) {
+            assert_eq!(wp.len(), gp.len());
+            for out in 0..wp.len() {
+                assert_eq!(wp.keys(out), gp.keys(out), "{src:?}: partitions of {out}");
+                for key in wp.keys(out) {
+                    assert_eq!(wp.partition(out, key), gp.partition(out, key), "{src:?}");
+                }
+            }
+        }
+        let (wc, gc) = (&w.artifacts.cube, &g.artifacts.cube);
+        assert_eq!(wc.is_some(), gc.is_some(), "{src:?}: cube presence");
+        if let (Some(wc), Some(gc)) = (wc, gc) {
+            assert_eq!(wc.cell_count(), gc.cell_count());
+            for out in 0..wc.len() {
+                assert_eq!(wc.query(out).unwrap(), gc.query(out).unwrap(), "{src:?}");
+            }
+        }
+    }
+}
+
+fn same_join(src: Source, w: &JoinResult, g: &JoinResult, lens: &[usize]) {
+    assert_eq!(w.output, g.output, "{src:?}: join output");
+    assert_eq!(
+        (w.output_rows, w.pk_fk),
+        (g.output_rows, g.pk_fk),
+        "{src:?}"
+    );
+    same_lineage(src, &w.lineage, &g.lineage, lens, w.output_rows);
+}
+
+/// Joins `left ⋈ right ON on = on` under every capture mode; returns the
+/// driven results so rows can assert on `grace_partitions`.
+fn check_join(src: Source, left: &Relation, right: &Relation, on: &[&str]) -> Vec<JoinResult> {
+    let on = strs(on);
+    let check = |opts: JoinOptions| {
+        let g = src.join(left, right, &on, &opts);
+        let w = hash_join(left, right, &on, &on, &opts).unwrap();
+        same_join(src, &w, &g, &[left.len(), right.len()]);
+        g
+    };
+    join_modes().map(check).into()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn select_is_chunk_source_invariant(
+        rows in prop::collection::vec((-2i64..8, 0i64..100), 0..200),
+        reps in 1usize..8,
+        cut in -2i64..8,
+        dop in 2usize..9,
+        budget in 1usize..9,
+    ) {
+        let table = table_from(&rows, reps);
+        // A compound predicate exercising And/InList nodes over ranges, on a
+        // fixed-width and a string column.
+        let compound = Expr::col("a")
+            .in_list(vec![Value::Int(cut), Value::Int(cut + 2)])
+            .or(Expr::col("b").lt(Expr::lit(10.0)))
+            .or(Expr::col("s").eq(Expr::lit("cyan")));
+        for src in [morsels(dop), page_runs(budget, ReplacementPolicy::Sieve)] {
+            check_select(src, &table, &Expr::col("a").ge(Expr::lit(cut)));
+            check_select(src, &table, &compound);
+        }
+    }
+
+    #[test]
+    fn group_by_is_chunk_source_invariant(
+        rows in prop::collection::vec((-2i64..8, 0i64..100), 0..200),
+        reps in 1usize..8,
+        dop in 2usize..9,
+        budget in 1usize..9,
+    ) {
+        let table = table_from(&rows, reps);
+        for src in [morsels(dop), page_runs(budget, ReplacementPolicy::Clock)] {
+            // Int key (dense fast path), string key and composite key (both
+            // the generic path).
+            check_group_by(src, &table, &["a"], &[]);
+            check_group_by(src, &table, &["s"], &[]);
+            check_group_by(src, &table, &["s", "a"], &[]);
+        }
+    }
+
+    #[test]
+    fn join_is_chunk_source_invariant(
+        left_rows in prop::collection::vec((-2i64..8, 0i64..100), 0..40),
+        right_rows in prop::collection::vec((-2i64..8, 0i64..100), 0..200),
+        reps in 1usize..6,
+        dop in 2usize..9,
+        budget in 1usize..9,
+    ) {
+        // M:N on the small-domain int key (pk-fk when the generated left side
+        // happens to be unique); string keys take the borrowed-`&str` path
+        // resident and the generic path paged.
+        let left = table_from(&left_rows, 1).with_name("L");
+        let right = table_from(&right_rows, reps).with_name("R");
+        for src in [morsels(dop), page_runs(budget, ReplacementPolicy::Lru)] {
+            check_join(src, &left, &right, &["a"]);
+            check_join(src, &left, &right, &["s"]);
+        }
+    }
+
+    /// Prefetching is an advisory optimization: with a prefetcher attached,
+    /// every operator must produce the same outputs and lineage as without
+    /// one — for any budget and policy, the grace join path included (large
+    /// `reps` push the build side of the self-join over budget).
+    #[test]
+    fn prefetch_on_equals_prefetch_off(
+        rows in prop::collection::vec((-2i64..8, 0i64..100), 1..100),
+        reps in 1usize..8,
+        cut in -2i64..8,
+        budget in 1usize..9,
+        policy in 0usize..3,
+    ) {
+        let policy = ReplacementPolicy::ALL[policy];
+        let table = table_from(&rows, reps);
+        let src = Source::PageRuns(budget, policy, true);
+        check_select(src, &table, &Expr::col("a").ge(Expr::lit(cut)));
+        // The offsets-run hints of the spilled Str pages must not perturb
+        // anything either.
+        check_group_by(src, &table, &["s"], &[]);
+        let with = check_join(src, &table, &table, &["a"]);
+        let on = strs(&["a"]);
+        let without = page_runs(budget, policy).join(&table, &table, &on, &JoinOptions::inject());
+        assert_eq!(with[1].grace_partitions, without.grace_partitions);
+    }
+}
+
+#[test]
+fn groups_straddling_a_morsel_boundary() {
+    // 200 rows of 3 recurring keys over 64-row morsels: every group spans
+    // all four morsels.
+    let rows: Vec<(i64, i64)> = (0..200).map(|i| (i % 3, i)).collect();
+    check_group_by(morsels(4), &table_from(&rows, 1), &["a"], &[]);
+    // One group entirely inside a single morsel, one spanning all.
+    let rows: Vec<(i64, i64)> = (0..200)
+        .map(|i| (if (64..128).contains(&i) { 7 } else { 0 }, i))
+        .collect();
+    check_group_by(morsels(4), &table_from(&rows, 1), &["a"], &[]);
+}
+
+#[test]
+fn dop_exceeding_morsel_count_clamps() {
+    // 100 rows / 64-row morsels = 2 morsels; DOP 32 must clamp, not hang or
+    // mis-merge.
+    let rows: Vec<(i64, i64)> = (0..100).map(|i| (i % 5, i)).collect();
+    let table = table_from(&rows, 1);
+    check_select(morsels(32), &table, &Expr::col("a").le(Expr::lit(2)));
+    check_group_by(morsels(32), &table, &["a"], &[]);
+    let left = table_from(&[(0, 0), (1, 1), (2, 2)], 1).with_name("L");
+    check_join(morsels(32), &left, &table, &["a"]);
+
+    let opts = morsels(32).par();
+    assert_eq!(opts.workers(2), 2);
+    assert_eq!(opts.workers(0), 1);
+    assert_eq!(opts.dop(), 32);
+    assert_eq!(opts.morsel_rows(), 64);
+}
+
+#[test]
+fn dop_one_delegates() {
+    // DOP 1 *is* the sequential engine: `keeps_representation` holds the
+    // morsel source to the resident index representations, not just lookups.
+    let rows: Vec<(i64, i64)> = (0..150).map(|i| (i % 4, i)).collect();
+    let table = table_from(&rows, 1);
+    check_select(morsels(1), &table, &Expr::col("a").eq(Expr::lit(1)));
+    check_group_by(morsels(1), &table, &["a"], &[]);
+    check_join(morsels(1), &table, &table, &["a"]);
+}
+
+#[test]
+fn interpreter_only_predicate_falls_back() {
+    // Arithmetic never compiles to kernels: the interpreter is the fallback
+    // inside every driver's ingest and must agree across chunk boundaries.
+    let rows: Vec<(i64, i64)> = (0..1500).map(|i| (i % 4, i)).collect();
+    let table = table_from(&rows, 1);
+    let pred = (Expr::col("a") + Expr::lit(1)).gt(Expr::lit(2));
+    check_select(morsels(8), &table, &pred);
+    check_select(page_runs(1, ReplacementPolicy::Sieve), &table, &pred);
+}
+
+#[test]
+fn one_frame_pool_over_multi_page_tables() {
+    // 3000 rows = 3 pages per numeric column; one single frame serves every
+    // pin across spill boundaries, so progress proves no pin is ever held
+    // while the next page faults.
+    let rows: Vec<(i64, i64)> = (0..3000).map(|i| (i * i % 7, i % 13)).collect();
+    let table = table_from(&rows, 1);
+    let pred = Expr::col("a")
+        .ge(Expr::lit(3))
+        .and(Expr::col("b").lt(Expr::lit(600.0)));
+    for policy in ReplacementPolicy::ALL {
+        let src = page_runs(1, policy);
+        check_select(src, &table, &pred);
+        check_group_by(src, &table, &["a"], &[workload_opts()]);
+    }
+}
+
+#[test]
+fn grace_join_at_one_frame_under_all_policies() {
+    // 1500 build rows × 48 bytes ≫ a one-frame budget, so the join
+    // auto-dispatches to the grace path; 7 distinct keys make it M:N. The
+    // pools carry a live prefetcher: partitioning, probing and merging must
+    // tolerate background page installs with a single frame to fight over.
+    let rows: Vec<(i64, i64)> = (0..1500).map(|i| (i % 7, i % 13)).collect();
+    let left = table_from(&rows, 1).with_name("L");
+    let right = table_from(&rows, 1).with_name("R");
+    for policy in ReplacementPolicy::ALL {
+        for got in check_join(Source::PageRuns(1, policy, true), &left, &right, &["a"]) {
+            assert!(got.grace_partitions > 1, "grace must engage ({policy:?})");
+        }
+    }
+}
+
+#[test]
+fn grace_eligibility_and_explicit_fan_out() {
+    let rows: Vec<(i64, i64)> = (0..600).map(|i| (i % 7, i % 5)).collect();
+    let left = table_from(&rows, 1).with_name("L");
+    let right = table_from(&rows[..400], 1).with_name("R");
+    let src = page_runs(1, ReplacementPolicy::Sieve);
+    // Float keys are numeric: over budget they partition like ints.
+    for got in check_join(src, &left, &right, &["b"]) {
+        assert!(got.grace_partitions > 1);
+    }
+    // Composite numeric keys partition too, through the int-pair core.
+    for got in check_join(src, &left, &right, &["a", "c"]) {
+        assert!(got.grace_partitions > 1);
+    }
+    // Over budget, but the key column is Str: partitions spill through
+    // fixed-width runs only, so the join must stay on the resident-build
+    // path (and still be correct).
+    for got in check_join(src, &left, &right, &["s"]) {
+        assert_eq!(got.grace_partitions, 1, "Str keys must not take grace");
+    }
+
+    // Direct invocation with a fixed fan-out on inputs far under the budget:
+    // the grace machinery itself (not the dispatch heuristic) must reproduce
+    // the resident join, empty partitions included.
+    let tiny = |name: &str, zs: &[i64]| {
+        let rows: Vec<(i64, i64)> = zs.iter().map(|&z| (z, z)).collect();
+        table_from(&rows, 1).with_name(name)
+    };
+    let (left, right) = (tiny("A", &[1, 1, 2, 3, 1]), tiny("B", &[1, 2, 1, 3, 9]));
+    let (pl, pr) = (src.spill(&left), src.spill(&right));
+    let on = strs(&["a"]);
+    for opts in join_modes() {
+        let want = hash_join(&left, &right, &on, &on, &opts).unwrap();
+        let got = paged_grace_hash_join(&pl, &pr, &on, &on, &opts, CHUNK, 3).unwrap();
+        assert_eq!(got.grace_partitions, 3);
+        assert!(!got.pk_fk);
+        same_join(src, &want, &got, &[left.len(), right.len()]);
+    }
+}
+
+#[test]
+fn small_build_side_stays_resident() {
+    // A 7-row pk build side fits any budget: the page-run driver runs the
+    // fused build/probe core chunk by chunk, never the grace path.
+    let dims: Vec<(i64, i64)> = (0..7).map(|i| (i, i)).collect();
+    let facts: Vec<(i64, i64)> = (0..2500).map(|i| (i * i % 7, i)).collect();
+    let src = page_runs(2, ReplacementPolicy::Sieve);
+    let (left, right) = (
+        table_from(&dims, 1).with_name("dims"),
+        table_from(&facts, 1),
+    );
+    for got in check_join(src, &left, &right, &["a"]) {
+        assert!(got.pk_fk);
+        assert_eq!(got.grace_partitions, 1, "small build side stays resident");
+    }
+    // M:N with unmatched keys on both sides.
+    let mn = |zs: &[i64]| table_from(&zs.iter().map(|&z| (z, z)).collect::<Vec<_>>(), 1);
+    for got in check_join(src, &mn(&[1, 1, 2, 3, 1]), &mn(&[1, 2, 1, 3, 9]), &["a"]) {
+        assert!(!got.pk_fk);
+    }
+}
+
+#[test]
+fn workload_artifacts_partition_for_partition() {
+    let rows: Vec<(i64, i64)> = (0..2100).map(|i| (i * i % 7, i % 50)).collect();
+    let table = table_from(&rows, 1);
+    let mut skipping_only = GroupByOptions::inject();
+    skipping_only.workload.skipping_partition_by = strs(&["c"]);
+    let mut deferred = workload_opts();
+    deferred.mode = smoke_core::CaptureMode::Defer;
+    let modes = [workload_opts(), skipping_only, deferred];
+    check_group_by(
+        page_runs(2, ReplacementPolicy::Sieve),
+        &table,
+        &["a"],
+        &modes,
+    );
+    // Partitions and the cube keep the morsel driver sequential; it must
+    // still hand the artifacts through untouched.
+    check_group_by(morsels(4), &table, &["a"], &modes);
+}
+
+#[test]
+fn typed_group_keys_reach_the_page_run_driver() {
+    // `a` climbs with the rid, so each one-page chunk widens the dense gid
+    // table's domain; `a * 1000` outgrows the dense cap mid-scan and demotes
+    // the table to hashing with groups already assigned.
+    let rows: Vec<(i64, i64)> = (0..3000).map(|i| (i / 100, i % 11)).collect();
+    let sparse: Vec<(i64, i64)> = (0..3000).map(|i| (i / 100 * 1000, i % 11)).collect();
+    for src in [page_runs(1, ReplacementPolicy::Sieve), morsels(3)] {
+        for rows in [&rows, &sparse] {
+            let table = table_from(rows, 1);
+            check_group_by(src, &table, &["a"], &[]);
+            check_group_by(src, &table, &["a", "c"], &[]);
+            check_group_by(src, &table, &["s"], &[]);
+        }
+    }
+}
+
+#[test]
+fn defer_join_and_selection_pushdown_run_morsel_parallel() {
+    // Two fallbacks the shared core retired: Defer / DeferForward joins and
+    // selection push-down now run on the pool. The CSR left-forward index is
+    // the proof the join did not delegate (resident Inject emits `Index`).
+    let rows: Vec<(i64, i64)> = (0..400).map(|i| (i % 6, i)).collect();
+    let (left, right) = (
+        table_from(&rows[..30], 1).with_name("L"),
+        table_from(&rows, 1),
+    );
+    for on in [&["a"][..], &["s"], &["a", "c"]] {
+        for got in &check_join(morsels(4), &left, &right, on)[1..] {
+            let forward = &got.lineage.input(0).forward;
+            assert!(matches!(forward, Some(LineageIndex::Csr(_))));
+        }
+    }
+    let mut pushdown = GroupByOptions::inject();
+    pushdown.workload.selection_pushdown = Some(Expr::col("b").lt(Expr::lit(60.0)));
+    let mut deferred = pushdown.clone();
+    deferred.mode = smoke_core::CaptureMode::Defer;
+    let table = table_from(&rows, 1);
+    check_group_by(morsels(4), &table, &["a"], &[pushdown.clone(), deferred]);
+    let got = morsels(4).group_by(&table, &strs(&["a"]), &[], &pushdown);
+    let backward = &got.unwrap().lineage.input_mut(0).backward.take();
+    assert!(matches!(backward, Some(LineageIndex::Csr(_))));
+}
+
+#[test]
+fn empty_relation_through_every_driver() {
+    let empty = table_from(&[], 1);
+    let small = table_from(&[(1, 2), (3, 4)], 1);
+    for src in [morsels(8), page_runs(1, ReplacementPolicy::Sieve)] {
+        check_select(src, &empty, &Expr::col("a").gt(Expr::lit(0)));
+        check_group_by(src, &empty, &["a"], &[]);
+        check_join(src, &empty, &small, &["a"]);
+        check_join(src, &small, &empty, &["a"]);
+    }
+}
+
+#[test]
+fn unknown_columns_error_through_every_driver() {
+    // Page-run drivers must surface these before any page I/O: the scan
+    // opens with a zero-row chunk that binds every column.
+    let table = table_from(&[(1, 2), (3, 4)], 50);
+    let mut bad_pushdown = GroupByOptions::inject();
+    bad_pushdown.workload.selection_pushdown = Some(Expr::col("nope").lt(Expr::lit(1)));
+    let bad = Expr::col("nope").lt(Expr::lit(1));
+    let sieve = ReplacementPolicy::Sieve;
+    for src in [Source::Resident, morsels(2), page_runs(1, sieve)] {
+        let inject = SelectOptions::inject();
+        assert!(src.select(&table, &bad, &inject).is_err(), "{src:?}");
+        let gb = |keys: &[&str], aggs: &[AggExpr], opts: &GroupByOptions| {
+            src.group_by(&table, &strs(keys), aggs, opts).is_err()
+        };
+        assert!(gb(&["nope"], &[], &GroupByOptions::inject()), "{src:?}");
+        let bad_agg = [AggExpr::sum("nope", "s")];
+        assert!(gb(&["a"], &bad_agg, &GroupByOptions::baseline()), "{src:?}");
+        assert!(gb(&["a"], &[], &bad_pushdown), "{src:?}");
+    }
+}

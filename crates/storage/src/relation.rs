@@ -102,6 +102,11 @@ impl Relation {
         &self.columns
     }
 
+    /// Consumes the relation and returns its columns, in schema order.
+    pub fn into_columns(self) -> Vec<Column> {
+        self.columns
+    }
+
     /// The column at position `idx`.
     pub fn column(&self, idx: usize) -> &Column {
         &self.columns[idx]
