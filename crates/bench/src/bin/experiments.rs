@@ -5,7 +5,6 @@
 //!
 //! ```text
 //! experiments [<experiment>...|all] [--scale <factor>] [--runs <n>]
-//!             [--budget-bytes <n>] [--json <path>]
 //! ```
 //!
 //! Run `experiments --help` for the experiment list (it is generated from
@@ -13,42 +12,23 @@
 //! scale keeps the full suite at laptop/CI runtimes; pass `--scale 10` (or
 //! more) to approach the paper's dataset sizes.
 
-use smoke_bench::{
-    apps_exp, micro, paged_exp, parallel_exp, planner_exp, query_exp, render_json, render_table,
-    server_exp, tpch_exp, vectorized_exp, ExpRow, Scale,
-};
+use std::collections::HashMap;
+use std::process::ExitCode;
+
+use smoke_bench::{apps_exp, micro, query_exp, render_table, tpch_exp, ExpRow, Scale};
 
 /// One runnable experiment: its CLI name, the one-line description shown by
 /// `--help` and above its output table, and the function that produces its
 /// rows. This table is the single source of truth for the subcommand list —
 /// the `all` expansion, usage text, and dispatch all derive from it.
+///
+/// Figures 11+12 and 13+14 are measured by one shared run each; every row
+/// names the figure it belongs to, so `main` runs the shared function once
+/// and hands each figure its own rows.
 struct Experiment {
     name: &'static str,
     describe: &'static str,
     run: fn(&Scale) -> Vec<ExpRow>,
-}
-
-fn fig11(scale: &Scale) -> Vec<ExpRow> {
-    only(tpch_exp::fig11_12(scale), "fig11")
-}
-
-fn fig12(scale: &Scale) -> Vec<ExpRow> {
-    only(tpch_exp::fig11_12(scale), "fig12")
-}
-
-fn fig13(scale: &Scale) -> Vec<ExpRow> {
-    only(apps_exp::fig13_14(scale), "fig13")
-}
-
-fn fig14(scale: &Scale) -> Vec<ExpRow> {
-    only(apps_exp::fig13_14(scale), "fig14")
-}
-
-/// Restricts a shared experiment's rows to one figure.
-fn only(rows: Vec<ExpRow>, experiment: &str) -> Vec<ExpRow> {
-    rows.into_iter()
-        .filter(|r| r.experiment == experiment)
-        .collect()
 }
 
 const EXPERIMENTS: &[Experiment] = &[
@@ -85,22 +65,22 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "fig11",
         describe: "Figure 11: aggregation push-down query latency",
-        run: fig11,
+        run: tpch_exp::fig11_12,
     },
     Experiment {
         name: "fig12",
         describe: "Figure 12: aggregation push-down capture overhead",
-        run: fig12,
+        run: tpch_exp::fig11_12,
     },
     Experiment {
         name: "fig13",
         describe: "Figure 13: crossfilter cumulative latency",
-        run: fig13,
+        run: apps_exp::fig13_14,
     },
     Experiment {
         name: "fig14",
         describe: "Figure 14: crossfilter per-interaction latency",
-        run: fig14,
+        run: apps_exp::fig13_14,
     },
     Experiment {
         name: "fig15",
@@ -122,118 +102,95 @@ const EXPERIMENTS: &[Experiment] = &[
         describe: "Figure 23: selection push-down capture latency",
         run: tpch_exp::fig23,
     },
-    Experiment {
-        name: "csr",
-        describe: "CSR vs Vec-of-RidArrays lineage index representations",
-        run: micro::csr,
-    },
-    Experiment {
-        name: "planner",
-        describe: "Planner: eager vs lazy vs pruned vs cube strategy latency",
-        run: planner_exp::planner,
-    },
-    Experiment {
-        name: "vectorized",
-        describe: "Vectorized kernels vs scalar interpreter (capture off/on)",
-        run: vectorized_exp::vectorized,
-    },
-    Experiment {
-        name: "parallel",
-        describe: "Morsel-parallel select/group-by vs sequential (DOP 1/2/4/8)",
-        run: parallel_exp::parallel,
-    },
-    Experiment {
-        name: "server",
-        describe: "Concurrent serving: QPS, p50/p99 latency, cache hit rate",
-        run: server_exp::server,
-    },
-    Experiment {
-        name: "paged",
-        describe: "Out-of-core paged execution: hit rates, cold/warm traces, compressed lineage",
-        run: paged_exp::paged,
-    },
 ];
+
+const USAGE: &str = "Usage: experiments [<experiment>...|all] [--scale <factor>] [--runs <n>]";
 
 fn find(name: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.name == name)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which: Vec<String> = Vec::new();
+/// What the command line asked for.
+enum Command {
+    Help,
+    Run(Vec<&'static Experiment>, Scale),
+}
+
+/// Parses the command line; `Err` carries the usage error to report.
+fn parse_args(args: &[String]) -> Result<Command, String> {
+    let mut names: Vec<&str> = Vec::new();
     let mut scale = Scale::default();
-    let mut json_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            "--json" => {
-                i += 1;
-                json_path = Some(
-                    args.get(i)
-                        .cloned()
-                        .expect("--json requires an output path"),
-                );
-            }
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--help" | "-h" => return Ok(Command::Help),
             "--scale" => {
-                i += 1;
                 scale.factor = args
-                    .get(i)
+                    .next()
                     .and_then(|v| v.parse().ok())
-                    .expect("--scale requires a numeric factor");
+                    .filter(|f: &f64| f.is_finite() && *f > 0.0)
+                    .ok_or("--scale requires a positive number")?;
             }
             "--runs" => {
-                i += 1;
                 scale.runs = args
-                    .get(i)
+                    .next()
                     .and_then(|v| v.parse().ok())
-                    .expect("--runs requires an integer");
+                    .filter(|n| *n > 0)
+                    .ok_or("--runs requires a positive integer")?;
             }
-            "--budget-bytes" => {
-                i += 1;
-                scale.budget_bytes = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .expect("--budget-bytes requires a byte count"),
-                );
-            }
-            other => which.push(other.to_string()),
+            name => names.push(name),
         }
-        i += 1;
     }
-    if which.is_empty() || which.iter().any(|w| w == "all") {
-        which = EXPERIMENTS.iter().map(|e| e.name.to_string()).collect();
+    if names.is_empty() || names.contains(&"all") {
+        return Ok(Command::Run(EXPERIMENTS.iter().collect(), scale));
     }
+    let which = names
+        .into_iter()
+        .map(|name| find(name).ok_or(format!("unknown experiment `{name}`")))
+        .collect::<Result<_, _>>()?;
+    Ok(Command::Run(which, scale))
+}
 
-    let mut all_rows: Vec<ExpRow> = Vec::new();
-    for name in &which {
-        let Some(exp) = find(name) else {
-            eprintln!("unknown experiment `{name}` (run --help for the list)");
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (which, scale) = match parse_args(&args) {
+        Ok(Command::Help) => {
+            print_usage();
+            return ExitCode::SUCCESS;
+        }
+        Ok(Command::Run(which, scale)) => (which, scale),
+        Err(message) => {
+            eprintln!("{message}\n{USAGE}\n(run --help for the experiment list)");
+            return ExitCode::from(2);
+        }
+    };
+
+    // Rows by the figure they name: a shared run fills two figures at once,
+    // and the second one is then printed without running again.
+    let mut by_figure: HashMap<String, Vec<ExpRow>> = HashMap::new();
+    let mut total = 0;
+    for exp in which {
+        if !by_figure.contains_key(exp.name) {
+            for row in (exp.run)(&scale) {
+                by_figure
+                    .entry(row.experiment.clone())
+                    .or_default()
+                    .push(row);
+            }
+        }
+        let Some(rows) = by_figure.get(exp.name) else {
             continue;
         };
-        let rows = (exp.run)(&scale);
-        if rows.is_empty() {
-            continue;
-        }
         println!("\n== {} ==", exp.describe);
-        println!("{}", render_table(&rows));
-        all_rows.extend(rows);
+        println!("{}", render_table(rows));
+        total += rows.len();
     }
-    println!("\ntotal measurements: {}", all_rows.len());
-    if let Some(path) = json_path {
-        std::fs::write(&path, render_json(&all_rows)).expect("failed to write --json output");
-        println!("wrote {} rows to {path}", all_rows.len());
-    }
+    println!("\ntotal measurements: {total}");
+    ExitCode::SUCCESS
 }
 
 fn print_usage() {
-    println!(
-        "Usage: experiments [<experiment>...|all] [--scale <factor>] [--runs <n>] \
-         [--budget-bytes <n>] [--json <path>]"
-    );
+    println!("{USAGE}");
     println!();
     println!("Experiments:");
     for exp in EXPERIMENTS {
@@ -247,12 +204,6 @@ fn print_usage() {
          \n\
          Options:\n\
          \x20 --scale <factor>  multiply every default dataset size\n\
-         \x20 --runs <n>        timed runs per measurement\n\
-         \x20 --budget-bytes <n> absolute buffer-pool budget for `paged`\n\
-         \x20                   (default: 25% of the paged column bytes; the\n\
-         \x20                   nightly 100M leg runs `--scale 10` with a fixed cap)\n\
-         \x20 --json <path>     additionally write all rows to a JSON file\n\
-         \x20                   (the CI BENCH_*.json artifacts are produced this way,\n\
-         \x20                   e.g. `experiments parallel --json BENCH_parallel.json`)"
+         \x20 --runs <n>        timed runs per measurement"
     );
 }

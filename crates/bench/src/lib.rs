@@ -1,10 +1,10 @@
 //! # smoke-bench
 //!
-//! Benchmark harness reproducing every table and figure of the Smoke
-//! evaluation (§6 and Appendix G). Each experiment is a plain function that
-//! returns rows of `(experiment, configuration, technique, metric, value)`;
-//! the `experiments` binary prints them, and the criterion benches under
-//! `benches/` wrap the same workloads for statistically rigorous timing.
+//! Reproduces the figures of the Smoke evaluation (§6 and Appendix G): Smoke
+//! against the Logic-*/Phys-* baselines. Each experiment is a plain function
+//! that returns rows of `(experiment, configuration, technique, metric,
+//! value)`; the `experiments` binary prints them. Whether a commit regressed
+//! is a different question, answered by the standalone `benchmark/` package.
 //!
 //! Dataset sizes default to laptop-scale so the full suite completes in
 //! minutes; the binary accepts a `--scale` multiplier to approach the paper's
@@ -14,13 +14,8 @@
 
 pub mod apps_exp;
 pub mod micro;
-pub mod paged_exp;
-pub mod parallel_exp;
-pub mod planner_exp;
 pub mod query_exp;
-pub mod server_exp;
 pub mod tpch_exp;
-pub mod vectorized_exp;
 
 use std::time::{Duration, Instant};
 
@@ -85,7 +80,7 @@ pub fn time_avg<T>(runs: usize, warmup: usize, mut f: impl FnMut() -> T) -> Dura
 }
 
 /// Rows surfacing a [`smoke_lineage::CaptureStats`] record (rid resizes,
-/// edges written, lineage bytes) so BENCH artifacts record capture overhead
+/// edges written, lineage bytes) so a figure's table shows capture overhead
 /// alongside latency, per the paper's overhead breakdowns.
 pub fn capture_stat_rows(
     experiment: &str,
@@ -126,48 +121,6 @@ pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Renders rows as a JSON array, for machine-readable artifacts such as the
-/// CI `BENCH_csr.json` perf snapshot. No external serializer: fields are
-/// plain strings (escaped) and finite floats (`null` otherwise).
-pub fn render_json(rows: &[ExpRow]) -> String {
-    fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '\\' => out.push_str("\\\\"),
-                '"' => out.push_str("\\\""),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-    let mut out = String::from("[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let value = if row.value.is_finite() {
-            row.value.to_string()
-        } else {
-            "null".to_string()
-        };
-        out.push_str(&format!(
-            "\n  {{\"experiment\":\"{}\",\"config\":\"{}\",\"technique\":\"{}\",\"metric\":\"{}\",\"value\":{}}}",
-            esc(&row.experiment),
-            esc(&row.config),
-            esc(&row.technique),
-            esc(&row.metric),
-            value,
-        ));
-    }
-    out.push_str("\n]\n");
-    out
-}
-
 /// Renders rows as an aligned text table.
 pub fn render_table(rows: &[ExpRow]) -> String {
     let mut out = String::new();
@@ -195,12 +148,6 @@ pub struct Scale {
     pub runs: usize,
     /// Warm-up runs excluded from the mean.
     pub warmup: usize,
-    /// Absolute buffer-pool budget in bytes for the out-of-core experiments
-    /// (`--budget-bytes`). `None` sizes the pool as a fraction of the data
-    /// instead ([`paged_exp::BUDGET_FRACTION`]) — the fraction tracks the
-    /// dataset as `--scale` grows, while an absolute cap models a fixed
-    /// machine, which is what the 100M-row nightly leg exercises.
-    pub budget_bytes: Option<usize>,
 }
 
 impl Default for Scale {
@@ -209,7 +156,6 @@ impl Default for Scale {
             factor: 1.0,
             runs: 3,
             warmup: 1,
-            budget_bytes: None,
         }
     }
 }
@@ -221,7 +167,6 @@ impl Scale {
             factor: 0.05,
             runs: 1,
             warmup: 0,
-            budget_bytes: None,
         }
     }
 
@@ -259,24 +204,6 @@ mod tests {
         assert!(table.contains("Smoke-I"));
         assert!(table.contains("Baseline"));
         assert_eq!(table.lines().count(), 4);
-    }
-
-    #[test]
-    fn json_rendering_is_well_formed() {
-        let rows = vec![
-            ExpRow::new("csr", "n=10000,g=100", "CSR", "trace_ms", 1.25),
-            ExpRow::new("csr", "n=10000,g=100", "VecOfVecs", "heap_bytes", 4096.0),
-            ExpRow::new("x", "quote\"d", "back\\slash", "overhead_x", f64::INFINITY),
-        ];
-        let json = render_json(&rows);
-        assert!(json.starts_with('['));
-        assert!(json.trim_end().ends_with(']'));
-        assert!(json.contains("\"technique\":\"CSR\""));
-        assert!(json.contains("\"value\":1.25"));
-        assert!(json.contains("quote\\\"d"));
-        assert!(json.contains("back\\\\slash"));
-        assert!(json.contains("\"value\":null"));
-        assert_eq!(json.matches("{\"experiment\"").count(), 3);
     }
 
     #[test]

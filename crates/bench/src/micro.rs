@@ -5,7 +5,7 @@ use smoke_core::baselines::physical::{group_by_with_sink, ExternalStoreSink, Phy
 use smoke_core::ops::groupby::{group_by, true_cardinalities, GroupByOptions};
 use smoke_core::ops::join::{hash_join, JoinOptions};
 use smoke_core::ops::select::{select, SelectOptions};
-use smoke_core::{microbenchmark_aggs, CardinalityHints, Expr, HashKey, PlanBuilder};
+use smoke_core::{microbenchmark_aggs, Expr, PlanBuilder};
 use smoke_datagen::zipf::{gids_table, zipf_table, zipf_table_named, ZipfSpec};
 use smoke_storage::Database;
 
@@ -106,7 +106,7 @@ pub fn fig5(scale: &Scale) -> Vec<ExpRow> {
 
             // Where the capture overhead goes (rid resizes, edges written,
             // lineage bytes) — the paper's overhead breakdowns, recorded in
-            // the same artifact as the latency rows.
+            // the same table as the latency rows.
             for (technique, opts) in [
                 ("Smoke-I", GroupByOptions::inject()),
                 ("Smoke-D", GroupByOptions::defer()),
@@ -328,69 +328,6 @@ pub fn fig21(scale: &Scale) -> Vec<ExpRow> {
     rows
 }
 
-/// Builds per-key cardinality hints for an arbitrary key (test helper shared
-/// with the criterion benches).
-pub fn single_key_hint(key: i64, cardinality: usize) -> CardinalityHints {
-    let mut per_key = std::collections::HashMap::new();
-    per_key.insert(HashKey::Int(key), cardinality);
-    CardinalityHints::with_per_key(per_key)
-}
-
-/// CSR vs Vec-of-RidArrays: backward-trace and composition throughput plus
-/// heap footprint on the 10k-row / 100-group zipfian microbench table. CI
-/// serializes these rows into the `BENCH_csr.json` artifact so every PR
-/// leaves a comparable perf trajectory.
-pub fn csr(scale: &Scale) -> Vec<ExpRow> {
-    use smoke_lineage::{compose_backward, LineageIndex, RidArray};
-    use smoke_storage::Rid;
-
-    let n = scale.size(10_000, 1_000);
-    let table = zipf_table(&ZipfSpec {
-        theta: 1.0,
-        rows: n,
-        groups: 100,
-        seed: 33,
-    });
-    let captured = group_by(
-        &table,
-        &["z".to_string()],
-        &microbenchmark_aggs("v"),
-        &GroupByOptions::inject(),
-    )
-    .unwrap();
-    let vec_of_vecs = captured.lineage.input(0).backward().clone();
-    let csr = vec_of_vecs.clone().finalize();
-    let config = format!("n={n},g=100,theta=1.0");
-    let positions: Vec<Rid> = (0..captured.output.len() as Rid).collect();
-    // Selection-shaped child for the composition measurement (intermediate
-    // rid -> base rid over a base relation twice as large).
-    let child = LineageIndex::Array(RidArray::from_vec((0..n as Rid).map(|r| r * 2).collect()));
-
-    let mut rows = Vec::new();
-    for (name, index) in [("VecOfVecs", &vec_of_vecs), ("CSR", &csr)] {
-        let trace = time_avg(scale.runs, scale.warmup, || index.trace_set(&positions));
-        rows.push(ExpRow::new("csr", &config, name, "trace_ms", ms(trace)));
-        let compose = time_avg(scale.runs, scale.warmup, || compose_backward(index, &child));
-        rows.push(ExpRow::new("csr", &config, name, "compose_ms", ms(compose)));
-        rows.push(ExpRow::new(
-            "csr",
-            &config,
-            name,
-            "heap_bytes",
-            index.heap_bytes() as f64,
-        ));
-    }
-    // Capture-side overhead breakdown for the instrumented group-by that
-    // produced the index under test.
-    rows.extend(capture_stat_rows(
-        "csr",
-        &config,
-        "Smoke-I",
-        &captured.stats,
-    ));
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,30 +362,6 @@ mod tests {
         let rows7 = fig7(&Scale::tiny());
         assert_eq!(techniques(&rows7).len(), 3);
         assert_eq!(rows7.len(), 2 * 3 * 3);
-    }
-
-    #[test]
-    fn csr_rows_cover_both_representations_and_csr_is_smaller() {
-        let rows = csr(&Scale::tiny());
-        let t = techniques(&rows);
-        assert!(t.contains("CSR") && t.contains("VecOfVecs"));
-        let heap = |tech: &str| {
-            rows.iter()
-                .find(|r| r.technique == tech && r.metric == "heap_bytes")
-                .map(|r| r.value)
-                .unwrap()
-        };
-        assert!(heap("CSR") < heap("VecOfVecs"));
-        assert!(rows.iter().all(|r| r.value.is_finite()));
-        // 3 metrics per representation + 3 capture-overhead rows.
-        assert_eq!(rows.len(), 9);
-        for metric in ["rid_resizes", "edges", "lineage_bytes"] {
-            assert!(
-                rows.iter()
-                    .any(|r| r.technique == "Smoke-I" && r.metric == metric),
-                "missing capture stat {metric}"
-            );
-        }
     }
 
     #[test]

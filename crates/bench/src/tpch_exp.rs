@@ -12,7 +12,7 @@ use smoke_datagen::tpch::TpchSpec;
 use smoke_datagen::tpch_queries::{
     drilldown_aggs, evaluation_queries, q1, q10, q1_shipdate_cutoff, q1b_partition_attrs, q3,
 };
-use smoke_storage::{Database, Rid, Value};
+use smoke_storage::{Database, Rid};
 
 use crate::{ms, overhead, time_avg, ExpRow, Scale};
 
@@ -424,11 +424,6 @@ pub fn pushdown_matches_index_scan(scale: &Scale) -> bool {
         }
     }
     true
-}
-
-/// Convenience accessor for the benches: the parameter domain of Q1b.
-pub fn q1b_parameter_domain() -> Vec<Value> {
-    vec![Value::Str("MAIL".into()), Value::Str("AIR".into())]
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! [`SegmentStore`] on eviction or [`BufferPool::flush`].
 //!
 //! Pools built with [`BufferPool::with_prefetch`] additionally own a small
-//! background [`crate::prefetch`] worker pool: [`BufferPool::prefetch`]
+//! background `prefetch` worker pool: [`BufferPool::prefetch`]
 //! accepts advisory page hints, which the workers coalesce into contiguous
 //! runs, read with one batched store read each, and install into unpinned
 //! frames ahead of the demand pins. Prefetching never evicts a pinned frame

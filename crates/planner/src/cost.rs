@@ -74,7 +74,7 @@ pub(crate) const COST_PAGE_READ: f64 = 40.0;
 /// `read_run` syscalls and overlap the copy with decode, so the per-page
 /// amortized cost lands around a fifth of a random demand read. Charged only
 /// for full-scan footprints ([`IoModel::seq_read_cost`]) on pools whose
-/// prefetcher is live; random trace-driven reads keep [`COST_PAGE_READ`].
+/// prefetcher is live; random trace-driven reads keep `COST_PAGE_READ`.
 pub(crate) const COST_PAGE_READ_SEQ: f64 = 8.0;
 /// Marginal throughput of each worker beyond the first in a morsel-parallel
 /// full scan, as a fraction of the first worker's. Sub-linear on purpose:
@@ -117,8 +117,8 @@ pub struct IoModel {
     /// pool, in `[0, 1]`.
     pub residency: f64,
     /// Whether the relation's pool runs a background prefetcher. Sequential
-    /// full-scan footprints are then charged [`COST_PAGE_READ_SEQ`] per page
-    /// instead of [`COST_PAGE_READ`]; random (trace-driven) reads are
+    /// full-scan footprints are then charged `COST_PAGE_READ_SEQ` per page
+    /// instead of `COST_PAGE_READ`; random (trace-driven) reads are
     /// unaffected.
     pub prefetch: bool,
 }
@@ -162,7 +162,7 @@ impl IoModel {
     /// Work units charged for reading `pages` pages as one sequential sweep.
     /// On a prefetching pool the run-ahead hints issued by the chunked scan
     /// operators turn the sweep into batched `read_run`s, charged at
-    /// [`COST_PAGE_READ_SEQ`]; without a prefetcher a sequential scan still
+    /// `COST_PAGE_READ_SEQ`; without a prefetcher a sequential scan still
     /// pays the full random-read rate.
     pub fn seq_read_cost(&self, pages: f64) -> f64 {
         let per_page = if self.prefetch {
@@ -210,7 +210,7 @@ pub struct Explain {
     /// planner holds an [`IoModel`]; `None` for a fully in-RAM base.
     pub residency: Option<f64>,
     /// Whether sequential scans were costed at the prefetcher's batched
-    /// per-page rate ([`COST_PAGE_READ_SEQ`]); `None` without an [`IoModel`].
+    /// per-page rate (`COST_PAGE_READ_SEQ`); `None` without an [`IoModel`].
     pub prefetch: Option<bool>,
     /// All candidates, in planning order.
     pub candidates: Vec<CandidateCost>,

@@ -77,18 +77,6 @@ pub struct ServerStats {
     pub in_flight: u64,
 }
 
-impl ServerStats {
-    /// Fraction of query lookups answered from the cache.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
-
 /// One admitted unit of work: an already-validated query plus the channel
 /// its session waits on.
 struct Job {
