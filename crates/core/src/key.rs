@@ -62,6 +62,15 @@ impl HashKey {
         }
     }
 
+    /// The key's components, one per key column.
+    pub(crate) fn into_parts(self) -> Vec<KeyPart> {
+        match self {
+            HashKey::Int(x) => vec![KeyPart::Int(x)],
+            HashKey::Str(s) => vec![KeyPart::Str(s)],
+            HashKey::Composite(parts) => parts,
+        }
+    }
+
     /// A 64-bit hash of the key (used by the external-store baseline to build
     /// byte keys).
     pub fn hash64(&self) -> u64 {

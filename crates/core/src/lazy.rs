@@ -12,7 +12,7 @@ use smoke_storage::{Relation, Rid, Value};
 use crate::agg::AggExpr;
 use crate::error::Result;
 use crate::expr::Expr;
-use crate::query::consume_filter_aggregate;
+use crate::query::consume_aggregate;
 
 /// Builds the lazy rewrite predicate for the backward lineage of one output
 /// group of a group-by query: equality on every group-by key plus the base
@@ -58,8 +58,7 @@ pub fn lazy_consume(
         Some(extra) => rewrite_predicate.clone().and(extra.clone()),
         None => rewrite_predicate.clone(),
     };
-    let all_rids: Vec<Rid> = (0..relation.len() as Rid).collect();
-    consume_filter_aggregate(relation, &all_rids, Some(&combined), keys, aggs)
+    consume_aggregate(relation, &lazy_backward(relation, &combined)?, keys, aggs)
 }
 
 #[cfg(test)]

@@ -16,10 +16,18 @@
 //! * Cardinality hints (`Smoke-I+TC`) pre-allocate `i_rids` and eliminate the
 //!   resize costs that otherwise dominate capture overhead.
 //!
-//! The workload-aware options of §4 (selection push-down, data skipping,
-//! group-by push-down) are applied here because the final aggregation of an
-//! SPJA block is where backward lineage for the query output is materialized.
+//! The workload-aware options of §4 are applied here because the final
+//! aggregation of an SPJA block is where backward lineage for the query
+//! output is materialized — and they are this operator again. The selection
+//! push-down is a per-ingest mask; data skipping and group-by push-down
+//! (§4.2) are a *finer* group-by over `keys ++ partition attributes` riding
+//! the coarse one, whose groups are hung at finish under the coarse groups
+//! owning their key prefixes (rid array → partition, states → cube cell,
+//! partition key rendered once per cell). A lineage-consuming query (§2.1,
+//! [`crate::query`]) is the operator too, uninstrumented, ingesting the
+//! traced rids instead of a range: one γht and one aggregate fold in all.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -29,17 +37,18 @@ use smoke_lineage::{
     PartitionedRidIndex, RidArray, RidIndex, NO_RID,
 };
 use smoke_storage::kernels as sk;
-use smoke_storage::{Column, DataType, Field, Morsel, Relation, Rid, Schema, SelectionMask};
+use smoke_storage::{Column, DataType, Field, Morsel, Relation, Rid, Schema, SelectionMask, Value};
 
 use crate::agg::{AggExpr, AggFunc, AggState};
 use crate::error::{EngineError, Result};
+use crate::expr::Expr;
 use crate::instrument::{
     AggPushdown, CaptureMode, CardinalityHints, DirectionFilter, WorkloadOptions,
 };
 use crate::kernels::predicate_mask_range;
 use crate::key::{HashKey, KeyExtractor, KeyPart};
 use crate::ops::RowSource;
-use crate::workload::{LineageCube, WorkloadArtifacts};
+use crate::workload::{CubeCell, LineageCube, WorkloadArtifacts};
 
 /// Options controlling group-by instrumentation.
 #[derive(Debug, Clone, Default)]
@@ -102,6 +111,47 @@ pub struct GroupByResult {
     pub stats: CaptureStats,
 }
 
+/// The rows one [`GroupByCore::ingest`] covers, in the order it visits them:
+/// a contiguous range (a whole relation, a morsel, a page run) or an explicit
+/// rid list (a traced subset; the rows of a chunk that passed the selection
+/// push-down). A range overrides the defaults with its contiguous forms.
+pub(crate) trait RowSet: Clone {
+    fn rows(&self) -> impl Iterator<Item = usize>;
+
+    /// The contiguous rows, of a relation of `len` rows, that a per-ingest
+    /// selection mask is evaluated over: bit `i - span.start` is row `i`.
+    fn span(&self, len: usize) -> Range<usize> {
+        0..len
+    }
+
+    /// Smallest and largest of `keys` over these rows.
+    fn int_min_max(&self, keys: &[i64]) -> Option<(i64, i64)> {
+        let mut keys = self.rows().map(|i| keys[i]);
+        let first = keys.next()?;
+        Some(keys.fold((first, first), |(lo, hi), k| (lo.min(k), hi.max(k))))
+    }
+}
+
+impl RowSet for &[Rid] {
+    fn rows(&self) -> impl Iterator<Item = usize> {
+        self.iter().map(|&rid| rid as usize)
+    }
+}
+
+impl RowSet for Range<usize> {
+    fn rows(&self) -> impl Iterator<Item = usize> {
+        self.clone()
+    }
+
+    fn span(&self, _len: usize) -> Range<usize> {
+        self.clone()
+    }
+
+    fn int_min_max(&self, keys: &[i64]) -> Option<(i64, i64)> {
+        sk::int_min_max(&keys[self.clone()])
+    }
+}
+
 struct GroupEntry {
     key: HashKey,
     states: Vec<AggState>,
@@ -150,16 +200,17 @@ impl GroupTable {
         }
     }
 
-    /// Makes room for the integer keys of the next ingest: the dense table is
+    /// Makes room for the integer `keys` of the rows about to be `ingested`
+    /// by a core that will see `rows` rows in all: the dense table is
     /// widened to cover them (a single ingest sizes it exactly once), or
     /// demoted to hashing once the domain outgrows its cap. The dense table
     /// pays 4 bytes per domain slot; the cap is a small multiple of the rows
     /// the core will see, so sparse domains hash instead.
-    fn admit(&mut self, keys: &[i64], rows: usize) {
+    fn admit(&mut self, keys: &[i64], ingested: &impl RowSet, rows: usize) {
         let GroupTable::DenseInt { min, slots } = self else {
             return;
         };
-        let Some((mut lo, mut hi)) = sk::int_min_max(keys) else {
+        let Some((mut lo, mut hi)) = ingested.int_min_max(keys) else {
             return;
         };
         if !slots.is_empty() {
@@ -272,7 +323,7 @@ impl KeyMode<'_> {
 }
 
 pub(crate) struct AggInputs<'a> {
-    pub(crate) columns: Vec<Option<&'a Column>>,
+    columns: Vec<Option<&'a Column>>,
 }
 
 impl<'a> AggInputs<'a> {
@@ -292,7 +343,9 @@ impl<'a> AggInputs<'a> {
         Ok(AggInputs { columns })
     }
 
-    #[inline]
+    /// Folds row `rid` into a group's states: the one aggregate fold. Inlined
+    /// by force — see [`AggState::update`].
+    #[inline(always)]
     pub(crate) fn update(&self, states: &mut [AggState], aggs: &[AggExpr], rid: usize) {
         for (i, state) in states.iter_mut().enumerate() {
             match (&aggs[i].func, self.columns[i]) {
@@ -330,11 +383,16 @@ pub fn group_by(
 /// [`crate::parallel`] and the page-run driver in [`crate::paged`] differ
 /// only in which rows they hand to [`GroupByCore::ingest`] (γht with Inject
 /// capture fused in) and [`GroupByCore::ingest_defer`] (the Defer re-probe)
-/// before [`GroupByCore::finish`] (γagg, lineage assembly, stats).
+/// before [`GroupByCore::finish`] (γagg, lineage assembly, stats); a
+/// lineage-consuming query ([`crate::query`]) is the same core, uninstrumented,
+/// over the traced rids.
 pub(crate) struct GroupByCore<'o> {
-    keys: &'o [String],
+    keys: Cow<'o, [String]>,
     aggs: &'o [AggExpr],
-    opts: &'o GroupByOptions,
+    hints: Option<&'o CardinalityHints>,
+    /// Selection push-down: only rows satisfying it enter the lineage
+    /// indexes and the finer cores.
+    pushdown: Option<&'o Expr>,
     capture: bool,
     capture_b: bool,
     capture_f: bool,
@@ -352,8 +410,16 @@ pub(crate) struct GroupByCore<'o> {
     table: Option<GroupTable>,
     groups: Vec<GroupEntry>,
     forward: RidArray,
-    partitioned: Option<PartitionedRidIndex>,
-    cube: Option<LineageCube>,
+    /// The workload-aware artifacts of §4.2, as finer γs riding this one:
+    /// group-bys over `keys ++ partition attributes`, fed the rows of every
+    /// ingest that passed the selection push-down. Their groups are the
+    /// cells: each group's rid array (Inject, backward only) is one
+    /// data-skipping partition of the coarse group owning its key prefix,
+    /// and its aggregate states are that group's push-down cube cell.
+    finer: Vec<GroupByCore<'o>>,
+    /// On a finer core whose groups become cube cells: the push-down whose
+    /// aggregates it folds.
+    cube: Option<&'o AggPushdown>,
     /// Exact-count backward index under construction by the Defer re-probe.
     deferred_backward: Option<CsrBuilder>,
     defer_start: Option<Instant>,
@@ -370,19 +436,58 @@ impl<'o> GroupByCore<'o> {
         opts: &'o GroupByOptions,
         rows: usize,
     ) -> Self {
-        let capture = opts.mode.captures();
-        let capture_b = capture && opts.directions.backward();
-        let capture_f = capture && opts.directions.forward();
+        let mut core = Self::bare(keys.into(), aggs, opts.mode, opts.directions, rows);
+        let wl = &opts.workload;
+        core.hints = opts.hints.as_ref();
+        core.pushdown = wl.selection_pushdown.as_ref();
+        if !core.capture {
+            return core;
+        }
+        // One finer core when partitions and cube split on the same
+        // attributes, one each otherwise.
+        let finer = |attrs: &[String], mode, cube: Option<&'o AggPushdown>| GroupByCore {
+            cube,
+            ..Self::bare(
+                [keys, attrs].concat().into(),
+                cube.map_or(&[][..], |pd| &pd.aggs),
+                mode,
+                DirectionFilter::BackwardOnly,
+                rows,
+            )
+        };
+        let skip = &wl.skipping_partition_by;
+        let cube = wl.agg_pushdown.as_ref();
+        let shared = cube.filter(|pd| !skip.is_empty() && pd.partition_by == *skip);
+        if !skip.is_empty() {
+            core.finer.push(finer(skip, CaptureMode::Inject, shared));
+        }
+        if let (Some(pd), None) = (cube, shared) {
+            core.finer
+                .push(finer(&pd.partition_by, CaptureMode::Baseline, cube));
+        }
+        core
+    }
+
+    /// A core with nothing riding it: no hints, push-down or finer cores.
+    fn bare(
+        keys: Cow<'o, [String]>,
+        aggs: &'o [AggExpr],
+        mode: CaptureMode,
+        directions: DirectionFilter,
+        rows: usize,
+    ) -> Self {
+        let capture = mode.captures();
+        let capture_b = capture && directions.backward();
+        let capture_f = capture && directions.forward();
         // For group-by there are only two paradigms; DeferForward degenerates
         // to Inject (it is join-specific).
-        let inject = matches!(opts.mode, CaptureMode::Inject | CaptureMode::DeferForward);
+        let inject = matches!(mode, CaptureMode::Inject | CaptureMode::DeferForward);
         let fuse_f = capture_f && inject;
-        let wl = &opts.workload;
-        let skipping = capture && !wl.skipping_partition_by.is_empty();
         GroupByCore {
             keys,
             aggs,
-            opts,
+            hints: None,
+            pushdown: None,
             capture,
             capture_b,
             capture_f,
@@ -394,13 +499,8 @@ impl<'o> GroupByCore<'o> {
             table: None,
             groups: Vec::new(),
             forward: RidArray::filled(if fuse_f { rows } else { 0 }),
-            partitioned: skipping
-                .then(|| PartitionedRidIndex::new(wl.skipping_partition_by.join(","))),
-            cube: wl
-                .agg_pushdown
-                .as_ref()
-                .filter(|_| capture)
-                .map(|pd| LineageCube::new(0, pd.partition_by.clone(), pd.aggs.clone())),
+            finer: Vec::new(),
+            cube: None,
             deferred_backward: None,
             defer_start: None,
             backward_csr: None,
@@ -419,72 +519,75 @@ impl<'o> GroupByCore<'o> {
         m: Morsel,
     ) -> Result<Self> {
         let mut core = GroupByCore::new(keys, aggs, opts, m.len());
-        core.base = m.start;
-        (core.fuse_b, core.fuse_f, core.defer) = (false, core.capture, false);
-        if core.capture {
-            core.forward = RidArray::filled(m.len());
-        }
+        core.localize(m.start);
         core.ingest(input, m.start..m.end, 0)?;
-        if core.capture_b {
-            let counts = core.groups.iter().map(|g| g.lineage_count as usize);
-            let mut csr = CsrBuilder::with_counts(counts);
-            for (i, gid) in core.forward.iter().enumerate() {
-                if gid != NO_RID {
-                    csr.append(gid as usize, (m.start + i) as Rid);
-                }
-            }
-            core.backward_csr = Some(csr.finish());
-        }
+        core.seal();
         Ok(core)
     }
 
-    /// γht over rows `range` of `rel`, whose global rid is `rid_offset + i`,
-    /// with Inject capture and the workload-aware artifacts fused in. The
-    /// group-id lookup runs over typed key vectors rebound per ingest (dense
-    /// table / primitive-key hash for integer keys), falling back to per-row
-    /// `HashKey` construction for other shapes.
+    /// Turns the core (and the finer cores riding it) into a morsel fragment
+    /// whose first row is `base`: only the forward write is fused.
+    fn localize(&mut self, base: usize) {
+        self.base = base;
+        (self.fuse_b, self.fuse_f, self.defer) = (false, self.capture, false);
+        if self.capture {
+            self.forward = RidArray::filled(self.rows);
+        }
+        self.finer.iter_mut().for_each(|f| f.localize(base));
+    }
+
+    /// Seals a fragment's local gids as its backward CSR, sized exactly.
+    fn seal(&mut self) {
+        if self.capture_b {
+            let counts = self.groups.iter().map(|g| g.lineage_count as usize);
+            let mut csr = CsrBuilder::with_counts(counts);
+            for (i, gid) in self.forward.iter().enumerate() {
+                if gid != NO_RID {
+                    csr.append(gid as usize, (self.base + i) as Rid);
+                }
+            }
+            self.backward_csr = Some(csr.finish());
+        }
+        self.finer.iter_mut().for_each(|f| f.seal());
+    }
+
+    /// γht over `rows` of `rel`, whose global rid is `rid_offset + i`, with
+    /// Inject capture fused in; the rows that pass the selection push-down
+    /// are handed on to the finer cores. The group-id lookup runs over typed
+    /// key vectors rebound per ingest (dense table / primitive-key hash for
+    /// integer keys), falling back to per-row `HashKey` construction for
+    /// other shapes.
     pub(crate) fn ingest(
         &mut self,
         rel: &Relation,
-        range: Range<usize>,
+        rows: impl RowSet,
         rid_offset: usize,
     ) -> Result<()> {
-        let extractor = KeyExtractor::new(rel, self.keys)?;
+        let extractor = KeyExtractor::new(rel, &self.keys)?;
         let agg_inputs = AggInputs::resolve(rel, self.aggs)?;
 
-        // Workload-aware set-up. The push-down predicate is evaluated once
-        // per ingest through the kernel layer (falling back to the
-        // interpreter for arbitrary shapes); the capture loop then tests a
-        // bit per row instead of re-interpreting the expression.
-        // Uninstrumented runs never read the mask, so they only bind
-        // (validating the expression) without paying for the scan.
-        let wl = &self.opts.workload;
-        let pushdown_mask = self.pushdown_mask(rel, &range)?;
-        let skip_extractor = match self.partitioned {
-            Some(_) => Some(KeyExtractor::new(rel, &wl.skipping_partition_by)?),
-            None => None,
-        };
-        let cube_setup = match (&wl.agg_pushdown, &self.cube) {
-            (Some(pd), Some(_)) => {
-                let ex = KeyExtractor::new(rel, &pd.partition_by)?;
-                Some((pd, ex, AggInputs::resolve(rel, &pd.aggs)?))
-            }
-            _ => None,
-        };
+        // The push-down predicate is evaluated once per ingest through the
+        // kernel layer (falling back to the interpreter for arbitrary
+        // shapes); the capture loop then tests a bit per row instead of
+        // re-interpreting the expression. Uninstrumented runs never read the
+        // mask, so they only bind (validating the expression) without paying
+        // for the scan.
+        let span = rows.span(rel.len());
+        let first = span.start;
+        let pushdown_mask = self.pushdown_mask(rel, span)?;
 
         let table = self
             .table
             .get_or_insert_with(|| GroupTable::for_columns(extractor.columns()));
         if let Some(keys) = sk::int_keys(extractor.columns()) {
-            table.admit(&keys[range.clone()], self.rows);
+            table.admit(keys, &rows, self.rows);
         }
         let mut key_mode = table.bind(&extractor);
-        let (aggs, hints) = (self.aggs, self.opts.hints.as_ref());
+        let (aggs, hints) = (self.aggs, self.hints);
         let (capture, fuse_b, fuse_f) = (self.capture, self.fuse_b, self.fuse_f);
         let (groups, forward, base) = (&mut self.groups, &mut self.forward, self.base);
-        let first = range.start;
 
-        for i in range {
+        for i in rows.rows() {
             let gid = match key_mode.probe(i, &extractor) {
                 Probe::Hit(gid) => gid,
                 Probe::Miss(key) => {
@@ -517,21 +620,27 @@ impl<'o> GroupByCore<'o> {
                 if fuse_f {
                     forward.set(rid - base, gid);
                 }
-                if let (Some(part), Some(skip)) = (self.partitioned.as_mut(), &skip_extractor) {
-                    let key = render_partition_key(&skip.key(i));
-                    part.append(gid as usize, &key, rid as Rid);
-                }
-                if let (Some(cube), Some(setup)) = (self.cube.as_mut(), &cube_setup) {
-                    cube_update(cube, setup, gid as usize, i);
-                }
             }
         }
-        Ok(())
+
+        // The finer cores see exactly the rows that entered the lineage
+        // indexes, in the same order.
+        if self.finer.is_empty() {
+            return Ok(());
+        }
+        let passed: Option<Vec<Rid>> = pushdown_mask.map(|mask| {
+            let passed = rows.rows().filter(|i| mask.get(i - first));
+            passed.map(|i| i as Rid).collect()
+        });
+        self.finer.iter_mut().try_for_each(|f| match &passed {
+            Some(passed) => f.ingest(rel, &passed[..], rid_offset),
+            None => f.ingest(rel, rows.clone(), rid_offset),
+        })
     }
 
-    fn pushdown_mask(&self, rel: &Relation, range: &Range<usize>) -> Result<Option<SelectionMask>> {
-        Ok(match &self.opts.workload.selection_pushdown {
-            Some(expr) if self.capture => Some(predicate_mask_range(rel, expr, range.clone())?),
+    fn pushdown_mask(&self, rel: &Relation, span: Range<usize>) -> Result<Option<SelectionMask>> {
+        Ok(match self.pushdown {
+            Some(expr) if self.capture => Some(predicate_mask_range(rel, expr, span)?),
             Some(expr) => {
                 expr.bind(rel)?;
                 None
@@ -566,8 +675,8 @@ impl<'o> GroupByCore<'o> {
         rid_offset: usize,
     ) -> Result<()> {
         self.begin_defer();
-        let extractor = KeyExtractor::new(rel, self.keys)?;
-        let pushdown_mask = self.pushdown_mask(rel, &range)?;
+        let extractor = KeyExtractor::new(rel, &self.keys)?;
+        let pushdown_mask = self.pushdown_mask(rel, range.clone())?;
         let Some(table) = self.table.as_mut() else {
             return Ok(());
         };
@@ -589,26 +698,27 @@ impl<'o> GroupByCore<'o> {
         Ok(())
     }
 
-    /// Deterministic merge of per-morsel fragments, in morsel order, into one
-    /// core ready for [`GroupByCore::finish`]. Global group ids are assigned
-    /// by first occurrence across the ordered fragments, matching the
-    /// sequential scan's group order exactly; partial states fold through
-    /// [`AggState::merge`]; the lineage fragments combine by
-    /// memcpy-with-rebase ([`CsrRidIndex::merge_remapped`]) and the forward
-    /// array is filled in the same walk.
-    pub(crate) fn merge(
-        keys: &'o [String],
-        aggs: &'o [AggExpr],
-        opts: &'o GroupByOptions,
-        rows: usize,
-        parts: Vec<GroupByCore<'_>>,
-    ) -> Self {
-        let mut core = GroupByCore::new(keys, aggs, opts, rows);
+    /// Deterministic merge of per-morsel fragments, in morsel order, into
+    /// this (fresh) core, leaving it ready for [`GroupByCore::finish`].
+    /// Global group ids are assigned by first occurrence across the ordered
+    /// fragments, matching the sequential scan's group order exactly;
+    /// partial states fold through [`AggState::merge`]; the lineage
+    /// fragments combine by memcpy-with-rebase
+    /// ([`CsrRidIndex::merge_remapped`]) and the forward array is filled in
+    /// the same walk. The finer cores riding the fragments merge the same
+    /// way, one level down.
+    pub(crate) fn merge(&mut self, mut parts: Vec<GroupByCore<'_>>) {
+        let mut finer_parts: Vec<_> = (parts.iter_mut())
+            .map(|p| std::mem::take(&mut p.finer).into_iter())
+            .collect();
+        for finer in &mut self.finer {
+            finer.merge(finer_parts.iter_mut().filter_map(Iterator::next).collect());
+        }
         // The merged core ingests nothing: there are no `i_rids` to reuse
         // and no re-probe to wait for, only a forward array to fill.
-        (core.fuse_b, core.defer) = (false, false);
-        if core.capture_f && !core.fuse_f {
-            core.forward = RidArray::filled(rows);
+        (self.fuse_b, self.defer) = (false, false);
+        if self.capture_f && !self.fuse_f {
+            self.forward = RidArray::filled(self.rows);
         }
         let mut gid_of: HashMap<HashKey, u32> = HashMap::new();
         let mut maps: Vec<Vec<u32>> = Vec::with_capacity(parts.len());
@@ -617,7 +727,7 @@ impl<'o> GroupByCore<'o> {
             let map: Vec<u32> = (part.groups.into_iter())
                 .map(|local| match gid_of.get(&local.key) {
                     Some(&gid) => {
-                        let global = &mut core.groups[gid as usize];
+                        let global = &mut self.groups[gid as usize];
                         for (g, l) in global.states.iter_mut().zip(&local.states) {
                             g.merge(l);
                         }
@@ -625,32 +735,32 @@ impl<'o> GroupByCore<'o> {
                         gid
                     }
                     None => {
-                        let gid = core.groups.len() as u32;
+                        let gid = self.groups.len() as u32;
                         gid_of.insert(local.key.clone(), gid);
-                        core.groups.push(local);
+                        self.groups.push(local);
                         gid
                     }
                 })
                 .collect();
-            if core.capture_f {
+            if self.capture_f {
                 for (i, local) in part.forward.iter().enumerate() {
                     if local != NO_RID {
-                        core.forward.set(part.base + i, map[local as usize]);
+                        self.forward.set(part.base + i, map[local as usize]);
                     }
                 }
             }
             csrs.extend(part.backward_csr);
             maps.push(map);
         }
-        if core.capture_b {
-            let merged = CsrRidIndex::merge_remapped(&csrs, &maps, core.groups.len());
-            core.backward_csr = Some(merged);
+        if self.capture_b {
+            let merged = CsrRidIndex::merge_remapped(&csrs, &maps, self.groups.len());
+            self.backward_csr = Some(merged);
         }
-        core
     }
 
     /// γagg: scans the group table, finalizes aggregates, emits one output
-    /// record per group, and assembles the lineage indexes and stats.
+    /// record per group, and assembles the lineage indexes, the workload
+    /// artifacts and stats.
     pub(crate) fn finish(
         mut self,
         input: &impl RowSource,
@@ -663,14 +773,13 @@ impl<'o> GroupByCore<'o> {
             self.backward_csr = Some(b.finish());
         }
         let deferred = self.defer_start.map_or(Duration::ZERO, |t| t.elapsed());
+        let artifacts = self.artifacts(input.schema())?;
 
         let n_groups = self.groups.len();
         let mut fields = Vec::with_capacity(self.keys.len() + self.aggs.len());
         let mut columns = Vec::with_capacity(fields.capacity());
-        for name in self.keys {
-            let idx = (input.schema().index_of(name))
-                .ok_or_else(|| EngineError::UnknownColumn(name.clone()))?;
-            let data_type = input.schema().field(idx).data_type;
+        for name in self.keys.iter() {
+            let data_type = key_type(input.schema(), name)?;
             fields.push(Field::new(name.clone(), data_type));
             columns.push(Column::with_capacity(data_type, n_groups));
         }
@@ -701,7 +810,7 @@ impl<'o> GroupByCore<'o> {
             ..Default::default()
         };
 
-        // Without capture every index and artifact below is `None`.
+        // Without capture every index and artifact is `None`.
         let backward_index = self.capture_b.then(|| match self.backward_csr.take() {
             Some(csr) => LineageIndex::Csr(csr),
             None => LineageIndex::Index(backward),
@@ -726,63 +835,70 @@ impl<'o> GroupByCore<'o> {
                 }),
                 false => OperatorLineage::none(),
             },
-            artifacts: WorkloadArtifacts {
-                partitioned: self.partitioned,
-                cube: self.cube,
-            },
+            artifacts,
             stats,
         })
     }
-}
 
-/// Folds row `i` into the push-down cube cell of (output group `gid`, the
-/// row's partition key).
-fn cube_update(
-    cube: &mut LineageCube,
-    (pd, extractor, cols): &(&AggPushdown, KeyExtractor, AggInputs),
-    gid: usize,
-    i: usize,
-) {
-    let pkey = extractor.key(i);
-    let mut inputs = Vec::with_capacity(pd.aggs.len());
-    let mut distinct = Vec::with_capacity(pd.aggs.len());
-    for (agg, col) in pd.aggs.iter().zip(&cols.columns) {
-        match (&agg.func, col) {
-            (AggFunc::CountDistinct, Some(col)) => {
-                inputs.push(0.0);
-                distinct.push(Some(col.value(i).group_key()));
-            }
-            (_, Some(col)) => {
-                inputs.push(col.numeric(i).unwrap_or(0.0));
-                distinct.push(None);
-            }
-            (_, None) => {
-                inputs.push(0.0);
-                distinct.push(None);
-            }
+    /// Hangs every finer group under the coarse group that owns its key
+    /// prefix: its rid array, exactly sized, becomes that group's partition
+    /// and its states the cube cell, under the partition attributes' values
+    /// rendered — once per cell — as `|`-joined [`Value::group_key`]s
+    /// (partition attributes are categorical or discretized, §4.2).
+    fn artifacts(&mut self, schema: &Schema) -> Result<WorkloadArtifacts> {
+        let mut out = WorkloadArtifacts::default();
+        if self.finer.is_empty() {
+            return Ok(out);
         }
+        let coarse_keys = self.keys.len();
+        let gid_of: HashMap<Vec<KeyPart>, usize> = (self.groups.iter().enumerate())
+            .map(|(gid, g)| (g.key.clone().into_parts(), gid))
+            .collect();
+        for finer in std::mem::take(&mut self.finer) {
+            let attrs = &finer.keys[coarse_keys..];
+            let mut partitioned =
+                (finer.capture).then(|| PartitionedRidIndex::with_len(attrs.join(","), 0));
+            let mut cells = match finer.cube {
+                Some(pd) => {
+                    let fields = attrs
+                        .iter()
+                        .map(|a| Ok(Field::new(a, key_type(schema, a)?)));
+                    Some(LineageCube::new(
+                        fields.collect::<Result<_>>()?,
+                        pd.aggs.clone(),
+                    ))
+                }
+                None => None,
+            };
+            for (cell, group) in finer.groups.into_iter().enumerate() {
+                let mut prefix = group.key.into_parts();
+                let attrs = prefix.split_off(coarse_keys);
+                let gid = gid_of[&prefix];
+                let key_values: Vec<Value> = attrs.iter().map(KeyPart::to_value).collect();
+                let rendered: Vec<String> = key_values.iter().map(Value::group_key).collect();
+                let key = rendered.join("|");
+                if let Some(partitioned) = &mut partitioned {
+                    let rids = (finer.backward_csr.as_ref())
+                        .map_or(group.i_rids.as_slice(), |csr| csr.get(cell));
+                    partitioned.insert(gid, key.clone(), rids.to_vec());
+                }
+                if let Some(cells) = &mut cells {
+                    let states = group.states;
+                    cells.insert(gid, key, CubeCell { key_values, states });
+                }
+            }
+            out.partitioned = out.partitioned.or(partitioned);
+            out.cube = out.cube.or(cells);
+        }
+        Ok(out)
     }
-    cube.update(
-        gid,
-        &render_partition_key(&pkey),
-        &pkey.to_values(),
-        &inputs,
-        &distinct,
-    );
 }
 
-/// Renders a partition key in a stable human-readable form (partition
-/// attributes are categorical or discretized, §4.2).
-pub(crate) fn render_partition_key(key: &HashKey) -> String {
-    match key {
-        HashKey::Int(v) => v.to_string(),
-        HashKey::Str(s) => s.clone(),
-        HashKey::Composite(parts) => parts
-            .iter()
-            .map(|p| p.to_value().group_key())
-            .collect::<Vec<_>>()
-            .join("|"),
-    }
+/// The type of key column `name` in the operator's input.
+fn key_type(schema: &Schema, name: &str) -> Result<DataType> {
+    let idx =
+        (schema.index_of(name)).ok_or_else(|| EngineError::UnknownColumn(name.to_string()))?;
+    Ok(schema.field(idx).data_type)
 }
 
 /// Computes exact per-group cardinalities for `keys` over `input`, used to
@@ -795,15 +911,6 @@ pub fn true_cardinalities(input: &Relation, keys: &[String]) -> Result<Cardinali
         *per_key.entry(extractor.key(rid)).or_insert(0) += 1;
     }
     Ok(CardinalityHints::with_per_key(per_key))
-}
-
-/// Convenience output-type helper used by callers that need the output schema
-/// of a group-by without running it.
-pub fn output_key_type(input: &Relation, key: &str) -> Result<DataType> {
-    let idx = input
-        .column_index(key)
-        .map_err(|_| EngineError::UnknownColumn(key.to_string()))?;
-    Ok(input.schema().field(idx).data_type)
 }
 
 #[cfg(test)]
@@ -993,7 +1100,11 @@ mod tests {
         let mut opts = GroupByOptions::inject();
         opts.workload.agg_pushdown = Some(crate::instrument::AggPushdown {
             partition_by: vec!["tag".to_string()],
-            aggs: vec![AggExpr::count("cnt"), AggExpr::sum("v", "sum_v")],
+            aggs: vec![
+                AggExpr::count("cnt"),
+                AggExpr::sum("v", "sum_v"),
+                AggExpr::count_distinct("v", "distinct_v"),
+            ],
         });
         let result = group_by(&r, &["z".to_string()], &[AggExpr::count("cnt")], &opts).unwrap();
         let cube = result.artifacts.cube.as_ref().unwrap();
@@ -1001,8 +1112,10 @@ mod tests {
         assert_eq!(drill.len(), 2);
         assert_eq!(drill.value(0, 0), Value::Str("even".into()));
         assert_eq!(drill.value(0, 2), Value::Float(40.0));
+        assert_eq!(drill.value(0, 3), Value::Int(2));
         assert_eq!(drill.value(1, 0), Value::Str("odd".into()));
         assert_eq!(drill.value(1, 2), Value::Float(60.0));
+        assert_eq!(drill.value(1, 3), Value::Int(1));
     }
 
     #[test]

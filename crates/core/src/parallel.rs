@@ -14,19 +14,19 @@
 //! * per-morsel group tables merge through [`AggState::merge`], and the
 //!   per-morsel CSR lineage fragments merge by offset-shifting
 //!   ([`CsrRidIndex::merge_remapped`] — a memcpy-with-rebase, since CSR is
-//!   two flat buffers);
+//!   two flat buffers); the finer group tables behind data-skipping
+//!   partitions and the push-down cube are group tables too, and merge
+//!   through the same code;
 //! * join probe outputs concatenate in morsel order, which *is* the
 //!   sequential probe order.
 //!
 //! Because the merge order is the morsel order (not the thread completion
 //! order), every driver is deterministic: output rows, group order, rid
 //! order within lineage entries, and float aggregate results are identical
-//! across runs and degrees of parallelism. With `dop <= 1` — or for the few
-//! shapes a per-morsel core cannot cover (interpreter-only predicates in
-//! [`par_select`]; cardinality hints; data-skipping partitions and the
-//! push-down cube in [`par_group_by`]) — the drivers delegate to the
-//! single-ingest entry points, so degree-of-parallelism 1 is bit-for-bit
-//! the sequential engine.
+//! across runs and degrees of parallelism. Only `dop <= 1` (fewer than two
+//! workers with morsels to claim) delegates to the single-ingest entry
+//! points, so degree-of-parallelism 1 is bit-for-bit the sequential engine;
+//! every option a core understands, it understands per morsel.
 //!
 //! [`CsrRidIndex::merge_remapped`]: smoke_lineage::CsrRidIndex::merge_remapped
 //! [`AggState::merge`]: crate::agg::AggState::merge
@@ -39,7 +39,6 @@ use smoke_storage::{morsels, Morsel, Relation, Rid, DEFAULT_MORSEL_ROWS};
 use crate::agg::AggExpr;
 use crate::error::Result;
 use crate::expr::Expr;
-use crate::kernels::KernelPlan;
 use crate::key::KeyExtractor;
 use crate::ops::groupby::{group_by, GroupByCore, GroupByOptions, GroupByResult};
 use crate::ops::join::{
@@ -155,8 +154,9 @@ where
 /// absorbs the fragments in morsel order, which reproduces the sequential
 /// scan's ascending rid order exactly — the concatenation *is* the backward
 /// index (reuse principle P4), and the forward array is filled in the same
-/// walk. Falls back to [`select`] when the predicate does not compile to
-/// kernels or when fewer than two workers would run.
+/// walk — kernel bitmap or interpreter, whichever `SelectCore::ingest` picks
+/// for the predicate. Delegates to [`select`] when fewer than two workers
+/// would run.
 pub fn par_select(
     input: &Relation,
     predicate: &Expr,
@@ -165,7 +165,7 @@ pub fn par_select(
 ) -> Result<OpOutput> {
     let ms = morsels(input.len(), par.morsel_rows);
     let workers = par.workers(ms.len());
-    if workers <= 1 || !opts.use_kernels || KernelPlan::compile(predicate, input).is_none() {
+    if workers <= 1 {
         return select(input, predicate, opts);
     }
 
@@ -185,19 +185,19 @@ pub fn par_select(
 ///
 /// Phase 1 (parallel): each worker runs an independent `GroupByCore`
 /// fragment per morsel — its own γht over the typed key fast paths, partial
-/// [`AggState`]s, the selection push-down applied as a per-morsel mask, and
-/// a morsel-local backward CSR. Phase 2 (sequential, morsel order):
+/// [`AggState`]s, the selection push-down applied as a per-morsel mask, a
+/// morsel-local backward CSR, and the finer fragments behind data-skipping
+/// partitions and the push-down cube. Phase 2 (sequential, morsel order):
 /// `GroupByCore::merge` folds the fragments into one core, whose ordinary
 /// finish emits the output. Scanning fragments in morsel order makes the
 /// global group order the global first-occurrence order — identical to the
 /// sequential operator no matter how threads were scheduled — and keeps each
 /// group's rids ascending.
 ///
-/// Falls back to [`group_by`] for shapes the parallel path does not cover:
-/// fewer than two workers, cardinality hints, data-skipping partitions, or
-/// the push-down cube. The parallel path always builds its backward index in
-/// CSR form (the Defer representation); lookups are equal to Inject's either
-/// way.
+/// Delegates to [`group_by`] when fewer than two workers would run. The
+/// parallel path always builds its backward index in CSR form (the Defer
+/// representation, sized from exact counts, so cardinality hints have
+/// nothing left to pre-allocate); lookups are equal to Inject's either way.
 ///
 /// [`AggState`]: crate::agg::AggState
 pub fn par_group_by(
@@ -209,12 +209,7 @@ pub fn par_group_by(
 ) -> Result<GroupByResult> {
     let ms = morsels(input.len(), par.morsel_rows);
     let workers = par.workers(ms.len());
-    let wl = &opts.workload;
-    if workers <= 1
-        || opts.hints.is_some()
-        || !wl.skipping_partition_by.is_empty()
-        || wl.agg_pushdown.is_some()
-    {
+    if workers <= 1 {
         return group_by(input, keys, aggs, opts);
     }
 
@@ -223,7 +218,9 @@ pub fn par_group_by(
         GroupByCore::fragment(keys, aggs, opts, input, m)
     });
     let parts = parts.into_iter().collect::<Result<Vec<_>>>()?;
-    GroupByCore::merge(keys, aggs, opts, input.len(), parts).finish(input, start)
+    let mut core = GroupByCore::new(keys, aggs, opts, input.len());
+    core.merge(parts);
+    core.finish(input, start)
 }
 
 /// Parallel `left ⋈ right ON left_keys = right_keys` (hash equi-join).
@@ -238,8 +235,9 @@ pub fn par_group_by(
 /// itself and rebuilds forward lineage from it in CSR form with exact counts
 /// — which is the Defer representation, so every capture mode runs parallel.
 ///
-/// Falls back to [`hash_join`] for fewer than two workers or cardinality
-/// hints.
+/// Delegates to [`hash_join`] when fewer than two workers would run
+/// (cardinality hints size Inject's per-key arrays; the exact-count CSR here
+/// never needs them).
 pub fn par_hash_join(
     left: &Relation,
     right: &Relation,
@@ -278,7 +276,7 @@ pub fn par_hash_join(
 
     let ms = morsels(right.len(), par.morsel_rows);
     let workers = par.workers(ms.len());
-    if workers <= 1 || opts.hints.is_some() {
+    if workers <= 1 {
         return hash_join(left, right, left_keys, right_keys, opts);
     }
     let left_extract = KeyExtractor::new(left, left_keys)?;

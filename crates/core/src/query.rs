@@ -3,19 +3,21 @@
 //! A lineage query is evaluated as a secondary index scan: probe the backward
 //! (or forward) index and use the resulting rids as array offsets into the
 //! base relation. A lineage-consuming query further filters / aggregates that
-//! rid set; the helpers here evaluate such queries directly over rid subsets
-//! without materializing intermediate relations.
+//! rid set: an ordinary query over the traced subset, so the aggregation is
+//! the group-by operator core itself ([`crate::ops::groupby`]) ingesting the
+//! rid list — no intermediate relation is materialized and no second hash
+//! table or aggregate fold exists.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::time::Instant;
 
 use smoke_lineage::PartitionedRidIndex;
 use smoke_storage::{Relation, Rid};
 
-use crate::agg::{AggExpr, AggFunc, AggState};
+use crate::agg::AggExpr;
 use crate::error::Result;
 use crate::expr::Expr;
-use crate::key::{HashKey, KeyExtractor};
+use crate::ops::groupby::{GroupByCore, GroupByOptions};
 use crate::workload::LineageCube;
 
 /// Materializes the rows of `relation` identified by `rids` (a plain lineage
@@ -38,7 +40,9 @@ pub fn consume_aggregate(
 }
 
 /// Evaluates a lineage-consuming filter + aggregation over a rid subset:
-/// `SELECT keys, aggs FROM subset WHERE predicate GROUP BY keys`.
+/// `SELECT keys, aggs FROM subset WHERE predicate GROUP BY keys` — the
+/// group-by operator itself, uninstrumented, ingesting the surviving rids
+/// instead of a range (groups appear in the order the rids first reach them).
 pub fn consume_filter_aggregate(
     relation: &Relation,
     rids: &[Rid],
@@ -46,66 +50,18 @@ pub fn consume_filter_aggregate(
     keys: &[String],
     aggs: &[AggExpr],
 ) -> Result<Relation> {
-    let extractor = KeyExtractor::new(relation, keys)?;
+    let start = Instant::now();
     // The filter runs through the kernel layer up front (vectorized for
-    // comparison/boolean shapes, interpreter otherwise), so the aggregation
-    // loop below touches only surviving rids.
+    // comparison/boolean shapes, interpreter otherwise), so the group-by
+    // touches only surviving rids.
     let filtered: Cow<'_, [Rid]> = match predicate {
         Some(p) => Cow::Owned(crate::kernels::filter_rids(relation, p, rids)?),
         None => Cow::Borrowed(rids),
     };
-    let agg_cols: Vec<Option<usize>> = aggs
-        .iter()
-        .map(|a| match &a.column {
-            Some(c) => relation.column_index(c).map(Some),
-            None => Ok(None),
-        })
-        .collect::<std::result::Result<_, _>>()?;
-
-    let mut ht: HashMap<HashKey, u32> = HashMap::new();
-    let mut groups: Vec<(Vec<smoke_storage::Value>, Vec<AggState>)> = Vec::new();
-    for &rid in filtered.iter() {
-        let rid = rid as usize;
-        let key = extractor.key(rid);
-        let gid = match ht.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let gid = groups.len() as u32;
-                groups.push((
-                    e.key().to_values(),
-                    aggs.iter().map(AggExpr::new_state).collect(),
-                ));
-                e.insert(gid);
-                gid
-            }
-        };
-        let states = &mut groups[gid as usize].1;
-        for (i, state) in states.iter_mut().enumerate() {
-            match (&aggs[i].func, agg_cols[i]) {
-                (AggFunc::Count, _) => state.update(0.0),
-                (AggFunc::CountDistinct, Some(c)) => {
-                    state.update_key(&relation.value(rid, c).group_key())
-                }
-                (_, Some(c)) => state.update(relation.column(c).numeric(rid).unwrap_or(0.0)),
-                (_, None) => state.update(0.0),
-            }
-        }
-    }
-
-    let mut builder = Relation::builder("consume");
-    for name in keys {
-        let idx = relation.column_index(name)?;
-        builder = builder.column(name.clone(), relation.schema().field(idx).data_type);
-    }
-    for agg in aggs {
-        builder = builder.column(agg.alias.clone(), agg.output_type());
-    }
-    for (key_values, states) in groups {
-        let mut row = key_values;
-        row.extend(states.iter().map(AggState::finalize));
-        builder = builder.row(row);
-    }
-    Ok(builder.build()?)
+    let opts = GroupByOptions::baseline();
+    let mut core = GroupByCore::new(keys, aggs, &opts, filtered.len());
+    core.ingest(relation, &filtered[..], 0)?;
+    Ok(core.finish(relation, start)?.output.with_name("consume"))
 }
 
 /// Evaluates a lineage-consuming aggregation using a data-skipping partitioned
@@ -132,6 +88,9 @@ pub fn consume_from_cube(cube: &LineageCube, output_rid: Rid) -> Result<Relation
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::filter_rids;
+    use crate::ops::groupby::group_by;
+    use proptest::prelude::*;
     use smoke_storage::{DataType, Value};
 
     fn rel() -> Relation {
@@ -225,5 +184,77 @@ mod tests {
         let out =
             consume_aggregate(&r, &[], &["month".to_string()], &[AggExpr::count("c")]).unwrap();
         assert_eq!(out.len(), 0);
+    }
+
+    /// `t(d, w, c, s, v)`: `d` a dense int, `w` the same groups spread over a
+    /// domain too wide for the dense gid table (hashed), `c` a second int for
+    /// pair keys, `s` a string, `v` the aggregated float.
+    fn table(rows: &[(i64, i64)]) -> Relation {
+        let mut b = Relation::builder("t")
+            .column("d", DataType::Int)
+            .column("w", DataType::Int)
+            .column("c", DataType::Int)
+            .column("s", DataType::Str)
+            .column("v", DataType::Float);
+        for &(x, y) in rows {
+            b = b.row(vec![
+                Value::Int(x),
+                Value::Int(x * 1_000_003),
+                Value::Int(y % 3),
+                Value::Str(["red", "green", "blue"][(y % 3) as usize].into()),
+                Value::Float(y as f64 * 0.25),
+            ]);
+        }
+        b.build().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A consuming query is the group-by operator over the traced rows:
+        /// for any rid list (empty, unsorted, with duplicates), every key
+        /// shape and every aggregate, it equals `group_by` over the gathered
+        /// (and filtered) rows, row for row.
+        #[test]
+        fn consume_is_group_by_over_the_traced_rows(
+            rows in prop::collection::vec((0i64..6, 0i64..40), 0..60),
+            picks in prop::collection::vec(0usize..1000, 0..120),
+            cut in 0i64..40,
+        ) {
+            let rel = table(&rows);
+            let rids: Vec<Rid> = match rel.len() {
+                0 => Vec::new(),
+                n => picks.iter().map(|p| (p % n) as Rid).collect(),
+            };
+            let pred = Expr::col("v").lt(Expr::lit(cut as f64 * 0.25));
+            let aggs = [
+                AggExpr::count("cnt"),
+                AggExpr::sum("v", "sum"),
+                AggExpr::sum_sq("v", "sum_sq"),
+                AggExpr::sum_sqrt("v", "sum_sqrt"),
+                AggExpr::min("v", "min"),
+                AggExpr::max("v", "max"),
+                AggExpr::avg("v", "avg"),
+                AggExpr::count_distinct("s", "dcnt"),
+            ];
+            let shapes: [&[&str]; 6] = [&["d"], &["w"], &["d", "c"], &["s"], &["s", "d", "c"], &[]];
+            for keys in shapes {
+                let keys: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
+                for pred in [None, Some(&pred)] {
+                    let got = consume_filter_aggregate(&rel, &rids, pred, &keys, &aggs).unwrap();
+                    let kept = match pred {
+                        Some(p) => filter_rids(&rel, p, &rids).unwrap(),
+                        None => rids.clone(),
+                    };
+                    let traced = gather_rows(&rel, &kept);
+                    let want = group_by(&traced, &keys, &aggs, &GroupByOptions::baseline()).unwrap();
+                    prop_assert_eq!(got.schema(), want.output.schema());
+                    prop_assert_eq!(got.len(), want.output.len());
+                    for row in 0..got.len() {
+                        prop_assert_eq!(got.row_values(row), want.output.row_values(row));
+                    }
+                }
+            }
+        }
     }
 }

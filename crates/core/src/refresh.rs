@@ -12,9 +12,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use smoke_storage::{Relation, Rid, Value};
 
-use crate::agg::{AggExpr, AggFunc, AggState};
+use crate::agg::{AggExpr, AggState};
 use crate::error::{EngineError, Result};
 use crate::exec::QueryOutput;
+use crate::ops::groupby::AggInputs;
 
 /// Multi-forward trace: for each registered view, the output rids that depend
 /// on any of the given base rids of `table`.
@@ -86,13 +87,7 @@ pub fn refresh_after_delete(
         });
     }
 
-    let agg_cols: Vec<Option<usize>> = aggs
-        .iter()
-        .map(|a| match &a.column {
-            Some(c) => input.column_index(c).map(Some),
-            None => Ok(None),
-        })
-        .collect::<std::result::Result<_, _>>()?;
+    let agg_inputs = AggInputs::resolve(input, aggs)?;
 
     let mut refreshed = Vec::with_capacity(affected.len());
     for &out in &affected {
@@ -103,18 +98,7 @@ pub fn refresh_after_delete(
                 return;
             }
             remaining += 1;
-            for (i, state) in states.iter_mut().enumerate() {
-                match (&aggs[i].func, agg_cols[i]) {
-                    (AggFunc::Count, _) => state.update(0.0),
-                    (AggFunc::CountDistinct, Some(c)) => {
-                        state.update_key(&input.value(rid as usize, c).group_key())
-                    }
-                    (_, Some(c)) => {
-                        state.update(input.column(c).numeric(rid as usize).unwrap_or(0.0))
-                    }
-                    (_, None) => state.update(0.0),
-                }
-            }
+            agg_inputs.update(&mut states, aggs, rid as usize);
         });
         refreshed.push(RefreshedOutput {
             output_rid: out,

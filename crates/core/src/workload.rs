@@ -8,11 +8,17 @@
 //! * [`LineageCube`] — per-(output group, partition) aggregate states
 //!   maintained incrementally during capture (group-by push-down), i.e. an
 //!   online partial data cube built by piggy-backing on the base query's scan.
+//!
+//! Both are the groups of a finer group-by (`keys ++ partition attributes`)
+//! that rides the base query's γ ([`crate::ops::groupby`]); this module only
+//! holds them once finished — a partition or a cell arrives whole, keyed by
+//! its partition attributes' values rendered as `|`-joined
+//! [`Value::group_key`]s.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use smoke_lineage::PartitionedRidIndex;
-use smoke_storage::{DataType, Field, Relation, Schema, Value};
+use smoke_storage::{DataType, Field, Relation, Value};
 
 use crate::agg::{AggExpr, AggState};
 use crate::error::Result;
@@ -25,6 +31,9 @@ pub struct LineageCube {
     /// push-down group-by attributes) to the aggregate states for that cell.
     entries: Vec<BTreeMap<String, CubeCell>>,
     partition_by: Vec<String>,
+    /// The partition attributes' types in the captured input, so every
+    /// answer — an empty one included — has the same schema.
+    partition_types: Vec<DataType>,
     aggs: Vec<AggExpr>,
 }
 
@@ -39,11 +48,16 @@ pub struct CubeCell {
 }
 
 impl LineageCube {
-    /// Creates an empty cube for `output_len` base-query output records.
-    pub fn new(output_len: usize, partition_by: Vec<String>, aggs: Vec<AggExpr>) -> Self {
+    /// Creates an empty cube over the given push-down group-by attributes
+    /// (name and type in the captured input) and aggregates.
+    pub fn new(partition_fields: Vec<Field>, aggs: Vec<AggExpr>) -> Self {
+        let (partition_by, partition_types) = (partition_fields.into_iter())
+            .map(|f| (f.name, f.data_type))
+            .unzip();
         LineageCube {
-            entries: vec![BTreeMap::new(); output_len],
+            entries: Vec::new(),
             partition_by,
+            partition_types,
             aggs,
         }
     }
@@ -68,42 +82,19 @@ impl LineageCube {
         self.entries.is_empty()
     }
 
-    /// Ensures the cube covers `out_rid`.
-    pub fn ensure_len(&mut self, len: usize) {
-        if self.entries.len() < len {
-            self.entries.resize(len, BTreeMap::new());
-        }
-    }
-
-    /// Folds one input row's contribution into the cube.
-    ///
-    /// `key` is the rendered partition key, `key_values` its attribute values,
-    /// and `agg_inputs[i]` the numeric input of the `i`-th aggregate (or the
-    /// categorical key for `COUNT(DISTINCT)` states, passed via
-    /// `distinct_keys`).
-    pub fn update(
-        &mut self,
-        out_rid: usize,
-        key: &str,
-        key_values: &[Value],
-        agg_inputs: &[f64],
-        distinct_keys: &[Option<String>],
-    ) {
+    /// Hangs a finished cell — the folded states of every input row of
+    /// output `out_rid` whose partition attributes render as `key` — growing
+    /// the cube as necessary.
+    pub fn insert(&mut self, out_rid: usize, key: String, cell: CubeCell) {
         if out_rid >= self.entries.len() {
             self.entries.resize(out_rid + 1, BTreeMap::new());
         }
-        let aggs = &self.aggs;
-        let cell = self.entries[out_rid]
-            .entry(key.to_string())
-            .or_insert_with(|| CubeCell {
-                key_values: key_values.to_vec(),
-                states: aggs.iter().map(AggExpr::new_state).collect(),
-            });
-        for (i, state) in cell.states.iter_mut().enumerate() {
-            if let Some(Some(k)) = distinct_keys.get(i) {
-                state.update_key(k);
-            } else {
-                state.update(agg_inputs.get(i).copied().unwrap_or(0.0));
+        match self.entries[out_rid].entry(key) {
+            Entry::Vacant(slot) => drop(slot.insert(cell)),
+            Entry::Occupied(mut slot) => {
+                for (mine, theirs) in slot.get_mut().states.iter_mut().zip(&cell.states) {
+                    mine.merge(theirs);
+                }
             }
         }
     }
@@ -112,34 +103,21 @@ impl LineageCube {
     /// record: a relation with the partition attributes plus one column per
     /// aggregate. This is the "≈0 ms" path of Fig. 11.
     pub fn query(&self, out_rid: usize) -> Result<Relation> {
-        let mut fields: Vec<Field> = Vec::new();
-        for (i, name) in self.partition_by.iter().enumerate() {
-            let dt = self
-                .entries
-                .get(out_rid)
-                .and_then(|m| m.values().next())
-                .map(|c| c.key_values[i].data_type())
-                .unwrap_or(DataType::Str);
-            fields.push(Field::new(name.clone(), dt));
+        let mut b = Relation::builder("cube_result");
+        for (name, data_type) in self.partition_by.iter().zip(&self.partition_types) {
+            b = b.column(name.clone(), *data_type);
         }
         for agg in &self.aggs {
-            fields.push(Field::new(agg.alias.clone(), agg.output_type()));
+            b = b.column(agg.alias.clone(), agg.output_type());
         }
-        let schema = Schema::new(fields)?;
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        if let Some(cells) = self.entries.get(out_rid) {
-            for cell in cells.values() {
-                let mut row = cell.key_values.clone();
-                row.extend(cell.states.iter().map(AggState::finalize));
-                rows.push(row);
-            }
-        }
-        // Rebuild through the relation builder to reuse its type checking.
-        let mut b = Relation::builder("cube_result");
-        for f in schema.fields() {
-            b = b.column(f.name.clone(), f.data_type);
-        }
-        for row in rows {
+        for cell in self
+            .entries
+            .get(out_rid)
+            .into_iter()
+            .flat_map(BTreeMap::values)
+        {
+            let mut row = cell.key_values.clone();
+            row.extend(cell.states.iter().map(AggState::finalize));
             b = b.row(row);
         }
         Ok(b.build()?)
@@ -171,45 +149,30 @@ impl WorkloadArtifacts {
 mod tests {
     use super::*;
 
+    /// A finished `COUNT(*), SUM(v)` cell over the given `v` values.
+    fn cell(key: &str, vs: &[f64]) -> CubeCell {
+        CubeCell {
+            key_values: vec![Value::Str(key.into())],
+            states: vec![
+                AggState::Count(vs.len() as u64),
+                AggState::Sum(vs.iter().sum()),
+            ],
+        }
+    }
+
     fn cube() -> LineageCube {
         let mut cube = LineageCube::new(
-            2,
-            vec!["month".to_string()],
+            vec![Field::new("month", DataType::Str)],
             vec![AggExpr::count("cnt"), AggExpr::sum("v", "total")],
         );
-        cube.update(
-            0,
-            "jan",
-            &[Value::Str("jan".into())],
-            &[1.0, 10.0],
-            &[None, None],
-        );
-        cube.update(
-            0,
-            "jan",
-            &[Value::Str("jan".into())],
-            &[1.0, 5.0],
-            &[None, None],
-        );
-        cube.update(
-            0,
-            "feb",
-            &[Value::Str("feb".into())],
-            &[1.0, 2.0],
-            &[None, None],
-        );
-        cube.update(
-            1,
-            "jan",
-            &[Value::Str("jan".into())],
-            &[1.0, 7.0],
-            &[None, None],
-        );
+        cube.insert(0, "jan".into(), cell("jan", &[10.0, 5.0]));
+        cube.insert(0, "feb".into(), cell("feb", &[2.0]));
+        cube.insert(1, "jan".into(), cell("jan", &[7.0]));
         cube
     }
 
     #[test]
-    fn cube_accumulates_per_partition() {
+    fn cube_answers_per_partition() {
         let cube = cube();
         assert_eq!(cube.cell_count(), 3);
         assert_eq!(cube.len(), 2);
@@ -225,22 +188,40 @@ mod tests {
     }
 
     #[test]
-    fn cube_query_for_uncovered_output_is_empty() {
-        let cube = cube();
+    fn cells_rendering_alike_merge() {
+        let mut cube = cube();
+        cube.insert(1, "jan".into(), cell("jan", &[1.0, 2.0]));
+        assert_eq!(cube.cell_count(), 3);
         let result = cube.query(1).unwrap();
-        assert_eq!(result.len(), 1);
-        let empty = LineageCube::new(0, vec!["m".into()], vec![AggExpr::count("c")]);
-        assert!(empty.is_empty());
-        assert_eq!(empty.query(5).unwrap().len(), 0);
+        assert_eq!(result.value(0, 1), Value::Int(3));
+        assert_eq!(result.value(0, 2), Value::Float(10.0));
     }
 
     #[test]
-    fn cube_grows_on_demand() {
-        let mut cube = LineageCube::new(1, vec!["k".into()], vec![AggExpr::count("c")]);
-        cube.update(4, "x", &[Value::Str("x".into())], &[1.0], &[None]);
-        assert_eq!(cube.len(), 5);
-        cube.ensure_len(10);
-        assert_eq!(cube.len(), 10);
+    fn empty_and_uncovered_entries_answer_with_the_cube_schema() {
+        let mut cube = LineageCube::new(
+            vec![Field::new("bin", DataType::Int)],
+            vec![AggExpr::count("c")],
+        );
+        assert!(cube.is_empty());
+        cube.insert(
+            2,
+            "7".into(),
+            CubeCell {
+                key_values: vec![Value::Int(7)],
+                states: vec![AggState::Count(4)],
+            },
+        );
+        assert_eq!(cube.len(), 3);
+        let hit = cube.query(2).unwrap();
+        assert_eq!(hit.len(), 1);
+        // Entry 0 has no cell, entry 9 is past the cube: both are empty
+        // answers typed exactly like the hit (`bin: Int`, not a guessed Str).
+        for out_rid in [0, 9] {
+            let empty = cube.query(out_rid).unwrap();
+            assert_eq!(empty.len(), 0);
+            assert_eq!(empty.schema(), hit.schema());
+        }
     }
 
     #[test]
@@ -251,37 +232,5 @@ mod tests {
             partitioned: None,
         };
         assert!(!arts.is_empty());
-    }
-
-    #[test]
-    fn cube_with_count_distinct() {
-        let mut cube = LineageCube::new(
-            1,
-            vec!["k".into()],
-            vec![AggExpr::count_distinct("b", "cd")],
-        );
-        cube.update(
-            0,
-            "x",
-            &[Value::Str("x".into())],
-            &[0.0],
-            &[Some("b1".into())],
-        );
-        cube.update(
-            0,
-            "x",
-            &[Value::Str("x".into())],
-            &[0.0],
-            &[Some("b1".into())],
-        );
-        cube.update(
-            0,
-            "x",
-            &[Value::Str("x".into())],
-            &[0.0],
-            &[Some("b2".into())],
-        );
-        let r = cube.query(0).unwrap();
-        assert_eq!(r.value(0, 1), Value::Int(2));
     }
 }

@@ -14,14 +14,18 @@
 //!
 //! Rows that only the shared core makes reachable:
 //! `typed_group_keys_reach_the_page_run_driver` (int-pair and `Str` keys, a
-//! dense domain that widens chunk by chunk) and
-//! `defer_join_and_selection_pushdown_run_morsel_parallel`.
+//! dense domain that widens chunk by chunk),
+//! `defer_join_and_selection_pushdown_run_morsel_parallel`, and the morsel
+//! rows of `workload_artifacts_partition_for_partition`,
+//! `interpreter_only_predicate_runs_on_every_driver` and
+//! `cardinality_hints_run_morsel_parallel`: the morsel drivers delegate for
+//! `dop <= 1` and nothing else.
 
 use std::mem::discriminant;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use smoke_core::ops::groupby::{group_by, GroupByOptions, GroupByResult};
+use smoke_core::ops::groupby::{group_by, true_cardinalities, GroupByOptions, GroupByResult};
 use smoke_core::ops::join::{hash_join, JoinOptions, JoinResult};
 use smoke_core::ops::select::{select, SelectOptions};
 use smoke_core::ops::OpOutput;
@@ -200,7 +204,11 @@ fn workload_opts() -> GroupByOptions {
     opts.workload.skipping_partition_by = strs(&["c"]);
     opts.workload.agg_pushdown = Some(AggPushdown {
         partition_by: strs(&["c"]),
-        aggs: vec![AggExpr::count("cnt"), AggExpr::sum("b", "total")],
+        aggs: vec![
+            AggExpr::count("cnt"),
+            AggExpr::sum("b", "total"),
+            AggExpr::count_distinct("s", "colours"),
+        ],
     });
     opts
 }
@@ -278,7 +286,7 @@ fn check_group_by(src: Source, table: &Relation, keys: &[&str], extra: &[GroupBy
         let (wc, gc) = (&w.artifacts.cube, &g.artifacts.cube);
         assert_eq!(wc.is_some(), gc.is_some(), "{src:?}: cube presence");
         if let (Some(wc), Some(gc)) = (wc, gc) {
-            assert_eq!(wc.cell_count(), gc.cell_count());
+            assert_eq!((wc.len(), wc.cell_count()), (gc.len(), gc.cell_count()));
             for out in 0..wc.len() {
                 assert_eq!(wc.query(out).unwrap(), gc.query(out).unwrap(), "{src:?}");
             }
@@ -438,9 +446,10 @@ fn dop_one_delegates() {
 }
 
 #[test]
-fn interpreter_only_predicate_falls_back() {
+fn interpreter_only_predicate_runs_on_every_driver() {
     // Arithmetic never compiles to kernels: the interpreter is the fallback
-    // inside every driver's ingest and must agree across chunk boundaries.
+    // inside the core's ingest — no driver delegates for it — and must agree
+    // across morsel and chunk boundaries.
     let rows: Vec<(i64, i64)> = (0..1500).map(|i| (i % 4, i)).collect();
     let table = table_from(&rows, 1);
     let pred = (Expr::col("a") + Expr::lit(1)).gt(Expr::lit(2));
@@ -551,16 +560,70 @@ fn workload_artifacts_partition_for_partition() {
     skipping_only.workload.skipping_partition_by = strs(&["c"]);
     let mut deferred = workload_opts();
     deferred.mode = smoke_core::CaptureMode::Defer;
-    let modes = [workload_opts(), skipping_only, deferred];
+    // Partitions and cube on different attribute lists (one finer group
+    // table each), and a two-attribute partition whose keys render `s|c`.
+    let mut split = workload_opts();
+    split.workload.skipping_partition_by = strs(&["s"]);
+    let mut two_attrs = workload_opts();
+    two_attrs.workload.skipping_partition_by = strs(&["s", "c"]);
+    two_attrs
+        .workload
+        .agg_pushdown
+        .as_mut()
+        .unwrap()
+        .partition_by = strs(&["s", "c"]);
+    let modes = [workload_opts(), skipping_only, deferred, split, two_attrs];
     check_group_by(
         page_runs(2, ReplacementPolicy::Sieve),
         &table,
         &["a"],
         &modes,
     );
-    // Partitions and the cube keep the morsel driver sequential; it must
-    // still hand the artifacts through untouched.
+    // The finer group tables fragment and merge like the coarse one, so the
+    // morsel driver runs every mode on the pool: its CSR backward index is
+    // the proof it did not delegate (resident Inject emits `Index`).
     check_group_by(morsels(4), &table, &["a"], &modes);
+    for opts in &modes {
+        let got = morsels(4)
+            .group_by(&table, &strs(&["a"]), &[], opts)
+            .unwrap();
+        let backward = &got.lineage.input(0).backward;
+        assert!(matches!(backward, Some(LineageIndex::Csr(_))), "{opts:?}");
+    }
+    let two_attrs = group_by(&table, &strs(&["a"]), &[], &modes[4]).unwrap();
+    let partitioned = two_attrs.artifacts.partitioned.unwrap();
+    assert!(
+        partitioned.keys(0).contains(&"blue|2"),
+        "{:?}",
+        partitioned.keys(0)
+    );
+}
+
+#[test]
+fn cardinality_hints_run_morsel_parallel() {
+    // Hints pre-size Inject's per-key arrays; the morsel drivers size their
+    // CSR from exact counts instead, so hinted runs stay on the pool (CSR
+    // out) and agree with the hinted resident run entry for entry.
+    let rows: Vec<(i64, i64)> = (0..400).map(|i| (i % 6, i)).collect();
+    let (left, right) = (
+        table_from(&rows[..30], 1).with_name("L"),
+        table_from(&rows, 1),
+    );
+    let (src, on) = (morsels(4), strs(&["a"]));
+    let hints = true_cardinalities(&right, &on).unwrap();
+
+    let hinted = GroupByOptions::inject_with_hints(hints.clone());
+    check_group_by(src, &right, &["a"], std::slice::from_ref(&hinted));
+    let got = src.group_by(&right, &on, &[], &hinted).unwrap();
+    let backward = &got.lineage.input(0).backward;
+    assert!(matches!(backward, Some(LineageIndex::Csr(_))));
+
+    let hinted = JoinOptions::inject().with_hints(hints);
+    let want = hash_join(&left, &right, &on, &on, &hinted).unwrap();
+    let got = src.join(&left, &right, &on, &hinted);
+    same_join(src, &want, &got, &[left.len(), right.len()]);
+    let forward = &got.lineage.input(0).forward;
+    assert!(matches!(forward, Some(LineageIndex::Csr(_))));
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! parameterized predicate `attr = :p` then scans only the partition matching
 //! `:p` instead of the whole rid array.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use smoke_storage::Rid;
 
@@ -29,14 +29,6 @@ pub struct PartitionedRidIndex {
 }
 
 impl PartitionedRidIndex {
-    /// Creates an empty partitioned index over the given partition attribute.
-    pub fn new(attribute: impl Into<String>) -> Self {
-        PartitionedRidIndex {
-            entries: Vec::new(),
-            attribute: attribute.into(),
-        }
-    }
-
     /// Creates a partitioned index with `len` output entries.
     pub fn with_len(attribute: impl Into<String>, len: usize) -> Self {
         PartitionedRidIndex {
@@ -60,16 +52,29 @@ impl PartitionedRidIndex {
         self.entries.is_empty()
     }
 
-    /// Appends an input rid to the partition `key` of output `out_rid`,
-    /// growing the index as necessary.
-    pub fn append(&mut self, out_rid: usize, key: &str, rid: Rid) {
+    /// The partitions of output `out_rid`, growing the index as necessary.
+    fn entry_mut(&mut self, out_rid: usize) -> &mut BTreeMap<PartitionKey, Vec<Rid>> {
         if out_rid >= self.entries.len() {
             self.entries.resize(out_rid + 1, BTreeMap::new());
         }
-        self.entries[out_rid]
-            .entry(key.to_string())
-            .or_default()
-            .push(rid);
+        &mut self.entries[out_rid]
+    }
+
+    /// Appends an input rid to the partition `key` of output `out_rid`,
+    /// growing the index as necessary.
+    pub fn append(&mut self, out_rid: usize, key: &str, rid: Rid) {
+        let partitions = self.entry_mut(out_rid);
+        partitions.entry(key.to_string()).or_default().push(rid);
+    }
+
+    /// Hangs a finished partition under output `out_rid`, growing the index
+    /// as necessary: `rids` is stored as handed over, so an exactly sized
+    /// array stays exactly sized.
+    pub fn insert(&mut self, out_rid: usize, key: PartitionKey, rids: Vec<Rid>) {
+        match self.entry_mut(out_rid).entry(key) {
+            Entry::Vacant(slot) => drop(slot.insert(rids)),
+            Entry::Occupied(mut slot) => slot.get_mut().extend(rids),
+        }
     }
 
     /// The rids of output `out_rid` whose partition attribute equals `key`.
@@ -179,12 +184,18 @@ mod tests {
 
     #[test]
     fn append_extends_index() {
-        let mut idx = PartitionedRidIndex::new("attr");
+        let mut idx = PartitionedRidIndex::with_len("attr", 0);
         assert!(idx.is_empty());
         idx.append(3, "x", 9);
         assert_eq!(idx.len(), 4);
         assert_eq!(idx.partition(3, "x"), &[9]);
         assert_eq!(idx.partition(0, "x"), &[] as &[Rid]);
+        // A finished partition is stored as handed over.
+        let before = idx.heap_bytes();
+        idx.insert(5, "y".to_string(), vec![1, 2, 3]);
+        assert_eq!(idx.len(), 6);
+        assert_eq!(idx.partition(5, "y"), &[1, 2, 3]);
+        assert_eq!(idx.heap_bytes() - before, 1 + 3 * 4 + 48);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! guards and pinned buffer-pool pages never straddle blocking I/O, that
 //! whole-column kernels stay pure
 //! `0..len` delegations of their `_range` twins, that the hand-rolled JSON
-//! layer keeps integers exact. This crate encodes those invariants as lint
+//! layer keeps integers exact, that the aggregate fold is written once. This
+//! crate encodes those invariants as lint
 //! rules over a hand-rolled token stream (the workspace vendors its few
 //! dependencies and deliberately excludes `syn`).
 //!

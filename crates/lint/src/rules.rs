@@ -11,13 +11,14 @@ use crate::lexer::{Token, TokenKind};
 use crate::Violation;
 
 /// Stable rule identifiers, in reporting order.
-pub const RULE_IDS: [&str; 6] = [
+pub const RULE_IDS: [&str; 7] = [
     "no-panic-on-request-path",
     "unsafe-needs-safety-comment",
     "no-lock-across-io",
     "pin-guard-no-io",
     "kernel-range-twin",
     "exact-int-json",
+    "one-agg-fold",
 ];
 
 fn violation(rule: &'static str, path: &str, tok: &Token, message: String) -> Violation {
@@ -482,6 +483,57 @@ pub fn exact_int_json(path: &str, tokens: &[Token]) -> Vec<Violation> {
     out
 }
 
+/// Rule 7 — `one-agg-fold`.
+///
+/// Folding one input row into a group's `AggState`s is written once
+/// (`AggInputs::update` in `ops/groupby.rs`, over the states of `agg.rs`);
+/// group-by capture, traced-row re-aggregation, the push-down cube and
+/// delete-refresh all go through it, and the competitor baselines keep their
+/// own as baselines should. Anywhere else, non-test code that names an
+/// `AggFunc::` variant in a function that also calls `.update(` /
+/// `.update_key(` is a copy of that fold coming back.
+pub fn one_agg_fold(path: &str, tokens: &[Token]) -> Vec<Violation> {
+    const RULE: &str = "one-agg-fold";
+    let mut out = Vec::new();
+    if path == "crates/core/src/agg.rs"
+        || path == "crates/core/src/ops/groupby.rs"
+        || path.starts_with("crates/core/src/baselines/")
+    {
+        return out;
+    }
+    let sig: Vec<&Token> = tokens.iter().filter(|t| !t.is_comment()).collect();
+    for (name, open, close) in fn_spans(&sig) {
+        let body = &sig[open + 1..close];
+        let names_variant = body
+            .windows(3)
+            .any(|w| w[0].is_ident("AggFunc") && w[1].is_punct(':') && w[2].is_punct(':'));
+        if sig[open].in_test || !names_variant {
+            continue;
+        }
+        for (i, tok) in body.iter().enumerate() {
+            let folds = (tok.is_ident("update") || tok.is_ident("update_key"))
+                && i > 0
+                && body[i - 1].is_punct('.')
+                && body.get(i + 1).is_some_and(|t| t.is_punct('('));
+            if folds {
+                out.push(violation(
+                    RULE,
+                    path,
+                    tok,
+                    format!(
+                        "`{name}` matches on `AggFunc::` and calls `.{}(`: a second copy of the aggregate fold; resolve the columns with `AggInputs::resolve` and fold with `AggInputs::update`",
+                        tok.text
+                    ),
+                ));
+            }
+        }
+    }
+    // A nested fn is inside its parent's span too.
+    out.sort_by_key(|v| (v.line, v.col));
+    out.dedup_by_key(|v| (v.line, v.col));
+    out
+}
+
 /// Runs every rule over one file's token stream.
 pub fn run_all(path: &str, tokens: &[Token]) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -491,6 +543,7 @@ pub fn run_all(path: &str, tokens: &[Token]) -> Vec<Violation> {
     out.extend(pin_guard_no_io(path, tokens));
     out.extend(kernel_range_twin(path, tokens));
     out.extend(exact_int_json(path, tokens));
+    out.extend(one_agg_fold(path, tokens));
     out.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
     out
 }

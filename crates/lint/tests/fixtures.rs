@@ -210,6 +210,39 @@ fn exact_int_json_clean() {
 }
 
 #[test]
+fn one_agg_fold_fires() {
+    let src = fixture("agg_fold", "fires");
+    assert_fires(
+        "crates/core/src/query.rs",
+        &src,
+        &[
+            ("one-agg-fold", 6, "update(0.0)"),
+            ("one-agg-fold", 7, "update_key("),
+            ("one-agg-fold", 8, "update(rel"),
+            ("one-agg-fold", 9, "update(0.0)"),
+        ],
+    );
+}
+
+#[test]
+fn one_agg_fold_clean() {
+    let src = fixture("agg_fold", "clean");
+    assert_clean("crates/core/src/refresh.rs", &src);
+}
+
+#[test]
+fn one_agg_fold_exempts_the_fold_itself_and_the_baselines() {
+    let src = fixture("agg_fold", "fires");
+    for path in [
+        "crates/core/src/agg.rs",
+        "crates/core/src/ops/groupby.rs",
+        "crates/core/src/baselines/physical.rs",
+    ] {
+        assert_clean(path, &src);
+    }
+}
+
+#[test]
 fn pragma_suppresses_exactly_one_rule_on_one_line() {
     let mut src = fixture("no_panic", "fires");
     src = src.replace(

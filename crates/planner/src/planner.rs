@@ -1,6 +1,6 @@
 //! The cost-based lineage-query planner and its executor.
 
-use smoke_core::lazy::{backward_predicate, lazy_backward, lazy_consume};
+use smoke_core::lazy::{backward_predicate, lazy_backward};
 use smoke_core::query::consume_aggregate;
 use smoke_core::workload::{LineageCube, WorkloadArtifacts};
 use smoke_core::{CmpOp, EngineError, Expr, LogicalPlan, QueryOutput, Result};
@@ -14,7 +14,7 @@ use crate::cost::{
     COST_KEY_TERM, COST_ROW_CONSUME, COST_ROW_PREDICATE_SCALAR, COST_ROW_PREDICATE_VECTOR,
     QUERY_OVERHEAD,
 };
-use crate::query::{Direction, LineageQuery, Selection};
+use crate::query::{Consume, Direction, LineageQuery, Selection};
 
 /// What the lazy-rewrite strategy needs to know about the base query: its
 /// group-by keys and the selection it applied to the base relation.
@@ -719,20 +719,10 @@ impl<'a> LineagePlanner<'a> {
         if let Some(filter) = &consume.filter {
             traced = smoke_core::kernels::filter_rids(target, filter, &traced)?;
         }
-        let rows = if consume.aggregates() {
-            Some(consume_aggregate(
-                target,
-                &traced,
-                &consume.keys,
-                &consume.aggs,
-            )?)
-        } else {
-            None
-        };
         Ok(LineageResult {
             strategy: Strategy::EagerTrace,
+            rows: reaggregate(target, &traced, consume)?,
             rids: traced,
-            rows,
         })
     }
 
@@ -740,25 +730,6 @@ impl<'a> LineagePlanner<'a> {
         let rewrite = self.rewrite.as_ref().ok_or_else(|| {
             EngineError::InvalidPlan("lazy rewrite without rewrite info".to_string())
         })?;
-        if plan.rids.is_empty() {
-            // An empty selection still yields an (empty) aggregate relation,
-            // matching the eager path's result shape.
-            let rows = if query.consume.aggregates() {
-                Some(consume_aggregate(
-                    self.base,
-                    &[],
-                    &query.consume.keys,
-                    &query.consume.aggs,
-                )?)
-            } else {
-                None
-            };
-            return Ok(LineageResult {
-                strategy: Strategy::LazyRewrite,
-                rids: Vec::new(),
-                rows,
-            });
-        }
         let key_cols: Vec<usize> = rewrite
             .keys
             .iter()
@@ -777,30 +748,21 @@ impl<'a> LineagePlanner<'a> {
                 None => one,
             });
         }
-        let predicate = predicate.expect("non-empty selection");
 
         let consume = &query.consume;
-        // `rids` carries the residual-filtered trace under every strategy.
-        let combined = match &consume.filter {
-            Some(f) => predicate.clone().and(f.clone()),
-            None => predicate.clone(),
-        };
-        let rids = lazy_backward(self.base, &combined)?;
-        let rows = if consume.aggregates() {
-            Some(lazy_consume(
-                self.base,
-                &predicate,
-                consume.filter.as_ref(),
-                &consume.keys,
-                &consume.aggs,
-            )?)
-        } else {
-            None
+        // `rids` carries the residual-filtered trace under every strategy,
+        // and the one scan that finds them also feeds the aggregate. An empty
+        // selection scans nothing and still yields an (empty) aggregate
+        // relation, matching the eager path's result shape.
+        let rids = match (predicate, &consume.filter) {
+            (Some(p), Some(f)) => lazy_backward(self.base, &p.and(f.clone()))?,
+            (Some(p), None) => lazy_backward(self.base, &p)?,
+            (None, _) => Vec::new(),
         };
         Ok(LineageResult {
             strategy: Strategy::LazyRewrite,
+            rows: reaggregate(self.base, &rids, consume)?,
             rids,
-            rows,
         })
     }
 
@@ -822,20 +784,10 @@ impl<'a> LineagePlanner<'a> {
         let consume = &query.consume;
         // The partition equality *is* the filter, so no residual predicate
         // remains for the consuming aggregate.
-        let rows = if consume.aggregates() {
-            Some(consume_aggregate(
-                self.base,
-                &traced,
-                &consume.keys,
-                &consume.aggs,
-            )?)
-        } else {
-            None
-        };
         Ok(LineageResult {
             strategy: Strategy::PartitionPruned,
+            rows: reaggregate(self.base, &traced, consume)?,
             rids: traced,
-            rows,
         })
     }
 
@@ -852,6 +804,14 @@ impl<'a> LineagePlanner<'a> {
             rows: Some(cube.query(rid as usize)?),
         })
     }
+}
+
+/// The consume step every rid-producing strategy ends with: re-groups the
+/// traced rows of `target` when the query aggregates.
+fn reaggregate(target: &Relation, rids: &[Rid], consume: &Consume) -> Result<Option<Relation>> {
+    (consume.aggregates())
+        .then(|| consume_aggregate(target, rids, &consume.keys, &consume.aggs))
+        .transpose()
 }
 
 fn infeasible(strategy: Strategy, note: &str) -> CandidateCost {

@@ -4,7 +4,8 @@
 //! ways must produce the same relation.
 
 use proptest::prelude::*;
-use smoke_core::{AggExpr, CaptureMode, Executor, Expr, PlanBuilder};
+use smoke_core::ops::groupby::{group_by, GroupByOptions};
+use smoke_core::{AggExpr, AggPushdown, CaptureMode, Executor, Expr, PlanBuilder};
 use smoke_planner::{LineagePlanner, LineageQuery, RewriteInfo, Strategy};
 use smoke_storage::{DataType, Database, Relation, Rid, Value};
 
@@ -131,4 +132,54 @@ fn normalized(rel: &Relation) -> Vec<Vec<String>> {
         .collect();
     rows.sort();
     rows
+}
+
+/// `CubeHit` and a forced `EagerTrace` answer one drill-down with one schema
+/// — also for a group none of whose rows passed the selection push-down,
+/// whose cube entry has no cell to read the attribute types off.
+#[test]
+fn cube_hit_and_eager_trace_agree_on_the_schema_of_an_empty_answer() {
+    // `v` doubles as the (Int-valued) partition attribute's source: z = 0
+    // rows pass `v < 10`, every z = 1 row fails it.
+    let mut b = Relation::builder("t")
+        .column("z", DataType::Int)
+        .column("v", DataType::Float)
+        .column("bin", DataType::Int);
+    for (z, v) in [(0, 1.0), (1, 50.0), (0, 2.0), (1, 60.0)] {
+        b = b.row(vec![
+            Value::Int(z),
+            Value::Float(v),
+            Value::Int(v as i64 % 2),
+        ]);
+    }
+    let table = b.build().unwrap();
+    let aggs = vec![AggExpr::count("cnt"), AggExpr::sum("v", "total")];
+    let mut opts = GroupByOptions::inject();
+    opts.workload.selection_pushdown = Some(Expr::col("v").lt(Expr::lit(10.0)));
+    opts.workload.agg_pushdown = Some(AggPushdown {
+        partition_by: vec!["bin".to_string()],
+        aggs: aggs.clone(),
+    });
+    let captured = group_by(&table, &["z".to_string()], &[], &opts).unwrap();
+    let planner = LineagePlanner::new(&table, &captured.output)
+        .lineage(captured.lineage.input(0))
+        .artifacts(&captured.artifacts);
+
+    let answers: Vec<[Relation; 2]> = [0, 1]
+        .map(|group| {
+            let q = LineageQuery::backward()
+                .rids([group])
+                .aggregate(&["bin"], aggs.clone());
+            [Strategy::CubeHit, Strategy::EagerTrace]
+                .map(|s| planner.execute_with(s, &q).unwrap().rows.unwrap())
+        })
+        .into();
+    let [[hit, traced], [empty_hit, empty_traced]] = &answers[..] else {
+        unreachable!()
+    };
+    assert_eq!(normalized(hit), normalized(traced));
+    assert_eq!((hit.len(), empty_hit.len(), empty_traced.len()), (2, 0, 0));
+    assert_eq!(hit.schema(), traced.schema());
+    assert_eq!(empty_hit.schema(), hit.schema());
+    assert_eq!(empty_hit.schema(), empty_traced.schema());
 }
