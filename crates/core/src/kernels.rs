@@ -88,7 +88,7 @@ impl KernelPlan {
     /// Evaluates the pipeline over the whole relation into a selection mask.
     pub fn eval(&self, relation: &Relation) -> SelectionMask {
         debug_assert_eq!(self.len, relation.len());
-        eval_node(&self.node, relation)
+        self.eval_range(relation, 0, relation.len())
     }
 
     /// Evaluates the pipeline over rows `start..end` only (one morsel), into
@@ -178,32 +178,6 @@ fn compile_bool(expr: &Expr, relation: &Relation) -> Option<Node> {
             Value::Str(_) => None,
         },
         Expr::Arith { .. } => None,
-    }
-}
-
-fn eval_node(node: &Node, relation: &Relation) -> SelectionMask {
-    match node {
-        Node::CmpLit { col, op, lit } => sk::cmp_col_lit(relation.column(*col), *op, lit),
-        Node::CmpCols { left, op, right } => {
-            sk::cmp_col_col(relation.column(*left), *op, relation.column(*right))
-        }
-        Node::InList { col, list } => sk::in_list(relation.column(*col), list),
-        Node::Const(b) => SelectionMask::constant(relation.len(), *b),
-        Node::And(l, r) => {
-            let mut mask = eval_node(l, relation);
-            mask.and_assign(&eval_node(r, relation));
-            mask
-        }
-        Node::Or(l, r) => {
-            let mut mask = eval_node(l, relation);
-            mask.or_assign(&eval_node(r, relation));
-            mask
-        }
-        Node::Not(e) => {
-            let mut mask = eval_node(e, relation);
-            mask.not_assign();
-            mask
-        }
     }
 }
 

@@ -44,12 +44,12 @@ enum Source {
     /// `(dop, morsel_rows)`: one core per morsel on `dop` workers, then an
     /// ordered merge.
     Morsels(usize, usize),
-    /// `(budget, policy, prefetch)`: one ingest per one-page chunk, pinned
+    /// `(budget, prefetch)`: one ingest per one-page chunk, pinned
     /// through a pool of `budget` frames — every chunk boundary is a page
     /// boundary, and a budget of 1 means every page fault evicts. With
     /// `prefetch` the pool carries a live prefetcher, so run-ahead hints
     /// really load pages concurrently with the scan.
-    PageRuns(usize, ReplacementPolicy, bool),
+    PageRuns(usize, bool),
 }
 
 /// 64-row morsels: any table longer than 64 rows spans several morsels, so
@@ -58,8 +58,8 @@ fn morsels(dop: usize) -> Source {
     Source::Morsels(dop, 64)
 }
 
-fn page_runs(budget: usize, policy: ReplacementPolicy) -> Source {
-    Source::PageRuns(budget, policy, false)
+fn page_runs(budget: usize) -> Source {
+    Source::PageRuns(budget, false)
 }
 
 const CHUNK: usize = ROWS_PER_PAGE;
@@ -73,13 +73,13 @@ impl Source {
     }
 
     fn spill(self, table: &Relation) -> PagedRelation {
-        let Source::PageRuns(budget, policy, prefetch) = self else {
+        let Source::PageRuns(budget, prefetch) = self else {
             unreachable!("only page-run sources spill")
         };
         let store = SegmentStore::in_memory();
         let pool = match prefetch {
-            true => BufferPool::with_prefetch(store, budget, policy, 2),
-            false => BufferPool::new(store, budget, policy),
+            true => BufferPool::with_prefetch(store, budget, ReplacementPolicy::Sieve, 2),
+            false => BufferPool::new(store, budget, ReplacementPolicy::Sieve),
         };
         PagedRelation::spill(table, &Arc::new(pool)).unwrap()
     }
@@ -335,7 +335,7 @@ proptest! {
             .in_list(vec![Value::Int(cut), Value::Int(cut + 2)])
             .or(Expr::col("b").lt(Expr::lit(10.0)))
             .or(Expr::col("s").eq(Expr::lit("cyan")));
-        for src in [morsels(dop), page_runs(budget, ReplacementPolicy::Sieve)] {
+        for src in [morsels(dop), page_runs(budget)] {
             check_select(src, &table, &Expr::col("a").ge(Expr::lit(cut)));
             check_select(src, &table, &compound);
         }
@@ -349,7 +349,7 @@ proptest! {
         budget in 1usize..9,
     ) {
         let table = table_from(&rows, reps);
-        for src in [morsels(dop), page_runs(budget, ReplacementPolicy::Clock)] {
+        for src in [morsels(dop), page_runs(budget)] {
             // Int key (dense fast path), string key and composite key (both
             // the generic path).
             check_group_by(src, &table, &["a"], &[]);
@@ -371,7 +371,7 @@ proptest! {
         // resident and the generic path paged.
         let left = table_from(&left_rows, 1).with_name("L");
         let right = table_from(&right_rows, reps).with_name("R");
-        for src in [morsels(dop), page_runs(budget, ReplacementPolicy::Lru)] {
+        for src in [morsels(dop), page_runs(budget)] {
             check_join(src, &left, &right, &["a"]);
             check_join(src, &left, &right, &["s"]);
         }
@@ -379,7 +379,7 @@ proptest! {
 
     /// Prefetching is an advisory optimization: with a prefetcher attached,
     /// every operator must produce the same outputs and lineage as without
-    /// one — for any budget and policy, the grace join path included (large
+    /// one — for any budget, the grace join path included (large
     /// `reps` push the build side of the self-join over budget).
     #[test]
     fn prefetch_on_equals_prefetch_off(
@@ -387,18 +387,16 @@ proptest! {
         reps in 1usize..8,
         cut in -2i64..8,
         budget in 1usize..9,
-        policy in 0usize..3,
     ) {
-        let policy = ReplacementPolicy::ALL[policy];
         let table = table_from(&rows, reps);
-        let src = Source::PageRuns(budget, policy, true);
+        let src = Source::PageRuns(budget, true);
         check_select(src, &table, &Expr::col("a").ge(Expr::lit(cut)));
         // The offsets-run hints of the spilled Str pages must not perturb
         // anything either.
         check_group_by(src, &table, &["s"], &[]);
         let with = check_join(src, &table, &table, &["a"]);
         let on = strs(&["a"]);
-        let without = page_runs(budget, policy).join(&table, &table, &on, &JoinOptions::inject());
+        let without = page_runs(budget).join(&table, &table, &on, &JoinOptions::inject());
         assert_eq!(with[1].grace_partitions, without.grace_partitions);
     }
 }
@@ -454,7 +452,7 @@ fn interpreter_only_predicate_runs_on_every_driver() {
     let table = table_from(&rows, 1);
     let pred = (Expr::col("a") + Expr::lit(1)).gt(Expr::lit(2));
     check_select(morsels(8), &table, &pred);
-    check_select(page_runs(1, ReplacementPolicy::Sieve), &table, &pred);
+    check_select(page_runs(1), &table, &pred);
 }
 
 #[test]
@@ -467,15 +465,13 @@ fn one_frame_pool_over_multi_page_tables() {
     let pred = Expr::col("a")
         .ge(Expr::lit(3))
         .and(Expr::col("b").lt(Expr::lit(600.0)));
-    for policy in ReplacementPolicy::ALL {
-        let src = page_runs(1, policy);
-        check_select(src, &table, &pred);
-        check_group_by(src, &table, &["a"], &[workload_opts()]);
-    }
+    let src = page_runs(1);
+    check_select(src, &table, &pred);
+    check_group_by(src, &table, &["a"], &[workload_opts()]);
 }
 
 #[test]
-fn grace_join_at_one_frame_under_all_policies() {
+fn grace_join_at_one_frame() {
     // 1500 build rows × 48 bytes ≫ a one-frame budget, so the join
     // auto-dispatches to the grace path; 7 distinct keys make it M:N. The
     // pools carry a live prefetcher: partitioning, probing and merging must
@@ -483,10 +479,8 @@ fn grace_join_at_one_frame_under_all_policies() {
     let rows: Vec<(i64, i64)> = (0..1500).map(|i| (i % 7, i % 13)).collect();
     let left = table_from(&rows, 1).with_name("L");
     let right = table_from(&rows, 1).with_name("R");
-    for policy in ReplacementPolicy::ALL {
-        for got in check_join(Source::PageRuns(1, policy, true), &left, &right, &["a"]) {
-            assert!(got.grace_partitions > 1, "grace must engage ({policy:?})");
-        }
+    for got in check_join(Source::PageRuns(1, true), &left, &right, &["a"]) {
+        assert!(got.grace_partitions > 1, "grace must engage");
     }
 }
 
@@ -495,7 +489,7 @@ fn grace_eligibility_and_explicit_fan_out() {
     let rows: Vec<(i64, i64)> = (0..600).map(|i| (i % 7, i % 5)).collect();
     let left = table_from(&rows, 1).with_name("L");
     let right = table_from(&rows[..400], 1).with_name("R");
-    let src = page_runs(1, ReplacementPolicy::Sieve);
+    let src = page_runs(1);
     // Float keys are numeric: over budget they partition like ints.
     for got in check_join(src, &left, &right, &["b"]) {
         assert!(got.grace_partitions > 1);
@@ -536,7 +530,7 @@ fn small_build_side_stays_resident() {
     // fused build/probe core chunk by chunk, never the grace path.
     let dims: Vec<(i64, i64)> = (0..7).map(|i| (i, i)).collect();
     let facts: Vec<(i64, i64)> = (0..2500).map(|i| (i * i % 7, i)).collect();
-    let src = page_runs(2, ReplacementPolicy::Sieve);
+    let src = page_runs(2);
     let (left, right) = (
         table_from(&dims, 1).with_name("dims"),
         table_from(&facts, 1),
@@ -573,12 +567,7 @@ fn workload_artifacts_partition_for_partition() {
         .unwrap()
         .partition_by = strs(&["s", "c"]);
     let modes = [workload_opts(), skipping_only, deferred, split, two_attrs];
-    check_group_by(
-        page_runs(2, ReplacementPolicy::Sieve),
-        &table,
-        &["a"],
-        &modes,
-    );
+    check_group_by(page_runs(2), &table, &["a"], &modes);
     // The finer group tables fragment and merge like the coarse one, so the
     // morsel driver runs every mode on the pool: its CSR backward index is
     // the proof it did not delegate (resident Inject emits `Index`).
@@ -633,7 +622,7 @@ fn typed_group_keys_reach_the_page_run_driver() {
     // the table to hashing with groups already assigned.
     let rows: Vec<(i64, i64)> = (0..3000).map(|i| (i / 100, i % 11)).collect();
     let sparse: Vec<(i64, i64)> = (0..3000).map(|i| (i / 100 * 1000, i % 11)).collect();
-    for src in [page_runs(1, ReplacementPolicy::Sieve), morsels(3)] {
+    for src in [page_runs(1), morsels(3)] {
         for rows in [&rows, &sparse] {
             let table = table_from(rows, 1);
             check_group_by(src, &table, &["a"], &[]);
@@ -674,7 +663,7 @@ fn defer_join_and_selection_pushdown_run_morsel_parallel() {
 fn empty_relation_through_every_driver() {
     let empty = table_from(&[], 1);
     let small = table_from(&[(1, 2), (3, 4)], 1);
-    for src in [morsels(8), page_runs(1, ReplacementPolicy::Sieve)] {
+    for src in [morsels(8), page_runs(1)] {
         check_select(src, &empty, &Expr::col("a").gt(Expr::lit(0)));
         check_group_by(src, &empty, &["a"], &[]);
         check_join(src, &empty, &small, &["a"]);
@@ -690,8 +679,7 @@ fn unknown_columns_error_through_every_driver() {
     let mut bad_pushdown = GroupByOptions::inject();
     bad_pushdown.workload.selection_pushdown = Some(Expr::col("nope").lt(Expr::lit(1)));
     let bad = Expr::col("nope").lt(Expr::lit(1));
-    let sieve = ReplacementPolicy::Sieve;
-    for src in [Source::Resident, morsels(2), page_runs(1, sieve)] {
+    for src in [Source::Resident, morsels(2), page_runs(1)] {
         let inject = SelectOptions::inject();
         assert!(src.select(&table, &bad, &inject).is_err(), "{src:?}");
         let gb = |keys: &[&str], aggs: &[AggExpr], opts: &GroupByOptions| {

@@ -60,7 +60,7 @@ fn next_significant(tokens: &[Token], i: usize) -> Option<&Token> {
 /// On the request path (server crate, planner json/wire), non-test code must
 /// not contain `.unwrap()`, `.expect(`, `panic!` and friends, or indexing by
 /// an integer literal (`frame[0]`) — a malformed frame must map to a typed
-/// error, never a worker panic.
+/// error, never a session panic.
 pub fn no_panic_on_request_path(path: &str, tokens: &[Token]) -> Vec<Violation> {
     const RULE: &str = "no-panic-on-request-path";
     let mut out = Vec::new();
@@ -85,7 +85,7 @@ pub fn no_panic_on_request_path(path: &str, tokens: &[Token]) -> Vec<Violation> 
                         path,
                         tok,
                         format!(
-                            "`.{}()` on the request path can panic a pooled worker; return a typed error",
+                            "`.{}()` on the request path can panic a session mid-request; return a typed error",
                             tok.text
                         ),
                     ));

@@ -12,9 +12,8 @@
 //! * [`BufferPool`] — at most `budget_pages` pages resident at once, with
 //!   pin/unpin RAII [`PageGuard`]s, dirty write-back, and hit / miss /
 //!   eviction counters ([`PoolStats`]);
-//! * [`Replacer`] — the pluggable replacement policy behind the pool:
-//!   Clock (second chance), SIEVE, and exact LRU, selected by
-//!   [`ReplacementPolicy`].
+//! * [`Sieve`] — the replacement policy behind the pool (the one variant
+//!   of [`ReplacementPolicy`]).
 //!
 //! Pools built with [`BufferPool::with_prefetch`] additionally run a small
 //! background prefetcher: [`BufferPool::prefetch`] takes advisory page
@@ -56,5 +55,5 @@ pub mod store;
 pub use error::PagerError;
 pub use page::{PageId, PAGE_SIZE};
 pub use pool::{BufferPool, PageGuard, PoolStats, DEFAULT_PREFETCH_THREADS};
-pub use replacer::{Clock, Lru, ReplacementPolicy, Replacer, Sieve};
+pub use replacer::{ReplacementPolicy, Sieve};
 pub use store::SegmentStore;

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::error::PagerError;
 use crate::page::{PageId, PAGE_SIZE};
 use crate::prefetch::Prefetcher;
-use crate::replacer::{ReplacementPolicy, Replacer};
+use crate::replacer::{ReplacementPolicy, Sieve};
 use crate::store::SegmentStore;
 
 /// Worker threads a [`BufferPool::with_prefetch`] pool spawns by default.
@@ -79,7 +79,7 @@ struct PoolInner {
     frames: Vec<Frame>,
     /// page id → frame index for resident pages.
     table: HashMap<u32, usize>,
-    replacer: Box<dyn Replacer>,
+    replacer: Sieve,
     stats: PoolStats,
     /// Frames currently holding a page. Kept exact (decremented when a
     /// frame's page is taken, incremented when one is installed) so a full
@@ -103,7 +103,6 @@ pub(crate) struct PoolCore {
     store: SegmentStore,
     inner: Mutex<PoolInner>,
     capacity: usize,
-    policy: ReplacementPolicy,
 }
 
 /// A fixed-budget page cache over a [`SegmentStore`].
@@ -330,12 +329,13 @@ impl PoolCore {
 }
 
 impl BufferPool {
-    /// A pool of `budget_pages` frames over `store`, using `policy` for
-    /// replacement. The budget is a hard cap: the pool allocates exactly
-    /// `budget_pages × PAGE_SIZE` bytes of frame memory up front and never
-    /// more. No prefetcher is spawned; [`BufferPool::prefetch`] is a no-op.
-    pub fn new(store: SegmentStore, budget_pages: usize, policy: ReplacementPolicy) -> Self {
-        Self::build(store, budget_pages, policy, 0)
+    /// A pool of `budget_pages` frames over `store`, with SIEVE replacement
+    /// (the only [`ReplacementPolicy`]). The budget is a hard cap: the pool
+    /// allocates exactly `budget_pages × PAGE_SIZE` bytes of frame memory up
+    /// front and never more. No prefetcher is spawned;
+    /// [`BufferPool::prefetch`] is a no-op.
+    pub fn new(store: SegmentStore, budget_pages: usize, _policy: ReplacementPolicy) -> Self {
+        Self::build(store, budget_pages, 0)
     }
 
     /// Like [`BufferPool::new`], plus a background prefetcher of `threads`
@@ -343,18 +343,13 @@ impl BufferPool {
     pub fn with_prefetch(
         store: SegmentStore,
         budget_pages: usize,
-        policy: ReplacementPolicy,
+        _policy: ReplacementPolicy,
         threads: usize,
     ) -> Self {
-        Self::build(store, budget_pages, policy, threads.max(1))
+        Self::build(store, budget_pages, threads.max(1))
     }
 
-    fn build(
-        store: SegmentStore,
-        budget_pages: usize,
-        policy: ReplacementPolicy,
-        prefetch_threads: usize,
-    ) -> Self {
+    fn build(store: SegmentStore, budget_pages: usize, prefetch_threads: usize) -> Self {
         let capacity = budget_pages.max(1);
         let frames = (0..capacity)
             .map(|_| Frame {
@@ -370,12 +365,11 @@ impl BufferPool {
             inner: Mutex::new(PoolInner {
                 frames,
                 table: HashMap::with_capacity(capacity),
-                replacer: policy.replacer(capacity),
+                replacer: Sieve::new(capacity),
                 stats: PoolStats::default(),
                 occupied: 0,
             }),
             capacity,
-            policy,
         });
         let prefetcher =
             (prefetch_threads > 0).then(|| Prefetcher::spawn(Arc::clone(&core), prefetch_threads));
@@ -385,11 +379,6 @@ impl BufferPool {
     /// The pool's page-count budget.
     pub fn capacity(&self) -> usize {
         self.core.capacity
-    }
-
-    /// The replacement policy this pool was built with.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.core.policy
     }
 
     /// The backing store (for allocation and raw-size queries).
@@ -519,7 +508,6 @@ impl std::fmt::Debug for BufferPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BufferPool")
             .field("capacity", &self.core.capacity)
-            .field("policy", &self.core.policy)
             .field("prefetch", &self.prefetch_enabled())
             .field("stats", &self.stats())
             .finish()
@@ -581,14 +569,19 @@ mod tests {
         pool.reset_stats();
     }
 
-    fn pool(pages: u32, budget: usize, policy: ReplacementPolicy) -> BufferPool {
-        let pool = BufferPool::new(SegmentStore::in_memory(), budget, policy);
+    fn pool(pages: u32, budget: usize) -> BufferPool {
+        let pool = BufferPool::new(SegmentStore::in_memory(), budget, ReplacementPolicy::Sieve);
         fill(&pool, pages);
         pool
     }
 
-    fn prefetch_pool(pages: u32, budget: usize, policy: ReplacementPolicy) -> BufferPool {
-        let pool = BufferPool::with_prefetch(SegmentStore::in_memory(), budget, policy, 2);
+    fn prefetch_pool(pages: u32, budget: usize) -> BufferPool {
+        let pool = BufferPool::with_prefetch(
+            SegmentStore::in_memory(),
+            budget,
+            ReplacementPolicy::Sieve,
+            2,
+        );
         fill(&pool, pages);
         pool
     }
@@ -600,25 +593,23 @@ mod tests {
         // guard must re-register it — otherwise the replacer believes the
         // pool is empty and every later demand miss is a spurious
         // `PoolExhausted`. Regression test for exactly that wedge.
-        for policy in ReplacementPolicy::ALL {
-            let pool = prefetch_pool(8, 1, policy);
-            let ids: Vec<PageId> = (0..8).map(PageId).collect();
-            for _ in 0..3 {
-                pool.prefetch(&ids);
-                pool.prefetch_quiesce();
-            }
-            for p in 0..8u32 {
-                let g = pool.pin(PageId(p)).unwrap_or_else(|e| {
-                    panic!("demand pin of page {p} wedged under {policy:?}: {e}")
-                });
-                assert!(g.iter().all(|&b| b == p as u8));
-            }
+        let pool = prefetch_pool(8, 1);
+        let ids: Vec<PageId> = (0..8).map(PageId).collect();
+        for _ in 0..3 {
+            pool.prefetch(&ids);
+            pool.prefetch_quiesce();
+        }
+        for p in 0..8u32 {
+            let g = pool
+                .pin(PageId(p))
+                .unwrap_or_else(|e| panic!("demand pin of page {p} wedged: {e}"));
+            assert!(g.iter().all(|&b| b == p as u8));
         }
     }
 
     #[test]
     fn pins_read_page_contents() {
-        let pool = pool(4, 2, ReplacementPolicy::Clock);
+        let pool = pool(4, 2);
         for p in 0..4u32 {
             let g = pool.pin(PageId(p)).unwrap();
             assert_eq!(g.len(), PAGE_SIZE);
@@ -629,7 +620,7 @@ mod tests {
 
     #[test]
     fn budget_is_a_hard_cap_with_eviction() {
-        let pool = pool(8, 2, ReplacementPolicy::Lru);
+        let pool = pool(8, 2);
         for p in 0..8u32 {
             pool.pin(PageId(p)).unwrap();
         }
@@ -649,7 +640,7 @@ mod tests {
 
     #[test]
     fn pinned_frames_are_never_evicted() {
-        let pool = pool(3, 2, ReplacementPolicy::Clock);
+        let pool = pool(3, 2);
         let g0 = pool.pin(PageId(0)).unwrap();
         let g1 = pool.pin(PageId(1)).unwrap();
         // Both frames pinned: a third pin must fail, not evict.
@@ -679,7 +670,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_share_frames() {
-        let pool = std::sync::Arc::new(pool(4, 4, ReplacementPolicy::Clock));
+        let pool = std::sync::Arc::new(pool(4, 4));
         let mut handles = Vec::new();
         for t in 0..4 {
             let pool = std::sync::Arc::clone(&pool);
@@ -702,7 +693,7 @@ mod tests {
     #[test]
     fn stats_reset_and_hit_rate() {
         // After the fill loop only pages 2 and 3 are resident.
-        let pool = pool(4, 2, ReplacementPolicy::Lru);
+        let pool = pool(4, 2);
         pool.pin(PageId(0)).unwrap();
         pool.pin(PageId(0)).unwrap();
         let s = pool.stats();
@@ -718,7 +709,7 @@ mod tests {
 
     #[test]
     fn resident_fraction_discounts_cached_pages() {
-        let pool = pool(4, 2, ReplacementPolicy::Lru);
+        let pool = pool(4, 2);
         pool.pin(PageId(0)).unwrap();
         pool.pin(PageId(1)).unwrap();
         let all: Vec<PageId> = (0..4).map(PageId).collect();
@@ -729,30 +720,28 @@ mod tests {
     }
 
     #[test]
-    fn every_policy_sees_identical_page_contents() {
-        for policy in ReplacementPolicy::ALL {
-            let pool = pool(16, 4, policy);
-            // A looping scan with a hot page mixed in.
-            for round in 0..3 {
-                for p in 0..16u32 {
-                    let g = pool.pin(PageId(p)).unwrap();
-                    assert!(g.iter().all(|&b| b == p as u8), "{policy} round {round}");
-                    drop(g);
-                    let hot = pool.pin(PageId(0)).unwrap();
-                    assert!(hot.iter().all(|&b| b == 0));
-                }
+    fn looping_scan_with_a_hot_page_sees_identical_page_contents() {
+        let pool = pool(16, 4);
+        // A looping scan with a hot page mixed in.
+        for round in 0..3 {
+            for p in 0..16u32 {
+                let g = pool.pin(PageId(p)).unwrap();
+                assert!(g.iter().all(|&b| b == p as u8), "round {round}");
+                drop(g);
+                let hot = pool.pin(PageId(0)).unwrap();
+                assert!(hot.iter().all(|&b| b == 0));
             }
-            let s = pool.stats();
-            assert_eq!(s.hits + s.misses, 96);
-            assert!(s.misses >= 16, "{policy}: {s:?}");
         }
+        let s = pool.stats();
+        assert_eq!(s.hits + s.misses, 96);
+        assert!(s.misses >= 16, "{s:?}");
     }
 
     #[test]
     fn prefetched_pages_are_resident_and_hit() {
         // Budget 4 of 8 pages: after the fill loop pages 4..8 are resident,
         // so the prefetched run 0..4 does real loads.
-        let pool = prefetch_pool(8, 4, ReplacementPolicy::Clock);
+        let pool = prefetch_pool(8, 4);
         let hints: Vec<PageId> = (0..4).map(PageId).collect();
         pool.prefetch(&hints);
         pool.prefetch_quiesce();
@@ -777,7 +766,7 @@ mod tests {
     fn prefetcher_never_victimizes_a_pinned_frame() {
         // One frame, and it is pinned: the prefetcher must skip, not evict
         // and not error.
-        let pool = prefetch_pool(4, 1, ReplacementPolicy::Sieve);
+        let pool = prefetch_pool(4, 1);
         let guard = pool.pin(PageId(0)).unwrap();
         pool.prefetch(&[PageId(1), PageId(2)]);
         pool.prefetch_quiesce();
@@ -797,7 +786,7 @@ mod tests {
 
     #[test]
     fn untouched_prefetched_pages_count_as_wasted_on_eviction() {
-        let pool = prefetch_pool(8, 2, ReplacementPolicy::Lru);
+        let pool = prefetch_pool(8, 2);
         pool.prefetch(&[PageId(0), PageId(1)]);
         pool.prefetch_quiesce();
         assert_eq!(pool.stats().prefetch_loads, 2);
@@ -812,7 +801,7 @@ mod tests {
 
     #[test]
     fn prefetch_hints_coalesce_across_small_gaps() {
-        let pool = prefetch_pool(8, 4, ReplacementPolicy::Clock);
+        let pool = prefetch_pool(8, 4);
         // Pages 0 and 2: the gap page 1 rides along in one batched read.
         pool.prefetch(&[PageId(2), PageId(0)]);
         pool.prefetch_quiesce();
@@ -825,7 +814,7 @@ mod tests {
 
     #[test]
     fn prefetch_out_of_bounds_hints_are_dropped() {
-        let pool = prefetch_pool(2, 2, ReplacementPolicy::Clock);
+        let pool = prefetch_pool(2, 2);
         pool.prefetch(&[PageId(1000)]);
         pool.prefetch_quiesce();
         assert_eq!(pool.stats().prefetch_loads, 0);
@@ -836,7 +825,7 @@ mod tests {
 
     #[test]
     fn prefetch_is_a_noop_without_a_prefetcher() {
-        let pool = pool(4, 2, ReplacementPolicy::Clock);
+        let pool = pool(4, 2);
         assert!(!pool.prefetch_enabled());
         pool.prefetch(&[PageId(0)]);
         pool.prefetch_quiesce();

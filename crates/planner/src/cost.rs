@@ -76,22 +76,6 @@ pub(crate) const COST_PAGE_READ: f64 = 40.0;
 /// for full-scan footprints ([`IoModel::seq_read_cost`]) on pools whose
 /// prefetcher is live; random trace-driven reads keep `COST_PAGE_READ`.
 pub(crate) const COST_PAGE_READ_SEQ: f64 = 8.0;
-/// Marginal throughput of each worker beyond the first in a morsel-parallel
-/// full scan, as a fraction of the first worker's. Sub-linear on purpose:
-/// memory bandwidth is shared, the merge is sequential, and morsel-boundary
-/// effects waste tail work — a calibrated ~70% keeps the model from crediting
-/// `dop`x speedups that real hardware never delivers.
-pub(crate) const PARALLEL_EFFICIENCY: f64 = 0.7;
-
-/// The modeled speedup of a morsel-parallel full scan at degree of
-/// parallelism `dop`: `1 + (dop - 1) * PARALLEL_EFFICIENCY`. Only the
-/// scan-bound portion of [`Strategy::LazyRewrite`] is divided by this —
-/// trace-bound strategies (Eager/Pruned/Cube) touch far fewer rows and run
-/// sequentially, so parallelism narrows Lazy's gap without reordering the
-/// Cube < Pruned < Eager ladder.
-pub(crate) fn parallel_factor(dop: usize) -> f64 {
-    1.0 + (dop.max(1) - 1) as f64 * PARALLEL_EFFICIENCY
-}
 
 /// Describes the paged layout of a traced view's base relation so the cost
 /// model can charge strategies for the pages they would actually read
@@ -203,9 +187,6 @@ pub struct Explain {
     pub selection_width: usize,
     /// Estimated average lineage fan-out per starting rid.
     pub est_fanout: f64,
-    /// Degree of parallelism the scan costs were modeled with (1 = the
-    /// sequential engine).
-    pub dop: usize,
     /// Buffer-pool residency the I/O estimates were discounted by, when the
     /// planner holds an [`IoModel`]; `None` for a fully in-RAM base.
     pub residency: Option<f64>,
@@ -237,8 +218,8 @@ impl Explain {
     /// estimates appear only when the planner was given an [`IoModel`].
     pub fn render(&self) -> String {
         let mut out = format!(
-            "strategy={} cost={:.1} width={} fanout={:.2} dop={}",
-            self.strategy, self.cost, self.selection_width, self.est_fanout, self.dop
+            "strategy={} cost={:.1} width={} fanout={:.2}",
+            self.strategy, self.cost, self.selection_width, self.est_fanout
         );
         if let Some(res) = self.residency {
             out.push_str(&format!(" residency={:.0}%", res * 100.0));
@@ -276,7 +257,6 @@ mod tests {
             cost: 12.0,
             selection_width: 1,
             est_fanout: 100.0,
-            dop: 4,
             residency: None,
             prefetch: None,
             candidates: vec![
@@ -310,7 +290,6 @@ mod tests {
         let explain = sample_explain();
         let line = explain.render();
         assert!(line.starts_with("strategy=CubeHit cost=12.0"));
-        assert!(line.contains("dop=4"));
         assert!(line.contains("EagerTrace=308.0"));
         assert!(line.contains("LazyRewrite=inf (no rewrite info)"));
         assert!(!line.contains("pg"), "no page column without an IoModel");
@@ -413,15 +392,5 @@ mod tests {
     fn strategy_display_is_stable() {
         assert_eq!(Strategy::PartitionPruned.to_string(), "PartitionPruned");
         assert_eq!(Strategy::LazyRewrite.to_string(), "LazyRewrite");
-    }
-
-    #[test]
-    fn parallel_factor_is_sublinear_and_monotone() {
-        assert_eq!(parallel_factor(0), 1.0);
-        assert_eq!(parallel_factor(1), 1.0);
-        let f2 = parallel_factor(2);
-        let f8 = parallel_factor(8);
-        assert!(f2 > 1.0 && f2 < 2.0, "marginal workers are discounted");
-        assert!(f8 > f2 && f8 < 8.0);
     }
 }

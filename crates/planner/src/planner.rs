@@ -10,9 +10,8 @@ use smoke_storage::{DataType, Relation, Rid, Value};
 use std::collections::BTreeSet;
 
 use crate::cost::{
-    parallel_factor, CandidateCost, Explain, IoModel, Strategy, COST_CUBE_CELL, COST_EDGE,
-    COST_KEY_TERM, COST_ROW_CONSUME, COST_ROW_PREDICATE_SCALAR, COST_ROW_PREDICATE_VECTOR,
-    QUERY_OVERHEAD,
+    CandidateCost, Explain, IoModel, Strategy, COST_CUBE_CELL, COST_EDGE, COST_KEY_TERM,
+    COST_ROW_CONSUME, COST_ROW_PREDICATE_SCALAR, COST_ROW_PREDICATE_VECTOR, QUERY_OVERHEAD,
 };
 use crate::query::{Consume, Direction, LineageQuery, Selection};
 
@@ -113,7 +112,6 @@ pub struct LineagePlanner<'a> {
     cube: Option<&'a LineageCube>,
     rewrite: Option<RewriteInfo>,
     stats: Option<CaptureStats>,
-    dop: usize,
     io: Option<IoModel>,
 }
 
@@ -130,7 +128,6 @@ impl<'a> LineagePlanner<'a> {
             cube: None,
             rewrite: None,
             stats: None,
-            dop: 1,
             io: None,
         }
     }
@@ -187,17 +184,6 @@ impl<'a> LineagePlanner<'a> {
     /// Registers capture statistics (used as a fallback cardinality source).
     pub fn stats(mut self, stats: CaptureStats) -> Self {
         self.stats = Some(stats);
-        self
-    }
-
-    /// Sets the degree of parallelism the cost model assumes for full scans
-    /// (see [`smoke_core::parallel`]). Only the scan-bound portion of
-    /// [`Strategy::LazyRewrite`] benefits: morsel-parallel scans divide it by
-    /// a sub-linear parallel factor (`1 + (dop - 1) * 0.7`), while the
-    /// trace-bound strategies stay sequential. Values below 1 are clamped to
-    /// 1 (the sequential engine).
-    pub fn with_dop(mut self, dop: usize) -> Self {
-        self.dop = dop.max(1);
         self
     }
 
@@ -398,13 +384,11 @@ impl<'a> LineagePlanner<'a> {
         });
 
         // LazyRewrite: full scan of the base relation with the rewrite
-        // predicate (one OR term per selected output group). The scan is the
-        // only morsel-parallelizable phase any strategy has, so it alone is
-        // discounted by the configured degree of parallelism.
+        // predicate (one OR term per selected output group), run
+        // sequentially (`lazy_backward`).
         candidates.push(match (&self.rewrite, query.direction) {
             (Some(_), Direction::Backward) => {
-                let scan = self.base.len() as f64 * (lazy_row_cost + width as f64 * COST_KEY_TERM)
-                    / parallel_factor(self.dop);
+                let scan = self.base.len() as f64 * (lazy_row_cost + width as f64 * COST_KEY_TERM);
                 let consume = if aggregates {
                     traced_est * COST_ROW_CONSUME
                 } else {
@@ -449,7 +433,6 @@ impl<'a> LineagePlanner<'a> {
             cost: best.cost,
             selection_width: width,
             est_fanout,
-            dop: self.dop,
             residency: self.io.as_ref().map(|io| io.residency),
             prefetch: self.io.as_ref().map(|io| io.prefetch),
             candidates: candidates.clone(),

@@ -812,7 +812,6 @@ pub fn explain_to_json(explain: &Explain) -> Json {
         ("cost", cost(explain.cost)),
         ("width", Json::Int(explain.selection_width as i64)),
         ("fanout", Json::Num(explain.est_fanout)),
-        ("dop", Json::Int(explain.dop as i64)),
         ("residency", explain.residency.map_or(Json::Null, Json::Num)),
         ("prefetch", explain.prefetch.map_or(Json::Null, Json::Bool)),
         (

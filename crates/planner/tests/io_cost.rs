@@ -246,7 +246,7 @@ fn io_model_reads_pool_residency_through_the_relation() {
     let pool = Arc::new(BufferPool::new(
         SegmentStore::in_memory(),
         8,
-        ReplacementPolicy::Lru,
+        ReplacementPolicy::Sieve,
     ));
     let paged = PagedRelation::spill(&table, &pool).unwrap();
     assert_eq!(paged.resident_fraction(), 0.0);

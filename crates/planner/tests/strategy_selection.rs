@@ -198,92 +198,6 @@ fn plain_trace_selects_eager_over_lazy_on_cost() {
 }
 
 #[test]
-fn parallelism_narrows_lazy_gap_without_reordering_strategies() {
-    let (table, captured) = workload();
-
-    // The dop discount applies only to LazyRewrite's full scan, so its cost
-    // must shrink monotonically with dop while every other candidate stays
-    // put — and at dop 8 the Cube < Pruned < Eager < Lazy ladder must hold
-    // on the same query shapes that establish it sequentially.
-    let q = LineageQuery::backward().rids([3]);
-    let lazy_at = |dop: usize| {
-        planner(&table, &captured)
-            .with_dop(dop)
-            .explain(&q)
-            .unwrap()
-            .candidate_cost(Strategy::LazyRewrite)
-            .unwrap()
-    };
-    let (l1, l2, l8) = (lazy_at(1), lazy_at(2), lazy_at(8));
-    assert!(l1 > l2 && l2 > l8, "lazy scan cost must fall with dop");
-    assert!(
-        l8 > l1 / 8.0,
-        "the discount is sub-linear: 8 workers never model an 8x speedup"
-    );
-
-    let p8 = planner(&table, &captured).with_dop(8);
-    let explain = p8.explain(&q).unwrap();
-    assert_eq!(explain.dop, 8);
-    let eager8 = explain.candidate_cost(Strategy::EagerTrace).unwrap();
-    let eager1 = planner(&table, &captured)
-        .explain(&q)
-        .unwrap()
-        .candidate_cost(Strategy::EagerTrace)
-        .unwrap();
-    assert_eq!(eager1, eager8, "trace-bound costs ignore dop");
-
-    // On a narrow-fanout capture (2000 rows over 200 groups, ~10 edges per
-    // trace) the Eager < Lazy ordering survives dop 8 by a wide margin: a
-    // ten-edge index scan still crushes an 8-way-parallel 2000-row scan.
-    let narrow_table = zipf_table_binned(
-        &ZipfSpec {
-            theta: 1.0,
-            rows: 2_000,
-            groups: 200,
-            seed: 7,
-        },
-        BINS,
-    );
-    let narrow = group_by(
-        &narrow_table,
-        &["z".to_string()],
-        &[AggExpr::count("cnt")],
-        &GroupByOptions::inject(),
-    )
-    .unwrap();
-    let np8 = LineagePlanner::new(&narrow_table, &narrow.output)
-        .lineage(narrow.lineage.input(0))
-        .rewrite(RewriteInfo::new(vec!["z".to_string()], None))
-        .with_dop(8);
-    let ne = np8.explain(&q).unwrap();
-    assert_eq!(ne.strategy, Strategy::EagerTrace, "{}", ne.render());
-    let (ne_eager, ne_lazy) = (
-        ne.candidate_cost(Strategy::EagerTrace).unwrap(),
-        ne.candidate_cost(Strategy::LazyRewrite).unwrap(),
-    );
-    assert!(
-        ne_eager * 2.0 < ne_lazy,
-        "narrow eager trace must keep a >2x margin at dop 8: {}",
-        ne.render()
-    );
-
-    // Cube and Pruned keep winning their query shapes at dop 8.
-    let cube_q = LineageQuery::backward().rids([0]).aggregate(
-        &["v_bin"],
-        vec![AggExpr::count("cnt"), AggExpr::sum("v", "total")],
-    );
-    assert_eq!(p8.explain(&cube_q).unwrap().strategy, Strategy::CubeHit);
-    let pruned_q = LineageQuery::backward()
-        .rids([0])
-        .filter(Expr::col("v_bin").eq(Expr::lit(2)))
-        .aggregate(&["v_bin"], vec![AggExpr::count("cnt")]);
-    assert_eq!(
-        p8.explain(&pruned_q).unwrap().strategy,
-        Strategy::PartitionPruned
-    );
-}
-
-#[test]
 fn pruned_capture_falls_back_to_lazy_rewrite() {
     let (table, captured) = workload();
     // Simulate instrumentation pruning: no indexes or artifacts survive, only

@@ -4,8 +4,8 @@
 //! with the request type and view name by the server), so equivalent queries
 //! — same rid set in any order, flipped equality operands, reordered
 //! conjunctions — share an entry. Values are complete encoded response
-//! bodies, which guarantees a cache hit is byte-for-byte the response the
-//! worker pool would have produced.
+//! bodies, which guarantees a cache hit is byte-for-byte the response
+//! executing the query would have produced.
 //!
 //! Eviction is least-recently-used via a monotonically increasing touch
 //! tick; hit/miss/eviction counters are exposed through the `STATS` request.
@@ -68,7 +68,7 @@ impl QueryCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        // A poisoned lock means a worker panicked while touching the map;
+        // A poisoned lock means a session panicked while touching the map;
         // every mutation below leaves the map structurally sound at each
         // step, so recovering the guard is safe — and a degraded cache must
         // never take the serving path down with it.

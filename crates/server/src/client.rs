@@ -75,8 +75,8 @@ impl Client {
         self.query_with_sleep(view, spec, 0)
     }
 
-    /// Executes a query with an artificial worker-side delay (testing knob
-    /// for saturating the pool deterministically).
+    /// Executes a query with an artificial server-side delay (testing knob
+    /// for saturating the execution slots deterministically).
     pub fn query_with_sleep(
         &mut self,
         view: &str,

@@ -5,15 +5,15 @@
 //! cubes. This crate puts a server in front of them:
 //!
 //! - [`snapshot`]: [`Snapshot`]s bundle those artifacts into named, `Arc`-
-//!   shared, never-mutated [`View`]s, so the whole worker pool serves one
-//!   copy with no locks on the query path.
+//!   shared, never-mutated [`View`]s, so every session serves one copy with
+//!   no locks on the query path.
 //! - [`protocol`]: length-prefixed JSON frames carrying declarative
 //!   [`smoke_planner::wire::QuerySpec`] queries — the planner API *is* the
 //!   wire protocol.
-//! - [`server`]: sessions (one thread per connection), a bounded admission
-//!   queue that sheds load with a typed `server_busy` error instead of
-//!   queueing unbounded work, a fixed worker pool, and graceful drain on
-//!   shutdown.
+//! - [`server`]: sessions (one thread per connection, and a request never
+//!   leaves it), a counting admission gate that caps how many queries
+//!   execute and wait at once and sheds the rest with a typed `server_busy`
+//!   error, and graceful drain on shutdown.
 //! - [`cache`]: a normalized-query result cache (LRU, counter-instrumented)
 //!   keyed on [`smoke_planner::wire::QuerySpec::cache_key`].
 //! - [`client`]: a small blocking client used by benches, tests, and the CI
@@ -35,4 +35,4 @@ pub use client::{Client, Reply};
 pub use protocol::{ErrorCode, Request, MAX_FRAME_BYTES};
 pub use server::{Server, ServerConfig, ServerHandle, ServerStats};
 pub use snapshot::{Snapshot, View};
-pub use workload::{demo_snapshot, demo_snapshot_paged, QueryMix};
+pub use workload::{demo_snapshot, QueryMix};

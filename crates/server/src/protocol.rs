@@ -14,9 +14,9 @@
 //! {"type":"stats"}
 //! ```
 //!
-//! `sleep_ms` (optional, default 0) delays execution inside the worker; it
-//! exists for soak/shutdown testing (deterministically saturating the worker
-//! pool) and is not part of the cache key.
+//! `sleep_ms` (optional, default 0) delays execution while the query holds
+//! its slot; it exists for soak/shutdown testing (deterministically
+//! saturating the execution slots) and is not part of the cache key.
 //!
 //! Responses:
 //!

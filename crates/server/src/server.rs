@@ -1,32 +1,30 @@
-//! The concurrent lineage server: sessions, admission control, worker pool.
+//! The concurrent lineage server: sessions under an admission gate.
 //!
-//! Shape (modeled on multi-front-end-over-one-executor serving systems):
+//! One thread per connection, and a request never leaves it:
 //!
 //! ```text
 //!  accept thread ──spawns──▶ session threads (one per TCP connection)
-//!      session: read frame ─▶ cache probe ─▶ bounded job queue ─▶ reply
-//!                                   │  full? ──▶ ServerBusy (load shed)
-//!  worker pool (N threads) ◀── pops jobs, executes against Arc<Snapshot>,
-//!                               fills the cache, answers the session
+//!      session: read frame ─▶ decode ─▶ cache probe ─▶ gate ──full──▶ ServerBusy (shed)
+//!                                                       ▼
+//!                                         execute ─▶ fill cache ─▶ reply
 //! ```
 //!
-//! Admission control is a bounded job queue: when it is full the session
-//! replies `server_busy` immediately instead of queueing unbounded work —
-//! overload sheds, it never hangs. Cache hits bypass admission entirely
-//! (repeated interactions — the common case for brushing dashboards — stay
-//! interactive even under overload).
+//! Admission control is a counting gate: at most `workers` queries execute
+//! at once (against the shared `Arc<Snapshot>`), at most `queue_depth` more
+//! wait for a slot, and the next is answered `server_busy` immediately —
+//! overload sheds, it never hangs. Cache hits, `explain` and `stats` bypass
+//! the gate entirely (repeated interactions — the common case for brushing
+//! dashboards — stay interactive even under overload).
 //!
-//! Shutdown is graceful and drains: the accept loop stops, sessions finish
-//! the request they are on (new frames after the flag get `shutting_down`),
-//! the queue is closed, and workers drain every admitted job before exiting —
-//! an admitted request is always answered.
+//! Shutdown is graceful: the accept loop stops, sessions finish the request
+//! they are on — including one still waiting for a slot, so an admitted
+//! request is always answered — new frames get `shutting_down`, and every
+//! session is joined.
 
-use std::collections::VecDeque;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -40,9 +38,9 @@ use crate::snapshot::Snapshot;
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Worker threads executing queries.
+    /// Queries executing at once (each on its own session thread).
     pub workers: usize,
-    /// Bounded job-queue depth; a full queue sheds (`server_busy`).
+    /// Queries that may wait for a slot; one more is shed (`server_busy`).
     pub queue_depth: usize,
     /// Result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
@@ -73,123 +71,82 @@ pub struct ServerStats {
     pub cache_misses: u64,
     /// Cache evictions.
     pub cache_evictions: u64,
-    /// Jobs currently admitted but not yet finished.
+    /// Queries currently admitted (executing or waiting for a slot).
     pub in_flight: u64,
 }
 
-/// One admitted unit of work: an already-validated query plus the channel
-/// its session waits on.
-struct Job {
-    view: String,
-    spec: QuerySpec,
-    cache_key: String,
-    sleep_ms: u64,
-    reply: mpsc::Sender<String>,
+/// The admission gate: a counting semaphore with a bounded waiting room.
+/// Lock poisoning is recovered — the state is two counters and each mutation
+/// is a single effect, so a panic cannot leave it half-written.
+struct Gate {
+    /// `(running, waiting)`.
+    state: Mutex<(usize, usize)>,
+    freed: Condvar,
+    slots: usize,
+    waiting_room: usize,
 }
 
-/// A bounded MPMC job queue (mutex + condvar; `std::sync::mpsc` receivers
-/// cannot be shared across a worker pool without serializing it).
-///
-/// Lock poisoning is recovered everywhere: a panic between guard
-/// acquisition and release cannot leave `QueueInner` mid-mutation
-/// (`push_back`/`pop_front`/flag stores are each a single effect), and the
-/// queue outliving one panicked worker is exactly the availability story
-/// the containment layer promises.
-struct JobQueue {
-    inner: Mutex<QueueInner>,
-    ready: Condvar,
-    capacity: usize,
-}
+/// An execution slot, released on drop — on unwind too, so a panicking
+/// query cannot shrink capacity.
+struct Permit<'a>(&'a Gate);
 
-struct QueueInner {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-/// Why [`JobQueue::try_push`] rejected (and dropped) a job.
-enum PushError {
-    Full,
-    Closed,
-}
-
-impl JobQueue {
-    fn new(capacity: usize) -> Self {
-        JobQueue {
-            inner: Mutex::new(QueueInner {
-                jobs: VecDeque::with_capacity(capacity),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            capacity: capacity.max(1),
+impl Gate {
+    fn new(slots: usize, waiting_room: usize) -> Self {
+        Gate {
+            state: Mutex::new((0, 0)),
+            freed: Condvar::new(),
+            slots: slots.max(1),
+            waiting_room: waiting_room.max(1),
         }
     }
 
-    /// Admits a job unless the queue is full (shed) or closed (shutdown).
-    fn try_push(&self, job: Job) -> Result<(), PushError> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if inner.closed {
-            return Err(PushError::Closed);
-        }
-        if inner.jobs.len() >= self.capacity {
-            return Err(PushError::Full);
-        }
-        inner.jobs.push_back(job);
-        drop(inner);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocks for the next job; `None` once the queue is closed *and*
-    /// drained — workers finish every admitted job before exiting.
-    fn pop(&self) -> Option<Job> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(job) = inner.jobs.pop_front() {
-                return Some(job);
-            }
-            if inner.closed {
+    /// Takes a slot, waiting for one if the waiting room has space; `None`
+    /// (busy) when every slot is taken and the waiting room is full.
+    fn admit(&self) -> Option<Permit<'_>> {
+        let mut state = self.lock();
+        if state.0 >= self.slots {
+            if state.1 >= self.waiting_room {
                 return None;
             }
-            inner = self
-                .ready
-                .wait(inner)
+            state.1 += 1;
+            state = self
+                .freed
+                .wait_while(state, |s| s.0 >= self.slots)
                 .unwrap_or_else(PoisonError::into_inner);
+            state.1 -= 1;
         }
+        state.0 += 1;
+        Some(Permit(self))
     }
 
-    fn close(&self) {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .closed = true;
-        self.ready.notify_all();
+    fn lock(&self) -> MutexGuard<'_, (usize, usize)> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
+}
 
-    fn depth(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .jobs
-            .len()
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.lock().0 -= 1;
+        self.0.freed.notify_one();
     }
 }
 
 /// State shared by every thread of one server instance.
 struct Shared {
     snapshot: Arc<Snapshot>,
-    queue: JobQueue,
+    gate: Gate,
     cache: QueryCache,
     config: ServerConfig,
     shutdown: AtomicBool,
     served: AtomicU64,
     shed: AtomicU64,
     errors: AtomicU64,
-    in_flight: AtomicU64,
 }
 
 impl Shared {
     fn stats(&self) -> ServerStats {
         let cache = self.cache.counters();
+        let (running, waiting) = *self.gate.lock();
         ServerStats {
             served: self.served.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
@@ -197,13 +154,14 @@ impl Shared {
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_evictions: cache.evictions,
-            in_flight: self.in_flight.load(Ordering::Relaxed),
+            in_flight: (running + waiting) as u64,
         }
     }
 
     fn stats_json(&self) -> Json {
         let stats = self.stats();
         let cache = self.cache.counters();
+        let waiting = self.gate.lock().1;
         Json::obj([
             ("served", Json::Int(stats.served as i64)),
             ("shed", Json::Int(stats.shed as i64)),
@@ -213,7 +171,7 @@ impl Shared {
             ("cache_evictions", Json::Int(cache.evictions as i64)),
             ("cache_entries", Json::Int(cache.entries as i64)),
             ("in_flight", Json::Int(stats.in_flight as i64)),
-            ("queue_depth", Json::Int(self.queue.depth() as i64)),
+            ("queue_depth", Json::Int(waiting as i64)),
             ("workers", Json::Int(self.config.workers as i64)),
             ("queue_capacity", Json::Int(self.config.queue_depth as i64)),
             (
@@ -237,8 +195,7 @@ impl Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
-    workers: Vec<JoinHandle<()>>,
+    accept: JoinHandle<Vec<JoinHandle<()>>>,
 }
 
 impl ServerHandle {
@@ -253,29 +210,16 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stop accepting, let every session finish its
-    /// current request, drain all admitted jobs, join every thread. Returns
-    /// the final counters.
-    pub fn shutdown(mut self) -> ServerStats {
+    /// current request (waiting for a slot included), join every thread.
+    /// Returns the final counters.
+    pub fn shutdown(self) -> ServerStats {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // The accept thread notices the flag within one poll tick and
-        // returns the session handles it spawned. `accept` is only `None`
-        // if shutdown already ran (it consumes `self`, so only via a
-        // re-entrant drop path); a panicked accept thread yields no session
-        // handles, and the queue close below still drains the workers.
-        let Some(accept) = self.accept.take() else {
-            return self.shared.stats();
-        };
-        let sessions = accept.join().unwrap_or_default();
-        // Sessions exit at their next idle read timeout (or after answering
-        // the request they are processing; workers are still running here).
-        for session in sessions {
+        // returns the session handles it spawned (none if it panicked).
+        // Sessions exit at their next idle read timeout, or after answering
+        // the request they are processing.
+        for session in self.accept.join().unwrap_or_default() {
             let _ = session.join();
-        }
-        // No sessions remain, so no new jobs can arrive: close the queue and
-        // let the workers drain what was admitted.
-        self.shared.queue.close();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
         }
         self.shared.stats()
     }
@@ -286,7 +230,7 @@ pub struct Server;
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and starts
-    /// the accept loop and worker pool over the given snapshot.
+    /// the accept loop over the given snapshot.
     pub fn serve(
         snapshot: Arc<Snapshot>,
         addr: impl ToSocketAddrs,
@@ -298,24 +242,14 @@ impl Server {
 
         let shared = Arc::new(Shared {
             snapshot,
-            queue: JobQueue::new(config.queue_depth),
+            gate: Gate::new(config.workers, config.queue_depth),
             cache: QueryCache::new(config.cache_capacity),
             config,
             shutdown: AtomicBool::new(false),
             served: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
         });
-
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("smoke-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
 
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
@@ -325,8 +259,7 @@ impl Server {
         Ok(ServerHandle {
             addr: local,
             shared,
-            accept: Some(accept),
-            workers,
+            accept,
         })
     }
 }
@@ -357,9 +290,7 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) -> Vec<JoinHandle<()
                 // accumulate handles.
                 sessions.retain(|h| !h.is_finished());
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_TICK);
-            }
+            // Nothing to accept (`WouldBlock`) or a transient accept error.
             Err(_) => std::thread::sleep(POLL_TICK),
         }
     }
@@ -369,9 +300,8 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) -> Vec<JoinHandle<()
 fn session_loop(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_TICK));
-    let mut reader = match stream.try_clone() {
-        Ok(r) => r,
-        Err(_) => return,
+    let Ok(mut reader) = stream.try_clone() else {
+        return;
     };
     let mut writer = stream;
     loop {
@@ -383,10 +313,7 @@ fn session_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 } else {
                     handle_request(&body, shared)
                 };
-                if write_frame(&mut writer, &response).is_err() {
-                    return;
-                }
-                if draining {
+                if write_frame(&mut writer, &response).is_err() || draining {
                     return;
                 }
             }
@@ -424,8 +351,8 @@ fn handle_request(body: &str, shared: &Arc<Shared>) -> String {
         }
         Request::Explain { view, spec } => {
             // Explains are cheap (planning only) and feed dashboards'
-            // debugging panes; they run inline on the session thread rather
-            // than competing with queries for worker slots.
+            // debugging panes; they do not compete with queries for
+            // execution slots.
             match shared.snapshot.explain(&view, &spec) {
                 Ok(explain) => {
                     shared.served.fetch_add(1, Ordering::Relaxed);
@@ -444,37 +371,14 @@ fn handle_request(body: &str, shared: &Arc<Shared>) -> String {
                 shared.served.fetch_add(1, Ordering::Relaxed);
                 return hit;
             }
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let job = Job {
-                view,
-                spec,
-                cache_key,
-                sleep_ms,
-                reply: reply_tx,
+            let Some(_permit) = shared.gate.admit() else {
+                shared.shed.fetch_add(1, Ordering::Relaxed);
+                return error_response(
+                    ErrorCode::ServerBusy,
+                    "admission queue is full; retry with backoff",
+                );
             };
-            shared.in_flight.fetch_add(1, Ordering::Relaxed);
-            match shared.queue.try_push(job) {
-                Ok(()) => match reply_rx.recv() {
-                    Ok(response) => response,
-                    Err(_) => {
-                        shared.errors.fetch_add(1, Ordering::Relaxed);
-                        error_response(ErrorCode::Exec, "worker dropped the request")
-                    }
-                },
-                Err(PushError::Full) => {
-                    shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    shared.shed.fetch_add(1, Ordering::Relaxed);
-                    error_response(
-                        ErrorCode::ServerBusy,
-                        "admission queue is full; retry with backoff",
-                    )
-                }
-                Err(PushError::Closed) => {
-                    shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    shared.errors.fetch_add(1, Ordering::Relaxed);
-                    error_response(ErrorCode::ShuttingDown, "server is draining")
-                }
-            }
+            execute(&view, &spec, &cache_key, sleep_ms, shared)
         }
     }
 }
@@ -489,49 +393,43 @@ fn error_for(view: &str, shared: &Arc<Shared>, e: &smoke_core::EngineError) -> S
     }
 }
 
-/// Worker: pop admitted jobs, execute against the shared snapshot, fill the
-/// cache, answer the session. Exits when the queue is closed and drained.
+/// Executes one admitted query against the shared snapshot and fills the
+/// cache. The caller holds the [`Permit`].
 ///
 /// Execution runs inside `catch_unwind`: a panicking plan (a planner bug, a
 /// corrupt index — or the `server::worker::execute` fail point in tests)
-/// answers its session with a typed `exec` error and the worker keeps
-/// serving. One poisoned query must never shrink the pool.
-fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.queue.pop() {
-        if job.sleep_ms > 0 {
-            std::thread::sleep(Duration::from_millis(job.sleep_ms));
+/// answers its session with a typed `exec` error and the session keeps
+/// serving. One poisoned query must never cost a connection or a slot.
+fn execute(view: &str, spec: &QuerySpec, key: &str, sleep_ms: u64, shared: &Arc<Shared>) -> String {
+    if sleep_ms > 0 {
+        std::thread::sleep(Duration::from_millis(sleep_ms));
+    }
+    // AssertUnwindSafe: on panic the closure's only shared touchables are
+    // the snapshot (immutable) and poison-recovering containers; no broken
+    // invariant can escape the unwind.
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        smoke_core::failpoint::hit("server::worker::execute");
+        shared.snapshot.execute(view, spec)
+    }));
+    match outcome {
+        Ok(Ok(result)) => {
+            let body = ok_response("result", result_to_json(&result));
+            shared.cache.insert(key, body.clone());
+            shared.served.fetch_add(1, Ordering::Relaxed);
+            body
         }
-        // AssertUnwindSafe: on panic the closure's only shared touchables
-        // are the snapshot (immutable) and poison-recovering containers; no
-        // broken invariant can escape the unwind.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            smoke_core::failpoint::hit("server::worker::execute");
-            shared.snapshot.execute(&job.view, &job.spec)
-        }));
-        let response = match outcome {
-            Ok(Ok(result)) => {
-                let body = ok_response("result", result_to_json(&result));
-                shared.cache.insert(&job.cache_key, body.clone());
-                shared.served.fetch_add(1, Ordering::Relaxed);
-                body
-            }
-            Ok(Err(e)) => error_for(&job.view, shared, &e),
-            Err(payload) => {
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                error_response(
-                    ErrorCode::Exec,
-                    &format!("query execution panicked (contained): {msg}"),
-                )
-            }
-        };
-        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-        // A session that vanished (client gone) makes this send fail; the
-        // work is simply dropped.
-        let _ = job.reply.send(response);
+        Ok(Err(e)) => error_for(view, shared, &e),
+        Err(payload) => {
+            shared.errors.fetch_add(1, Ordering::Relaxed);
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            error_response(
+                ErrorCode::Exec,
+                &format!("query execution panicked (contained): {msg}"),
+            )
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Immutable, `Arc`-shareable serving snapshots.
 //!
-//! A [`Snapshot`] is the unit the server shares across its worker pool: a set
+//! A [`Snapshot`] is the unit the server shares across its sessions: a set
 //! of named [`View`]s, each bundling a base relation, the view's output
 //! relation, and every capture-time artifact the planner can choose among
 //! (backward/forward lineage indexes, a partitioned rid index, a pushed-down
@@ -14,7 +14,7 @@ use smoke_core::workload::WorkloadArtifacts;
 use smoke_core::{EngineError, Result};
 use smoke_lineage::{CaptureStats, InputLineage, LineageIndex};
 use smoke_planner::wire::QuerySpec;
-use smoke_planner::{Explain, IoModel, LineagePlanner, LineageResult, RewriteInfo};
+use smoke_planner::{Explain, LineagePlanner, LineageResult, RewriteInfo};
 use smoke_storage::Relation;
 
 /// One traced view inside a [`Snapshot`]: a base relation, an output
@@ -28,7 +28,6 @@ pub struct View {
     artifacts: WorkloadArtifacts,
     rewrite: Option<RewriteInfo>,
     stats: Option<CaptureStats>,
-    io: Option<IoModel>,
 }
 
 impl View {
@@ -42,7 +41,6 @@ impl View {
             artifacts: WorkloadArtifacts::default(),
             rewrite: None,
             stats: None,
-            io: None,
         }
     }
 
@@ -70,16 +68,6 @@ impl View {
     /// cost model).
     pub fn stats(mut self, stats: CaptureStats) -> Self {
         self.stats = Some(stats);
-        self
-    }
-
-    /// Registers the base relation's paged-layout I/O model. Residency is
-    /// frozen at snapshot-build time — consistent with everything else in an
-    /// immutable snapshot — so served `EXPLAIN`s price page reads against
-    /// the pool state the snapshot was built under, and `PartitionPruned`
-    /// plans surface their page skipping in wire responses.
-    pub fn io(mut self, io: IoModel) -> Self {
-        self.io = Some(io);
         self
     }
 
@@ -115,24 +103,22 @@ impl View {
         if let Some(s) = self.stats {
             planner = planner.stats(s);
         }
-        if let Some(io) = self.io {
-            planner = planner.with_io(io);
-        }
         planner
     }
 
-    /// Approximate heap footprint of the view (relations + indexes), for the
-    /// STATS report.
+    /// Approximate heap footprint of the view (relations + indexes). Walks
+    /// every index entry; [`Snapshot::with_view`] calls it once.
     pub fn heap_bytes(&self) -> usize {
         let idx = |i: &Option<LineageIndex>| i.as_ref().map_or(0, |x| x.edge_count() * 4);
         self.base.heap_bytes() + self.output.heap_bytes() + idx(&self.backward) + idx(&self.forward)
     }
 }
 
-/// An immutable set of named views, shared across server workers via `Arc`.
+/// An immutable set of named views, shared across server sessions via `Arc`.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     views: BTreeMap<String, View>,
+    heap_bytes: usize,
 }
 
 impl Snapshot {
@@ -143,7 +129,10 @@ impl Snapshot {
 
     /// Adds a named view (builder style).
     pub fn with_view(mut self, name: impl Into<String>, view: View) -> Self {
-        self.views.insert(name.into(), view);
+        self.heap_bytes += view.heap_bytes();
+        if let Some(replaced) = self.views.insert(name.into(), view) {
+            self.heap_bytes -= replaced.heap_bytes();
+        }
         self
     }
 
@@ -175,8 +164,8 @@ impl Snapshot {
     }
 
     /// Plans and executes a wire query against the named view. This is the
-    /// sequential reference path: the server's worker pool calls exactly
-    /// this, so a concurrent response is correct iff this is.
+    /// sequential reference path: the server's sessions call exactly this,
+    /// so a concurrent response is correct iff this is.
     pub fn execute(&self, view: &str, spec: &QuerySpec) -> Result<LineageResult> {
         let v = self
             .views
@@ -201,8 +190,10 @@ impl Snapshot {
         v.planner().explain(&query)
     }
 
-    /// Approximate heap footprint of all views.
+    /// Approximate heap footprint of all views, for the STATS report. A
+    /// snapshot is immutable, so this is the sum taken as the views were
+    /// added.
     pub fn heap_bytes(&self) -> usize {
-        self.views.values().map(View::heap_bytes).sum()
+        self.heap_bytes
     }
 }

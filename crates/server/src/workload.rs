@@ -18,10 +18,8 @@ use rand::{Rng, SeedableRng};
 use smoke_core::ops::groupby::{group_by, GroupByOptions};
 use smoke_core::{AggExpr, AggPushdown, Expr};
 use smoke_datagen::zipf::{zipf_table_binned, ZipfSampler, ZipfSpec};
-use smoke_pager::ReplacementPolicy;
 use smoke_planner::wire::QuerySpec;
-use smoke_planner::{IoModel, RewriteInfo};
-use smoke_storage::{Database, Relation};
+use smoke_planner::RewriteInfo;
 
 use crate::snapshot::{Snapshot, View};
 
@@ -34,31 +32,7 @@ pub const BINS: usize = 8;
 /// rejects the generated tables — a bug, but one the embedding process
 /// (server binary, bench harness) gets to report instead of panicking over.
 pub fn demo_snapshot(rows: usize, groups: usize, seed: u64) -> smoke_core::Result<Snapshot> {
-    build_snapshot(demo_table(rows, groups, seed), None)
-}
-
-/// Like [`demo_snapshot`], but the base table is additionally spilled
-/// through a [`Database`] memory budget (file-backed, SIEVE replacement) and
-/// every view carries the paged layout's [`IoModel`]: served `EXPLAIN`s
-/// price page reads, and `PartitionPruned` plans report the pages they skip
-/// over `EagerTrace` in wire responses. Residency is sampled at build time,
-/// matching the snapshot's immutability.
-pub fn demo_snapshot_paged(
-    rows: usize,
-    groups: usize,
-    seed: u64,
-    budget_bytes: usize,
-) -> smoke_core::Result<Snapshot> {
-    let table = demo_table(rows, groups, seed);
-    let mut db = Database::new();
-    db.set_memory_budget(budget_bytes, ReplacementPolicy::Sieve)?;
-    db.register(table.clone())?;
-    let io = IoModel::from_paged(db.paged_relation(table.name())?);
-    build_snapshot(table, Some(io))
-}
-
-fn demo_table(rows: usize, groups: usize, seed: u64) -> Relation {
-    zipf_table_binned(
+    let table = zipf_table_binned(
         &ZipfSpec {
             theta: 1.0,
             rows,
@@ -66,10 +40,7 @@ fn demo_table(rows: usize, groups: usize, seed: u64) -> Relation {
             seed,
         },
         BINS,
-    )
-}
-
-fn build_snapshot(table: Relation, io: Option<IoModel>) -> smoke_core::Result<Snapshot> {
+    );
     let mut opts = GroupByOptions::inject();
     opts.workload.skipping_partition_by = vec!["v_bin".to_string()];
     opts.workload.agg_pushdown = Some(AggPushdown {
@@ -86,19 +57,15 @@ fn build_snapshot(table: Relation, io: Option<IoModel>) -> smoke_core::Result<Sn
         &bin_opts,
     )?;
 
-    let mut view_z = View::new(table.clone(), by_z.output.clone())
+    let view_z = View::new(table.clone(), by_z.output.clone())
         .lineage(by_z.lineage.input(0))
         .artifacts(&by_z.artifacts)
         .rewrite(RewriteInfo::new(vec!["z".to_string()], None))
         .stats(by_z.stats);
-    let mut view_bin = View::new(table, by_bin.output.clone())
+    let view_bin = View::new(table, by_bin.output.clone())
         .lineage(by_bin.lineage.input(0))
         .rewrite(RewriteInfo::new(vec!["v_bin".to_string()], None))
         .stats(by_bin.stats);
-    if let Some(io) = io {
-        view_z = view_z.io(io);
-        view_bin = view_bin.io(io);
-    }
     Ok(Snapshot::new()
         .with_view("by_z", view_z)
         .with_view("by_bin", view_bin))
@@ -189,42 +156,6 @@ mod tests {
             let result = snapshot.execute(view, &spec).expect("mix query executes");
             assert!(result.rids.len() <= 2_000);
         }
-    }
-
-    #[test]
-    fn paged_snapshot_serves_the_mix_and_prices_pages() {
-        // A budget of ~25% of the raw numeric bytes forces a real paged
-        // layout behind the snapshot.
-        let rows = 2_000usize;
-        let snapshot = demo_snapshot_paged(rows, 50, 7, rows * 4 * 8 / 4).expect("paged snapshot");
-        let n_groups = snapshot.view("by_z").unwrap().output().len();
-        let mut mix = QueryMix::new(n_groups, rows, 11);
-        for _ in 0..100 {
-            let (view, spec) = mix.next_query();
-            snapshot.execute(view, &spec).expect("mix query executes");
-        }
-        // Served EXPLAINs now carry the I/O model: residency is present and
-        // the crossfilter shape charges strictly fewer pages under pruning.
-        let spec = QuerySpec::backward()
-            .rids([0])
-            .filter(Expr::col("v_bin").eq(Expr::lit(3)))
-            .aggregate(&["v_bin"], vec![AggExpr::count("cnt")]);
-        let explain = snapshot.explain("by_z", &spec).expect("explain");
-        assert!(explain.residency.is_some());
-        let pruned = explain
-            .candidate_pages(smoke_planner::Strategy::PartitionPruned)
-            .unwrap();
-        let eager = explain
-            .candidate_pages(smoke_planner::Strategy::EagerTrace)
-            .unwrap();
-        assert!(
-            pruned < eager,
-            "pruning must skip pages in served plans: {pruned} vs {eager}"
-        );
-        // The resident demo snapshot serves the same shape without a model.
-        let resident = demo_snapshot(rows, 50, 7).expect("resident snapshot");
-        let explain = resident.explain("by_z", &spec).expect("explain");
-        assert!(explain.residency.is_none());
     }
 
     #[test]

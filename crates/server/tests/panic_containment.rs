@@ -1,12 +1,12 @@
-//! Worker panic containment: a query that panics mid-execution answers its
-//! session with a typed `exec` error, and the worker thread survives to
-//! serve the next request.
+//! Panic containment: a query that panics mid-execution answers its session
+//! with a typed `exec` error, and both the session thread and the execution
+//! slot it held survive to serve the next request.
 //!
 //! The request path is panic-free by lint rule `no-panic-on-request-path`,
 //! so the panic is injected via the `server::worker::execute` fail point
 //! (`smoke_core::failpoint`). Fail points are process-global one-shots,
 //! which is why this test lives in its own integration-test binary: no
-//! other test's worker can consume the armed point.
+//! other test's query can consume the armed point.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,7 +19,7 @@ use smoke_server::{demo_snapshot, Client, ErrorCode, Reply, Server, ServerConfig
 #[test]
 fn panicking_job_answers_exec_error_and_the_worker_survives() {
     let snapshot = Arc::new(demo_snapshot(1_000, 20, 21).expect("demo snapshot"));
-    // One worker: if the panic killed it, no later query could ever answer.
+    // One slot: if the panic leaked it, no later query could ever answer.
     let config = ServerConfig {
         workers: 1,
         queue_depth: 8,
@@ -31,7 +31,7 @@ fn panicking_job_answers_exec_error_and_the_worker_survives() {
         .set_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");
 
-    // A forced-strategy query, armed to panic inside the worker.
+    // A forced-strategy query, armed to panic mid-execution.
     failpoint::arm("server::worker::execute");
     let spec = QuerySpec::backward().rids([0]).force(Strategy::EagerTrace);
     let reply = client.query("by_z", spec.clone()).expect("exchange");
@@ -46,9 +46,11 @@ fn panicking_job_answers_exec_error_and_the_worker_survives() {
         }
         other => panic!("expected a contained exec error, got {other:?}"),
     }
+    assert_eq!(handle.stats().in_flight, 0, "the slot was released");
 
-    // The fail point is one-shot; the same worker must now answer the same
-    // query correctly, and the reference path must agree.
+    // The fail point is one-shot; the same session must now answer the same
+    // query correctly through the same slot, and the reference path must
+    // agree.
     let expected = snapshot.execute("by_z", &spec).expect("reference");
     let got = client
         .query("by_z", spec)
@@ -58,7 +60,7 @@ fn panicking_job_answers_exec_error_and_the_worker_survives() {
     assert_eq!(got.rids, expected.rids);
     assert_eq!(got.rows, expected.rows);
 
-    // A few more queries through the single worker for good measure.
+    // A few more queries through the single slot for good measure.
     for rid in [1u32, 2, 3] {
         let spec = QuerySpec::backward().rids([rid]);
         let got = client

@@ -7,46 +7,58 @@ use std::time::{Duration, Instant};
 use smoke_planner::wire::QuerySpec;
 use smoke_server::{demo_snapshot, Client, Reply, Server, ServerConfig};
 
-/// A request already inside the worker pool when shutdown begins still gets
-/// its (correct) answer; shutdown waits for it instead of dropping it.
+/// A request executing when shutdown begins, and a second one still waiting
+/// for the only execution slot, both get their (correct) answers; shutdown
+/// waits for them instead of dropping them.
 #[test]
 fn shutdown_drains_in_flight_requests() {
     let snapshot = Arc::new(demo_snapshot(1_000, 20, 21).expect("demo snapshot"));
     let config = ServerConfig {
-        workers: 2,
+        workers: 1,
         ..ServerConfig::default()
     };
     let handle = Server::serve(Arc::clone(&snapshot), "127.0.0.1:0", config).expect("bind");
     let addr = handle.addr();
-
-    // A slow request (worker sleeps 300ms) issued just before shutdown.
-    let spec = QuerySpec::backward().rids([0]);
-    let expected = snapshot.execute("by_z", &spec).expect("reference");
-    let slow = std::thread::spawn({
-        let spec = spec.clone();
-        move || {
+    let request = |spec: QuerySpec, sleep_ms: u64| {
+        std::thread::spawn(move || {
             let mut client = Client::connect(addr).expect("connect");
             client
                 .set_timeout(Some(Duration::from_secs(30)))
                 .expect("timeout");
             client
-                .query_with_sleep("by_z", spec, 300)
+                .query_with_sleep("by_z", spec, sleep_ms)
                 .expect("exchange")
+        })
+    };
+    let wait_for_in_flight = |n: u64| {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while handle.stats().in_flight < n {
+            assert!(Instant::now() < deadline, "{:?}", handle.stats());
+            std::thread::sleep(Duration::from_millis(5));
         }
-    });
-    // Give the slow request time to be admitted.
-    std::thread::sleep(Duration::from_millis(100));
+    };
+
+    // A slow request (sleeps 300ms in the only slot) issued just before
+    // shutdown, then a second one that has to wait for that slot.
+    let slow_spec = QuerySpec::backward().rids([0]);
+    let waiting_spec = QuerySpec::backward().rids([1]);
+    let slow = request(slow_spec.clone(), 300);
+    wait_for_in_flight(1);
+    let waiting = request(waiting_spec.clone(), 0);
+    wait_for_in_flight(2);
 
     let start = Instant::now();
     let stats = handle.shutdown();
-    // Shutdown blocked on the draining request (still sleeping when it
-    // began) rather than returning instantly.
+    // Shutdown blocked on the draining requests (one still sleeping, one
+    // not yet started when it began) rather than returning instantly.
     assert!(stats.in_flight == 0, "drained: {stats:?}");
 
-    let reply = slow.join().expect("slow client thread");
-    match reply {
-        Reply::Result(result) => assert_eq!(result.rids, expected.rids),
-        other => panic!("in-flight request was dropped: {other:?}"),
+    for (thread, spec) in [(slow, slow_spec), (waiting, waiting_spec)] {
+        let expected = snapshot.execute("by_z", &spec).expect("reference");
+        match thread.join().expect("client thread") {
+            Reply::Result(result) => assert_eq!(result.rids, expected.rids),
+            other => panic!("in-flight request was dropped: {other:?}"),
+        }
     }
     // Sanity: the whole drain stayed bounded (no hang).
     assert!(start.elapsed() < Duration::from_secs(10));

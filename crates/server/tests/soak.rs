@@ -174,3 +174,58 @@ fn overload_sheds_instead_of_hanging() {
         "overload must shed fast, took {elapsed:?}"
     );
 }
+
+/// Concurrency cap: two slots, room for eight to wait, six clients each
+/// sending one 100ms query with the cache off. Nobody is shed, and the six
+/// run as three waves of two — neither all at once nor one at a time.
+#[test]
+fn at_most_workers_queries_execute_at_once() {
+    let snapshot = Arc::new(demo_snapshot(1_000, 20, 21).expect("demo snapshot"));
+    let handle = Server::serve(
+        Arc::clone(&snapshot),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 2,
+            queue_depth: 8,
+            cache_capacity: 0,
+        },
+    )
+    .expect("bind");
+    let addr = handle.addr();
+
+    let spec = QuerySpec::backward().rids([0]);
+    let expected = snapshot.execute("by_z", &spec).expect("reference");
+    let start = Instant::now();
+    let threads: Vec<_> = (0..6)
+        .map(|_| {
+            let spec = spec.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                client
+                    .set_timeout(Some(Duration::from_secs(30)))
+                    .expect("timeout");
+                client
+                    .query_with_sleep("by_z", spec, 100)
+                    .expect("exchange")
+            })
+        })
+        .collect();
+    for t in threads {
+        match t.join().expect("client thread") {
+            Reply::Result(got) => assert_eq!(got.rids, expected.rids),
+            other => panic!("expected a result, got {other:?}"),
+        }
+    }
+    let elapsed = start.elapsed();
+    let stats = handle.shutdown();
+
+    assert_eq!((stats.served, stats.shed), (6, 0), "{stats:?}");
+    assert!(
+        elapsed >= Duration::from_millis(300),
+        "more than two ran at once: {elapsed:?}"
+    );
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "the slots did not run in parallel: {elapsed:?}"
+    );
+}

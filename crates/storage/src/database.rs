@@ -36,9 +36,10 @@ impl Database {
     }
 
     /// Attaches a memory budget: a buffer pool of `budget_bytes / PAGE_SIZE`
-    /// frames (at least one) over a fresh temp-file segment store, using
-    /// `policy` for replacement. Relations already registered — and every
-    /// relation registered afterwards — are transparently spilled.
+    /// frames (at least one) over a fresh temp-file segment store, with
+    /// SIEVE replacement (`policy` has that one variant). Relations already
+    /// registered — and every relation registered afterwards — are
+    /// transparently spilled.
     pub fn set_memory_budget(
         &mut self,
         budget_bytes: usize,
@@ -309,7 +310,7 @@ mod tests {
     #[test]
     fn register_or_replace_spills_under_budget() {
         let mut db = Database::new();
-        db.set_memory_budget_in_memory(PAGE_SIZE, ReplacementPolicy::Clock)
+        db.set_memory_budget_in_memory(PAGE_SIZE, ReplacementPolicy::Sieve)
             .unwrap();
         db.register_or_replace(rel("a"));
         assert!(db.is_paged("a"));
