@@ -75,25 +75,35 @@ struct Frame {
     prefetched: bool,
 }
 
+impl Frame {
+    /// Holds a page that no guard pins, so the replacer may take it.
+    fn evictable(&self) -> bool {
+        self.page.is_some() && self.pins == 0
+    }
+}
+
+/// Every frame is in exactly one of two places: on `free` (empty) or in
+/// `replacer`'s queue (holding a page), so `free.len() + replacer.len()`
+/// is always the pool's capacity.
 struct PoolInner {
     frames: Vec<Frame>,
     /// page id → frame index for resident pages.
     table: HashMap<u32, usize>,
     replacer: Sieve,
     stats: PoolStats,
-    /// Frames currently holding a page. Kept exact (decremented when a
-    /// frame's page is taken, incremented when one is installed) so a full
-    /// pool skips the O(capacity) empty-frame scan on every miss.
-    occupied: usize,
+    /// Empty frames, popped in O(1) by a miss before it asks the replacer
+    /// for a victim. Built in reverse, so a filling pool fills frame 0 first.
+    free: Vec<usize>,
 }
 
 impl PoolInner {
-    /// Lowest-indexed empty frame, if any. O(1) on a full pool.
-    fn empty_frame(&self) -> Option<usize> {
-        if self.occupied >= self.frames.len() {
-            return None;
-        }
-        self.frames.iter().position(|fr| fr.page.is_none())
+    /// A frame to load a page into: a free one if any, else SIEVE's victim
+    /// among the unpinned frames not in `keep`.
+    fn claim_frame(&mut self, keep: &[usize]) -> Option<usize> {
+        self.free.pop().or_else(|| {
+            self.replacer
+                .victim(|f| !keep.contains(&f) && self.frames.get(f).is_some_and(Frame::evictable))
+        })
     }
 }
 
@@ -118,15 +128,6 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// What [`PoolCore::install_prefetched`] did with one prefetched page.
-enum Admit {
-    /// Installed into the chosen frame.
-    Installed,
-    /// The run cannot make further progress (a dirty write-back failed or
-    /// the frame's buffer is unusable).
-    Stop,
-}
-
 impl PoolCore {
     /// Ensures `page` is resident and returns its frame index with the pin
     /// count already incremented. Caller holds the lock.
@@ -144,53 +145,60 @@ impl PoolCore {
             }
             return Ok(f);
         }
-        inner.stats.misses += 1;
-        // Prefer an empty frame; otherwise ask the replacer for a victim.
-        let f = match inner.empty_frame() {
-            Some(f) => f,
-            None => {
-                let evictable: Vec<bool> = inner
-                    .frames
-                    .iter()
-                    .map(|fr| fr.page.is_some() && fr.pins == 0)
-                    .collect();
-                let Some(f) = inner.replacer.victim(&evictable) else {
-                    return Err(PagerError::PoolExhausted {
-                        capacity: self.capacity,
-                    });
-                };
-                f
-            }
-        };
-        // Write back and unmap the evicted page.
-        if let Some(frame) = inner.frames.get_mut(f) {
-            if let Some(old) = frame.page.take() {
-                inner.occupied -= 1;
-                if frame.dirty {
-                    self.store.write_page(old, &frame.data)?;
-                    inner.stats.disk_writes += 1;
-                    frame.dirty = false;
-                }
-                if std::mem::take(&mut frame.prefetched) {
-                    inner.stats.prefetch_wasted += 1;
-                }
-                inner.table.remove(&old.0);
-                inner.stats.evictions += 1;
-            }
+        // A bad id must fail before it costs another page its frame.
+        let allocated = self.store.page_count();
+        if page.0 >= allocated {
+            return Err(PagerError::PageOutOfBounds { page, allocated });
         }
+        inner.stats.misses += 1;
+        let f = inner.claim_frame(&[]).ok_or(PagerError::PoolExhausted {
+            capacity: self.capacity,
+        })?;
+        self.evict(inner, f)?;
         // Load the requested page. The frame's buffer is exclusively owned
         // here (pins == 0 and no live guards), so `make_mut` is in-place.
         if let Some(frame) = inner.frames.get_mut(f) {
             let buf = Arc::make_mut(&mut frame.data);
-            self.store.read_page(page, buf)?;
+            if let Err(e) = self.store.read_page(page, buf) {
+                inner.free.push(f);
+                return Err(e);
+            }
             inner.stats.disk_reads += 1;
             frame.page = Some(page);
-            inner.occupied += 1;
             frame.pins += 1;
         }
         inner.table.insert(page.0, f);
         inner.replacer.on_admit(f);
+        debug_assert_eq!(inner.free.len() + inner.replacer.len(), self.capacity);
         Ok(f)
+    }
+
+    /// Writes back and unmaps the page in frame `f`, if it holds one. A
+    /// failed write-back leaves the page where it is and re-admits the
+    /// frame to the replacer (`victim` dequeued it), so the error neither
+    /// loses a frame nor leaves the page mapped to a frame that is refilled.
+    fn evict(&self, inner: &mut PoolInner, f: usize) -> Result<(), PagerError> {
+        let Some(frame) = inner.frames.get_mut(f) else {
+            return Ok(());
+        };
+        let Some(old) = frame.page else {
+            return Ok(());
+        };
+        if frame.dirty {
+            if let Err(e) = self.store.write_page(old, &frame.data) {
+                inner.replacer.on_admit(f);
+                return Err(e);
+            }
+            inner.stats.disk_writes += 1;
+            frame.dirty = false;
+        }
+        frame.page = None;
+        if std::mem::take(&mut frame.prefetched) {
+            inner.stats.prefetch_wasted += 1;
+        }
+        inner.table.remove(&old.0);
+        inner.stats.evictions += 1;
+        Ok(())
     }
 
     fn unpin(&self, frame: usize) {
@@ -226,90 +234,45 @@ impl PoolCore {
         }
         let mut inner = relock(&self.inner);
         inner.stats.disk_reads += u64::from(len);
-        // One O(capacity) sweep for the whole run, not one per page: empty
-        // frames are collected up front, and the evictability bitmap is
-        // built once and consumed victim by victim. Clearing a chosen
-        // frame's bit keeps it from being re-victimized, which also stops a
-        // run larger than the pool from cycling through its own pages. This
-        // amortization is what makes a prefetched install cheaper than the
-        // demand miss it replaces — a 32-page run pays one sweep where 32
-        // demand misses pay 32. Pins cannot change mid-run (the lock is
-        // held throughout), so the bitmap never goes stale.
-        let mut empties: Vec<usize> = Vec::new();
-        let mut evictable: Vec<bool> = Vec::with_capacity(inner.frames.len());
-        for (f, fr) in inner.frames.iter().enumerate() {
-            if fr.page.is_none() {
-                empties.push(f);
-            }
-            evictable.push(fr.page.is_some() && fr.pins == 0);
-        }
-        empties.reverse(); // pop() fills lowest-indexed frames first
-        let mut installed = 0u64;
+        // Frames this run has filled are never its victims, which stops a
+        // run larger than the pool from cycling through its own pages. Pins
+        // cannot change mid-run (the lock is held throughout), so every
+        // other frame's evictability is what it was when the run began.
+        let mut filled: Vec<usize> = Vec::with_capacity(bufs.len());
         for (i, buf) in bufs.iter_mut().enumerate() {
             let page = PageId(first.0 + i as u32);
             if inner.table.contains_key(&page.0) {
                 continue;
             }
-            let f = match empties.pop() {
-                Some(f) => f,
-                None => {
-                    let Some(f) = inner.replacer.victim(&evictable) else {
-                        break;
-                    };
-                    f
-                }
+            let Some(f) = inner.claim_frame(&filled) else {
+                break;
             };
-            if let Some(slot) = evictable.get_mut(f) {
-                *slot = false;
+            if self.install_prefetched(&mut inner, f, page, buf).is_err() {
+                break; // a dirty victim failed to write back and stays resident
             }
-            match self.install_prefetched(&mut inner, f, page, buf) {
-                Admit::Installed => installed += 1,
-                Admit::Stop => break,
-            }
+            filled.push(f);
         }
-        inner.stats.prefetch_loads += installed;
+        inner.stats.prefetch_loads += filled.len() as u64;
+        debug_assert_eq!(inner.free.len() + inner.replacer.len(), self.capacity);
     }
 
     /// Installs one prefetched page into frame `f` without pinning it,
-    /// swapping `buf` — the page's freshly read bytes — into the frame and
-    /// leaving the frame's displaced buffer in `buf` for the worker to
-    /// recycle. The run's bytes therefore move exactly once (store → buf);
-    /// the demand path's second copy into the frame never happens. Caller
-    /// holds the lock and guarantees `f` is unpinned — an empty frame or a
-    /// victim the replacer just surrendered.
+    /// swapping `buf` — the page's freshly read bytes, `PAGE_SIZE` long as
+    /// `read_run_pages` checked — into the frame and leaving the frame's
+    /// displaced buffer in `buf` for the worker to recycle. The run's bytes
+    /// therefore move exactly once (store → buf); the demand path's second
+    /// copy into the frame never happens. Caller holds the lock and
+    /// guarantees `f` is unpinned — a free frame or a victim the replacer
+    /// just surrendered. Fails only when a dirty victim cannot be written
+    /// back: an advisory read never loses a dirty page.
     fn install_prefetched(
         &self,
         inner: &mut PoolInner,
         f: usize,
         page: PageId,
         buf: &mut Vec<u8>,
-    ) -> Admit {
-        if buf.len() != PAGE_SIZE {
-            return Admit::Stop;
-        }
-        if let Some(frame) = inner.frames.get_mut(f) {
-            if let Some(old) = frame.page.take() {
-                inner.occupied -= 1;
-                if frame.dirty {
-                    if self.store.write_page(old, &frame.data).is_err() {
-                        // Never lose a dirty page for an advisory read; the
-                        // frame keeps its page, so re-register it with the
-                        // replacer (`victim` may have dequeued it).
-                        frame.page = Some(old);
-                        inner.occupied += 1;
-                        inner.replacer.on_admit(f);
-                        return Admit::Stop;
-                    }
-                    inner.stats.disk_writes += 1;
-                    frame.dirty = false;
-                }
-                if std::mem::take(&mut frame.prefetched) {
-                    inner.stats.prefetch_wasted += 1;
-                }
-                inner.table.remove(&old.0);
-                inner.stats.evictions += 1;
-            }
-        }
+    ) -> Result<(), PagerError> {
+        self.evict(inner, f)?;
         if let Some(frame) = inner.frames.get_mut(f) {
             let fresh = Arc::new(std::mem::take(buf));
             let old = Arc::try_unwrap(std::mem::replace(&mut frame.data, fresh));
@@ -319,12 +282,11 @@ impl PoolCore {
             // allocation, never a stale read.
             *buf = old.unwrap_or_else(|_| vec![0u8; PAGE_SIZE]);
             frame.page = Some(page);
-            inner.occupied += 1;
             frame.prefetched = true;
         }
         inner.table.insert(page.0, f);
         inner.replacer.on_admit(f);
-        Admit::Installed
+        Ok(())
     }
 }
 
@@ -367,7 +329,7 @@ impl BufferPool {
                 table: HashMap::with_capacity(capacity),
                 replacer: Sieve::new(capacity),
                 stats: PoolStats::default(),
-                occupied: 0,
+                free: (0..capacity).rev().collect(),
             }),
             capacity,
         });
@@ -608,6 +570,18 @@ mod tests {
     }
 
     #[test]
+    fn oversized_prefetch_run_stops_instead_of_cycling() {
+        // Two frames, an eight-page run: the run fills both frames and
+        // stops, rather than evicting the pages it just installed.
+        let pool = prefetch_pool(8, 2);
+        pool.prefetch(&(0..8).map(PageId).collect::<Vec<_>>());
+        pool.prefetch_quiesce();
+        assert_eq!(pool.stats().prefetch_loads, 2);
+        let resident: Vec<u32> = (0..8).filter(|&p| pool.is_resident(PageId(p))).collect();
+        assert_eq!(resident, [0, 1]);
+    }
+
+    #[test]
     fn pins_read_page_contents() {
         let pool = pool(4, 2);
         for p in 0..4u32 {
@@ -653,6 +627,28 @@ mod tests {
         let g2 = pool.pin(PageId(2)).unwrap();
         assert!(g2.iter().all(|&b| b == 2));
         assert!(g0.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn out_of_bounds_pin_evicts_nothing() {
+        // After the fill loop the pool is full (pages 2 and 3 resident), so
+        // a miss would have to evict; a bad id must fail before it does.
+        let pool = pool(4, 2);
+        let before = pool.stats();
+        assert_eq!(
+            pool.pin(PageId(4)).map(|_| ()),
+            Err(PagerError::PageOutOfBounds {
+                page: PageId(4),
+                allocated: 4
+            })
+        );
+        assert_eq!(pool.stats().evictions, before.evictions);
+        let resident: Vec<bool> = (0..4).map(|p| pool.is_resident(PageId(p))).collect();
+        assert_eq!(resident, [false, false, true, true]);
+        for p in 0..4u32 {
+            let g = pool.pin(PageId(p)).unwrap();
+            assert!(g.iter().all(|&b| b == p as u8), "page {p}");
+        }
     }
 
     #[test]
@@ -830,5 +826,71 @@ mod tests {
         pool.prefetch(&[PageId(0)]);
         pool.prefetch_quiesce();
         assert_eq!(pool.stats(), PoolStats::default());
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random pin / hold / drop / write / flush / prefetch steps against
+        /// a model holding each page's last written byte.
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn pool_agrees_with_a_model_of_page_contents(
+            frames in 1usize..9,
+            pages in 1u32..33,
+            steps in prop::collection::vec((0u8..6, 0u32..32, 0u8..255), 1..80),
+        ) {
+            let store = SegmentStore::in_memory();
+            store.allocate(pages);
+            let pool = BufferPool::with_prefetch(store, frames, ReplacementPolicy::Sieve, 1);
+            let mut model = vec![0u8; pages as usize];
+            let mut held: Vec<PageGuard<'_>> = Vec::new();
+            for (op, p, byte) in steps {
+                let page = PageId(p % pages);
+                let want = model[page.0 as usize];
+                let mut pinned: Vec<PageId> = held.iter().map(PageGuard::page).collect();
+                pinned.sort_unstable();
+                pinned.dedup();
+                let exhausted = PagerError::PoolExhausted { capacity: frames };
+                match op {
+                    0 | 1 => match pool.pin(page) {
+                        Ok(g) => {
+                            prop_assert!(g.iter().all(|&b| b == want), "page {page}");
+                            if op == 1 {
+                                held.push(g);
+                            }
+                        }
+                        Err(e) => {
+                            prop_assert_eq!(e, exhausted);
+                            prop_assert_eq!(pinned.len(), frames);
+                        }
+                    },
+                    2 => {
+                        if !held.is_empty() {
+                            held.swap_remove(p as usize % held.len());
+                        }
+                    }
+                    3 => match pool.with_page_mut(page, |buf| buf.fill(byte)) {
+                        Ok(()) => model[page.0 as usize] = byte,
+                        Err(e) => {
+                            prop_assert_eq!(e, exhausted);
+                            prop_assert_eq!(pinned.len(), frames);
+                        }
+                    },
+                    4 => prop_assert_eq!(pool.flush(), Ok(())),
+                    _ => {
+                        let end = pages.min(page.0 + 1 + u32::from(byte % 8));
+                        let run: Vec<PageId> = (page.0..end).map(PageId).collect();
+                        pool.prefetch(&run);
+                        pool.prefetch_quiesce();
+                    }
+                }
+                let resident = (0..pages).filter(|&q| pool.is_resident(PageId(q))).count();
+                prop_assert!(resident <= frames, "{resident} pages in {frames} frames");
+                prop_assert!(held.iter().all(|g| pool.is_resident(g.page())));
+            }
+        }
     }
 }

@@ -22,10 +22,11 @@ use crate::page::{PageId, PAGE_SIZE};
 use crate::pool::PoolCore;
 
 /// Longest run a single batched read covers, in pages (2 MiB). Every
-/// per-run fixed cost — the readv syscall, the pool's one O(capacity)
-/// eviction sweep, queue locking, and the worker wake-up — amortizes over
-/// this many pages, so longer runs directly lower the per-page install
-/// cost; 2 MiB keeps a run well under any realistic pool budget.
+/// per-run fixed cost — the readv syscall, the one pool-lock acquisition
+/// that installs the run, queue locking, and the worker wake-up —
+/// amortizes over this many pages, so longer runs directly lower the
+/// per-page install cost; 2 MiB keeps a run well under any realistic pool
+/// budget.
 pub(crate) const MAX_RUN_PAGES: u32 = 256;
 
 /// Hints this close together are bridged into one run: reading a few extra

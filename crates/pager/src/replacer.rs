@@ -1,11 +1,12 @@
 //! The pool's page-replacement policy: SIEVE.
 //!
 //! The buffer pool reports frame events (`on_admit`, `on_access`) and asks
-//! [`Sieve`] for a victim when a miss needs a frame. `victim` receives an
-//! evictability mask (a frame is evictable when it holds a page and its pin
-//! count is zero) and only returns frames the mask allows. SIEVE is lazy
-//! promotion / FIFO with a sweeping hand (Zhang et al., NSDI'24); it is the
-//! one policy, held by the pool as a concrete type.
+//! [`Sieve`] for a victim when a miss finds no free frame. `victim` takes
+//! an evictability predicate (a frame is evictable when it holds a page and
+//! its pin count is zero) and asks it only about the frames its hand
+//! visits, so choosing a victim costs the same at any pool size. SIEVE is
+//! lazy promotion / FIFO with a sweeping hand (Zhang et al., NSDI'24); it
+//! is the one policy, held by the pool as a concrete type.
 
 /// The replacement policy a pool uses. One variant: the parameter survives
 /// on [`crate::BufferPool::new`] / [`crate::BufferPool::with_prefetch`] and
@@ -127,9 +128,21 @@ impl Sieve {
         self.len += 1;
     }
 
-    /// Chooses a frame to evict. `evictable[f]` is true when frame `f`
-    /// holds an unpinned page. Returns `None` when no frame is evictable.
-    pub fn victim(&mut self, evictable: &[bool]) -> Option<usize> {
+    /// Frames currently in the queue (admitted and not yet evicted).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the queue holds no frame.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Chooses a frame to evict. `evictable(f)` is true when frame `f`
+    /// holds an unpinned page; it is asked once per frame the hand visits,
+    /// at most `2 · len + 1` times. Returns `None` when no frame is
+    /// evictable.
+    pub fn victim(&mut self, evictable: impl Fn(usize) -> bool) -> Option<usize> {
         if self.len == 0 {
             return None;
         }
@@ -144,7 +157,7 @@ impl Sieve {
             if frame == Self::NONE {
                 return None;
             }
-            if !evictable.get(frame).copied().unwrap_or(false) {
+            if !evictable(frame) {
                 // Pinned or empty: skip without touching its visited bit.
                 self.hand = self.newer.get(frame).copied().unwrap_or(Self::NONE);
                 continue;
@@ -166,9 +179,10 @@ impl Sieve {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
-    fn mask(n: usize, pinned: &[usize]) -> Vec<bool> {
-        (0..n).map(|f| !pinned.contains(&f)).collect()
+    fn unpinned(pinned: &[usize]) -> impl Fn(usize) -> bool + '_ {
+        move |f| !pinned.contains(&f)
     }
 
     #[test]
@@ -178,12 +192,12 @@ mod tests {
         s.on_admit(1);
         s.on_admit(2); // newest
         s.on_access(0); // oldest is visited → spared once
-        assert_eq!(s.victim(&mask(3, &[])), Some(1));
+        assert_eq!(s.victim(unpinned(&[])), Some(1));
         // Hand stays put: next eviction continues toward the head.
-        assert_eq!(s.victim(&mask(3, &[])), Some(2));
+        assert_eq!(s.victim(unpinned(&[])), Some(2));
         // Only 0 remains; its visited bit was cleared by the first sweep.
-        assert_eq!(s.victim(&mask(3, &[])), Some(0));
-        assert_eq!(s.victim(&mask(3, &[])), None);
+        assert_eq!(s.victim(unpinned(&[])), Some(0));
+        assert_eq!(s.victim(unpinned(&[])), None);
     }
 
     #[test]
@@ -194,6 +208,44 @@ mod tests {
         s.on_admit(2);
         s.on_access(1);
         // 0 pinned; 1 visited (spared); 2 evicted.
-        assert_eq!(s.victim(&mask(3, &[0])), Some(2));
+        assert_eq!(s.victim(unpinned(&[0])), Some(2));
+    }
+
+    #[test]
+    fn victim_asks_only_about_the_frames_its_hand_visits() {
+        // Counting predicate calls, not timing them: a victim's cost must
+        // not grow with the pool. Miri interprets every admission, so it
+        // checks the same counts on a smaller queue.
+        let n: usize = if cfg!(miri) { 1 << 10 } else { 1 << 20 };
+        let mut s = Sieve::new(n);
+        for f in 0..n {
+            s.on_admit(f);
+        }
+        assert_eq!(s.len(), n);
+        let calls = Cell::new(0usize);
+        // Frames `1..=busy` are pinned; every other frame is evictable.
+        let victim = |s: &mut Sieve, busy: usize| {
+            calls.set(0);
+            let v = s.victim(|f| {
+                calls.set(calls.get() + 1);
+                !(1..=busy).contains(&f)
+            });
+            (v, calls.get())
+        };
+        // Every frame unvisited: the oldest goes, after one question.
+        assert_eq!(victim(&mut s, 0), (Some(0), 1));
+        // The k oldest left (frames 1..=k) are pinned: k skips, then one
+        // eviction.
+        let k = 37;
+        assert_eq!(victim(&mut s, k), (Some(k + 1), k + 1));
+        // Every frame visited: one pass clears the bits, the next evicts.
+        for f in 0..n {
+            s.on_access(f);
+        }
+        let len = s.len();
+        let (v, asked) = victim(&mut s, 0);
+        assert!(v.is_some());
+        assert!(asked <= 2 * len + 1, "{asked} questions for {len} frames");
+        assert_eq!(s.len(), len - 1);
     }
 }

@@ -291,12 +291,13 @@ impl SegmentStore {
             }
             Backend::Mem(bytes) => {
                 let bytes = relock(bytes);
-                let start = first.offset() as usize;
-                let have = bytes.len().saturating_sub(start).min(expected);
+                // A run may start past everything written so far.
+                let tail = bytes.get(first.offset() as usize..).unwrap_or_default();
+                let have = tail.len().min(expected);
                 for (i, buf) in bufs.iter_mut().enumerate() {
                     let lo = (i * PAGE_SIZE).min(have);
                     let hi = ((i + 1) * PAGE_SIZE).min(have);
-                    buf[..hi - lo].copy_from_slice(&bytes[start + lo..start + hi]);
+                    buf[..hi - lo].copy_from_slice(&tail[lo..hi]);
                     buf[hi - lo..].fill(0);
                 }
                 Ok(())
@@ -467,7 +468,7 @@ mod tests {
     }
 
     fn paged_run_round_trip(store: &SegmentStore) {
-        store.allocate(4);
+        store.allocate(5);
         for p in 0..3u32 {
             store
                 .write_page(PageId(p), &vec![p as u8 + 1; PAGE_SIZE])
@@ -484,6 +485,10 @@ mod tests {
         let mut flat = vec![0u8; 3 * PAGE_SIZE];
         store.read_run(PageId(1), 3, &mut flat).unwrap();
         assert_eq!(bufs.concat(), flat);
+        // A run that starts past every written byte reads back as zeroes.
+        let mut past = vec![vec![0xFFu8; PAGE_SIZE]];
+        store.read_run_pages(PageId(4), 1, &mut past).unwrap();
+        assert!(past[0].iter().all(|&b| b == 0));
     }
 
     #[test]
