@@ -22,7 +22,6 @@ use smoke_storage::{Column, DataType, Database, Relation, Rid, Value};
 
 use crate::error::{EngineError, Result};
 use crate::exec::execute_baseline;
-use crate::instrument::CaptureMode;
 use crate::key::KeyExtractor;
 use crate::ops::groupby::{group_by, GroupByOptions};
 use crate::plan::LogicalPlan;
@@ -315,20 +314,13 @@ pub fn scan_annotated_backward(
     Ok(rids)
 }
 
-/// Ignore-capture helper retained for API completeness.
-pub fn annotation_for_mode(mode: CaptureMode) -> Option<Annotation> {
-    match mode {
-        CaptureMode::Baseline => None,
-        _ => Some(Annotation::Rid),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::agg::AggExpr;
     use crate::exec::Executor;
     use crate::expr::Expr;
+    use crate::instrument::CaptureMode;
     use crate::plan::PlanBuilder;
 
     fn db() -> Database {

@@ -45,14 +45,6 @@ impl QueryOutput {
             .find(|&rid| pred(&self.relation.row_values(rid)))
             .map(|rid| rid as Rid)
     }
-
-    /// All output rids whose values satisfy `pred`.
-    pub fn find_outputs(&self, pred: impl Fn(&[Value]) -> bool) -> Vec<Rid> {
-        (0..self.relation.len())
-            .filter(|&rid| pred(&self.relation.row_values(rid)))
-            .map(|rid| rid as Rid)
-            .collect()
-    }
 }
 
 struct NodeResult<'a> {
@@ -394,7 +386,8 @@ mod tests {
     use crate::agg::AggExpr;
     use crate::expr::Expr;
     use crate::plan::PlanBuilder;
-    use smoke_storage::DataType;
+    use smoke_pager::{ReplacementPolicy, PAGE_SIZE};
+    use smoke_storage::{DataType, StorageError};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -566,5 +559,21 @@ mod tests {
         assert!(Executor::new(CaptureMode::Inject)
             .execute(&plan, &db)
             .is_err());
+    }
+
+    #[test]
+    fn spilled_table_fails_typed_instead_of_reading_resident_rows() {
+        let mut db = db();
+        db.set_memory_budget_in_memory(PAGE_SIZE, ReplacementPolicy::Sieve)
+            .unwrap();
+        let plan = PlanBuilder::scan("lineitem")
+            .group_by(&["l_flag"], vec![AggExpr::count("cnt")])
+            .build();
+        for mode in [CaptureMode::Baseline, CaptureMode::Inject] {
+            assert_eq!(
+                Executor::new(mode).execute(&plan, &db).unwrap_err(),
+                EngineError::Storage(StorageError::RelationSpilled("lineitem".into()))
+            );
+        }
     }
 }

@@ -311,45 +311,6 @@ enum BoundNode {
     },
 }
 
-/// A row source the bound evaluator reads cells from: either one relation
-/// row, or a (left, right) row pair viewed through a concatenated schema
-/// (used by the nested-loop θ-join, which binds its predicate once against
-/// the joined schema instead of materializing candidate rows).
-trait RowCtx {
-    fn cell(&self, col: usize) -> Value;
-}
-
-struct SingleRow<'a> {
-    relation: &'a Relation,
-    rid: usize,
-}
-
-impl RowCtx for SingleRow<'_> {
-    #[inline]
-    fn cell(&self, col: usize) -> Value {
-        self.relation.value(self.rid, col)
-    }
-}
-
-struct ConcatRow<'a> {
-    left: &'a Relation,
-    right: &'a Relation,
-    lrid: usize,
-    rrid: usize,
-}
-
-impl RowCtx for ConcatRow<'_> {
-    #[inline]
-    fn cell(&self, col: usize) -> Value {
-        let split = self.left.schema().arity();
-        if col < split {
-            self.left.value(self.lrid, col)
-        } else {
-            self.right.value(self.rrid, col - split)
-        }
-    }
-}
-
 /// An expression bound to a specific relation schema.
 #[derive(Debug, Clone)]
 pub struct BoundExpr {
@@ -359,49 +320,28 @@ pub struct BoundExpr {
 impl BoundExpr {
     /// Evaluates the expression for the row at `rid`, returning a value.
     pub fn eval(&self, relation: &Relation, rid: usize) -> Result<Value> {
-        Self::eval_node(&self.node, &SingleRow { relation, rid })
+        Self::eval_node(&self.node, relation, rid)
     }
 
     /// Evaluates the expression as a boolean predicate for the row at `rid`.
     pub fn eval_bool(&self, relation: &Relation, rid: usize) -> Result<bool> {
-        Self::eval_bool_node(&self.node, &SingleRow { relation, rid })
+        Self::eval_bool_node(&self.node, relation, rid)
     }
 
-    /// Evaluates the expression (bound against the concatenation of the two
-    /// relations' schemas) as a boolean predicate over the pair
-    /// `(left[lrid], right[rrid])`, without materializing the joined row.
-    pub fn eval_bool_concat(
-        &self,
-        left: &Relation,
-        lrid: usize,
-        right: &Relation,
-        rrid: usize,
-    ) -> Result<bool> {
-        Self::eval_bool_node(
-            &self.node,
-            &ConcatRow {
-                left,
-                right,
-                lrid,
-                rrid,
-            },
-        )
-    }
-
-    fn eval_node(node: &BoundNode, row: &impl RowCtx) -> Result<Value> {
+    fn eval_node(node: &BoundNode, relation: &Relation, rid: usize) -> Result<Value> {
         Ok(match node {
-            BoundNode::Column(idx) => row.cell(*idx),
+            BoundNode::Column(idx) => relation.value(rid, *idx),
             BoundNode::Literal(v) => v.clone(),
             BoundNode::Cmp { op, left, right } => {
-                let l = Self::eval_node(left, row)?;
-                let r = Self::eval_node(right, row)?;
+                let l = Self::eval_node(left, relation, rid)?;
+                let r = Self::eval_node(right, relation, rid)?;
                 Value::Int(op.matches(l.total_cmp(&r)) as i64)
             }
             BoundNode::Arith { op, left, right } => {
-                let l = Self::eval_node(left, row)?
+                let l = Self::eval_node(left, relation, rid)?
                     .as_float()
                     .ok_or_else(|| EngineError::Expression("non-numeric arithmetic".into()))?;
-                let r = Self::eval_node(right, row)?
+                let r = Self::eval_node(right, relation, rid)?
                     .as_float()
                     .ok_or_else(|| EngineError::Expression("non-numeric arithmetic".into()))?;
                 let v = match op {
@@ -413,23 +353,23 @@ impl BoundExpr {
                 Value::Float(v)
             }
             BoundNode::And(l, r) => {
-                let lv = Self::eval_bool_node(l, row)?;
-                Value::Int((lv && Self::eval_bool_node(r, row)?) as i64)
+                let lv = Self::eval_bool_node(l, relation, rid)?;
+                Value::Int((lv && Self::eval_bool_node(r, relation, rid)?) as i64)
             }
             BoundNode::Or(l, r) => {
-                let lv = Self::eval_bool_node(l, row)?;
-                Value::Int((lv || Self::eval_bool_node(r, row)?) as i64)
+                let lv = Self::eval_bool_node(l, relation, rid)?;
+                Value::Int((lv || Self::eval_bool_node(r, relation, rid)?) as i64)
             }
-            BoundNode::Not(e) => Value::Int(!Self::eval_bool_node(e, row)? as i64),
+            BoundNode::Not(e) => Value::Int(!Self::eval_bool_node(e, relation, rid)? as i64),
             BoundNode::InList { expr, list } => {
-                let v = Self::eval_node(expr, row)?;
+                let v = Self::eval_node(expr, relation, rid)?;
                 Value::Int(list.iter().any(|x| v.total_cmp(x) == Ordering::Equal) as i64)
             }
         })
     }
 
-    fn eval_bool_node(node: &BoundNode, row: &impl RowCtx) -> Result<bool> {
-        match Self::eval_node(node, row)? {
+    fn eval_bool_node(node: &BoundNode, relation: &Relation, rid: usize) -> Result<bool> {
+        match Self::eval_node(node, relation, rid)? {
             Value::Int(v) => Ok(v != 0),
             Value::Float(v) => Ok(v != 0.0),
             Value::Str(s) => Err(EngineError::Expression(format!(

@@ -9,7 +9,7 @@
 //!
 //! The crate is organised around the paper's structure:
 //!
-//! * [`ops`] — the instrumented physical algebra (§3.2, Appendix F);
+//! * [`ops`] — the instrumented physical algebra (§3.2);
 //! * [`plan`] / [`exec`] — logical plans and multi-operator execution with
 //!   end-to-end lineage propagation (§3.3);
 //! * [`instrument`] / [`workload`] — capture modes, pruning, and the
@@ -61,7 +61,6 @@ pub mod paged;
 pub mod parallel;
 pub mod plan;
 pub mod query;
-pub mod refresh;
 pub mod workload;
 
 pub use agg::{microbenchmark_aggs, AggExpr, AggFunc, AggState};

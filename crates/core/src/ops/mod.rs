@@ -1,4 +1,4 @@
-//! Lineage-instrumented physical operators (paper §3.2, §3.3, Appendix F).
+//! Lineage-instrumented physical operators (paper §3.2, §3.3).
 //!
 //! Every operator comes in an uninstrumented form (Baseline) plus the Inject
 //! and — where the paper defines one — Defer instrumentation paradigms. The
@@ -14,10 +14,8 @@
 
 pub mod groupby;
 pub mod join;
-pub mod nljoin;
 pub mod project;
 pub mod select;
-pub mod setops;
 
 use smoke_lineage::{CaptureStats, OperatorLineage};
 use smoke_storage::{PagedRelation, Relation, Rid, Schema};

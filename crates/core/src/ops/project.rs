@@ -3,9 +3,7 @@
 //! Under bag semantics the input and output cardinalities and orders are
 //! identical, so the rid of an output record *is* its backward (and forward)
 //! lineage: no index needs to be materialized and the lineage is represented
-//! by [`LineageIndex::Identity`]. Projection with set semantics (DISTINCT) is
-//! implemented via grouping and therefore uses the group-by operator's
-//! instrumentation (including its vectorized key extraction).
+//! by [`LineageIndex::Identity`].
 //!
 //! Bag projection is already batch-at-a-time: it moves whole column vectors,
 //! never touching individual rows, so it needs no kernel pipeline of its own.
@@ -51,16 +49,6 @@ pub fn project(input: &Relation, columns: &[String], capture: bool) -> Result<Op
     })
 }
 
-/// Executes `SELECT DISTINCT columns FROM input` (set semantics) by delegating
-/// to group-by aggregation with no aggregate expressions.
-pub fn project_distinct(
-    input: &Relation,
-    columns: &[String],
-    opts: &crate::ops::groupby::GroupByOptions,
-) -> Result<crate::ops::groupby::GroupByResult> {
-    crate::ops::groupby::group_by(input, columns, &[], opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,19 +89,5 @@ mod tests {
     fn unknown_column_errors() {
         let r = rel();
         assert!(project(&r, &["zzz".to_string()], true).is_err());
-    }
-
-    #[test]
-    fn distinct_projection_groups_duplicates() {
-        let r = rel();
-        let out = project_distinct(
-            &r,
-            &["a".to_string(), "b".to_string()],
-            &crate::ops::groupby::GroupByOptions::inject(),
-        )
-        .unwrap();
-        assert_eq!(out.output.len(), 2);
-        // Backward lineage of the first distinct value covers both duplicates.
-        assert_eq!(out.lineage.input(0).backward().lookup(0), vec![0, 2]);
     }
 }

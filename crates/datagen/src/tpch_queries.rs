@@ -137,11 +137,6 @@ pub fn q1b_partition_attrs() -> Vec<String> {
     vec!["l_shipmode".to_string(), "l_shipinstruct".to_string()]
 }
 
-/// Extra group-by attribute of Q1c (aggregation push-down experiment).
-pub fn q1c_extra_key() -> String {
-    "l_tax".to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

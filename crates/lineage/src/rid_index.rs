@@ -30,15 +30,6 @@ impl RidIndex {
         }
     }
 
-    /// Creates a rid index with `len` entries, each pre-allocated to the
-    /// capacity returned by `cap(i)` (used when cardinality statistics are
-    /// known up-front).
-    pub fn with_capacities(len: usize, mut cap: impl FnMut(usize) -> usize) -> Self {
-        RidIndex {
-            entries: (0..len).map(|i| RidArray::with_capacity(cap(i))).collect(),
-        }
-    }
-
     /// Builds a rid index directly from per-entry rid vectors.
     pub fn from_entries(entries: Vec<Vec<Rid>>) -> Self {
         RidIndex {
@@ -163,24 +154,6 @@ mod tests {
         let pos = idx.push_entry(entry);
         assert_eq!(pos, 0);
         assert_eq!(idx.get(0), &[0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn with_capacities_avoids_resizes() {
-        let mut idx = RidIndex::with_capacities(2, |i| (i + 1) * 100);
-        for i in 0..100 {
-            idx.append(0, i);
-        }
-        for i in 0..200 {
-            idx.append(1, i);
-        }
-        assert_eq!(idx.resizes(), 0);
-
-        let mut unsized_idx = RidIndex::with_len(2);
-        for i in 0..200 {
-            unsized_idx.append(1, i);
-        }
-        assert!(unsized_idx.resizes() > 0);
     }
 
     #[test]

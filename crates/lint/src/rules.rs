@@ -487,9 +487,9 @@ pub fn exact_int_json(path: &str, tokens: &[Token]) -> Vec<Violation> {
 ///
 /// Folding one input row into a group's `AggState`s is written once
 /// (`AggInputs::update` in `ops/groupby.rs`, over the states of `agg.rs`);
-/// group-by capture, traced-row re-aggregation, the push-down cube and
-/// delete-refresh all go through it, and the competitor baselines keep their
-/// own as baselines should. Anywhere else, non-test code that names an
+/// group-by capture, traced-row re-aggregation and the push-down cube all go
+/// through it, and the competitor baselines keep their own as baselines
+/// should. Anywhere else, non-test code that names an
 /// `AggFunc::` variant in a function that also calls `.update(` /
 /// `.update_key(` is a copy of that fold coming back.
 pub fn one_agg_fold(path: &str, tokens: &[Token]) -> Vec<Violation> {

@@ -227,7 +227,7 @@ fn one_agg_fold_fires() {
 #[test]
 fn one_agg_fold_clean() {
     let src = fixture("agg_fold", "clean");
-    assert_clean("crates/core/src/refresh.rs", &src);
+    assert_clean("crates/core/src/workload.rs", &src);
 }
 
 #[test]

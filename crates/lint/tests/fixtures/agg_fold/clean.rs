@@ -1,6 +1,6 @@
 // Fixture: folding through the one fold, and naming `AggFunc` variants for
 // something other than folding (a wire codec), are both fine.
-pub fn refresh_group(input: &Relation, aggs: &[AggExpr], rids: &[Rid]) -> Result<Vec<Value>> {
+pub fn fold_group(input: &Relation, aggs: &[AggExpr], rids: &[Rid]) -> Result<Vec<Value>> {
     let agg_inputs = AggInputs::resolve(input, aggs)?;
     let mut states: Vec<AggState> = aggs.iter().map(AggExpr::new_state).collect();
     for &rid in rids {

@@ -43,6 +43,8 @@ struct Queue {
     runs: VecDeque<Run>,
     /// Workers currently reading/installing a run.
     active: usize,
+    /// Workers still running: one whose run panicked has exited.
+    live: usize,
     shutdown: bool,
 }
 
@@ -70,25 +72,48 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 impl Prefetcher {
     /// Spawns `threads` (at least one) workers sharing `core`.
     pub(crate) fn spawn(core: Arc<PoolCore>, threads: usize) -> Prefetcher {
+        Prefetcher::spawn_runs(threads, || {
+            let core = Arc::clone(&core);
+            // One page-sized buffer per run slot: the install path swaps
+            // these into frames wholesale and hands back each frame's
+            // displaced buffer, so steady-state prefetching recycles
+            // allocations instead of copying a flat slab into frames a
+            // second time.
+            let mut scratch: Vec<Vec<u8>> =
+                (0..MAX_RUN_PAGES).map(|_| vec![0u8; PAGE_SIZE]).collect();
+            move |first, len| core.prefetch_run(first, len, &mut scratch)
+        })
+    }
+
+    /// Spawns `threads` (at least one) workers, each executing runs through
+    /// its own closure from `make_run`.
+    fn spawn_runs<R>(threads: usize, make_run: impl Fn() -> R) -> Prefetcher
+    where
+        R: FnMut(PageId, u32) + Send + 'static,
+    {
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue {
                 runs: VecDeque::new(),
                 active: 0,
+                live: 0,
                 shutdown: false,
             }),
             work: Condvar::new(),
             idle: Condvar::new(),
         });
-        let workers = (0..threads.max(1))
+        let workers: Vec<_> = (0..threads.max(1))
             .filter_map(|_| {
-                let core = Arc::clone(&core);
                 let shared = Arc::clone(&shared);
+                let run = make_run();
                 std::thread::Builder::new()
                     .name("smoke-prefetch".into())
-                    .spawn(move || worker(core, shared))
+                    .spawn(move || worker(&shared, run))
                     .ok()
             })
             .collect();
+        // No run can be queued before `spawn_runs` returns, so no worker has
+        // left yet.
+        relock(&shared.queue).live = workers.len();
         Prefetcher { shared, workers }
     }
 
@@ -104,7 +129,7 @@ impl Prefetcher {
         let mut queued = false;
         {
             let mut q = relock(&self.shared.queue);
-            if q.shutdown {
+            if q.shutdown || q.live == 0 {
                 return;
             }
             let mut i = 0;
@@ -158,19 +183,15 @@ impl Drop for Prefetcher {
     }
 }
 
-fn worker(core: Arc<PoolCore>, shared: Arc<Shared>) {
-    // One page-sized buffer per run slot: the install path swaps these into
-    // frames wholesale and hands back each frame's displaced buffer, so
-    // steady-state prefetching recycles allocations instead of copying a
-    // flat slab into frames a second time.
-    let mut scratch: Vec<Vec<u8>> = (0..MAX_RUN_PAGES).map(|_| vec![0u8; PAGE_SIZE]).collect();
+/// Feeds queued runs to `run` until shutdown.
+fn worker(shared: &Shared, mut run: impl FnMut(PageId, u32)) {
     loop {
         let (first, len) = {
             let mut q = relock(&shared.queue);
             loop {
-                if let Some(run) = q.runs.pop_front() {
+                if let Some(next) = q.runs.pop_front() {
                     q.active += 1;
-                    break run;
+                    break next;
                 }
                 if q.shutdown {
                     return;
@@ -181,11 +202,82 @@ fn worker(core: Arc<PoolCore>, shared: Arc<Shared>) {
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
         };
-        core.prefetch_run(PageId(first), len.min(MAX_RUN_PAGES), &mut scratch);
-        let mut q = relock(&shared.queue);
+        let _active = ActiveRun(shared);
+        run(PageId(first), len.min(MAX_RUN_PAGES));
+    }
+}
+
+/// One worker's claim on [`Queue::active`], released on drop so that a run
+/// which unwinds still lets [`Prefetcher::quiesce`] return. A panicking run
+/// ends its worker; when the last worker is gone the queued runs are
+/// dropped (hints are advisory) and later hints are ignored.
+struct ActiveRun<'a>(&'a Shared);
+
+impl Drop for ActiveRun<'_> {
+    fn drop(&mut self) {
+        let mut q = relock(&self.0.queue);
         q.active -= 1;
-        if q.runs.is_empty() && q.active == 0 {
-            shared.idle.notify_all();
+        if std::thread::panicking() {
+            q.live -= 1;
+            if q.live == 0 {
+                q.runs.clear();
+            }
         }
+        if q.runs.is_empty() && q.active == 0 {
+            self.0.idle.notify_all();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Runs `quiesce` on a helper thread and fails, instead of hanging, if
+    /// it has not returned within the watchdog timeout.
+    fn assert_quiesces(prefetcher: Prefetcher) {
+        let (tx, rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            prefetcher.quiesce();
+            let _ = tx.send(());
+        });
+        let returned = rx.recv_timeout(Duration::from_secs(10)).is_ok();
+        assert!(returned, "quiesce hung after a prefetch run panicked");
+        waiter.join().expect("the waiter only quiesces and drops");
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn panicking_run_does_not_wedge_quiesce() {
+        let prefetcher = Prefetcher::spawn_runs(1, || |_: PageId, _: u32| panic!("injected"));
+        // Two runs too far apart to coalesce: the only worker dies on the
+        // first, with the second still queued.
+        prefetcher.enqueue(&[PageId(0), PageId(1000)]);
+        assert_quiesces(prefetcher);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn surviving_worker_drains_the_queue_after_a_panic() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let prefetcher = Prefetcher::spawn_runs(2, || {
+            let calls = Arc::clone(&calls);
+            // The first run handed to either worker panics.
+            move |_: PageId, _: u32| {
+                if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                    panic!("injected");
+                }
+            }
+        });
+        prefetcher.enqueue(&[PageId(0), PageId(1000), PageId(2000)]);
+        assert_quiesces(prefetcher);
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            3,
+            "every queued run was handed out"
+        );
     }
 }

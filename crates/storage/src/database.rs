@@ -15,9 +15,10 @@ use crate::{PagedRelation, Relation, Result, StorageError};
 ///
 /// By default every relation is fully resident. Setting a **memory budget**
 /// ([`Database::set_memory_budget`]) attaches a [`BufferPool`] to the
-/// catalog and transparently spills relations: every registered relation's
-/// numeric columns move to the pool's segment store, and at most
-/// `budget / PAGE_SIZE` pages of them are resident at any instant.
+/// catalog and transparently spills relations: every column of every
+/// registered relation (numeric and `Str`) moves to the pool's segment
+/// store, and at most `budget / PAGE_SIZE` pages of them are resident at any
+/// instant.
 /// Spilled relations are served via [`Database::paged_relation`]; looking
 /// one up through [`Database::relation`] yields the typed
 /// [`StorageError::RelationSpilled`] so in-RAM code paths cannot silently
@@ -113,32 +114,6 @@ impl Database {
         Ok(())
     }
 
-    /// Registers or replaces a relation under its own name (spilling it
-    /// when a budget is configured).
-    pub fn register_or_replace(&mut self, relation: Relation) {
-        let name = relation.name().to_string();
-        match &self.pool {
-            Some(pool) => {
-                // Spill failures surface as a typed error from `register`;
-                // the replace variant keeps its infallible signature by
-                // falling back to resident storage if the spill fails.
-                match PagedRelation::spill(&relation, pool) {
-                    Ok(paged) => {
-                        self.relations.remove(&name);
-                        self.paged.insert(name, paged);
-                    }
-                    Err(_) => {
-                        self.paged.remove(&name);
-                        self.relations.insert(name, relation);
-                    }
-                }
-            }
-            None => {
-                self.relations.insert(name, relation);
-            }
-        }
-    }
-
     /// Looks up a resident relation by name. Spilled relations yield
     /// [`StorageError::RelationSpilled`] (use [`Database::paged_relation`]).
     pub fn relation(&self, name: &str) -> Result<&Relation> {
@@ -203,7 +178,7 @@ impl Database {
     }
 
     /// Total approximate heap footprint: resident relations in full, plus
-    /// the resident remainder (string columns, metadata) of spilled ones.
+    /// the slot metadata of spilled ones.
     /// Frame memory is bounded by the pool budget and accounted separately.
     pub fn heap_bytes(&self) -> usize {
         self.relations
@@ -250,8 +225,6 @@ mod tests {
             db.register(rel("a")),
             Err(StorageError::DuplicateRelation(_))
         ));
-        // register_or_replace always succeeds.
-        db.register_or_replace(rel("a"));
         assert_eq!(db.len(), 1);
     }
 
@@ -305,18 +278,9 @@ mod tests {
         assert!(db
             .set_memory_budget_in_memory(PAGE_SIZE, ReplacementPolicy::Sieve)
             .is_err());
-    }
-
-    #[test]
-    fn register_or_replace_spills_under_budget() {
-        let mut db = Database::new();
-        db.set_memory_budget_in_memory(PAGE_SIZE, ReplacementPolicy::Sieve)
-            .unwrap();
-        db.register_or_replace(rel("a"));
-        assert!(db.is_paged("a"));
-        db.register_or_replace(rel("a"));
-        assert_eq!(db.len(), 1);
+        // Spilled relations leave the catalog through `remove_paged`.
         assert!(db.remove_paged("a").is_some());
+        assert!(db.remove_paged("b").is_some());
         assert!(db.is_empty());
     }
 }

@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 mod column;
-pub mod csv;
 mod database;
 mod error;
 pub mod kernels;

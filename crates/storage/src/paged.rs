@@ -66,8 +66,8 @@ enum PagedSlot {
     },
 }
 
-/// A relation whose numeric columns live in a [`BufferPool`]-backed segment
-/// store rather than RAM.
+/// A relation whose columns — numeric and `Str` alike — live in a
+/// [`BufferPool`]-backed segment store rather than RAM.
 #[derive(Debug, Clone)]
 pub struct PagedRelation {
     name: String,

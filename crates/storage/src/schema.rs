@@ -38,11 +38,6 @@ impl Schema {
         Ok(Schema { fields })
     }
 
-    /// Creates an empty schema.
-    pub fn empty() -> Self {
-        Schema { fields: Vec::new() }
-    }
-
     /// The fields of this schema, in declaration order.
     pub fn fields(&self) -> &[Field] {
         &self.fields
