@@ -20,14 +20,16 @@
 //! aggregation of an SPJA block is where backward lineage for the query
 //! output is materialized — and they are this operator again. The selection
 //! push-down is a per-ingest mask; data skipping and group-by push-down
-//! (§4.2) are a *finer* group-by over `keys ++ partition attributes` riding
-//! the coarse one, whose groups are hung at finish under the coarse groups
-//! owning their key prefixes (rid array → partition, states → cube cell,
-//! partition key rendered once per cell). A lineage-consuming query (§2.1,
-//! [`crate::query`]) is the operator too, uninstrumented, ingesting the
-//! traced rids instead of a range: one γht and one aggregate fold in all.
+//! (§4.2) are a *finer* group-by keyed by `(coarse gid, partition
+//! attributes)` riding the coarse one: the coarse loop hands each row's gid
+//! over, so the finer γ probes only the attribute columns. Its groups are
+//! hung at finish under the coarse groups owning their key prefixes (rids →
+//! partition, states → cube cell, partition key rendered once per cell). A
+//! lineage-consuming query (§2.1, [`crate::query`]) is the operator too,
+//! uninstrumented, ingesting the traced rids instead of a range: one γht
+//! and one aggregate fold in all.
 
-use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -165,6 +167,12 @@ struct GroupEntry {
 /// Sentinel in the dense group-id table for "no group assigned yet".
 const NO_GROUP: u32 = u32::MAX;
 
+/// Most slots a dense table of a core that sees `rows` rows may hold: it
+/// pays 4 bytes per slot, so a sparse domain hashes instead.
+fn dense_cap(rows: usize) -> usize {
+    4 * rows.max(256)
+}
+
 /// The result of probing a [`KeyMode`] for one row: either the row's group
 /// already exists, or a new group must be created for the returned key.
 enum Probe {
@@ -203,9 +211,7 @@ impl GroupTable {
     /// Makes room for the integer `keys` of the rows about to be `ingested`
     /// by a core that will see `rows` rows in all: the dense table is
     /// widened to cover them (a single ingest sizes it exactly once), or
-    /// demoted to hashing once the domain outgrows its cap. The dense table
-    /// pays 4 bytes per domain slot; the cap is a small multiple of the rows
-    /// the core will see, so sparse domains hash instead.
+    /// demoted to hashing once the domain outgrows [`dense_cap`].
     fn admit(&mut self, keys: &[i64], ingested: &impl RowSet, rows: usize) {
         let GroupTable::DenseInt { min, slots } = self else {
             return;
@@ -218,7 +224,7 @@ impl GroupTable {
             hi = hi.max(*min + (slots.len() as i64 - 1));
         }
         let width = hi as i128 - lo as i128 + 1;
-        if width > 4 * rows.max(256) as i128 {
+        if width > dense_cap(rows) as i128 {
             let ht = slots.iter().enumerate().filter(|(_, &gid)| gid != NO_GROUP);
             *self = GroupTable::HashInt(ht.map(|(i, &gid)| (*min + i as i64, gid)).collect());
         } else if width as usize != slots.len() {
@@ -322,6 +328,234 @@ impl KeyMode<'_> {
     }
 }
 
+/// The γht of a finer core (§4.2): `(coarse gid, partition attributes)` →
+/// cell. The coarse loop already knows each row's gid, so only the
+/// attribute columns are read; a cell's full [`HashKey`] is built once, on
+/// the miss that creates it.
+enum CellTable {
+    /// A single `Int` attribute over a bounded domain: the cell of coarse
+    /// group `gid` and attribute `a` sits in slot `gid * width + (a - min)`.
+    /// A new coarse group appends `width` slots; a wider domain re-lays
+    /// them out. Holds at most [`dense_cap`] slots.
+    Dense {
+        min: i64,
+        width: usize,
+        slots: Vec<u32>,
+    },
+    /// A single `Int` attribute past the dense cap.
+    HashInt(HashMap<(u32, i64), u32>),
+    /// Any other attribute shape (`Float`, `Str`, several attributes).
+    Generic(HashMap<(u32, HashKey), u32>),
+}
+
+/// A finer core's attribute columns, bound to one ingest.
+enum CellCols<'a> {
+    Int(&'a [i64]),
+    Generic(KeyExtractor<'a>),
+}
+
+impl CellTable {
+    fn for_columns(columns: &[&Column]) -> CellTable {
+        match columns {
+            [Column::Int(_)] => CellTable::Dense {
+                min: 0,
+                width: 0,
+                slots: Vec::new(),
+            },
+            _ => CellTable::Generic(HashMap::new()),
+        }
+    }
+
+    /// Widens the dense domain to cover the attribute `keys` of the rows
+    /// about to be `ingested`, or demotes the table to hashing once the
+    /// slots it would hold outgrow `cap`.
+    fn admit(&mut self, keys: &[i64], ingested: &impl RowSet, cap: usize) {
+        let CellTable::Dense { min, width, slots } = self else {
+            return;
+        };
+        let Some((mut lo, mut hi)) = ingested.int_min_max(keys) else {
+            return;
+        };
+        let groups = match *width {
+            0 => 0,
+            w => {
+                lo = lo.min(*min);
+                hi = hi.max(*min + (w as i64 - 1));
+                slots.len() / w
+            }
+        };
+        let wider = hi as i128 - lo as i128 + 1;
+        if wider * groups.max(1) as i128 > cap as i128 {
+            self.demote();
+        } else if wider as usize != *width {
+            let wider = wider as usize;
+            let mut laid = vec![NO_GROUP; groups * wider];
+            if groups > 0 {
+                let shift = (*min - lo) as usize;
+                for (to, from) in laid.chunks_exact_mut(wider).zip(slots.chunks_exact(*width)) {
+                    to[shift..shift + from.len()].copy_from_slice(from);
+                }
+            }
+            (*min, *width, *slots) = (lo, wider, laid);
+        }
+    }
+
+    /// Moves a dense table's cells into a hash table.
+    fn demote(&mut self) {
+        let CellTable::Dense { min, width, slots } = self else {
+            return;
+        };
+        let cells = slots
+            .iter()
+            .enumerate()
+            .filter(|(_, &cell)| cell != NO_GROUP);
+        let keyed = cells.map(|(at, &cell)| {
+            let (gid, offset) = (at / *width, at % *width);
+            ((gid as u32, *min + offset as i64), cell)
+        });
+        *self = CellTable::HashInt(keyed.collect());
+    }
+
+    /// Makes room in a dense table for the cells of coarse group `gid`, or
+    /// demotes it to hashing once they would outgrow `cap`.
+    #[cold]
+    fn grow(&mut self, gid: u32, cap: usize) {
+        let CellTable::Dense { width, slots, .. } = self else {
+            return;
+        };
+        let len = (gid as usize + 1) * *width;
+        if len > cap {
+            self.demote();
+        } else {
+            slots.resize(len, NO_GROUP);
+        }
+    }
+
+    /// The cell of row `i`, whose coarse group is `gid`; on a miss, `new`
+    /// creates it from the row's attribute key parts.
+    #[inline]
+    fn cell(
+        &mut self,
+        i: usize,
+        gid: u32,
+        cols: &CellCols,
+        cap: usize,
+        new: impl FnOnce(Vec<KeyPart>) -> u32,
+    ) -> u32 {
+        loop {
+            return match (&mut *self, cols) {
+                (CellTable::Dense { min, width, slots }, CellCols::Int(keys)) => {
+                    let at = gid as usize * *width + (keys[i] - *min) as usize;
+                    match slots.get(at) {
+                        None => {
+                            self.grow(gid, cap);
+                            continue;
+                        }
+                        Some(&NO_GROUP) => {
+                            let cell = new(vec![KeyPart::Int(keys[i])]);
+                            slots[at] = cell;
+                            cell
+                        }
+                        Some(&cell) => cell,
+                    }
+                }
+                (CellTable::HashInt(ht), CellCols::Int(keys)) => {
+                    *(ht.entry((gid, keys[i]))).or_insert_with(|| new(vec![KeyPart::Int(keys[i])]))
+                }
+                (CellTable::Generic(ht), CellCols::Generic(attrs)) => {
+                    match ht.entry((gid, attrs.key(i))) {
+                        Entry::Occupied(slot) => *slot.get(),
+                        Entry::Vacant(slot) => {
+                            let cell = new(slot.key().1.clone().into_parts());
+                            *slot.insert(cell)
+                        }
+                    }
+                }
+                _ => {
+                    unreachable!("a finer core's attribute columns keep their types across ingests")
+                }
+            };
+        }
+    }
+}
+
+/// A finer γ riding a coarse one (§4.2). Its groups are the cells of one
+/// data-skipping partitioning and/or push-down cube; `core` holds their
+/// states, and `core.keys` names the partition attributes. Each cell's
+/// [`HashKey`] is the coarse key's parts followed by the attribute parts,
+/// which [`GroupByCore::merge`] and the artifacts key on. A capturing
+/// finer core records each row's cell in `core.forward`, as a morsel
+/// fragment does, and is sealed into a backward CSR, exactly sized from
+/// the cells' counts, before its partitions are cut out of it.
+struct FinerCore<'o> {
+    core: GroupByCore<'o>,
+    /// Chosen from the attribute column types at the first ingest.
+    table: Option<CellTable>,
+}
+
+/// A finer core bound to one ingest: it is pushed, in order, every row that
+/// passed the selection push-down, with the gid the coarse loop gave it.
+struct CellSink<'a, 'o> {
+    core: &'a mut GroupByCore<'o>,
+    table: &'a mut CellTable,
+    cols: CellCols<'a>,
+    agg_inputs: AggInputs<'a>,
+    cap: usize,
+}
+
+impl<'o> FinerCore<'o> {
+    fn bind<'a>(&'a mut self, rel: &'a Relation, rows: &impl RowSet) -> Result<CellSink<'a, 'o>> {
+        let attrs = KeyExtractor::new(rel, self.core.keys)?;
+        let agg_inputs = AggInputs::resolve(rel, self.core.aggs)?;
+        let cap = dense_cap(self.core.rows);
+        if self.core.capture && self.core.forward.is_empty() {
+            self.core.forward = RidArray::filled(self.core.rows);
+        }
+        let table = (self.table).get_or_insert_with(|| CellTable::for_columns(attrs.columns()));
+        let cols = match sk::int_keys(attrs.columns()) {
+            Some(keys) => {
+                table.admit(keys, rows, cap);
+                CellCols::Int(keys)
+            }
+            None => CellCols::Generic(attrs),
+        };
+        Ok(CellSink {
+            core: &mut self.core,
+            table,
+            cols,
+            agg_inputs,
+            cap,
+        })
+    }
+}
+
+impl CellSink<'_, '_> {
+    /// Folds row `i` (global rid `rid`) of coarse group `gid` among the
+    /// `coarse` groups into its cell.
+    #[inline]
+    fn push(&mut self, i: usize, rid: usize, gid: u32, coarse: &[GroupEntry]) {
+        let core = &mut *self.core;
+        let (groups, aggs) = (&mut core.groups, core.aggs);
+        let cell = self.table.cell(i, gid, &self.cols, self.cap, |attrs| {
+            let mut parts = coarse[gid as usize].key.clone().into_parts();
+            parts.extend(attrs);
+            groups.push(GroupEntry {
+                key: HashKey::Composite(parts),
+                states: aggs.iter().map(AggExpr::new_state).collect(),
+                i_rids: RidArray::new(),
+                lineage_count: 0,
+            });
+            groups.len() as u32 - 1
+        });
+        let entry = &mut groups[cell as usize];
+        self.agg_inputs.update(&mut entry.states, aggs, i);
+        if core.capture {
+            entry.lineage_count += 1;
+            core.forward.set(rid - core.base, cell);
+        }
+    }
+}
+
 pub(crate) struct AggInputs<'a> {
     columns: Vec<Option<&'a Column>>,
 }
@@ -387,7 +621,7 @@ pub fn group_by(
 /// lineage-consuming query ([`crate::query`]) is the same core, uninstrumented,
 /// over the traced rids.
 pub(crate) struct GroupByCore<'o> {
-    keys: Cow<'o, [String]>,
+    keys: &'o [String],
     aggs: &'o [AggExpr],
     hints: Option<&'o CardinalityHints>,
     /// Selection push-down: only rows satisfying it enter the lineage
@@ -411,12 +645,12 @@ pub(crate) struct GroupByCore<'o> {
     groups: Vec<GroupEntry>,
     forward: RidArray,
     /// The workload-aware artifacts of §4.2, as finer γs riding this one:
-    /// group-bys over `keys ++ partition attributes`, fed the rows of every
-    /// ingest that passed the selection push-down. Their groups are the
-    /// cells: each group's rid array (Inject, backward only) is one
+    /// group-bys keyed by `(gid, partition attributes)`, fed every row of an
+    /// ingest that passed the selection push-down, with the gid this core's
+    /// loop gave it. Their groups are the cells: each group's rids are one
     /// data-skipping partition of the coarse group owning its key prefix,
     /// and its aggregate states are that group's push-down cube cell.
-    finer: Vec<GroupByCore<'o>>,
+    finer: Vec<FinerCore<'o>>,
     /// On a finer core whose groups become cube cells: the push-down whose
     /// aggregates it folds.
     cube: Option<&'o AggPushdown>,
@@ -436,7 +670,7 @@ impl<'o> GroupByCore<'o> {
         opts: &'o GroupByOptions,
         rows: usize,
     ) -> Self {
-        let mut core = Self::bare(keys.into(), aggs, opts.mode, opts.directions, rows);
+        let mut core = Self::bare(keys, aggs, opts.mode, opts.directions, rows);
         let wl = &opts.workload;
         core.hints = opts.hints.as_ref();
         core.pushdown = wl.selection_pushdown.as_ref();
@@ -445,15 +679,18 @@ impl<'o> GroupByCore<'o> {
         }
         // One finer core when partitions and cube split on the same
         // attributes, one each otherwise.
-        let finer = |attrs: &[String], mode, cube: Option<&'o AggPushdown>| GroupByCore {
-            cube,
-            ..Self::bare(
-                [keys, attrs].concat().into(),
-                cube.map_or(&[][..], |pd| &pd.aggs),
-                mode,
-                DirectionFilter::BackwardOnly,
-                rows,
-            )
+        let finer = |attrs: &'o [String], mode, cube: Option<&'o AggPushdown>| FinerCore {
+            core: GroupByCore {
+                cube,
+                ..Self::bare(
+                    attrs,
+                    cube.map_or(&[][..], |pd| &pd.aggs),
+                    mode,
+                    DirectionFilter::BackwardOnly,
+                    rows,
+                )
+            },
+            table: None,
         };
         let skip = &wl.skipping_partition_by;
         let cube = wl.agg_pushdown.as_ref();
@@ -470,7 +707,7 @@ impl<'o> GroupByCore<'o> {
 
     /// A core with nothing riding it: no hints, push-down or finer cores.
     fn bare(
-        keys: Cow<'o, [String]>,
+        keys: &'o [String],
         aggs: &'o [AggExpr],
         mode: CaptureMode,
         directions: DirectionFilter,
@@ -533,10 +770,11 @@ impl<'o> GroupByCore<'o> {
         if self.capture {
             self.forward = RidArray::filled(self.rows);
         }
-        self.finer.iter_mut().for_each(|f| f.localize(base));
+        self.finer.iter_mut().for_each(|f| f.core.localize(base));
     }
 
-    /// Seals a fragment's local gids as its backward CSR, sized exactly.
+    /// Seals a fragment's local gids (or a finer core's cells) as its
+    /// backward CSR, sized exactly.
     fn seal(&mut self) {
         if self.capture_b {
             let counts = self.groups.iter().map(|g| g.lineage_count as usize);
@@ -548,22 +786,70 @@ impl<'o> GroupByCore<'o> {
             }
             self.backward_csr = Some(csr.finish());
         }
-        self.finer.iter_mut().for_each(|f| f.seal());
+        self.finer.iter_mut().for_each(|f| f.core.seal());
     }
 
     /// γht over `rows` of `rel`, whose global rid is `rid_offset + i`, with
-    /// Inject capture fused in; the rows that pass the selection push-down
-    /// are handed on to the finer cores. The group-id lookup runs over typed
-    /// key vectors rebound per ingest (dense table / primitive-key hash for
-    /// integer keys), falling back to per-row `HashKey` construction for
-    /// other shapes.
+    /// Inject capture fused in; each row that passes the selection push-down
+    /// is handed on, with its gid, to the finer cores. The group-id lookup
+    /// runs over typed key vectors rebound per ingest (dense table /
+    /// primitive-key hash for integer keys), falling back to per-row
+    /// `HashKey` construction for other shapes.
     pub(crate) fn ingest(
         &mut self,
         rel: &Relation,
         rows: impl RowSet,
         rid_offset: usize,
     ) -> Result<()> {
-        let extractor = KeyExtractor::new(rel, &self.keys)?;
+        if self.finer.is_empty() {
+            return self.fold(rel, rows, rid_offset, |_| {}).map(drop);
+        }
+        let mut finer = std::mem::take(&mut self.finer);
+        let folded = self.ingest_finer(&mut finer, rel, rows, rid_offset);
+        self.finer = finer;
+        folded
+    }
+
+    /// [`GroupByCore::ingest`] with finer cores riding: the coarse loop
+    /// records the gid of every row that enters the lineage indexes, and
+    /// each finer core then folds those rows, in order, probing only its
+    /// attribute columns under the recorded gids.
+    fn ingest_finer(
+        &mut self,
+        finer: &mut [FinerCore<'o>],
+        rel: &Relation,
+        rows: impl RowSet,
+        rid_offset: usize,
+    ) -> Result<()> {
+        let sinks = finer.iter_mut().map(|f| f.bind(rel, &rows));
+        let sinks = sinks.collect::<Result<Vec<_>>>()?;
+        let span = rows.span(rel.len());
+        let mut gids = Vec::with_capacity(span.len());
+        let mask = self.fold(rel, rows.clone(), rid_offset, |gid| gids.push(gid))?;
+        let passed = || {
+            let mask = mask.as_ref();
+            (rows.rows()).filter(move |i| mask.is_none_or(|m| m.get(i - span.start)))
+        };
+        for mut sink in sinks {
+            for (i, &gid) in passed().zip(&gids) {
+                sink.push(i, rid_offset + i, gid, &self.groups);
+            }
+        }
+        Ok(())
+    }
+
+    /// The coarse loop of [`GroupByCore::ingest`]: `finer(gid)` sees the gid
+    /// of every row that enters the lineage indexes, in order. A core with
+    /// no finer cores passes a no-op, which compiles away. Returns the
+    /// selection push-down's mask over the ingest's span.
+    fn fold(
+        &mut self,
+        rel: &Relation,
+        rows: impl RowSet,
+        rid_offset: usize,
+        mut finer: impl FnMut(u32),
+    ) -> Result<Option<SelectionMask>> {
+        let extractor = KeyExtractor::new(rel, self.keys)?;
         let agg_inputs = AggInputs::resolve(rel, self.aggs)?;
 
         // The push-down predicate is evaluated once per ingest through the
@@ -620,22 +906,10 @@ impl<'o> GroupByCore<'o> {
                 if fuse_f {
                     forward.set(rid - base, gid);
                 }
+                finer(gid);
             }
         }
-
-        // The finer cores see exactly the rows that entered the lineage
-        // indexes, in the same order.
-        if self.finer.is_empty() {
-            return Ok(());
-        }
-        let passed: Option<Vec<Rid>> = pushdown_mask.map(|mask| {
-            let passed = rows.rows().filter(|i| mask.get(i - first));
-            passed.map(|i| i as Rid).collect()
-        });
-        self.finer.iter_mut().try_for_each(|f| match &passed {
-            Some(passed) => f.ingest(rel, &passed[..], rid_offset),
-            None => f.ingest(rel, rows.clone(), rid_offset),
-        })
+        Ok(pushdown_mask)
     }
 
     fn pushdown_mask(&self, rel: &Relation, span: Range<usize>) -> Result<Option<SelectionMask>> {
@@ -675,7 +949,7 @@ impl<'o> GroupByCore<'o> {
         rid_offset: usize,
     ) -> Result<()> {
         self.begin_defer();
-        let extractor = KeyExtractor::new(rel, &self.keys)?;
+        let extractor = KeyExtractor::new(rel, self.keys)?;
         let pushdown_mask = self.pushdown_mask(rel, range.clone())?;
         let Some(table) = self.table.as_mut() else {
             return Ok(());
@@ -712,7 +986,8 @@ impl<'o> GroupByCore<'o> {
             .map(|p| std::mem::take(&mut p.finer).into_iter())
             .collect();
         for finer in &mut self.finer {
-            finer.merge(finer_parts.iter_mut().filter_map(Iterator::next).collect());
+            let cores = finer_parts.iter_mut().filter_map(Iterator::next);
+            finer.core.merge(cores.map(|f| f.core).collect());
         }
         // The merged core ingests nothing: there are no `i_rids` to reuse
         // and no re-probe to wait for, only a forward array to fill.
@@ -841,10 +1116,11 @@ impl<'o> GroupByCore<'o> {
     }
 
     /// Hangs every finer group under the coarse group that owns its key
-    /// prefix: its rid array, exactly sized, becomes that group's partition
-    /// and its states the cube cell, under the partition attributes' values
-    /// rendered — once per cell — as `|`-joined [`Value::group_key`]s
-    /// (partition attributes are categorical or discretized, §4.2).
+    /// prefix: its rids, cut exactly sized out of the finer core's backward
+    /// CSR, become that group's partition and its states the cube cell,
+    /// under the partition attributes' values
+    /// rendered once per cell by [`cell_key`] (partition attributes are
+    /// categorical or discretized, §4.2).
     fn artifacts(&mut self, schema: &Schema) -> Result<WorkloadArtifacts> {
         let mut out = WorkloadArtifacts::default();
         if self.finer.is_empty() {
@@ -854,10 +1130,16 @@ impl<'o> GroupByCore<'o> {
         let gid_of: HashMap<Vec<KeyPart>, usize> = (self.groups.iter().enumerate())
             .map(|(gid, g)| (g.key.clone().into_parts(), gid))
             .collect();
-        for finer in std::mem::take(&mut self.finer) {
-            let attrs = &finer.keys[coarse_keys..];
-            let mut partitioned =
-                (finer.capture).then(|| PartitionedRidIndex::with_len(attrs.join(","), 0));
+        for FinerCore {
+            core: mut finer, ..
+        } in std::mem::take(&mut self.finer)
+        {
+            let attrs = finer.keys;
+            if finer.backward_csr.is_none() {
+                finer.seal();
+            }
+            let mut partitioned = (finer.backward_csr.take())
+                .map(|csr| (csr, PartitionedRidIndex::with_len(attrs.join(","), 0)));
             let mut cells = match finer.cube {
                 Some(pd) => {
                     let fields = attrs
@@ -875,23 +1157,34 @@ impl<'o> GroupByCore<'o> {
                 let attrs = prefix.split_off(coarse_keys);
                 let gid = gid_of[&prefix];
                 let key_values: Vec<Value> = attrs.iter().map(KeyPart::to_value).collect();
-                let rendered: Vec<String> = key_values.iter().map(Value::group_key).collect();
-                let key = rendered.join("|");
-                if let Some(partitioned) = &mut partitioned {
-                    let rids = (finer.backward_csr.as_ref())
-                        .map_or(group.i_rids.as_slice(), |csr| csr.get(cell));
-                    partitioned.insert(gid, key.clone(), rids.to_vec());
+                let key = cell_key(&key_values);
+                if let Some((csr, partitioned)) = &mut partitioned {
+                    partitioned.insert(gid, key.clone(), csr.get(cell).to_vec());
                 }
                 if let Some(cells) = &mut cells {
                     let states = group.states;
                     cells.insert(gid, key, CubeCell { key_values, states });
                 }
             }
-            out.partitioned = out.partitioned.or(partitioned);
+            out.partitioned = out.partitioned.or(partitioned.map(|(_, p)| p));
             out.cube = out.cube.or(cells);
         }
         Ok(out)
     }
+}
+
+/// A partition or cube cell's key: its attribute values as
+/// [`Value::group_key`]s, `|`-joined when there are several. Joined parts
+/// escape `\` and `|` inside strings, so distinct cells never render alike.
+fn cell_key(values: &[Value]) -> String {
+    if let [value] = values {
+        return value.group_key();
+    }
+    let parts = values.iter().map(|v| match v {
+        Value::Str(s) => s.replace('\\', "\\\\").replace('|', "\\|"),
+        v => v.group_key(),
+    });
+    parts.collect::<Vec<_>>().join("|")
 }
 
 /// The type of key column `name` in the operator's input.
@@ -1116,6 +1409,44 @@ mod tests {
         assert_eq!(drill.value(1, 0), Value::Str("odd".into()));
         assert_eq!(drill.value(1, 2), Value::Float(60.0));
         assert_eq!(drill.value(1, 3), Value::Int(1));
+    }
+
+    #[test]
+    fn multi_attribute_keys_escape_the_separator() {
+        // One coarse group, two cells whose unescaped `|`-joins are both
+        // `a|b|c`: they must stay two partitions and two cube rows.
+        let r = Relation::builder("t")
+            .column("z", DataType::Int)
+            .column("s", DataType::Str)
+            .column("t", DataType::Str)
+            .row(vec![
+                Value::Int(1),
+                Value::Str("a|b".into()),
+                Value::Str("c".into()),
+            ])
+            .row(vec![
+                Value::Int(1),
+                Value::Str("a".into()),
+                Value::Str("b|c".into()),
+            ])
+            .build()
+            .unwrap();
+        let attrs = vec!["s".to_string(), "t".to_string()];
+        let mut opts = GroupByOptions::inject();
+        opts.workload.skipping_partition_by = attrs.clone();
+        opts.workload.agg_pushdown = Some(crate::instrument::AggPushdown {
+            partition_by: attrs,
+            aggs: vec![AggExpr::count("cnt")],
+        });
+        let result = group_by(&r, &["z".to_string()], &[], &opts).unwrap();
+        let part = result.artifacts.partitioned.as_ref().unwrap();
+        assert_eq!(part.keys(0), vec!["a\\|b|c", "a|b\\|c"]);
+        assert_eq!(part.partition(0, "a\\|b|c"), &[0]);
+        assert_eq!(part.partition(0, "a|b\\|c"), &[1]);
+        let drill = result.artifacts.cube.as_ref().unwrap().query(0).unwrap();
+        assert_eq!(drill.len(), 2);
+        assert_eq!(drill.value(0, 0), Value::Str("a|b".into()));
+        assert_eq!(drill.value(1, 0), Value::Str("a".into()));
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //!   maintained incrementally during capture (group-by push-down), i.e. an
 //!   online partial data cube built by piggy-backing on the base query's scan.
 //!
-//! Both are the groups of a finer group-by (`keys ++ partition attributes`)
-//! that rides the base query's γ ([`crate::ops::groupby`]); this module only
-//! holds them once finished — a partition or a cell arrives whole, keyed by
-//! its partition attributes' values rendered as `|`-joined
-//! [`Value::group_key`]s.
+//! Both are the groups of a finer group-by keyed by `(coarse gid, partition
+//! attributes)` that rides the base query's γ ([`crate::ops::groupby`]);
+//! this module only holds them once finished — a partition or a cell
+//! arrives whole, keyed by its partition attributes' values rendered as
+//! [`Value::group_key`]s, `|`-joined (with `\` and `|` escaped inside
+//! strings) when there are several.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 

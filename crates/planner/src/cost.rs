@@ -81,8 +81,9 @@ pub(crate) const COST_PAGE_READ_SEQ: f64 = 8.0;
 /// model can charge strategies for the pages they would actually read
 /// (see [`smoke_storage::PagedRelation`] and `smoke_pager::BufferPool`).
 ///
-/// The model is per-column: numeric columns are independent page runs of
-/// [`smoke_storage::ROWS_PER_PAGE`] fixed-width values, so a strategy that
+/// The model is per-column: every column is an independent page run of
+/// [`smoke_storage::ROWS_PER_PAGE`] fixed-width values (for a `Str` column,
+/// its offsets run; its bytes run goes uncounted), so a strategy that
 /// fetches `k` of `n` rows from `c` columns touches
 /// `c * pages_per_column * (1 - (1 - k/n)^rows_per_page)` distinct pages —
 /// Yao's expected-distinct-blocks formula with the usual sampling
@@ -93,7 +94,9 @@ pub(crate) const COST_PAGE_READ_SEQ: f64 = 8.0;
 pub struct IoModel {
     /// Pages each paged column of the base relation occupies.
     pub pages_per_column: u64,
-    /// Number of paged (numeric) columns in the base relation.
+    /// Number of paged columns in the base relation. A `Str` column spills
+    /// as an offsets run plus a bytes run and counts as one column here (a
+    /// lower bound).
     pub columns: usize,
     /// Fixed-width values stored per page.
     pub rows_per_page: usize,
@@ -112,7 +115,7 @@ impl IoModel {
     pub fn from_paged(relation: &smoke_storage::PagedRelation) -> IoModel {
         IoModel {
             pages_per_column: relation.pages_per_column() as u64,
-            columns: relation.paged_columns(),
+            columns: relation.schema().fields().len(),
             rows_per_page: smoke_storage::ROWS_PER_PAGE,
             residency: relation.resident_fraction(),
             prefetch: relation.pool().prefetch_enabled(),

@@ -262,13 +262,13 @@ impl<'a> LineagePlanner<'a> {
 
         // With an I/O model, every candidate is additionally charged for the
         // distinct base-relation pages it would fault in, discounted by
-        // current pool residency. Only the numeric columns a consuming
-        // clause touches cost pages — `Str` columns stay resident, and a
-        // pure rid trace never leaves the lineage index. Pruning fetches
-        // both fewer rows (one partition's worth) and fewer columns (the
-        // partition equality *is* the filter, so the filter column is never
-        // re-read), which is why its page estimate sits strictly below the
-        // eager trace's for any non-degenerate partitioning.
+        // current pool residency. Only the columns a consuming clause
+        // touches cost pages (every column spills, a `Str` one as two runs),
+        // and a pure rid trace never leaves the lineage index. Pruning
+        // fetches both fewer rows (one partition's worth) and fewer columns
+        // (the partition equality *is* the filter, so the filter column is
+        // never re-read), which is why its page estimate sits strictly below
+        // the eager trace's for any non-degenerate partitioning.
         let consume_cols: BTreeSet<&str> = query
             .consume
             .keys
@@ -630,22 +630,16 @@ impl<'a> LineagePlanner<'a> {
         Some(coerced.group_key())
     }
 
-    /// Number of *paged* (numeric) base columns among `names` — `Str`
-    /// columns stay resident under the paged layout and never cost a page
-    /// read; unknown names resolve to zero pages rather than an error (the
-    /// executor will surface them).
+    /// Number of paged base columns among `names`. Every column spills: a
+    /// numeric one as one page run, a `Str` one as an offsets run plus a
+    /// bytes run, counted here as one column (a lower bound). Unknown names
+    /// resolve to zero pages rather than an error (the executor will surface
+    /// them).
     fn paged_column_count(&self, names: &BTreeSet<&str>) -> usize {
-        names
+        let known = names
             .iter()
-            .filter(|name| {
-                self.base.column_index(name).ok().is_some_and(|idx| {
-                    matches!(
-                        self.base.schema().field(idx).data_type,
-                        DataType::Int | DataType::Float
-                    )
-                })
-            })
-            .count()
+            .filter(|name| self.base.column_index(name).is_ok());
+        known.count()
     }
 
     /// Average number of partitions per selected entry, sampled over at most

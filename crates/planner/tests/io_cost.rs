@@ -11,7 +11,7 @@ use smoke_core::{AggExpr, AggPushdown, Expr};
 use smoke_datagen::zipf::{zipf_table_binned, ZipfSpec};
 use smoke_pager::{BufferPool, ReplacementPolicy, SegmentStore};
 use smoke_planner::{IoModel, LineagePlanner, LineageQuery, RewriteInfo, Strategy};
-use smoke_storage::{PagedRelation, Relation, ROWS_PER_PAGE};
+use smoke_storage::{Column, DataType, Field, PagedRelation, Relation, Schema, ROWS_PER_PAGE};
 
 const BINS: usize = 4;
 
@@ -102,6 +102,36 @@ fn page_estimates_order_the_strategies() {
     assert_eq!(cube_explain.strategy, Strategy::CubeHit);
     assert_eq!(cube_explain.candidate_pages(Strategy::CubeHit), Some(0.0));
     assert!(cube_explain.candidate_pages(Strategy::EagerTrace).unwrap() > 0.0);
+}
+
+#[test]
+fn str_columns_cost_pages() {
+    // The workload table plus a `Str` column, which spills as an offsets
+    // run and a bytes run: an aggregate over it must fault pages in.
+    let (table, _) = workload();
+    let mut fields = table.schema().fields().to_vec();
+    fields.push(Field::new("tag", DataType::Str));
+    let mut columns = table.columns().to_vec();
+    columns.push(Column::Str(
+        (0..table.len()).map(|i| format!("t{}", i % 7)).collect(),
+    ));
+    let table = Relation::from_columns("tagged", Schema::new(fields).unwrap(), columns).unwrap();
+    let captured = group_by(
+        &table,
+        &["z".to_string()],
+        &[AggExpr::count("cnt")],
+        &GroupByOptions::inject(),
+    )
+    .unwrap();
+    let paged = spill(&table, 8);
+    let io = IoModel::from_paged(&paged);
+    assert_eq!(io.columns, 5, "the `Str` column counts as a paged column");
+    let q = LineageQuery::backward()
+        .rids([0])
+        .aggregate(&["tag"], vec![AggExpr::count("cnt")]);
+    let explain = planner(&table, &captured, io).explain(&q).unwrap();
+    let pages = explain.candidate_pages(Strategy::EagerTrace).unwrap();
+    assert!(pages > 0.0, "{}", explain.render());
 }
 
 #[test]
