@@ -6,6 +6,19 @@
 //! wire format emits — objects, arrays, strings, numbers, booleans, and
 //! null — with integers kept exact ([`Json::Int`]) so `i64` literals and
 //! rids survive a round trip without going through `f64`.
+//!
+//! Rid lists make most of the bytes on the wire, so plain integers take a
+//! fast path both ways. The parser reads an optional `-` and at most 18
+//! digits straight into an `i64` (18 digits cannot overflow), and its array
+//! loop tries that before any whitespace skipping or value dispatch; every
+//! other number — fractions, exponents, 19 or more digits — goes through the
+//! general number path. The renderer writes an `i64` with a digit loop, not
+//! through `fmt`. Both paths give the same values and bytes as the general
+//! ones.
+//!
+//! Containers nest at most [`MAX_DEPTH`] deep. The parser recurses once per
+//! level, and a deeper document is a typed parse error instead of a stack
+//! overflow, which would abort the whole process.
 
 use std::fmt::Write as _;
 
@@ -111,9 +124,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
+            Json::Int(i) => render_int(*i, out),
             Json::Num(n) if n.is_finite() => {
                 let _ = write!(out, "{n}");
             }
@@ -145,6 +156,28 @@ impl Json {
     }
 }
 
+/// Writes `i` in decimal: the bytes `format!("{i}")` produces, without the
+/// formatting machinery.
+fn render_int(i: i64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut n = i.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        out.push('-');
+    }
+    if let Ok(text) = std::str::from_utf8(&digits[at..]) {
+        out.push_str(text);
+    }
+}
+
 fn render_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -163,15 +196,26 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How deep arrays and objects may nest. A 200-term conjunction nests about
+/// 400 levels (an object and an array per `and`). The decoders downstream of
+/// the parser recurse once per level too, and must fit a server session's
+/// stack at this depth.
+pub const MAX_DEPTH: usize = 512;
+
+/// Digits a plain integer may have to take the fast path: any 18-digit
+/// number is below `i64::MAX`, so accumulating it cannot overflow.
+const FAST_INT_DIGITS: usize = 18;
+
 /// Parses JSON text into a [`Json`] value. Trailing non-whitespace is an
-/// error, as is any malformed construct.
+/// error, as is any malformed construct or nesting deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, EngineError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
-    let value = p.value()?;
+    let value = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters after JSON value"));
@@ -217,21 +261,32 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, EngineError> {
+    /// Parses one value with `depth` containers open around it.
+    fn value(&mut self, depth: usize) -> Result<Json, EngineError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => match self.int() {
+                Some(i) => Ok(Json::Int(i)),
+                None => self.number(),
+            },
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn object(&mut self) -> Result<Json, EngineError> {
-        self.eat(b'{')?;
+    fn open(&mut self, bracket: u8, depth: usize) -> Result<(), EngineError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.eat(bracket)
+    }
+
+    fn object(&mut self, depth: usize) -> Result<Json, EngineError> {
+        self.open(b'{', depth)?;
         let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -244,7 +299,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             pairs.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -258,8 +313,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, EngineError> {
-        self.eat(b'[')?;
+    fn array(&mut self, depth: usize) -> Result<Json, EngineError> {
+        self.open(b'[', depth)?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -267,9 +322,19 @@ impl<'a> Parser<'a> {
             return Ok(Json::Arr(items));
         }
         loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
+            // Rid lists are compact runs of `int,int,…`: read the integer
+            // and the separator before paying for whitespace skipping.
+            let item = match self.int() {
+                Some(i) => Json::Int(i),
+                None => {
+                    self.skip_ws();
+                    self.value(depth)?
+                }
+            };
+            items.push(item);
+            if !matches!(self.peek(), Some(b',' | b']')) {
+                self.skip_ws();
+            }
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
@@ -336,6 +401,36 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+    }
+
+    /// Reads a plain integer in place: an optional `-`, then at most
+    /// [`FAST_INT_DIGITS`] ASCII digits, not followed by `.`, `e`, `E`, `+`,
+    /// `-` or another digit. Anything else leaves the position untouched and
+    /// returns `None` for [`Parser::number`] to read.
+    fn int(&mut self) -> Option<i64> {
+        let rest = self.bytes.get(self.pos..)?;
+        let (negative, digits) = match rest {
+            [b'-', tail @ ..] => (true, tail),
+            _ => (false, rest),
+        };
+        let mut value = 0i64;
+        let mut len = 0;
+        for &b in digits.iter().take(FAST_INT_DIGITS) {
+            if !b.is_ascii_digit() {
+                break;
+            }
+            value = value * 10 + i64::from(b - b'0');
+            len += 1;
+        }
+        let ends_number = !matches!(
+            digits.get(len),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        );
+        if len == 0 || !ends_number {
+            return None;
+        }
+        self.pos += usize::from(negative) + len;
+        Some(if negative { -value } else { value })
     }
 
     fn number(&mut self) -> Result<Json, EngineError> {

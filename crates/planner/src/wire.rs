@@ -520,65 +520,78 @@ pub fn expr_to_json(e: &Expr) -> Json {
 }
 
 /// Decodes an expression tree.
+///
+/// This recurses once per nesting level, as deep as the parser admits
+/// ([`crate::json::MAX_DEPTH`]). Every node with children decodes in a
+/// helper of its own, so the frame that repeats per level stays small even
+/// in an unoptimized build, where the admitted depth fits a 2 MiB thread.
 pub fn expr_from_json(v: &Json) -> Result<Expr> {
     if let Some(col) = v.get("col") {
         let name = col.as_str().ok_or_else(|| bad("`col` must be a string"))?;
         return Ok(Expr::Column(name.to_string()));
     }
     if let Some(lit) = v.get("lit") {
-        return Ok(Expr::Literal(value_from_json(lit)?));
+        return value_from_json(lit).map(Expr::Literal);
     }
     if let Some(op) = v.get("cmp") {
-        let op = cmp_from_name(op.as_str().ok_or_else(|| bad("`cmp` must be a name"))?)?;
-        return Ok(Expr::Cmp {
-            op,
-            left: Box::new(expr_from_json(
-                v.get("l").ok_or_else(|| bad("`cmp` needs `l`"))?,
-            )?),
-            right: Box::new(expr_from_json(
-                v.get("r").ok_or_else(|| bad("`cmp` needs `r`"))?,
-            )?),
-        });
+        return cmp_from_json(v, op);
     }
     if let Some(op) = v.get("arith") {
-        let op = arith_from_name(op.as_str().ok_or_else(|| bad("`arith` must be a name"))?)?;
-        return Ok(Expr::Arith {
-            op,
-            left: Box::new(expr_from_json(
-                v.get("l").ok_or_else(|| bad("`arith` needs `l`"))?,
-            )?),
-            right: Box::new(expr_from_json(
-                v.get("r").ok_or_else(|| bad("`arith` needs `r`"))?,
-            )?),
-        });
+        return arith_from_json(v, op);
     }
-    for (key, build) in [
-        ("and", Expr::And as fn(Box<Expr>, Box<Expr>) -> Expr),
-        ("or", Expr::Or as fn(Box<Expr>, Box<Expr>) -> Expr),
-    ] {
-        if let Some(Json::Arr(items)) = v.get(key) {
-            let [l, r] = items.as_slice() else {
-                return Err(bad("boolean connectives take exactly two operands"));
-            };
-            let l = Box::new(expr_from_json(l)?);
-            let r = Box::new(expr_from_json(r)?);
-            return Ok(build(l, r));
-        }
+    if let Some(Json::Arr(items)) = v.get("and") {
+        return connective_from_json(items, Expr::And);
+    }
+    if let Some(Json::Arr(items)) = v.get("or") {
+        return connective_from_json(items, Expr::Or);
     }
     if let Some(inner) = v.get("not") {
-        return Ok(Expr::Not(Box::new(expr_from_json(inner)?)));
+        return operand(inner).map(Expr::Not);
     }
     if let Some(inner) = v.get("in") {
-        let list = v
-            .get("list")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("`in` needs a `list` array"))?;
-        return Ok(Expr::InList {
-            expr: Box::new(expr_from_json(inner)?),
-            list: list.iter().map(value_from_json).collect::<Result<_>>()?,
-        });
+        return in_list_from_json(v, inner);
     }
     Err(bad("unrecognized expression node"))
+}
+
+fn operand(v: &Json) -> Result<Box<Expr>> {
+    expr_from_json(v).map(Box::new)
+}
+
+fn cmp_from_json(v: &Json, op: &Json) -> Result<Expr> {
+    let op = cmp_from_name(op.as_str().ok_or_else(|| bad("`cmp` must be a name"))?)?;
+    Ok(Expr::Cmp {
+        op,
+        left: operand(v.get("l").ok_or_else(|| bad("`cmp` needs `l`"))?)?,
+        right: operand(v.get("r").ok_or_else(|| bad("`cmp` needs `r`"))?)?,
+    })
+}
+
+fn arith_from_json(v: &Json, op: &Json) -> Result<Expr> {
+    let op = arith_from_name(op.as_str().ok_or_else(|| bad("`arith` must be a name"))?)?;
+    Ok(Expr::Arith {
+        op,
+        left: operand(v.get("l").ok_or_else(|| bad("`arith` needs `l`"))?)?,
+        right: operand(v.get("r").ok_or_else(|| bad("`arith` needs `r`"))?)?,
+    })
+}
+
+fn connective_from_json(items: &[Json], build: fn(Box<Expr>, Box<Expr>) -> Expr) -> Result<Expr> {
+    let [l, r] = items else {
+        return Err(bad("boolean connectives take exactly two operands"));
+    };
+    Ok(build(operand(l)?, operand(r)?))
+}
+
+fn in_list_from_json(v: &Json, inner: &Json) -> Result<Expr> {
+    let list = v
+        .get("list")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| bad("`in` needs a `list` array"))?;
+    Ok(Expr::InList {
+        expr: operand(inner)?,
+        list: list.iter().map(value_from_json).collect::<Result<_>>()?,
+    })
 }
 
 fn agg_to_json(a: &AggExpr) -> Json {

@@ -5,14 +5,17 @@
 //! — same rid set in any order, flipped equality operands, reordered
 //! conjunctions — share an entry. Values are complete encoded response
 //! bodies, which guarantees a cache hit is byte-for-byte the response
-//! executing the query would have produced.
+//! executing the query would have produced. A body is a shared `Arc<str>`:
+//! the miss that encodes it hands the same allocation to the cache and to its
+//! socket, and a hit is a reference-count bump under the lock, never a copy
+//! of a reply that can run to megabytes.
 //!
 //! Eviction is least-recently-used via a monotonically increasing touch
 //! tick; hit/miss/eviction counters are exposed through the `STATS` request.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Counter snapshot of a [`QueryCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +33,7 @@ pub struct CacheCounters {
 #[derive(Debug)]
 struct Entry {
     tick: u64,
-    body: String,
+    body: Arc<str>,
 }
 
 #[derive(Debug, Default)]
@@ -63,7 +66,7 @@ impl QueryCache {
     }
 
     /// Looks up a key, refreshing its recency on a hit.
-    pub fn get(&self, key: &str) -> Option<String> {
+    pub fn get(&self, key: &str) -> Option<Arc<str>> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -82,7 +85,7 @@ impl QueryCache {
             Some(entry) => {
                 entry.tick = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.body.clone())
+                Some(Arc::clone(&entry.body))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -93,7 +96,7 @@ impl QueryCache {
 
     /// Inserts (or refreshes) an entry, evicting the least recently used one
     /// when full.
-    pub fn insert(&self, key: &str, body: String) {
+    pub fn insert(&self, key: &str, body: Arc<str>) {
         if self.capacity == 0 {
             return;
         }
@@ -171,6 +174,17 @@ mod tests {
         cache.insert("a", "1b".into());
         assert_eq!(cache.counters().evictions, 0);
         assert_eq!(cache.get("a").as_deref(), Some("1b"));
+    }
+
+    #[test]
+    fn hits_share_the_inserted_body() {
+        let cache = QueryCache::new(2);
+        let body: Arc<str> = Arc::from("{\"status\":\"ok\"}");
+        cache.insert("a", Arc::clone(&body));
+        let first = cache.get("a").unwrap();
+        let second = cache.get("a").unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        assert!(Arc::ptr_eq(&first, &body));
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //! controller's load-shed signal and the only code clients are expected to
 //! retry on.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use smoke_core::{EngineError, Result};
@@ -48,7 +49,9 @@ pub const MAX_FRAME_BYTES: usize = 16 << 20;
 /// thread forever.
 const FRAME_STALL_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame. The prefix and the body go out in one
+/// vectored write, so a `nodelay` socket sends them in one segment rather
+/// than the 4-byte prefix on its own; short writes are resumed.
 pub fn write_frame(w: &mut impl Write, body: &str) -> io::Result<()> {
     let len = body.len();
     if len > MAX_FRAME_BYTES {
@@ -57,8 +60,22 @@ pub fn write_frame(w: &mut impl Write, body: &str) -> io::Result<()> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
         ));
     }
-    w.write_all(&(len as u32).to_be_bytes())?;
-    w.write_all(body.as_bytes())?;
+    let prefix = (len as u32).to_be_bytes();
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(body.as_bytes())];
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match w.write_vectored(pending) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "peer accepted no bytes mid-frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -262,19 +279,23 @@ impl ErrorCode {
     }
 }
 
-/// Renders an `{"status":"ok", <key>: <payload>}` response body.
-pub fn ok_response(key: &'static str, payload: Json) -> String {
-    Json::obj([("status", Json::str("ok")), (key, payload)]).render()
+/// Renders an `{"status":"ok", <key>: <payload>}` response body, shared so
+/// the same bytes can go to the cache and to the socket.
+pub fn ok_response(key: &'static str, payload: Json) -> Arc<str> {
+    Json::obj([("status", Json::str("ok")), (key, payload)])
+        .render()
+        .into()
 }
 
 /// Renders an error response body.
-pub fn error_response(code: ErrorCode, message: &str) -> String {
+pub fn error_response(code: ErrorCode, message: &str) -> Arc<str> {
     Json::obj([
         ("status", Json::str("error")),
         ("code", Json::str(code.as_str())),
         ("message", Json::str(message)),
     ])
     .render()
+    .into()
 }
 
 #[cfg(test)]
@@ -291,6 +312,53 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some("hello"));
         assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some(""));
         assert_eq!(read_frame(&mut cursor).unwrap(), None);
+    }
+
+    /// A writer that takes at most three bytes per call, like a socket whose
+    /// send buffer is nearly full.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(3);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_writes_resume_mid_frame() {
+        let mut w = Trickle(Vec::new());
+        write_frame(&mut w, "hello, world").unwrap();
+        write_frame(&mut w, "").unwrap();
+        let mut cursor = Cursor::new(w.0);
+        assert_eq!(
+            read_frame(&mut cursor).unwrap().as_deref(),
+            Some("hello, world")
+        );
+        assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some(""));
+        assert_eq!(read_frame(&mut cursor).unwrap(), None);
+    }
+
+    #[test]
+    fn frames_larger_than_the_socket_buffer_round_trip() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let body: String = (0..6 << 20)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect();
+        let sent = body.clone();
+        let addr = listener.local_addr().unwrap();
+        let writer = std::thread::spawn(move || {
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            write_frame(&mut stream, &sent).unwrap();
+        });
+        let (mut stream, _) = listener.accept().unwrap();
+        assert_eq!(read_frame(&mut stream).unwrap(), Some(body));
+        writer.join().unwrap();
     }
 
     #[test]

@@ -268,6 +268,13 @@ impl Server {
 /// bound how long shutdown waits on an idle thread.
 const POLL_TICK: Duration = Duration::from_millis(20);
 
+/// Stack of a session thread. A request recurses once per JSON nesting level,
+/// up to [`smoke_planner::json::MAX_DEPTH`], through the parser, the
+/// expression decoder, normalization and evaluation: a few hundred KiB
+/// optimized, but close to the 2 MiB default in an unoptimized build. Only
+/// the pages a request touches are committed.
+const SESSION_STACK_BYTES: usize = 8 << 20;
+
 fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
     let mut sessions: Vec<JoinHandle<()>> = Vec::new();
     loop {
@@ -282,6 +289,7 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) -> Vec<JoinHandle<()
                 // accept loop keeps serving everyone else.
                 if let Ok(handle) = std::thread::Builder::new()
                     .name("smoke-session".to_string())
+                    .stack_size(SESSION_STACK_BYTES)
                     .spawn(move || session_loop(stream, &shared))
                 {
                     sessions.push(handle);
@@ -336,7 +344,7 @@ fn session_loop(stream: TcpStream, shared: &Arc<Shared>) {
 }
 
 /// Parses, admits, and answers one request frame.
-fn handle_request(body: &str, shared: &Arc<Shared>) -> String {
+fn handle_request(body: &str, shared: &Arc<Shared>) -> Arc<str> {
     let request = match Request::decode(body) {
         Ok(r) => r,
         Err(e) => {
@@ -383,7 +391,7 @@ fn handle_request(body: &str, shared: &Arc<Shared>) -> String {
     }
 }
 
-fn error_for(view: &str, shared: &Arc<Shared>, e: &smoke_core::EngineError) -> String {
+fn error_for(view: &str, shared: &Arc<Shared>, e: &smoke_core::EngineError) -> Arc<str> {
     shared.errors.fetch_add(1, Ordering::Relaxed);
     let msg = e.to_string();
     if shared.snapshot.view(view).is_none() {
@@ -394,13 +402,20 @@ fn error_for(view: &str, shared: &Arc<Shared>, e: &smoke_core::EngineError) -> S
 }
 
 /// Executes one admitted query against the shared snapshot and fills the
-/// cache. The caller holds the [`Permit`].
+/// cache with the reply it returns: one encoding, shared by both. The caller
+/// holds the [`Permit`].
 ///
 /// Execution runs inside `catch_unwind`: a panicking plan (a planner bug, a
 /// corrupt index — or the `server::worker::execute` fail point in tests)
 /// answers its session with a typed `exec` error and the session keeps
 /// serving. One poisoned query must never cost a connection or a slot.
-fn execute(view: &str, spec: &QuerySpec, key: &str, sleep_ms: u64, shared: &Arc<Shared>) -> String {
+fn execute(
+    view: &str,
+    spec: &QuerySpec,
+    key: &str,
+    sleep_ms: u64,
+    shared: &Arc<Shared>,
+) -> Arc<str> {
     if sleep_ms > 0 {
         std::thread::sleep(Duration::from_millis(sleep_ms));
     }
@@ -414,7 +429,7 @@ fn execute(view: &str, spec: &QuerySpec, key: &str, sleep_ms: u64, shared: &Arc<
     match outcome {
         Ok(Ok(result)) => {
             let body = ok_response("result", result_to_json(&result));
-            shared.cache.insert(key, body.clone());
+            shared.cache.insert(key, Arc::clone(&body));
             shared.served.fetch_add(1, Ordering::Relaxed);
             body
         }

@@ -1,12 +1,14 @@
 //! The result cache keys on *normalized* queries: semantically equivalent
 //! requests hit one entry, distinct requests miss.
 
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use smoke_core::Expr;
 use smoke_planner::wire::QuerySpec;
-use smoke_server::{demo_snapshot, Client, Server, ServerConfig};
+use smoke_server::protocol::{read_frame, write_frame};
+use smoke_server::{demo_snapshot, Client, Request, Server, ServerConfig};
 
 /// Equivalent query spellings — permuted/duplicated rid sets, flipped
 /// comparison operands, reordered conjunctions — produce one miss and then
@@ -135,4 +137,32 @@ fn zero_capacity_cache_still_serves_correctly() {
     assert_eq!(stats.cache_hits, 0);
     assert_eq!(stats.cache_misses, 3);
     handle.shutdown();
+}
+
+/// The reply a miss encodes is the body the cache keeps: the hit after it
+/// sends the same bytes.
+#[test]
+fn a_hit_sends_the_bytes_its_miss_sent() {
+    let snapshot = Arc::new(demo_snapshot(1_000, 20, 21).expect("demo snapshot"));
+    let handle = Server::serve(snapshot, "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let request = Request::Query {
+        view: "by_z".into(),
+        spec: QuerySpec::backward().rids([0, 1, 2]),
+        sleep_ms: 0,
+    }
+    .encode();
+    let mut exchange = || {
+        write_frame(&mut stream, &request).expect("send");
+        read_frame(&mut stream).expect("read").expect("a reply")
+    };
+    let miss = exchange();
+    let hit = exchange();
+    assert!(miss.contains("\"rids\""), "{miss}");
+    assert_eq!(hit, miss);
+    let stats = handle.shutdown();
+    assert_eq!((stats.cache_misses, stats.cache_hits), (1, 1));
 }

@@ -12,6 +12,8 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use smoke_core::Expr;
+use smoke_planner::json::MAX_DEPTH;
 use smoke_planner::wire::QuerySpec;
 use smoke_server::{demo_snapshot, Client, Request, Server, ServerConfig, ServerHandle};
 
@@ -206,5 +208,90 @@ fn live_server_survives_random_frames_and_framing_attacks() {
 
     let stats = handle.shutdown();
     assert!(stats.served >= 1, "the post-fuzz query was served");
+    assert_eq!(stats.in_flight, 0);
+}
+
+/// How deep `{` / `[` nest in a request body (no body here has a bracket
+/// inside a string).
+fn nesting(body: &str) -> usize {
+    let mut depth = 0usize;
+    let mut deepest = 0;
+    for b in body.bytes() {
+        match b {
+            b'{' | b'[' => {
+                depth += 1;
+                deepest = deepest.max(depth);
+            }
+            b'}' | b']' => depth -= 1,
+            _ => {}
+        }
+    }
+    deepest
+}
+
+fn query_request(spec: QuerySpec) -> Request {
+    Request::Query {
+        view: "by_z".into(),
+        spec,
+        sleep_ms: 0,
+    }
+}
+
+/// Nesting is capped in the parser: a 100 000-`[` frame (a stack overflow,
+/// and so a process abort, for an unbounded recursive parser) is a typed
+/// `bad_request`. The deepest request the cap admits, and a 200-term
+/// conjunction, still decode, key, execute and answer on a session thread.
+#[test]
+fn deep_nesting_is_a_bad_request_not_a_crash() {
+    let handle = start_server();
+    let mut stream = raw_conn(&handle);
+    send_frame(&mut stream, "[".repeat(100_000).as_bytes()).expect("send deep frame");
+    let reply = read_raw_frame(&mut stream).expect("a reply to the deep frame");
+    assert!(reply.contains("\"bad_request\""), "{reply}");
+    assert!(reply.contains("nesting"), "{reply}");
+    drop(stream);
+
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client
+        .set_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let plain = QuerySpec::backward().rids([0, 1]);
+    let expected = client
+        .query("by_z", plain.clone())
+        .expect("exchange")
+        .into_result()
+        .expect("plain result");
+
+    // 200 always-true terms, left-nested: two JSON levels per `and`.
+    let conjunction = (1..200).fold(Expr::col("v_bin").lt(Expr::lit(1_000)), |acc, i| {
+        acc.and(Expr::col("v_bin").lt(Expr::lit(1_000 + i)))
+    });
+    let spec = plain.clone().filter(conjunction);
+    assert!(nesting(&query_request(spec.clone()).encode()) > 400);
+    let got = client
+        .query("by_z", spec)
+        .expect("exchange")
+        .into_result()
+        .expect("200-term conjunction result");
+    assert_eq!(got.rids, expected.rids);
+
+    // A `not` chain that nests exactly as deep as the cap admits.
+    let mut nots = MAX_DEPTH;
+    let deepest = loop {
+        let filter = (0..nots).fold(Expr::col("v_bin").lt(Expr::lit(1_000)), |e, _| e.not());
+        let spec = plain.clone().filter(filter);
+        if nesting(&query_request(spec.clone()).encode()) <= MAX_DEPTH {
+            break spec;
+        }
+        nots -= 1;
+    };
+    assert_eq!(nesting(&query_request(deepest.clone()).encode()), MAX_DEPTH);
+    client
+        .query("by_z", deepest)
+        .expect("exchange")
+        .into_result()
+        .expect("deepest admitted request result");
+
+    let stats = handle.shutdown();
     assert_eq!(stats.in_flight, 0);
 }
