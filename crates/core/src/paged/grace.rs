@@ -157,7 +157,6 @@ fn partition_side(
     // Pass 1: per-partition row counts.
     let mut hist = vec![0usize; partitions];
     for (cs, ce) in chunk_bounds(rel.len(), chunk_rows) {
-        rel.prefetch_rows(ce, ce + chunk_rows);
         let cols: Vec<Column> = key_idx
             .iter()
             .map(|&c| rel.decode_range(c, cs, ce))
@@ -181,7 +180,6 @@ fn partition_side(
         })
         .collect();
     for (cs, ce) in chunk_bounds(rel.len(), chunk_rows) {
-        rel.prefetch_rows(ce, ce + chunk_rows);
         let cols: Vec<Column> = key_idx
             .iter()
             .map(|&c| rel.decode_range(c, cs, ce))

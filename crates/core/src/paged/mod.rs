@@ -54,11 +54,11 @@ fn chunk_bounds(len: usize, chunk_rows: usize) -> impl Iterator<Item = (usize, u
 }
 
 /// One scan of `input` as page-aligned chunks: `ingest(chunk, cs)` sees rows
-/// `cs..` of the input as a transient relation, while the pool reads one
-/// chunk ahead. The scan opens with the zero-row chunk, which pins nothing:
-/// every core binds its columns per ingest, so schema and bind errors
-/// surface before any page I/O (exactly as the in-RAM operators surface them
-/// before their scan) and an empty input still reaches the core once.
+/// `cs..` of the input as a transient relation. The scan opens with the
+/// zero-row chunk, which pins nothing: every core binds its columns per
+/// ingest, so schema and bind errors surface before any page I/O (exactly as
+/// the in-RAM operators surface them before their scan) and an empty input
+/// still reaches the core once.
 fn scan_chunks(
     input: &PagedRelation,
     chunk_rows: usize,
@@ -66,7 +66,6 @@ fn scan_chunks(
 ) -> Result<()> {
     ingest(&input.chunk(0, 0)?, 0)?;
     for (cs, ce) in chunk_bounds(input.len(), chunk_rows) {
-        input.prefetch_rows(ce, ce + chunk_rows);
         ingest(&input.chunk(cs, ce)?, cs)?;
     }
     Ok(())

@@ -44,12 +44,20 @@ enum Source {
     /// `(dop, morsel_rows)`: one core per morsel on `dop` workers, then an
     /// ordered merge.
     Morsels(usize, usize),
-    /// `(budget, prefetch)`: one ingest per one-page chunk, pinned
-    /// through a pool of `budget` frames — every chunk boundary is a page
-    /// boundary, and a budget of 1 means every page fault evicts. With
-    /// `prefetch` the pool carries a live prefetcher, so run-ahead hints
-    /// really load pages concurrently with the scan.
-    PageRuns(usize, bool),
+    /// `(budget, store)`: one ingest per one-page chunk, pinned through a
+    /// pool of `budget` frames over `store` — every chunk boundary is a page
+    /// boundary, and a budget of 1 means every page fault evicts.
+    PageRuns(usize, Store),
+}
+
+/// The segment store behind a [`Source::PageRuns`] pool.
+#[derive(Debug, Clone, Copy)]
+enum Store {
+    /// `SegmentStore::in_memory`.
+    Memory,
+    /// `SegmentStore::temp`: a real file, as `Database::set_memory_budget`
+    /// builds it.
+    File,
 }
 
 /// 64-row morsels: any table longer than 64 rows spans several morsels, so
@@ -59,7 +67,7 @@ fn morsels(dop: usize) -> Source {
 }
 
 fn page_runs(budget: usize) -> Source {
-    Source::PageRuns(budget, false)
+    Source::PageRuns(budget, Store::Memory)
 }
 
 const CHUNK: usize = ROWS_PER_PAGE;
@@ -73,14 +81,14 @@ impl Source {
     }
 
     fn spill(self, table: &Relation) -> PagedRelation {
-        let Source::PageRuns(budget, prefetch) = self else {
+        let Source::PageRuns(budget, store) = self else {
             unreachable!("only page-run sources spill")
         };
-        let store = SegmentStore::in_memory();
-        let pool = match prefetch {
-            true => BufferPool::with_prefetch(store, budget, ReplacementPolicy::Sieve, 2),
-            false => BufferPool::new(store, budget, ReplacementPolicy::Sieve),
+        let store = match store {
+            Store::Memory => SegmentStore::in_memory(),
+            Store::File => SegmentStore::temp("equivalence").unwrap(),
         };
+        let pool = BufferPool::new(store, budget, ReplacementPolicy::Sieve);
         PagedRelation::spill(table, &Arc::new(pool)).unwrap()
     }
 
@@ -377,27 +385,27 @@ proptest! {
         }
     }
 
-    /// Prefetching is an advisory optimization: with a prefetcher attached,
-    /// every operator must produce the same outputs and lineage as without
-    /// one — for any budget, the grace join path included (large
-    /// `reps` push the build side of the self-join over budget).
+    /// The production store is a temp file: over it every operator must
+    /// produce the same outputs and lineage as over the in-memory store —
+    /// for any budget, the grace join path included (large `reps` push the
+    /// build side of the self-join over budget).
     #[test]
-    fn prefetch_on_equals_prefetch_off(
+    fn file_store_equals_memory_store(
         rows in prop::collection::vec((-2i64..8, 0i64..100), 1..100),
         reps in 1usize..8,
         cut in -2i64..8,
         budget in 1usize..9,
     ) {
         let table = table_from(&rows, reps);
-        let src = Source::PageRuns(budget, true);
+        let src = Source::PageRuns(budget, Store::File);
         check_select(src, &table, &Expr::col("a").ge(Expr::lit(cut)));
-        // The offsets-run hints of the spilled Str pages must not perturb
-        // anything either.
+        // The spilled Str offsets and payload runs read back from the file
+        // too.
         check_group_by(src, &table, &["s"], &[]);
-        let with = check_join(src, &table, &table, &["a"]);
+        let file = check_join(src, &table, &table, &["a"]);
         let on = strs(&["a"]);
-        let without = page_runs(budget).join(&table, &table, &on, &JoinOptions::inject());
-        assert_eq!(with[1].grace_partitions, without.grace_partitions);
+        let memory = page_runs(budget).join(&table, &table, &on, &JoinOptions::inject());
+        assert_eq!(file[1].grace_partitions, memory.grace_partitions);
     }
 }
 
@@ -474,12 +482,12 @@ fn one_frame_pool_over_multi_page_tables() {
 fn grace_join_at_one_frame() {
     // 1500 build rows × 48 bytes ≫ a one-frame budget, so the join
     // auto-dispatches to the grace path; 7 distinct keys make it M:N. The
-    // pools carry a live prefetcher: partitioning, probing and merging must
-    // tolerate background page installs with a single frame to fight over.
+    // pools are file-backed: partitioning, probing and merging spill to and
+    // read back from a real segment file through a single frame.
     let rows: Vec<(i64, i64)> = (0..1500).map(|i| (i % 7, i % 13)).collect();
     let left = table_from(&rows, 1).with_name("L");
     let right = table_from(&rows, 1).with_name("R");
-    for got in check_join(Source::PageRuns(1, true), &left, &right, &["a"]) {
+    for got in check_join(Source::PageRuns(1, Store::File), &left, &right, &["a"]) {
         assert!(got.grace_partitions > 1, "grace must engage");
     }
 }

@@ -139,35 +139,6 @@ impl CompressedCsrIndex {
         Some((lo, hi))
     }
 
-    /// Blocks per prefetch window: half the pool budget — so a landed
-    /// window is never evicted by its own successor mid-decode — capped at
-    /// one coalesced read run.
-    fn prefetch_window(&self) -> usize {
-        (self.pool.capacity() / 2).clamp(1, 32)
-    }
-
-    /// Hints the prefetcher at blocks `[block, block + window)` (clamped to
-    /// `last`, inclusive) and waits for them to land, so the pins that
-    /// follow read a batched sequential run instead of one random page read
-    /// per block. Windowed rather than whole-range: hinting more blocks
-    /// than the pool holds would evict the range's own head before the
-    /// decode loop reaches it. A no-op on pools without a prefetcher, or
-    /// for a lone block (no run to batch).
-    fn prefetch_blocks(&self, block: usize, last: usize, window: usize) {
-        if !self.pool.prefetch_enabled() {
-            return;
-        }
-        let end = (block + window).min(last + 1);
-        if end <= block + 1 {
-            return;
-        }
-        let run: Vec<PageId> = (block..end)
-            .map(|b| PageId(self.first_page.0 + b as u32))
-            .collect();
-        self.pool.prefetch(&run);
-        self.pool.prefetch_quiesce();
-    }
-
     /// The rids of entry `pos` (empty when out of bounds), pinning and
     /// decoding only the blocks the entry overlaps.
     pub fn lookup(&self, pos: usize) -> Result<Vec<Rid>, PagerError> {
@@ -177,17 +148,11 @@ impl CompressedCsrIndex {
         if lo >= hi {
             return Ok(Vec::new());
         }
-        let first_block = lo / EDGES_PER_BLOCK;
-        let last_block = (hi - 1) / EDGES_PER_BLOCK;
-        let window = self.prefetch_window();
         let mut out = Vec::with_capacity(hi - lo);
         let mut edge = lo;
         let mut decoded = Vec::with_capacity(EDGES_PER_BLOCK);
         while edge < hi {
             let block = edge / EDGES_PER_BLOCK;
-            if (block - first_block).is_multiple_of(window) {
-                self.prefetch_blocks(block, last_block, window);
-            }
             let block_end = ((block + 1) * EDGES_PER_BLOCK).min(hi);
             {
                 let guard = self.pool.pin(PageId(self.first_page.0 + block as u32))?;
@@ -207,14 +172,9 @@ impl CompressedCsrIndex {
     /// Reads every block back into an in-RAM [`CsrRidIndex`] — the inverse
     /// of [`CompressedCsrIndex::spill`], used by round-trip tests.
     pub fn materialize(&self) -> Result<CsrRidIndex, PagerError> {
-        let window = self.prefetch_window();
-        let last = (self.blocks as usize).saturating_sub(1);
         let mut rids = Vec::with_capacity(self.edge_count);
         let mut decoded = Vec::with_capacity(EDGES_PER_BLOCK);
         for b in 0..self.blocks {
-            if (b as usize).is_multiple_of(window) {
-                self.prefetch_blocks(b as usize, last, window);
-            }
             let guard = self.pool.pin(PageId(self.first_page.0 + b))?;
             decode_block(&guard, &mut decoded)?;
             rids.extend_from_slice(&decoded);
@@ -472,25 +432,6 @@ mod tests {
         let comp = CompressedCsrIndex::spill(&one, &p).unwrap();
         assert_eq!(comp.lookup(0).unwrap(), vec![42]);
         assert_eq!(comp.blocks_touched(0), 1);
-    }
-
-    #[test]
-    fn prefetching_pool_traces_identically_and_registers_hits() {
-        let csr = skewed_csr(10, 20_480); // 2048 edges/entry → 2-block runs
-        let p = Arc::new(BufferPool::with_prefetch(
-            SegmentStore::in_memory(),
-            8,
-            ReplacementPolicy::Sieve,
-            2,
-        ));
-        let comp = CompressedCsrIndex::spill(&csr, &p).unwrap();
-        p.reset_stats();
-        for g in 0..csr.len() {
-            assert_eq!(comp.lookup(g).unwrap(), csr.get(g), "entry {g}");
-        }
-        let s = p.stats();
-        assert!(s.prefetch_hits > 0, "run-ahead never landed: {s:?}");
-        assert_eq!(comp.materialize().unwrap(), csr);
     }
 
     #[test]

@@ -321,16 +321,14 @@ pub fn no_lock_across_io(path: &str, tokens: &[Token]) -> Vec<Violation> {
 /// budget-of-one pool outright. Decode the page into an owned value, drop
 /// the pin, then write.
 ///
-/// Scope: the server crate (sessions), the pager's background prefetcher
-/// (its workers share the pool with every foreground pin), and the chunked
-/// paged operators including the grace-hash join (single-pin discipline is
-/// what makes one-frame pools survivable). The pool's own internals
+/// Scope: the server crate (sessions) and the chunked paged operators
+/// including the grace-hash join (single-pin discipline is what makes
+/// one-frame pools survivable). The pool's own internals
 /// (`pool.rs`/`store.rs`) stay exempt — pinning around store I/O there *is*
 /// the mechanism.
 pub fn pin_guard_no_io(path: &str, tokens: &[Token]) -> Vec<Violation> {
-    let in_scope = path.starts_with("crates/server/src/")
-        || path == "crates/pager/src/prefetch.rs"
-        || path.starts_with("crates/core/src/paged/");
+    let in_scope =
+        path.starts_with("crates/server/src/") || path.starts_with("crates/core/src/paged/");
     if !in_scope {
         return Vec::new();
     }

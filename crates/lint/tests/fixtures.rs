@@ -136,8 +136,8 @@ fn pin_guard_no_io_clean() {
 #[test]
 fn pin_guard_rule_skips_the_pool_internals() {
     // The pool's own internals pin pages around store I/O by design; the
-    // rule polices pin *consumers* — sessions, the prefetcher, the paged
-    // operators — not the mechanism itself.
+    // rule polices pin *consumers* — sessions and the paged operators — not
+    // the mechanism itself.
     let src = fixture("pin_io", "fires");
     assert_clean("crates/pager/src/pool.rs", &src);
     assert_clean("crates/pager/src/store.rs", &src);
@@ -145,10 +145,9 @@ fn pin_guard_rule_skips_the_pool_internals() {
 }
 
 #[test]
-fn pin_guard_rule_covers_prefetcher_and_paged_operators() {
+fn pin_guard_rule_covers_paged_operators() {
     let src = fixture("pin_io", "fires");
     for path in [
-        "crates/pager/src/prefetch.rs",
         "crates/core/src/paged/mod.rs",
         "crates/core/src/paged/grace.rs",
     ] {

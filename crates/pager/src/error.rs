@@ -34,6 +34,12 @@ pub enum PagerError {
         /// Length the caller supplied.
         actual: usize,
     },
+    /// Every temp segment name tried already existed, so no segment file
+    /// was created (an existing file or symlink is never opened).
+    TempNamesTaken {
+        /// Names tried.
+        attempts: u32,
+    },
 }
 
 impl fmt::Display for PagerError {
@@ -52,6 +58,10 @@ impl fmt::Display for PagerError {
             PagerError::BadBufferLength { actual } => write!(
                 f,
                 "page buffer must be exactly PAGE_SIZE bytes, got {actual}"
+            ),
+            PagerError::TempNamesTaken { attempts } => write!(
+                f,
+                "no free temp segment name: all {attempts} names tried already exist"
             ),
         }
     }

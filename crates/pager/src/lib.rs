@@ -15,11 +15,9 @@
 //! * [`Sieve`] — the replacement policy behind the pool (the one variant
 //!   of [`ReplacementPolicy`]).
 //!
-//! Pools built with [`BufferPool::with_prefetch`] additionally run a small
-//! background prefetcher: [`BufferPool::prefetch`] takes advisory page
-//! hints, coalesces them into contiguous runs, and reads each run with one
-//! vectored [`SegmentStore::read_run_pages`] call ahead of the demand pins,
-//! swapping the freshly read buffers straight into frames.
+//! The pool owns no threads: a page enters a frame only through a demand
+//! pin (or write) on the caller's thread, one [`SegmentStore::read_page`]
+//! per miss.
 //!
 //! The crate is dependency-free, `unsafe`-free, and panic-free outside
 //! tests (enforced by `smoke-lint`'s no-panic scope): every failure mode is
@@ -48,12 +46,11 @@
 pub mod error;
 pub mod page;
 pub mod pool;
-mod prefetch;
 pub mod replacer;
 pub mod store;
 
 pub use error::PagerError;
 pub use page::{PageId, PAGE_SIZE};
-pub use pool::{BufferPool, PageGuard, PoolStats, DEFAULT_PREFETCH_THREADS};
+pub use pool::{BufferPool, PageGuard, PoolStats};
 pub use replacer::{ReplacementPolicy, Sieve};
 pub use store::SegmentStore;

@@ -9,10 +9,9 @@
 //! is the one policy, held by the pool as a concrete type.
 
 /// The replacement policy a pool uses. One variant: the parameter survives
-/// on [`crate::BufferPool::new`] / [`crate::BufferPool::with_prefetch`] and
-/// `Database::set_memory_budget` only because `benchmark/` names
-/// `ReplacementPolicy::Sieve` in two calls; dropping it is a benchmark-only
-/// follow-up (ROADMAP item 4).
+/// on [`crate::BufferPool::new`] and `Database::set_memory_budget` only
+/// because the frozen benchmark names `ReplacementPolicy::Sieve` in two
+/// calls; dropping it is a benchmark-only follow-up (ROADMAP 11(c), 11(g)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplacementPolicy {
     /// SIEVE: FIFO order with a hand that spares visited pages once and
@@ -28,8 +27,8 @@ pub enum ReplacementPolicy {
 /// The queue is an intrusive doubly-linked list over frame indices
 /// (`newer`/`older` neighbor arrays), so `on_admit` and eviction unlink in
 /// O(1). This matters on big pools: a 10k-frame pool admits a page on every
-/// miss *and* on every prefetch install, and a `Vec`-backed queue would pay
-/// an O(capacity) scan-and-shift on each one.
+/// miss, and a `Vec`-backed queue would pay an O(capacity) scan-and-shift
+/// on each one.
 pub struct Sieve {
     /// `newer[f]` / `older[f]`: list neighbors of frame `f`, [`Sieve::NONE`]
     /// at the ends. Head = newest admission, tail = oldest.

@@ -69,13 +69,6 @@ pub(crate) const QUERY_OVERHEAD: f64 = 8.0;
 /// an 8 KiB page that hits the OS page cache lands around 2–3 µs, roughly
 /// forty edge lookups.
 pub(crate) const COST_PAGE_READ: f64 = 40.0;
-/// Reading one page as part of a *sequential run the prefetcher has been
-/// hinted at*: the background workers batch consecutive pages into single
-/// `read_run` syscalls and overlap the copy with decode, so the per-page
-/// amortized cost lands around a fifth of a random demand read. Charged only
-/// for full-scan footprints ([`IoModel::seq_read_cost`]) on pools whose
-/// prefetcher is live; random trace-driven reads keep `COST_PAGE_READ`.
-pub(crate) const COST_PAGE_READ_SEQ: f64 = 8.0;
 
 /// Describes the paged layout of a traced view's base relation so the cost
 /// model can charge strategies for the pages they would actually read
@@ -103,11 +96,6 @@ pub struct IoModel {
     /// Fraction of the relation's pages currently resident in the buffer
     /// pool, in `[0, 1]`.
     pub residency: f64,
-    /// Whether the relation's pool runs a background prefetcher. Sequential
-    /// full-scan footprints are then charged `COST_PAGE_READ_SEQ` per page
-    /// instead of `COST_PAGE_READ`; random (trace-driven) reads are
-    /// unaffected.
-    pub prefetch: bool,
 }
 
 impl IoModel {
@@ -118,7 +106,6 @@ impl IoModel {
             columns: relation.schema().fields().len(),
             rows_per_page: smoke_storage::ROWS_PER_PAGE,
             residency: relation.resident_fraction(),
-            prefetch: relation.pool().prefetch_enabled(),
         }
     }
 
@@ -144,20 +131,6 @@ impl IoModel {
     /// fraction the pool already holds.
     pub fn read_cost(&self, pages: f64) -> f64 {
         pages * (1.0 - self.residency.clamp(0.0, 1.0)) * COST_PAGE_READ
-    }
-
-    /// Work units charged for reading `pages` pages as one sequential sweep.
-    /// On a prefetching pool the run-ahead hints issued by the chunked scan
-    /// operators turn the sweep into batched `read_run`s, charged at
-    /// `COST_PAGE_READ_SEQ`; without a prefetcher a sequential scan still
-    /// pays the full random-read rate.
-    pub fn seq_read_cost(&self, pages: f64) -> f64 {
-        let per_page = if self.prefetch {
-            COST_PAGE_READ_SEQ
-        } else {
-            COST_PAGE_READ
-        };
-        pages * (1.0 - self.residency.clamp(0.0, 1.0)) * per_page
     }
 }
 
@@ -193,9 +166,6 @@ pub struct Explain {
     /// Buffer-pool residency the I/O estimates were discounted by, when the
     /// planner holds an [`IoModel`]; `None` for a fully in-RAM base.
     pub residency: Option<f64>,
-    /// Whether sequential scans were costed at the prefetcher's batched
-    /// per-page rate (`COST_PAGE_READ_SEQ`); `None` without an [`IoModel`].
-    pub prefetch: Option<bool>,
     /// All candidates, in planning order.
     pub candidates: Vec<CandidateCost>,
 }
@@ -226,9 +196,6 @@ impl Explain {
         );
         if let Some(res) = self.residency {
             out.push_str(&format!(" residency={:.0}%", res * 100.0));
-        }
-        if let Some(pf) = self.prefetch {
-            out.push_str(if pf { " prefetch=on" } else { " prefetch=off" });
         }
         out.push_str(" | candidates: ");
         for (i, c) in self.candidates.iter().enumerate() {
@@ -261,7 +228,6 @@ mod tests {
             selection_width: 1,
             est_fanout: 100.0,
             residency: None,
-            prefetch: None,
             candidates: vec![
                 CandidateCost {
                     strategy: Strategy::EagerTrace,
@@ -305,10 +271,8 @@ mod tests {
     fn render_includes_pages_when_io_modeled() {
         let mut explain = sample_explain();
         explain.residency = Some(0.25);
-        explain.prefetch = Some(true);
         let line = explain.render();
         assert!(line.contains("residency=25%"), "{line}");
-        assert!(line.contains("prefetch=on"), "{line}");
         assert!(line.contains("EagerTrace=308.0/17pg"), "{line}");
         assert!(line.contains("CubeHit=12.0/0pg"), "{line}");
     }
@@ -320,7 +284,6 @@ mod tests {
             columns: 3,
             rows_per_page: 1024,
             residency: 0.0,
-            prefetch: false,
         };
         let n = 1000 * 1024;
         assert_eq!(io.expected_pages(0.0, n, 1), 0.0);
@@ -350,7 +313,6 @@ mod tests {
             columns: 1,
             rows_per_page: 1024,
             residency: 0.0,
-            prefetch: false,
         };
         let warm = IoModel {
             residency: 0.75,
@@ -363,32 +325,6 @@ mod tests {
             ..cold
         };
         assert_eq!(hot.read_cost(10.0), 0.0);
-    }
-
-    #[test]
-    fn seq_read_cost_discounts_only_prefetching_pools() {
-        let plain = IoModel {
-            pages_per_column: 10,
-            columns: 1,
-            rows_per_page: 1024,
-            residency: 0.0,
-            prefetch: false,
-        };
-        // No prefetcher: a sequential sweep costs the same as random reads.
-        assert_eq!(plain.seq_read_cost(10.0), plain.read_cost(10.0));
-        let hinted = IoModel {
-            prefetch: true,
-            ..plain
-        };
-        assert_eq!(hinted.seq_read_cost(10.0), 10.0 * COST_PAGE_READ_SEQ);
-        // Prefetch never cheapens the random-access charge.
-        assert_eq!(hinted.read_cost(10.0), 10.0 * COST_PAGE_READ);
-        // Residency discount composes with the sequential rate.
-        let warm = IoModel {
-            residency: 0.5,
-            ..hinted
-        };
-        assert_eq!(warm.seq_read_cost(10.0), 5.0 * COST_PAGE_READ_SEQ);
     }
 
     #[test]

@@ -394,12 +394,10 @@ impl<'a> LineagePlanner<'a> {
                 } else {
                     0.0
                 };
-                // A chunked paged scan materializes every numeric column of
-                // the relation, so the rewrite pays the full footprint — but
-                // as one sequential sweep, which a prefetching pool serves
-                // from batched run-ahead reads at the cheaper per-page rate.
+                // A chunked paged scan materializes every column of the
+                // relation, so the rewrite pays the full footprint.
                 let (est_pages, io_cost) = self.io.as_ref().map_or((0.0, 0.0), |io| {
-                    (io.total_pages(), io.seq_read_cost(io.total_pages()))
+                    (io.total_pages(), io.read_cost(io.total_pages()))
                 });
                 CandidateCost {
                     strategy: Strategy::LazyRewrite,
@@ -434,7 +432,6 @@ impl<'a> LineagePlanner<'a> {
             selection_width: width,
             est_fanout,
             residency: self.io.as_ref().map(|io| io.residency),
-            prefetch: self.io.as_ref().map(|io| io.prefetch),
             candidates: candidates.clone(),
         };
         Ok(LineagePlan {

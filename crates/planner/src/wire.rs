@@ -826,7 +826,6 @@ pub fn explain_to_json(explain: &Explain) -> Json {
         ("width", Json::Int(explain.selection_width as i64)),
         ("fanout", Json::Num(explain.est_fanout)),
         ("residency", explain.residency.map_or(Json::Null, Json::Num)),
-        ("prefetch", explain.prefetch.map_or(Json::Null, Json::Bool)),
         (
             "candidates",
             Json::Arr(

@@ -180,61 +180,6 @@ fn warm_pool_discounts_cost_but_not_pages() {
 }
 
 #[test]
-fn prefetching_pool_cheapens_only_the_full_scan() {
-    let (table, captured) = workload();
-    let plain = spill(&table, 8);
-    let pf_pool = Arc::new(BufferPool::with_prefetch(
-        SegmentStore::in_memory(),
-        8,
-        ReplacementPolicy::Sieve,
-        2,
-    ));
-    let hinted = PagedRelation::spill(&table, &pf_pool).unwrap();
-
-    let io_plain = IoModel::from_paged(&plain);
-    let io_hinted = IoModel::from_paged(&hinted);
-    assert!(!io_plain.prefetch);
-    assert!(io_hinted.prefetch, "from_paged reads the pool's prefetcher");
-
-    let q = LineageQuery::backward()
-        .rids([0])
-        .filter(Expr::col("v_bin").eq(Expr::lit(2)))
-        .aggregate(&["v_bin"], vec![AggExpr::count("cnt")]);
-    let cold = planner(&table, &captured, io_plain).explain(&q).unwrap();
-    let seq = planner(&table, &captured, io_hinted).explain(&q).unwrap();
-
-    // LazyRewrite is the only sequential-sweep strategy: its charge drops at
-    // the batched rate while its page estimate and every random-read
-    // candidate stay identical.
-    assert!(
-        seq.candidate_cost(Strategy::LazyRewrite).unwrap()
-            < cold.candidate_cost(Strategy::LazyRewrite).unwrap(),
-        "{}",
-        seq.render()
-    );
-    assert_eq!(
-        seq.candidate_pages(Strategy::LazyRewrite),
-        cold.candidate_pages(Strategy::LazyRewrite)
-    );
-    assert_eq!(
-        seq.candidate_cost(Strategy::EagerTrace),
-        cold.candidate_cost(Strategy::EagerTrace),
-        "trace-driven random reads keep the demand rate"
-    );
-    assert_eq!(
-        seq.candidate_cost(Strategy::PartitionPruned),
-        cold.candidate_cost(Strategy::PartitionPruned)
-    );
-
-    assert_eq!(seq.prefetch, Some(true));
-    assert!(seq.render().contains("prefetch=on"), "{}", seq.render());
-    assert!(cold.render().contains("prefetch=off"), "{}", cold.render());
-
-    let json = smoke_planner::wire::explain_to_json(&seq);
-    assert_eq!(json.get("prefetch").unwrap().as_bool(), Some(true));
-}
-
-#[test]
 fn explain_wire_encoding_carries_pages_and_residency() {
     let (table, captured) = workload();
     let paged = spill(&table, 8);

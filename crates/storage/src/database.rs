@@ -38,9 +38,10 @@ impl Database {
 
     /// Attaches a memory budget: a buffer pool of `budget_bytes / PAGE_SIZE`
     /// frames (at least one) over a fresh temp-file segment store, with
-    /// SIEVE replacement (`policy` has that one variant). Relations already
-    /// registered — and every relation registered afterwards — are
-    /// transparently spilled.
+    /// SIEVE replacement (`policy` has that one variant). The pool runs no
+    /// threads: pages are read by demand pins on the caller's thread.
+    /// Relations already registered — and every relation registered
+    /// afterwards — are transparently spilled.
     pub fn set_memory_budget(
         &mut self,
         budget_bytes: usize,
@@ -72,14 +73,7 @@ impl Database {
             ));
         }
         let budget_pages = (budget_bytes / PAGE_SIZE).max(1);
-        // Database pools carry the background prefetcher: paged operators
-        // hint their upcoming page runs and cold scans overlap I/O.
-        let pool = Arc::new(BufferPool::with_prefetch(
-            store,
-            budget_pages,
-            policy,
-            smoke_pager::DEFAULT_PREFETCH_THREADS,
-        ));
+        let pool = Arc::new(BufferPool::new(store, budget_pages, policy));
         // Spill everything already registered.
         let resident = std::mem::take(&mut self.relations);
         for (name, relation) in resident {

@@ -248,81 +248,9 @@ impl PagedRelation {
         })
     }
 
-    /// Hints the buffer pool to read ahead the pages covering rows
-    /// `[start, end)` of every column. Advisory: a no-op when the pool has
-    /// no prefetcher, and never an error. For string columns only the
-    /// offsets run is hinted (payload pages are unknown until the offsets
-    /// are read).
-    pub fn prefetch_rows(&self, start: usize, end: usize) {
-        if !self.pool.prefetch_enabled() {
-            return;
-        }
-        let end = end.min(self.len);
-        if start >= end {
-            return;
-        }
-        let first_no = start / ROWS_PER_PAGE;
-        let last_no = (end - 1) / ROWS_PER_PAGE;
-        let mut pages: Vec<PageId> = Vec::new();
-        for slot in &self.slots {
-            match slot {
-                PagedSlot::Fixed { first_page } => {
-                    pages.extend((first_no..=last_no).map(|p| PageId(first_page.0 + p as u32)));
-                }
-                PagedSlot::Var {
-                    offsets_first_page, ..
-                } => {
-                    // Rows [start, end) read offsets [start, end].
-                    let last_off = end / ROWS_PER_PAGE;
-                    pages.extend(
-                        (first_no..=last_off).map(|p| PageId(offsets_first_page.0 + p as u32)),
-                    );
-                }
-            }
-        }
-        self.pool.prefetch(&pages);
-    }
-
-    /// Hints the pages a [`PagedRelation::gather`] of `rids` would pin on
-    /// the fixed-width columns. Advisory and capped: enormous rid lists
-    /// hint only a prefix (the gather itself still reads everything).
-    pub fn prefetch_rids(&self, rids: &[Rid]) {
-        const MAX_HINTS: usize = 16_384;
-        if !self.pool.prefetch_enabled() || rids.is_empty() {
-            return;
-        }
-        // Dedup consecutive page numbers once, then replicate the list per
-        // fixed column (every fixed run shares the same page layout): a
-        // C-column relation walks the rid list once, not C times.
-        let mut nos: Vec<u32> = Vec::new();
-        let mut last = u32::MAX;
-        for &rid in rids {
-            if rid as usize >= self.len {
-                continue;
-            }
-            let no = (rid as usize / ROWS_PER_PAGE) as u32;
-            if no != last {
-                nos.push(no);
-                last = no;
-                if nos.len() >= MAX_HINTS {
-                    break;
-                }
-            }
-        }
-        let mut pages: Vec<PageId> = Vec::new();
-        for slot in &self.slots {
-            if let PagedSlot::Fixed { first_page } = slot {
-                for &no in &nos {
-                    if pages.len() >= MAX_HINTS {
-                        self.pool.prefetch(&pages);
-                        return;
-                    }
-                    pages.push(PageId(first_page.0 + no));
-                }
-            }
-        }
-        self.pool.prefetch(&pages);
-    }
+    /// Does nothing: the pool has no prefetcher. Kept only because the
+    /// frozen benchmark's trace path calls it (ROADMAP 11(g)).
+    pub fn prefetch_rids(&self, _rids: &[Rid]) {}
 
     /// Materializes rows `[start, end)` of every column as a transient
     /// in-memory [`Relation`] (named like the source so column lookups and
@@ -992,40 +920,6 @@ mod tests {
             PagedRelation::from_fixed_runs("bad", schema, &[], 0, &pool),
             Err(StorageError::Pager(_))
         ));
-    }
-
-    #[test]
-    fn prefetch_hints_warm_the_pool() {
-        let rel = sample(4096); // 4 pages per numeric column
-        let pool = Arc::new(BufferPool::with_prefetch(
-            SegmentStore::in_memory(),
-            16,
-            ReplacementPolicy::Sieve,
-            1,
-        ));
-        let paged = PagedRelation::spill(&rel, &pool).unwrap();
-        pool.reset_stats();
-        paged.prefetch_rows(0, 2048);
-        pool.prefetch_quiesce();
-        assert!(pool.stats().prefetch_loads >= 4, "{:?}", pool.stats());
-        // The gather after the hint is all hits on the numeric columns.
-        pool.reset_stats();
-        paged.prefetch_rids(&[0, 1, 1024]);
-        pool.prefetch_quiesce();
-        let before = pool.stats();
-        paged
-            .decode_range(0, 0, 2048)
-            .and_then(|_| paged.decode_range(1, 0, 2048))
-            .unwrap();
-        let after = pool.stats();
-        assert_eq!(after.disk_reads, before.disk_reads);
-        assert!(after.prefetch_hits >= 4);
-        // Hints on a prefetch-less pool are silently ignored.
-        let plain = test_pool(2);
-        let p2 = PagedRelation::spill(&rel, &plain).unwrap();
-        p2.prefetch_rows(0, 4096);
-        p2.prefetch_rids(&[0]);
-        plain.prefetch_quiesce();
     }
 
     #[test]
