@@ -16,6 +16,18 @@
 //! through `fmt`. Both paths give the same values and bytes as the general
 //! ones.
 //!
+//! A wide reply's rids never become [`Json`] nodes at all. [`parse_reply`]
+//! is [`parse`] with one lifted slot: the first `"rids"` key directly inside
+//! the top-level `"result"` object is read by a compact loop straight into a
+//! `Vec<u32>`, and the slot in the tree is left an empty array. The loop
+//! takes only `[` digits `,` digits … `]` with no whitespace, at most 10
+//! digits and at most `u32::MAX` per element; on anything else it rewinds
+//! to the `[` and the general path parses the array as [`parse`] would. The
+//! rest of the body is parsed in full either way, so the lifted parse
+//! accepts and rejects exactly what [`parse`] does. On the writing side,
+//! [`render_u32_array`] writes the same text as rendering the array of
+//! [`Json::Int`]s.
+//!
 //! Containers nest at most [`MAX_DEPTH`] deep. The parser recurses once per
 //! level, and a deeper document is a typed parse error instead of a stack
 //! overflow, which would abort the whole process.
@@ -60,6 +72,19 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Moves the value of a key out of an object, leaving `null` in its
+    /// place; `None` for missing keys or non-objects. Like [`Json::get`], it
+    /// reads the first matching key.
+    pub fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(pairs) => pairs
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| std::mem::replace(v, Json::Null)),
             _ => None,
         }
     }
@@ -119,7 +144,8 @@ impl Json {
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Appends [`Json::render`]'s text to `out`.
+    pub fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -156,26 +182,53 @@ impl Json {
     }
 }
 
-/// Writes `i` in decimal: the bytes `format!("{i}")` produces, without the
-/// formatting machinery.
-fn render_int(i: i64, out: &mut String) {
-    let mut digits = [0u8; 20];
+/// Writes `n` in decimal at the end of `digits` and returns where the
+/// digits start.
+fn decimal(mut n: u64, digits: &mut [u8; 20]) -> usize {
     let mut at = digits.len();
-    let mut n = i.unsigned_abs();
     loop {
         at -= 1;
         digits[at] = b'0' + (n % 10) as u8;
         n /= 10;
         if n == 0 {
-            break;
+            return at;
         }
     }
+}
+
+/// Writes `i` in decimal: the bytes `format!("{i}")` produces, without the
+/// formatting machinery.
+fn render_int(i: i64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let at = decimal(i.unsigned_abs(), &mut digits);
     if i < 0 {
         out.push('-');
     }
     if let Ok(text) = std::str::from_utf8(&digits[at..]) {
         out.push_str(text);
     }
+}
+
+/// Appends the text of an array of `items` as [`Json::Int`]s — what
+/// rendering that [`Json::Arr`] gives — without building it. The digits go
+/// into the string's bytes directly, and the one UTF-8 check at the end
+/// costs less than a `str` per element.
+pub fn render_u32_array(items: &[u32], out: &mut String) {
+    let mut bytes = std::mem::take(out).into_bytes();
+    bytes.reserve(2 + 11 * items.len());
+    bytes.push(b'[');
+    for (i, &item) in items.iter().enumerate() {
+        if i > 0 {
+            bytes.push(b',');
+        }
+        let mut digits = [0u8; 20];
+        let at = decimal(u64::from(item), &mut digits);
+        bytes.extend_from_slice(&digits[at..]);
+    }
+    bytes.push(b']');
+    // Only ASCII was appended to a `String`'s bytes, so the check passes.
+    *out = String::from_utf8(bytes)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
 }
 
 fn render_string(s: &str, out: &mut String) {
@@ -210,25 +263,68 @@ const FAST_INT_DIGITS: usize = 18;
 /// error, as is any malformed construct or nesting deeper than
 /// [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, EngineError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
-    Ok(value)
+    Parser::new(text, Lift::Off).document()
+}
+
+/// Parses a reply body like [`parse`], but reads the rid list of a result
+/// straight into a `Vec<u32>`, with no [`Json`] node per rid.
+///
+/// The lifted slot is the first `"rids"` key directly inside the first
+/// `"result"` key of the top-level object — the array
+/// `v.get("result")?.get("rids")` finds. When its array is compact
+/// (`[` digits `,` digits … `]`, no whitespace, at most 10 digits and at
+/// most `u32::MAX` per element), the vector comes back as `Some` and the slot
+/// in the tree holds an empty array. Any other spelling — whitespace,
+/// signs, fractions, exponents, longer or larger numbers, a non-array — is
+/// parsed into the tree as [`parse`] does, and the vector is `None`. The
+/// rest of the document is parsed in full either way, so a body is
+/// accepted exactly when [`parse`] accepts it.
+pub fn parse_reply(text: &str) -> Result<(Json, Option<Vec<u32>>), EngineError> {
+    let mut p = Parser::new(text, Lift::Result);
+    let value = p.document()?;
+    Ok((value, p.lifted))
+}
+
+/// Where the parser is in its search for the one slot [`parse_reply`]
+/// lifts out of the tree.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Lift {
+    /// Not searching: plain [`parse`], or the slot was found or passed.
+    Off,
+    /// Looking for the top-level object's first `"result"` key.
+    Result,
+    /// Inside that key's object, looking for its first `"rids"` key.
+    Rids,
 }
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    lift: Lift,
+    lifted: Option<Vec<u32>>,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str, lift: Lift) -> Self {
+        Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+            lift,
+            lifted: None,
+        }
+    }
+
+    /// Parses the whole input as one value with nothing after it.
+    fn document(&mut self) -> Result<Json, EngineError> {
+        self.skip_ws();
+        let value = self.value(0)?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(value)
+    }
+
     fn err(&self, msg: &str) -> EngineError {
         EngineError::InvalidPlan(format!("JSON parse error at byte {}: {msg}", self.pos))
     }
@@ -299,7 +395,11 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value(depth)?;
+            let value = if self.lift == Lift::Off {
+                self.value(depth)?
+            } else {
+                self.member(&key, depth)?
+            };
             pairs.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -309,6 +409,79 @@ impl<'a> Parser<'a> {
                     return Ok(Json::Obj(pairs));
                 }
                 _ => return Err(self.err("expected `,` or `}` in object")),
+            }
+        }
+    }
+
+    /// Parses the value of `key` in an object at `depth` while
+    /// [`parse_reply`] still searches for its slot. The top-level object is
+    /// at depth 1 and the result object at depth 2; only the first matching
+    /// key at each level moves the search on, as [`Json::get`] reads only
+    /// the first.
+    fn member(&mut self, key: &str, depth: usize) -> Result<Json, EngineError> {
+        match (self.lift, depth, key) {
+            (Lift::Result, 1, "result") => {
+                // Only an object here puts a key at depth 2 before the
+                // search is switched off again.
+                self.lift = Lift::Rids;
+                let value = self.value(depth);
+                self.lift = Lift::Off;
+                value
+            }
+            (Lift::Rids, 2, "rids") => {
+                self.lift = Lift::Off;
+                match self.u32_array() {
+                    Some(rids) => {
+                        self.lifted = Some(rids);
+                        Ok(Json::Arr(Vec::new()))
+                    }
+                    None => self.value(depth),
+                }
+            }
+            _ => self.value(depth),
+        }
+    }
+
+    /// Reads a compact array of `u32`s — `[`, then digits separated by `,`
+    /// with no whitespace, then `]` — where each element has at most 10
+    /// digits and is at most `u32::MAX`. Anything else leaves the position
+    /// untouched and returns `None` for the general path to parse.
+    fn u32_array(&mut self) -> Option<Vec<u32>> {
+        let rest = self.bytes.get(self.pos..)?;
+        let [b'[', body @ ..] = rest else {
+            return None;
+        };
+        if body.first() == Some(&b']') {
+            self.pos += 2;
+            return Some(Vec::new());
+        }
+        let mut out = Vec::new();
+        let mut at = 0;
+        loop {
+            let mut value = 0u64;
+            let mut len = 0;
+            while let Some(&b) = body.get(at + len) {
+                if !b.is_ascii_digit() {
+                    break;
+                }
+                if len == 10 {
+                    return None;
+                }
+                value = value * 10 + u64::from(b - b'0');
+                len += 1;
+            }
+            if len == 0 {
+                return None;
+            }
+            out.push(u32::try_from(value).ok()?);
+            at += len;
+            match body.get(at) {
+                Some(b',') => at += 1,
+                Some(b']') => {
+                    self.pos += at + 2;
+                    return Some(out);
+                }
+                _ => return None,
             }
         }
     }

@@ -13,12 +13,19 @@
 //! commutative operands ordered, literal-first comparisons flipped) so that
 //! semantically equivalent queries render to the same [`QuerySpec::cache_key`]
 //! — the key the serving layer's plan/result cache is built on.
+//!
+//! A [`LineageResult`] crosses the wire without a tree node per rid:
+//! [`write_result`] writes its text directly, and [`result_from_reply`]
+//! decodes the rid list that [`crate::json::parse_reply`] lifted out of the
+//! body. [`result_to_json`] and [`result_from_json`] are the tree-building
+//! reference those two are tested against, byte for byte and value for
+//! value; the serving path runs neither.
 
 use smoke_core::{AggExpr, AggFunc, ArithOp, CmpOp, EngineError, Expr, Result};
 use smoke_lineage::LineageIndex;
 use smoke_storage::{DataType, Relation, Rid, Value};
 
-use crate::json::{parse, Json};
+use crate::json::{parse, render_u32_array, Json};
 use crate::{Direction, Explain, LineageQuery, LineageResult, Strategy};
 
 /// How a [`QuerySpec`] selects its starting rids (an owned mirror of
@@ -765,7 +772,9 @@ pub fn relation_from_json(v: &Json) -> Result<Relation> {
     builder.build().map_err(EngineError::from)
 }
 
-/// Encodes a [`LineageResult`].
+/// Encodes a [`LineageResult`] as a tree: the reference encoding. The
+/// server writes the same bytes with [`write_result`]; this stays public
+/// because the benchmark names it (see ROADMAP item 11(h)).
 pub fn result_to_json(result: &LineageResult) -> Json {
     Json::obj([
         ("strategy", Json::str(result.strategy.to_string())),
@@ -780,7 +789,10 @@ pub fn result_to_json(result: &LineageResult) -> Json {
     ])
 }
 
-/// Decodes a [`LineageResult`] encoded by [`result_to_json`].
+/// Decodes a [`LineageResult`] encoded by [`result_to_json`]: the reference
+/// decoding. The client decodes the same bodies to the same values with
+/// [`result_from_reply`]; this stays public because the benchmark names it
+/// (see ROADMAP item 11(h)).
 pub fn result_from_json(v: &Json) -> Result<LineageResult> {
     let strategy = strategy_from_name(
         v.get("strategy")
@@ -807,6 +819,37 @@ pub fn result_from_json(v: &Json) -> Result<LineageResult> {
         rids,
         rows,
     })
+}
+
+/// Appends the text of `result_to_json(result)` to `out`, byte for byte,
+/// without building the tree: the rids go straight through the integer
+/// renderer. This is what the server sends.
+pub fn write_result(result: &LineageResult, out: &mut String) {
+    out.push_str("{\"strategy\":");
+    Json::str(result.strategy.to_string()).render_into(out);
+    out.push_str(",\"rids\":");
+    render_u32_array(&result.rids, out);
+    out.push_str(",\"rows\":");
+    result
+        .rows
+        .as_ref()
+        .map_or(Json::Null, relation_to_json)
+        .render_into(out);
+    out.push('}');
+}
+
+/// Decodes the `"result"` object of a reply read by
+/// [`parse_reply`](crate::json::parse_reply), with the rid list it lifted
+/// out of that object: the same value, or the same failure, as
+/// [`result_from_json`] over what [`parse`] reads. The lifted slot holds an
+/// empty array, which decodes like any other, and the lifted rids (all
+/// `u32`s already) take its place.
+pub fn result_from_reply(v: &Json, rids: Option<Vec<Rid>>) -> Result<LineageResult> {
+    let mut result = result_from_json(v)?;
+    if let Some(rids) = rids {
+        result.rids = rids;
+    }
+    Ok(result)
 }
 
 /// Encodes an [`Explain`] record. Infeasible candidates carry `"cost": null`

@@ -3,13 +3,19 @@
 //! One [`Client`] owns one TCP connection (one server session) and issues
 //! synchronous request/response exchanges. Benches and the soak harness run
 //! many clients on their own threads to generate concurrency.
+//!
+//! A reply is parsed with [`parse_reply`], which reads a result's rids
+//! straight into the `Vec` the [`LineageResult`] keeps, with no `Json` node
+//! per rid; an `explain` or `stats` payload is moved out of the parsed tree
+//! rather than copied. It accepts and rejects the same bodies as the plain
+//! tree parse.
 
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use smoke_planner::json::{parse, Json};
-use smoke_planner::wire::{result_from_json, QuerySpec};
+use smoke_planner::json::{parse_reply, Json};
+use smoke_planner::wire::{result_from_reply, QuerySpec};
 use smoke_planner::LineageResult;
 
 use crate::protocol::{read_frame, write_frame, ErrorCode, Request};
@@ -117,16 +123,16 @@ fn bad(msg: impl Into<String>) -> io::Error {
 }
 
 fn decode_reply(body: &str) -> io::Result<Reply> {
-    let v = parse(body).map_err(|e| bad(e.to_string()))?;
+    let (mut v, rids) = parse_reply(body).map_err(|e| bad(e.to_string()))?;
     match v.get("status").and_then(Json::as_str) {
         Some("ok") => {
             if let Some(result) = v.get("result") {
-                let result = result_from_json(result).map_err(|e| bad(e.to_string()))?;
+                let result = result_from_reply(result, rids).map_err(|e| bad(e.to_string()))?;
                 Ok(Reply::Result(result))
-            } else if let Some(explain) = v.get("explain") {
-                Ok(Reply::Explain(explain.clone()))
-            } else if let Some(stats) = v.get("stats") {
-                Ok(Reply::Stats(stats.clone()))
+            } else if let Some(explain) = v.take("explain") {
+                Ok(Reply::Explain(explain))
+            } else if let Some(stats) = v.take("stats") {
+                Ok(Reply::Stats(stats))
             } else {
                 Err(bad("ok response carries no payload"))
             }

@@ -37,7 +37,8 @@ use std::time::{Duration, Instant};
 
 use smoke_core::{EngineError, Result};
 use smoke_planner::json::{parse, Json};
-use smoke_planner::wire::QuerySpec;
+use smoke_planner::wire::{write_result, QuerySpec};
+use smoke_planner::LineageResult;
 
 /// Upper bound on a single frame's payload (16 MiB). A peer announcing more
 /// is malformed (or hostile) and its connection is dropped.
@@ -287,6 +288,18 @@ pub fn ok_response(key: &'static str, payload: Json) -> Arc<str> {
         .into()
 }
 
+/// Renders the `{"status":"ok", "result": …}` response of a query: the
+/// bytes of `ok_response("result", result_to_json(result))`, written
+/// straight into one string with no tree node per rid.
+pub fn result_response(result: &LineageResult) -> Arc<str> {
+    // A rid takes at most 10 digits and a comma.
+    let mut out = String::with_capacity(96 + 11 * result.rids.len());
+    out.push_str("{\"status\":\"ok\",\"result\":");
+    write_result(result, &mut out);
+    out.push('}');
+    out.into()
+}
+
 /// Renders an error response body.
 pub fn error_response(code: ErrorCode, message: &str) -> Arc<str> {
     Json::obj([
@@ -410,6 +423,52 @@ mod tests {
             r#"{"type":"nope"}"#,
         ] {
             assert!(Request::decode(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn result_responses_are_the_tree_encoders_bytes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use smoke_planner::wire::result_to_json;
+        use smoke_planner::Strategy;
+        use smoke_storage::{DataType, Relation, Value};
+
+        let mut rng = StdRng::seed_from_u64(0x5E4D);
+        let rows = Relation::builder("answer")
+            .column("k", DataType::Int)
+            .column("f", DataType::Float)
+            .column("s", DataType::Str)
+            .row(vec![
+                Value::Int(i64::MIN),
+                Value::Float(-2.5),
+                Value::Str("q\"uote\\ \n\u{1} ∀".into()),
+            ])
+            .build()
+            .unwrap();
+        let strategies = [
+            Strategy::EagerTrace,
+            Strategy::LazyRewrite,
+            Strategy::PartitionPruned,
+            Strategy::CubeHit,
+        ];
+        for round in 0..64 {
+            let len = rng.gen_range(0..200);
+            let result = LineageResult {
+                strategy: strategies[round % strategies.len()],
+                rids: (0..len)
+                    .map(|i| match i % 3 {
+                        0 => rng.gen_range(0..u32::MAX),
+                        1 => u32::MAX,
+                        _ => rng.gen_range(0..10),
+                    })
+                    .collect(),
+                rows: (round % 2 == 1).then(|| rows.clone()),
+            };
+            assert_eq!(
+                result_response(&result),
+                ok_response("result", result_to_json(&result))
+            );
         }
     }
 

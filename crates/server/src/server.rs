@@ -29,10 +29,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use smoke_planner::json::Json;
-use smoke_planner::wire::{explain_to_json, result_to_json, QuerySpec};
+use smoke_planner::wire::{explain_to_json, QuerySpec};
 
 use crate::cache::QueryCache;
-use crate::protocol::{error_response, ok_response, read_frame, write_frame, ErrorCode, Request};
+use crate::protocol::{
+    error_response, ok_response, read_frame, result_response, write_frame, ErrorCode, Request,
+    MAX_FRAME_BYTES,
+};
 use crate::snapshot::Snapshot;
 
 /// Tuning knobs of a [`Server`].
@@ -405,6 +408,10 @@ fn error_for(view: &str, shared: &Arc<Shared>, e: &smoke_core::EngineError) -> A
 /// cache with the reply it returns: one encoding, shared by both. The caller
 /// holds the [`Permit`].
 ///
+/// A reply longer than [`MAX_FRAME_BYTES`] cannot be framed. It is answered
+/// with a typed `exec` error naming its size, and neither cached nor counted
+/// as served, so the session stays open and a repeat fails the same way.
+///
 /// Execution runs inside `catch_unwind`: a panicking plan (a planner bug, a
 /// corrupt index — or the `server::worker::execute` fail point in tests)
 /// answers its session with a typed `exec` error and the session keeps
@@ -428,7 +435,18 @@ fn execute(
     }));
     match outcome {
         Ok(Ok(result)) => {
-            let body = ok_response("result", result_to_json(&result));
+            let body = result_response(&result);
+            if body.len() > MAX_FRAME_BYTES {
+                shared.errors.fetch_add(1, Ordering::Relaxed);
+                return error_response(
+                    ErrorCode::Exec,
+                    &format!(
+                        "a reply of {} bytes ({} rids) exceeds the {MAX_FRAME_BYTES}-byte frame cap",
+                        body.len(),
+                        result.rids.len()
+                    ),
+                );
+            }
             shared.cache.insert(key, Arc::clone(&body));
             shared.served.fetch_add(1, Ordering::Relaxed);
             body

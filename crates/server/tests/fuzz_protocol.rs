@@ -295,3 +295,40 @@ fn deep_nesting_is_a_bad_request_not_a_crash() {
     let stats = handle.shutdown();
     assert_eq!(stats.in_flight, 0);
 }
+
+/// The widest reply of the demo snapshot — a hot group's full backward
+/// trace — reads back through `Client` rid for rid as `Snapshot::execute`
+/// answers it in process, on the miss and on the cache hit.
+#[test]
+fn a_wide_result_round_trips_rid_for_rid() {
+    let snapshot = Arc::new(demo_snapshot(50_000, 10, 21).expect("demo snapshot"));
+    let widest = (0..10)
+        .map(|g| QuerySpec::backward().rids([g]))
+        .max_by_key(|spec| snapshot.execute("by_z", spec).map_or(0, |r| r.rids.len()))
+        .expect("ten groups");
+    let expected = snapshot.execute("by_z", &widest).expect("in-process trace");
+    assert!(expected.rids.len() > 10_000, "{} rids", expected.rids.len());
+
+    let handle = Server::serve(
+        Arc::clone(&snapshot),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client
+        .set_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    for _ in 0..2 {
+        let got = client
+            .query("by_z", widest.clone())
+            .expect("exchange")
+            .into_result()
+            .expect("wide result");
+        assert_eq!(got.strategy, expected.strategy);
+        assert_eq!(got.rids, expected.rids);
+        assert_eq!(got.rows, expected.rows);
+    }
+    let stats = handle.shutdown();
+    assert_eq!((stats.cache_misses, stats.cache_hits), (1, 1));
+}
