@@ -89,7 +89,7 @@ const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "fig21",
-        describe: "Figure 21: selection capture with selectivity estimates",
+        describe: "Figure 21: selection capture across selectivities",
         run: micro::fig21,
     },
     Experiment {

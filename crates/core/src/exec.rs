@@ -169,8 +169,6 @@ impl Executor {
                 let opts = SelectOptions {
                     capture,
                     directions: self.directions_for_side(&tables),
-                    selectivity_estimate: self.config.hints.as_ref().and_then(|h| h.selectivity),
-                    ..Default::default()
                 };
                 let out = select(child.relation.as_ref(), predicate, &opts)?;
                 let per_table = compose_unary(&child.per_table, &out.lineage, capture);

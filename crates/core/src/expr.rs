@@ -1,15 +1,12 @@
 //! Scalar expressions and predicates.
 //!
-//! Expressions are evaluated row-at-a-time against a relation, mirroring the
-//! paper's row-oriented execution model. The engine resolves column names to
-//! positions once per operator (not per row), so hot predicate loops only pay
-//! for the comparison itself.
+//! An [`Expr`] is a tree; it has one evaluator,
+//! [`KernelPlan`](crate::kernels::KernelPlan), which compiles it against a
+//! relation's schema (column names resolved to positions, types checked)
+//! before any row is read, and then runs column kernels over ranges or
+//! gathered rid lists.
 
-use std::cmp::Ordering;
-
-use smoke_storage::{Relation, Value};
-
-use crate::error::{EngineError, Result};
+use smoke_storage::Value;
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,19 +23,6 @@ pub enum CmpOp {
     Gt,
     /// Greater than or equal.
     Ge,
-}
-
-impl CmpOp {
-    fn matches(self, ord: Ordering) -> bool {
-        match self {
-            CmpOp::Eq => ord == Ordering::Equal,
-            CmpOp::Ne => ord != Ordering::Equal,
-            CmpOp::Lt => ord == Ordering::Less,
-            CmpOp::Le => ord != Ordering::Greater,
-            CmpOp::Gt => ord == Ordering::Greater,
-            CmpOp::Ge => ord != Ordering::Less,
-        }
-    }
 }
 
 /// Arithmetic operators.
@@ -218,47 +202,6 @@ impl Expr {
             Expr::InList { expr, .. } => expr.collect_columns(out),
         }
     }
-
-    /// Binds this expression to a relation's schema, producing an evaluator
-    /// whose column lookups are resolved to positions.
-    pub fn bind(&self, relation: &Relation) -> Result<BoundExpr> {
-        let node = self.bind_node(relation)?;
-        Ok(BoundExpr { node })
-    }
-
-    fn bind_node(&self, relation: &Relation) -> Result<BoundNode> {
-        Ok(match self {
-            Expr::Column(name) => BoundNode::Column(
-                relation
-                    .column_index(name)
-                    .map_err(|_| EngineError::UnknownColumn(name.clone()))?,
-            ),
-            Expr::Literal(v) => BoundNode::Literal(v.clone()),
-            Expr::Cmp { op, left, right } => BoundNode::Cmp {
-                op: *op,
-                left: Box::new(left.bind_node(relation)?),
-                right: Box::new(right.bind_node(relation)?),
-            },
-            Expr::Arith { op, left, right } => BoundNode::Arith {
-                op: *op,
-                left: Box::new(left.bind_node(relation)?),
-                right: Box::new(right.bind_node(relation)?),
-            },
-            Expr::And(l, r) => BoundNode::And(
-                Box::new(l.bind_node(relation)?),
-                Box::new(r.bind_node(relation)?),
-            ),
-            Expr::Or(l, r) => BoundNode::Or(
-                Box::new(l.bind_node(relation)?),
-                Box::new(r.bind_node(relation)?),
-            ),
-            Expr::Not(e) => BoundNode::Not(Box::new(e.bind_node(relation)?)),
-            Expr::InList { expr, list } => BoundNode::InList {
-                expr: Box::new(expr.bind_node(relation)?),
-                list: list.clone(),
-            },
-        })
-    }
 }
 
 impl std::ops::Add for Expr {
@@ -288,101 +231,12 @@ impl std::ops::Mul for Expr {
     }
 }
 
-#[derive(Debug, Clone)]
-enum BoundNode {
-    Column(usize),
-    Literal(Value),
-    Cmp {
-        op: CmpOp,
-        left: Box<BoundNode>,
-        right: Box<BoundNode>,
-    },
-    Arith {
-        op: ArithOp,
-        left: Box<BoundNode>,
-        right: Box<BoundNode>,
-    },
-    And(Box<BoundNode>, Box<BoundNode>),
-    Or(Box<BoundNode>, Box<BoundNode>),
-    Not(Box<BoundNode>),
-    InList {
-        expr: Box<BoundNode>,
-        list: Vec<Value>,
-    },
-}
-
-/// An expression bound to a specific relation schema.
-#[derive(Debug, Clone)]
-pub struct BoundExpr {
-    node: BoundNode,
-}
-
-impl BoundExpr {
-    /// Evaluates the expression for the row at `rid`, returning a value.
-    pub fn eval(&self, relation: &Relation, rid: usize) -> Result<Value> {
-        Self::eval_node(&self.node, relation, rid)
-    }
-
-    /// Evaluates the expression as a boolean predicate for the row at `rid`.
-    pub fn eval_bool(&self, relation: &Relation, rid: usize) -> Result<bool> {
-        Self::eval_bool_node(&self.node, relation, rid)
-    }
-
-    fn eval_node(node: &BoundNode, relation: &Relation, rid: usize) -> Result<Value> {
-        Ok(match node {
-            BoundNode::Column(idx) => relation.value(rid, *idx),
-            BoundNode::Literal(v) => v.clone(),
-            BoundNode::Cmp { op, left, right } => {
-                let l = Self::eval_node(left, relation, rid)?;
-                let r = Self::eval_node(right, relation, rid)?;
-                Value::Int(op.matches(l.total_cmp(&r)) as i64)
-            }
-            BoundNode::Arith { op, left, right } => {
-                let l = Self::eval_node(left, relation, rid)?
-                    .as_float()
-                    .ok_or_else(|| EngineError::Expression("non-numeric arithmetic".into()))?;
-                let r = Self::eval_node(right, relation, rid)?
-                    .as_float()
-                    .ok_or_else(|| EngineError::Expression("non-numeric arithmetic".into()))?;
-                let v = match op {
-                    ArithOp::Add => l + r,
-                    ArithOp::Sub => l - r,
-                    ArithOp::Mul => l * r,
-                    ArithOp::Div => l / r,
-                };
-                Value::Float(v)
-            }
-            BoundNode::And(l, r) => {
-                let lv = Self::eval_bool_node(l, relation, rid)?;
-                Value::Int((lv && Self::eval_bool_node(r, relation, rid)?) as i64)
-            }
-            BoundNode::Or(l, r) => {
-                let lv = Self::eval_bool_node(l, relation, rid)?;
-                Value::Int((lv || Self::eval_bool_node(r, relation, rid)?) as i64)
-            }
-            BoundNode::Not(e) => Value::Int(!Self::eval_bool_node(e, relation, rid)? as i64),
-            BoundNode::InList { expr, list } => {
-                let v = Self::eval_node(expr, relation, rid)?;
-                Value::Int(list.iter().any(|x| v.total_cmp(x) == Ordering::Equal) as i64)
-            }
-        })
-    }
-
-    fn eval_bool_node(node: &BoundNode, relation: &Relation, rid: usize) -> Result<bool> {
-        match Self::eval_node(node, relation, rid)? {
-            Value::Int(v) => Ok(v != 0),
-            Value::Float(v) => Ok(v != 0.0),
-            Value::Str(s) => Err(EngineError::Expression(format!(
-                "string `{s}` used as a boolean predicate"
-            ))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smoke_storage::DataType;
+    use crate::error::EngineError;
+    use crate::kernels::predicate_rids;
+    use smoke_storage::{DataType, Relation};
 
     fn rel() -> Relation {
         Relation::builder("t")
@@ -408,77 +262,50 @@ mod tests {
             .unwrap()
     }
 
+    fn selects(e: &Expr) -> Vec<u32> {
+        predicate_rids(&rel(), e).unwrap()
+    }
+
     #[test]
     fn comparisons() {
-        let r = rel();
-        let e = Expr::col("a").gt(Expr::lit(3)).bind(&r).unwrap();
-        assert!(!e.eval_bool(&r, 0).unwrap());
-        assert!(e.eval_bool(&r, 1).unwrap());
-        assert!(e.eval_bool(&r, 2).unwrap());
-
-        let e = Expr::col("s").eq(Expr::lit("x")).bind(&r).unwrap();
-        assert!(e.eval_bool(&r, 0).unwrap());
-        assert!(!e.eval_bool(&r, 1).unwrap());
+        assert_eq!(selects(&Expr::col("a").gt(Expr::lit(3))), vec![1, 2]);
+        assert_eq!(selects(&Expr::col("s").eq(Expr::lit("x"))), vec![0, 2]);
     }
 
     #[test]
     fn boolean_connectives() {
-        let r = rel();
         let e = Expr::col("a")
             .gt(Expr::lit(3))
-            .and(Expr::col("s").eq(Expr::lit("x")))
-            .bind(&r)
-            .unwrap();
-        assert!(!e.eval_bool(&r, 0).unwrap());
-        assert!(!e.eval_bool(&r, 1).unwrap());
-        assert!(e.eval_bool(&r, 2).unwrap());
-
+            .and(Expr::col("s").eq(Expr::lit("x")));
+        assert_eq!(selects(&e), vec![2]);
         let e = Expr::col("a")
             .lt(Expr::lit(2))
-            .or(Expr::col("a").ge(Expr::lit(9)))
-            .bind(&r)
-            .unwrap();
-        assert!(e.eval_bool(&r, 0).unwrap());
-        assert!(!e.eval_bool(&r, 1).unwrap());
-        assert!(e.eval_bool(&r, 2).unwrap());
-
-        let e = Expr::col("a").le(Expr::lit(1)).not().bind(&r).unwrap();
-        assert!(!e.eval_bool(&r, 0).unwrap());
-        assert!(e.eval_bool(&r, 1).unwrap());
+            .or(Expr::col("a").ge(Expr::lit(9)));
+        assert_eq!(selects(&e), vec![0, 2]);
+        assert_eq!(selects(&Expr::col("a").le(Expr::lit(1)).not()), vec![1, 2]);
     }
 
     #[test]
     fn arithmetic_and_in_list() {
-        let r = rel();
-        let e = (Expr::col("b") * Expr::lit(2.0) + Expr::col("a"))
-            .bind(&r)
-            .unwrap();
-        assert_eq!(e.eval(&r, 1).unwrap(), Value::Float(9.0));
-
-        let e = Expr::col("a")
-            .in_list(vec![Value::Int(1), Value::Int(9)])
-            .bind(&r)
-            .unwrap();
-        assert!(e.eval_bool(&r, 0).unwrap());
-        assert!(!e.eval_bool(&r, 1).unwrap());
-        assert!(e.eval_bool(&r, 2).unwrap());
-
-        let e = (Expr::col("a") - Expr::lit(1)).bind(&r).unwrap();
-        assert_eq!(e.eval(&r, 0).unwrap(), Value::Float(0.0));
+        // b * 2 + a is 2.0, 9.0, 18.0.
+        let e = (Expr::col("b") * Expr::lit(2.0) + Expr::col("a")).eq(Expr::lit(9.0));
+        assert_eq!(selects(&e), vec![1]);
+        let e = Expr::col("a").in_list(vec![Value::Int(1), Value::Int(9)]);
+        assert_eq!(selects(&e), vec![0, 2]);
+        // a - 1 is 0.0 on the first row, so falsy there.
+        assert_eq!(selects(&(Expr::col("a") - Expr::lit(1))), vec![1, 2]);
     }
 
     #[test]
-    fn unknown_column_fails_at_bind_time() {
-        let r = rel();
-        let err = Expr::col("missing").eq(Expr::lit(1)).bind(&r);
+    fn unknown_column_fails_at_compile_time() {
+        let err = predicate_rids(&rel(), &Expr::col("missing").eq(Expr::lit(1)));
         assert!(matches!(err, Err(EngineError::UnknownColumn(_))));
     }
 
     #[test]
     fn string_as_predicate_is_an_error() {
-        let r = rel();
-        let e = Expr::col("s").bind(&r).unwrap();
-        assert!(e.eval_bool(&r, 0).is_err());
+        let err = predicate_rids(&rel(), &Expr::col("s"));
+        assert!(matches!(err, Err(EngineError::Expression(_))));
     }
 
     #[test]

@@ -61,33 +61,20 @@ impl DirectionFilter {
     }
 }
 
-/// Cardinality statistics supplied up-front (the `+TC` / `+EC` variants of the
-/// paper's experiments). When present, rid arrays are pre-allocated to the
-/// exact (or estimated) sizes and avoid resize costs.
+/// Cardinality statistics supplied up-front (the `+TC` variants of the
+/// paper's experiments). When present, group-by rid arrays are pre-allocated
+/// to the exact sizes and avoid resize costs. Selection needs no hint: its
+/// kernel bitmap's popcount sizes the backward array exactly.
 #[derive(Debug, Clone, Default)]
 pub struct CardinalityHints {
     /// Expected number of input rows per group/join key.
     pub per_key: HashMap<HashKey, usize>,
-    /// Estimated selectivity of a selection (0.0–1.0), used to pre-allocate
-    /// its backward rid array.
-    pub selectivity: Option<f64>,
 }
 
 impl CardinalityHints {
-    /// Hints with only a selection selectivity estimate.
-    pub fn with_selectivity(selectivity: f64) -> Self {
-        CardinalityHints {
-            per_key: HashMap::new(),
-            selectivity: Some(selectivity),
-        }
-    }
-
     /// Hints with per-key cardinalities.
     pub fn with_per_key(per_key: HashMap<HashKey, usize>) -> Self {
-        CardinalityHints {
-            per_key,
-            selectivity: None,
-        }
+        CardinalityHints { per_key }
     }
 
     /// The expected cardinality for `key`, if known.
@@ -249,8 +236,6 @@ mod tests {
         let hints = CardinalityHints::with_per_key(per_key);
         assert_eq!(hints.cardinality(&HashKey::Int(7)), Some(100));
         assert_eq!(hints.cardinality(&HashKey::Int(8)), None);
-        let est = CardinalityHints::with_selectivity(0.25);
-        assert_eq!(est.selectivity, Some(0.25));
     }
 
     #[test]

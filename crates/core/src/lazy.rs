@@ -33,13 +33,30 @@ pub fn backward_predicate(
     pred.unwrap_or_else(|| Expr::lit(1))
 }
 
+/// The disjunction of `terms` as a balanced tree of depth ⌈log₂ n⌉ (`None`
+/// when there are no terms). A lazy rewrite ORs one term per selected output
+/// group; a left-deep chain of that many terms would make compiling,
+/// evaluating and dropping the predicate recurse once per term, and a long
+/// selection would overflow the stack.
+pub fn disjunction(terms: Vec<Expr>) -> Option<Expr> {
+    let mut level = terms;
+    while level.len() > 1 {
+        let mut next = Vec::with_capacity(level.len().div_ceil(2));
+        let mut pairs = level.into_iter();
+        while let Some(left) = pairs.next() {
+            next.push(match pairs.next() {
+                Some(right) => left.or(right),
+                None => left,
+            });
+        }
+        level = next;
+    }
+    level.pop()
+}
+
 /// Evaluates a backward lineage query lazily: a full selection scan of the
-/// base relation with the rewrite predicate.
-///
-/// The scan routes through the kernel layer: rewrite predicates are OR'd
-/// key-equality chains over columns and literals, so they compile to column
-/// kernels and the scan runs batch-at-a-time (arbitrary predicates fall back
-/// to the interpreter).
+/// base relation with the rewrite predicate, batch-at-a-time through the
+/// column kernels.
 pub fn lazy_backward(relation: &Relation, predicate: &Expr) -> Result<Vec<Rid>> {
     crate::kernels::predicate_rids(relation, predicate)
 }
@@ -120,6 +137,39 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.value(0, 1), Value::Int(2));
+    }
+
+    #[test]
+    fn disjunction_is_balanced_and_matches_a_chain() {
+        assert_eq!(disjunction(Vec::new()), None);
+        let one = Expr::col("z").eq(Expr::lit(1));
+        assert_eq!(disjunction(vec![one.clone()]), Some(one));
+        let terms: Vec<Expr> = [3, 2, 9].map(|z| Expr::col("z").eq(Expr::lit(z))).into();
+        let pred = disjunction(terms).unwrap();
+        assert_eq!(lazy_backward(&rel(), &pred).unwrap(), vec![1, 3]);
+    }
+
+    /// A 100k-term disjunction over a 64-row relation compiles, evaluates
+    /// and drops on an 8 MiB stack (a left-deep chain of that length
+    /// overflowed it).
+    #[test]
+    fn long_disjunction_fits_a_session_stack() {
+        let worker = std::thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn(|| {
+                let mut b = Relation::builder("r").column("z", DataType::Int);
+                for z in 0..64 {
+                    b = b.row(vec![Value::Int(z)]);
+                }
+                let r = b.build().unwrap();
+                let terms = (0..100_000i64)
+                    .map(|z| Expr::col("z").eq(Expr::lit(z * 7)))
+                    .collect();
+                lazy_backward(&r, &disjunction(terms).unwrap()).unwrap()
+            })
+            .unwrap();
+        let expect: Vec<Rid> = (0..64).filter(|z| z % 7 == 0).collect();
+        assert_eq!(worker.join().unwrap(), expect);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! relational engine whose physical operators tightly integrate fine-grained
 //! lineage capture, plus the baseline capture techniques and workload-aware
 //! optimizations the paper evaluates against. Operators run row-at-a-time
-//! (the paper's reference form), vectorized over compiled [`kernels`], or
-//! morsel-parallel with per-thread capture ([`parallel`]).
+//! over typed columns (the paper's reference form) with every predicate
+//! evaluated by compiled column [`kernels`], or morsel-parallel with
+//! per-thread capture ([`parallel`]).
 //!
 //! The crate is organised around the paper's structure:
 //!

@@ -47,7 +47,7 @@ use crate::expr::Expr;
 use crate::instrument::{
     AggPushdown, CaptureMode, CardinalityHints, DirectionFilter, WorkloadOptions,
 };
-use crate::kernels::predicate_mask_range;
+use crate::kernels::{predicate_mask_range, KernelPlan};
 use crate::key::{HashKey, KeyExtractor, KeyPart};
 use crate::ops::RowSource;
 use crate::workload::{CubeCell, LineageCube, WorkloadArtifacts};
@@ -853,11 +853,9 @@ impl<'o> GroupByCore<'o> {
         let agg_inputs = AggInputs::resolve(rel, self.aggs)?;
 
         // The push-down predicate is evaluated once per ingest through the
-        // kernel layer (falling back to the interpreter for arbitrary
-        // shapes); the capture loop then tests a bit per row instead of
-        // re-interpreting the expression. Uninstrumented runs never read the
-        // mask, so they only bind (validating the expression) without paying
-        // for the scan.
+        // kernel layer; the capture loop then tests a bit per row.
+        // Uninstrumented runs never read the mask, so they only compile
+        // (validating the expression) without paying for the scan.
         let span = rows.span(rel.len());
         let first = span.start;
         let pushdown_mask = self.pushdown_mask(rel, span)?;
@@ -916,7 +914,7 @@ impl<'o> GroupByCore<'o> {
         Ok(match self.pushdown {
             Some(expr) if self.capture => Some(predicate_mask_range(rel, expr, span)?),
             Some(expr) => {
-                expr.bind(rel)?;
+                KernelPlan::compile(expr, rel)?;
                 None
             }
             None => None,

@@ -154,9 +154,7 @@ where
 /// absorbs the fragments in morsel order, which reproduces the sequential
 /// scan's ascending rid order exactly — the concatenation *is* the backward
 /// index (reuse principle P4), and the forward array is filled in the same
-/// walk — kernel bitmap or interpreter, whichever `SelectCore::ingest` picks
-/// for the predicate. Delegates to [`select`] when fewer than two workers
-/// would run.
+/// walk. Delegates to [`select`] when fewer than two workers would run.
 pub fn par_select(
     input: &Relation,
     predicate: &Expr,

@@ -51,9 +51,8 @@ pub fn consume_filter_aggregate(
     aggs: &[AggExpr],
 ) -> Result<Relation> {
     let start = Instant::now();
-    // The filter runs through the kernel layer up front (vectorized for
-    // comparison/boolean shapes, interpreter otherwise), so the group-by
-    // touches only surviving rids.
+    // The filter runs through the kernel layer up front, reading only the
+    // given rids, so the group-by touches only surviving rids.
     let filtered: Cow<'_, [Rid]> = match predicate {
         Some(p) => Cow::Owned(crate::kernels::filter_rids(relation, p, rids)?),
         None => Cow::Borrowed(rids),

@@ -17,7 +17,7 @@
 //! dense domain that widens chunk by chunk),
 //! `defer_join_and_selection_pushdown_run_morsel_parallel`, and the morsel
 //! rows of `workload_artifacts_partition_for_partition`,
-//! `interpreter_only_predicate_runs_on_every_driver` and
+//! `computed_operand_predicate_runs_on_every_driver` and
 //! `cardinality_hints_run_morsel_parallel`: the morsel drivers delegate for
 //! `dop <= 1` and nothing else.
 
@@ -179,12 +179,8 @@ fn exact_aggs(col: &str) -> Vec<AggExpr> {
     ]
 }
 
-fn select_modes() -> [SelectOptions; 3] {
-    [
-        SelectOptions::baseline(),
-        SelectOptions::inject(),
-        SelectOptions::inject().scalar(),
-    ]
+fn select_modes() -> [SelectOptions; 2] {
+    [SelectOptions::baseline(), SelectOptions::inject()]
 }
 
 fn group_by_modes() -> [GroupByOptions; 3] {
@@ -452,15 +448,22 @@ fn dop_one_delegates() {
 }
 
 #[test]
-fn interpreter_only_predicate_runs_on_every_driver() {
-    // Arithmetic never compiles to kernels: the interpreter is the fallback
-    // inside the core's ingest — no driver delegates for it — and must agree
-    // across morsel and chunk boundaries.
+fn computed_operand_predicate_runs_on_every_driver() {
+    // Arithmetic and a boolean used as a value are computed per evaluated
+    // range, and a computed side compared with a column side is aligned to
+    // that range: both must agree across morsel and chunk boundaries.
     let rows: Vec<(i64, i64)> = (0..1500).map(|i| (i % 4, i)).collect();
     let table = table_from(&rows, 1);
-    let pred = (Expr::col("a") + Expr::lit(1)).gt(Expr::lit(2));
-    check_select(morsels(8), &table, &pred);
-    check_select(page_runs(1), &table, &pred);
+    let preds = [
+        (Expr::col("a") + Expr::lit(1)).gt(Expr::lit(2)),
+        (Expr::col("a") * Expr::lit(100))
+            .lt(Expr::col("b"))
+            .or(Expr::col("a").eq(Expr::lit(1)).eq(Expr::col("a"))),
+    ];
+    for pred in &preds {
+        check_select(morsels(8), &table, pred);
+        check_select(page_runs(1), &table, pred);
+    }
 }
 
 #[test]

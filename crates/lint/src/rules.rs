@@ -36,11 +36,16 @@ fn violation(rule: &'static str, path: &str, tok: &Token, message: String) -> Vi
 /// the pager crate — its buffer pool sits under every paged session, so a
 /// panic there poisons pool locks for all concurrent readers — plus the
 /// grace-join path, which runs arbitrary key data through partition writers
-/// under the same shared pool.
+/// under the same shared pool, plus the predicate evaluator (expressions,
+/// their kernel compiler and the lazy rewrites), which compiles and runs
+/// predicates decoded off the wire.
 fn on_request_path(path: &str) -> bool {
     path.starts_with("crates/server/src/")
         || path.starts_with("crates/pager/src/")
         || path == "crates/core/src/paged/grace.rs"
+        || path == "crates/core/src/kernels.rs"
+        || path == "crates/core/src/expr.rs"
+        || path == "crates/core/src/lazy.rs"
         || path == "crates/planner/src/json.rs"
         || path == "crates/planner/src/wire.rs"
 }
@@ -57,7 +62,7 @@ fn next_significant(tokens: &[Token], i: usize) -> Option<&Token> {
 
 /// Rule 1 — `no-panic-on-request-path`.
 ///
-/// On the request path (server crate, planner json/wire), non-test code must
+/// On the request path (see `on_request_path`), non-test code must
 /// not contain `.unwrap()`, `.expect(`, `panic!` and friends, or indexing by
 /// an integer literal (`frame[0]`) — a malformed frame must map to a typed
 /// error, never a session panic.

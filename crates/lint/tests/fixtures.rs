@@ -171,6 +171,22 @@ fn no_panic_rule_covers_the_grace_join_path() {
 }
 
 #[test]
+fn no_panic_rule_covers_the_predicate_evaluator() {
+    let src = fixture("no_panic", "fires");
+    for path in [
+        "crates/core/src/kernels.rs",
+        "crates/core/src/expr.rs",
+        "crates/core/src/lazy.rs",
+    ] {
+        let r = check_source(path, &src);
+        assert_eq!(r.violations.len(), 3, "{path}: {:#?}", r.violations);
+    }
+    // ...but not the operators that call it.
+    let r = check_source("crates/core/src/ops/select.rs", &src);
+    assert!(r.violations.is_empty());
+}
+
+#[test]
 fn kernel_range_twin_fires() {
     let src = fixture("kernel_twin", "fires");
     assert_fires(

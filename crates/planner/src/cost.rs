@@ -46,14 +46,14 @@ impl fmt::Display for Strategy {
 /// eager trace, ~8 ns/row for a vectorized predicate scan, ~1.8 ns/row per
 /// additional OR'd key term, ~120 ns/row for hash re-aggregation).
 pub(crate) const COST_EDGE: f64 = 1.0;
-/// Evaluating a predicate against one base row in a full scan when the
-/// predicate compiles to a column-kernel pipeline (comparison/boolean trees
-/// over columns and literals — including every lazy-rewrite key-equality
-/// chain).
+/// Evaluating a predicate against one base row in a dense full scan (a lazy
+/// rewrite's column-kernel pipeline over the whole base relation).
 pub(crate) const COST_ROW_PREDICATE_VECTOR: f64 = 0.15;
-/// Evaluating a predicate against one base row through the row-at-a-time
-/// interpreter (arithmetic or other non-kernelizable shapes).
-pub(crate) const COST_ROW_PREDICATE_SCALAR: f64 = 2.5;
+/// Evaluating an eager trace's residual filter on one traced row: gathering
+/// the filter's columns at that rid, then the dense kernel pipeline over the
+/// gathered chunk. Hand-set and not yet fitted: 2.5 is the per-row price the
+/// model has always charged a residual filter.
+pub(crate) const COST_ROW_PREDICATE_GATHER: f64 = 2.5;
 /// Extra per-row cost for every OR'd key-equality term of a lazy rewrite
 /// (one term per selected output group; each term is one column kernel).
 pub(crate) const COST_KEY_TERM: f64 = 0.05;

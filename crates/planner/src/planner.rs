@@ -1,9 +1,9 @@
 //! The cost-based lineage-query planner and its executor.
 
-use smoke_core::lazy::{backward_predicate, lazy_backward};
+use smoke_core::lazy::{backward_predicate, disjunction, lazy_backward};
 use smoke_core::query::consume_aggregate;
 use smoke_core::workload::{LineageCube, WorkloadArtifacts};
-use smoke_core::{CmpOp, EngineError, Expr, LogicalPlan, QueryOutput, Result};
+use smoke_core::{CmpOp, EngineError, Expr, KernelPlan, LogicalPlan, QueryOutput, Result};
 use smoke_lineage::{CaptureStats, InputLineage, LineageIndex, PartitionedRidIndex};
 use smoke_storage::{DataType, Relation, Rid, Value};
 
@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 
 use crate::cost::{
     CandidateCost, Explain, IoModel, Strategy, COST_CUBE_CELL, COST_EDGE, COST_KEY_TERM,
-    COST_ROW_CONSUME, COST_ROW_PREDICATE_SCALAR, COST_ROW_PREDICATE_VECTOR, QUERY_OVERHEAD,
+    COST_ROW_CONSUME, COST_ROW_PREDICATE_GATHER, COST_ROW_PREDICATE_VECTOR, QUERY_OVERHEAD,
 };
 use crate::query::{Consume, Direction, LineageQuery, Selection};
 
@@ -216,41 +216,6 @@ impl<'a> LineagePlanner<'a> {
         let traced_est = width as f64 * est_fanout;
         let aggregates = query.consume.aggregates();
         let filtered = query.consume.filter.is_some();
-        // Per-row predicate costs depend on whether the expressions compile
-        // to the vectorized kernel pipeline (see `smoke_core::kernels`).
-        let trace_target = match query.direction {
-            Direction::Forward => self.output,
-            _ => self.base,
-        };
-        // `filter_rids` only takes the kernel path when the traced set covers
-        // a reasonable fraction of the relation (narrow sets filter
-        // row-at-a-time); the cost must mirror that dispatch, not just
-        // compilability.
-        let wide_trace = traced_est * 8.0 >= trace_target.len() as f64;
-        let filter_row_cost = match &query.consume.filter {
-            Some(f) if wide_trace && smoke_core::KernelPlan::compile(f, trace_target).is_some() => {
-                COST_ROW_PREDICATE_VECTOR
-            }
-            Some(_) => COST_ROW_PREDICATE_SCALAR,
-            None => COST_ROW_PREDICATE_VECTOR,
-        };
-        let lazy_row_cost = {
-            let base_sel_vector = self
-                .rewrite
-                .as_ref()
-                .and_then(|r| r.base_selection.as_ref())
-                .is_none_or(|sel| smoke_core::KernelPlan::compile(sel, self.base).is_some());
-            let filter_vector = query
-                .consume
-                .filter
-                .as_ref()
-                .is_none_or(|f| smoke_core::KernelPlan::compile(f, self.base).is_some());
-            if base_sel_vector && filter_vector {
-                COST_ROW_PREDICATE_VECTOR
-            } else {
-                COST_ROW_PREDICATE_SCALAR
-            }
-        };
 
         // Partition-pruning applies when the residual filter is exactly an
         // equality on the partitioned index's attribute.
@@ -358,7 +323,7 @@ impl<'a> LineagePlanner<'a> {
                     reach *= f;
                 }
                 if filtered {
-                    cost += traced_est * filter_row_cost;
+                    cost += traced_est * COST_ROW_PREDICATE_GATHER;
                 }
                 if aggregates {
                     cost += traced_est * COST_ROW_CONSUME;
@@ -388,7 +353,8 @@ impl<'a> LineagePlanner<'a> {
         // sequentially (`lazy_backward`).
         candidates.push(match (&self.rewrite, query.direction) {
             (Some(_), Direction::Backward) => {
-                let scan = self.base.len() as f64 * (lazy_row_cost + width as f64 * COST_KEY_TERM);
+                let scan = self.base.len() as f64
+                    * (COST_ROW_PREDICATE_VECTOR + width as f64 * COST_KEY_TERM);
                 let consume = if aggregates {
                     traced_est * COST_ROW_CONSUME
                 } else {
@@ -657,14 +623,18 @@ impl<'a> LineagePlanner<'a> {
         };
         match &query.selection {
             Selection::All => Ok((0..domain.len() as Rid).collect()),
-            Selection::Rids(rids) => Ok(rids
-                .iter()
-                .copied()
-                .filter(|&r| (r as usize) < domain.len())
-                .collect()),
-            // The scan routes through the kernel layer: comparison/boolean
-            // predicates over columns and literals run vectorized, anything
-            // else falls back to the row-at-a-time interpreter.
+            // Sorted and deduplicated, as `QuerySpec::cache_key` names the
+            // set: every strategy and cost then sees the set the key names.
+            Selection::Rids(rids) => {
+                let mut rids: Vec<Rid> = rids
+                    .iter()
+                    .copied()
+                    .filter(|&r| (r as usize) < domain.len())
+                    .collect();
+                rids.sort_unstable();
+                rids.dedup();
+                Ok(rids)
+            }
             Selection::Predicate(pred) => smoke_core::kernels::predicate_rids(domain, pred),
         }
     }
@@ -688,8 +658,7 @@ impl<'a> LineagePlanner<'a> {
         let consume = &query.consume;
         // The residual filter restricts the traced rid set itself (so `rids`
         // means the same thing under every strategy); the aggregate then runs
-        // over the restricted set. Wide traces evaluate the filter through
-        // the column kernels, narrow ones row-at-a-time.
+        // over the restricted set. The filter reads only the traced rows.
         if let Some(filter) = &consume.filter {
             traced = smoke_core::kernels::filter_rids(target, filter, &traced)?;
         }
@@ -709,29 +678,29 @@ impl<'a> LineagePlanner<'a> {
             .iter()
             .map(|k| self.output.column_index(k))
             .collect::<std::result::Result<_, _>>()?;
-        let mut predicate: Option<Expr> = None;
-        for &rid in &plan.rids {
+        let terms = plan.rids.iter().map(|&rid| {
             let key_values: Vec<Value> = key_cols
                 .iter()
                 .map(|&c| self.output.value(rid as usize, c))
                 .collect();
-            let one =
-                backward_predicate(&rewrite.keys, &key_values, rewrite.base_selection.as_ref());
-            predicate = Some(match predicate {
-                Some(p) => p.or(one),
-                None => one,
-            });
-        }
+            backward_predicate(&rewrite.keys, &key_values, rewrite.base_selection.as_ref())
+        });
+        let predicate = disjunction(terms.collect());
 
         let consume = &query.consume;
         // `rids` carries the residual-filtered trace under every strategy,
         // and the one scan that finds them also feeds the aggregate. An empty
         // selection scans nothing and still yields an (empty) aggregate
-        // relation, matching the eager path's result shape.
+        // relation, matching the eager path's result shape; its filter is
+        // still compiled, so an ill-typed one fails as under eager.
         let rids = match (predicate, &consume.filter) {
             (Some(p), Some(f)) => lazy_backward(self.base, &p.and(f.clone()))?,
             (Some(p), None) => lazy_backward(self.base, &p)?,
-            (None, _) => Vec::new(),
+            (None, Some(f)) => {
+                KernelPlan::compile(f, self.base)?;
+                Vec::new()
+            }
+            (None, None) => Vec::new(),
         };
         Ok(LineageResult {
             strategy: Strategy::LazyRewrite,

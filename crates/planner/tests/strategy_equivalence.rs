@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use smoke_core::ops::groupby::{group_by, GroupByOptions};
-use smoke_core::{AggExpr, AggPushdown, CaptureMode, Executor, Expr, PlanBuilder};
+use smoke_core::{AggExpr, AggPushdown, CaptureMode, EngineError, Executor, Expr, PlanBuilder};
 use smoke_planner::{LineagePlanner, LineageQuery, RewriteInfo, Strategy};
 use smoke_storage::{DataType, Database, Relation, Rid, Value};
 
@@ -182,4 +182,35 @@ fn cube_hit_and_eager_trace_agree_on_the_schema_of_an_empty_answer() {
     assert_eq!(hit.schema(), traced.schema());
     assert_eq!(empty_hit.schema(), hit.schema());
     assert_eq!(empty_hit.schema(), empty_traced.schema());
+}
+
+/// A `Str` in boolean position is a type error before any row is read: both
+/// operand orders fail alike under eager and lazy, on every selection width,
+/// the empty one included.
+#[test]
+fn an_ill_typed_filter_fails_alike_under_every_strategy() {
+    let table = table_from(&[(0, 1), (1, 50), (0, 2), (2, 60)]);
+    let captured = group_by(
+        &table,
+        &["z".to_string()],
+        &[AggExpr::count("cnt")],
+        &GroupByOptions::inject(),
+    )
+    .unwrap();
+    let planner = LineagePlanner::new(&table, &captured.output)
+        .lineage(captured.lineage.input(0))
+        .rewrite(RewriteInfo::new(vec!["z".to_string()], None));
+    let z_neg = Expr::col("z").lt(Expr::lit(0));
+    for filter in [z_neg.clone().and(Expr::lit("x")), Expr::lit("x").and(z_neg)] {
+        for rids in [vec![], vec![0], vec![2, 0, 1]] {
+            let q = LineageQuery::backward().rids(rids).filter(filter.clone());
+            for strategy in [Strategy::EagerTrace, Strategy::LazyRewrite] {
+                let got = planner.execute_with(strategy, &q);
+                assert!(
+                    matches!(got, Err(EngineError::Expression(_))),
+                    "{strategy:?} {filter:?}: {got:?}"
+                );
+            }
+        }
+    }
 }

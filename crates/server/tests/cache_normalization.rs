@@ -5,10 +5,11 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use smoke_core::Expr;
+use smoke_core::{AggExpr, Expr};
 use smoke_planner::wire::QuerySpec;
-use smoke_server::protocol::{read_frame, write_frame};
-use smoke_server::{demo_snapshot, Client, Request, Server, ServerConfig};
+use smoke_planner::Strategy;
+use smoke_server::protocol::{read_frame, write_frame, ErrorCode};
+use smoke_server::{demo_snapshot, Client, Reply, Request, Server, ServerConfig};
 
 /// Equivalent query spellings — permuted/duplicated rid sets, flipped
 /// comparison operands, reordered conjunctions — produce one miss and then
@@ -165,4 +166,80 @@ fn a_hit_sends_the_bytes_its_miss_sent() {
     assert_eq!(hit, miss);
     let stats = handle.shutdown();
     assert_eq!((stats.cache_misses, stats.cache_hits), (1, 1));
+}
+
+/// Sends `specs` in order on one connection to a fresh server over
+/// `demo_snapshot(2000, 10, 7)`, returning every reply.
+fn replies_on_one_connection(specs: &[&QuerySpec]) -> Vec<Reply> {
+    let snapshot = Arc::new(demo_snapshot(2_000, 10, 7).expect("demo snapshot"));
+    let handle = Server::serve(snapshot, "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client
+        .set_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let replies = specs
+        .iter()
+        .map(|&spec| client.query("by_z", spec.clone()).expect("exchange"))
+        .collect();
+    handle.shutdown();
+    replies
+}
+
+/// A duplicated rid set has the cache key of its deduplicated form, so it
+/// must plan the same query: `[3, 3]` and `[3]` both answer from the cube,
+/// whichever reaches the cache first.
+#[test]
+fn duplicate_rids_plan_the_query_their_key_names() {
+    let snapshot = demo_snapshot(2_000, 10, 7).expect("demo snapshot");
+    let aggs = vec![AggExpr::count("cnt"), AggExpr::sum("v", "total")];
+    let one = QuerySpec::backward()
+        .rids([3])
+        .aggregate(&["v_bin"], aggs.clone());
+    let dup = QuerySpec::backward()
+        .rids([3, 3])
+        .aggregate(&["v_bin"], aggs);
+    assert_eq!(one.cache_key(), dup.cache_key());
+    let expected = snapshot.execute("by_z", &one).expect("reference");
+    assert_eq!(expected.strategy, Strategy::CubeHit);
+    let in_process = snapshot.execute("by_z", &dup).expect("duplicated rids");
+    assert_eq!(in_process.strategy, expected.strategy);
+    assert_eq!(in_process.rows, expected.rows);
+
+    for order in [[&dup, &one], [&one, &dup]] {
+        for reply in replies_on_one_connection(&order) {
+            let got = reply.into_result().expect("query result");
+            assert_eq!(got.strategy, expected.strategy);
+            assert_eq!(got.rids, expected.rids);
+            assert_eq!(got.rows, expected.rows);
+        }
+    }
+}
+
+/// A `Str` in boolean position is a compile-time type error, so both operand
+/// orders of one conjunction — the same cache key — are the same `exec`
+/// error, in either arrival order.
+#[test]
+fn both_operand_orders_are_the_same_typed_error() {
+    let z_neg = Expr::col("z").lt(Expr::lit(0));
+    let first = QuerySpec::backward()
+        .rids([3])
+        .filter(z_neg.clone().and(Expr::lit("x")));
+    let second = QuerySpec::backward()
+        .rids([3])
+        .filter(Expr::lit("x").and(z_neg));
+    assert_eq!(first.cache_key(), second.cache_key());
+    for order in [[&first, &second], [&second, &first]] {
+        for reply in replies_on_one_connection(&order) {
+            assert!(
+                matches!(
+                    reply,
+                    Reply::Error {
+                        code: ErrorCode::Exec,
+                        ..
+                    }
+                ),
+                "{reply:?}"
+            );
+        }
+    }
 }

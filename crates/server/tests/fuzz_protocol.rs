@@ -15,6 +15,7 @@ use rand::{Rng, SeedableRng};
 use smoke_core::Expr;
 use smoke_planner::json::MAX_DEPTH;
 use smoke_planner::wire::QuerySpec;
+use smoke_planner::Strategy;
 use smoke_server::{demo_snapshot, Client, Request, Server, ServerConfig, ServerHandle};
 
 const ROUNDS: usize = 400;
@@ -331,4 +332,61 @@ fn a_wide_result_round_trips_rid_for_rid() {
     }
     let stats = handle.shutdown();
     assert_eq!((stats.cache_misses, stats.cache_hits), (1, 1));
+}
+
+/// A forced lazy rewrite over a 100 000-rid selection (a ≈ 200 KB frame).
+fn long_lazy_selection() -> QuerySpec {
+    QuerySpec::backward()
+        .rids(vec![0; 100_000])
+        .force(Strategy::LazyRewrite)
+}
+
+/// In process, on a session-sized 8 MiB stack, the long selection answers
+/// rid for rid as the eager trace of its one distinct rid.
+#[test]
+fn a_long_lazy_selection_fits_a_session_stack() {
+    let snapshot = Arc::new(demo_snapshot(500, 10, 21).expect("demo snapshot"));
+    let eager = snapshot
+        .execute(
+            "by_z",
+            &QuerySpec::backward().rids([0]).force(Strategy::EagerTrace),
+        )
+        .expect("eager trace");
+    let worker = std::thread::Builder::new()
+        .stack_size(8 << 20)
+        .spawn(move || snapshot.execute("by_z", &long_lazy_selection()))
+        .expect("spawn");
+    let lazy = worker
+        .join()
+        .expect("no stack overflow")
+        .expect("lazy rewrite");
+    assert_eq!(lazy.strategy, Strategy::LazyRewrite);
+    assert_eq!(lazy.rids, eager.rids);
+}
+
+/// Live: the long forced lazy selection is answered, and the same
+/// connection then serves a small query.
+#[test]
+fn a_long_lazy_selection_is_answered_live() {
+    let handle = start_server();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client
+        .set_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let long = long_lazy_selection();
+    assert!(query_request(long.clone()).encode().len() > 200_000);
+    let got = client
+        .query("by_z", long)
+        .expect("exchange")
+        .into_result()
+        .expect("long lazy selection result");
+    assert_eq!(got.strategy, Strategy::LazyRewrite);
+    assert!(!got.rids.is_empty());
+    client
+        .query("by_z", QuerySpec::backward().rids([0, 1]))
+        .expect("exchange")
+        .into_result()
+        .expect("small query result");
+    let stats = handle.shutdown();
+    assert_eq!(stats.in_flight, 0);
 }

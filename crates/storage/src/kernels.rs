@@ -8,8 +8,8 @@
 //!
 //! Comparison semantics match [`Value::total_cmp`] exactly (ints coerce to
 //! floats when mixed, floats order by `f64::total_cmp`, strings order after
-//! numbers), so a kernel evaluation of a predicate is bit-for-bit equivalent
-//! to the row-at-a-time interpreter.
+//! numbers), so a kernel evaluation of a predicate is bit-for-bit what a
+//! per-row comparison of [`Value`]s would give.
 //!
 //! Every comparison kernel has a `*_range` variant evaluating only the rows
 //! of one [`Morsel`](crate::Morsel) into a morsel-local mask (bit `i` of the
@@ -364,8 +364,8 @@ pub fn cmp_col_col_range(
 
 /// `IN`-list membership over a column, producing a selection mask.
 ///
-/// Matches the interpreter's semantics: a row matches when any list element
-/// compares [`Ordering::Equal`] under [`Value::total_cmp`]. Int–Int
+/// A row matches when any list element compares [`Ordering::Equal`] under
+/// [`Value::total_cmp`]. Int–Int
 /// comparisons are exact (no float round-trip); Int–Float and Float–Float
 /// equality holds iff the coerced bit patterns coincide (`f64::total_cmp`
 /// distinguishes `0.0` from `-0.0`); string/numeric pairs never match.
@@ -648,8 +648,8 @@ mod tests {
         );
         assert_eq!(mask.to_rids(), vec![1, 2]);
 
-        // i64::MAX is not representable as f64 exactly; the interpreter
-        // compares through total_cmp on the coerced float, so mirror it.
+        // i64::MAX is not representable as f64 exactly; `Value::total_cmp`
+        // compares the coerced float, so mirror it.
         let reference: Vec<bool> = (0..col.len())
             .map(|i| {
                 [Value::Int(2), Value::Float(3.0), Value::Str("2".into())]

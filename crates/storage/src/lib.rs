@@ -7,9 +7,10 @@
 //!
 //! * relations are stored column-at-a-time (`Vec<i64>`, `Vec<f64>`,
 //!   `Vec<String>`) for memory compactness,
-//! * execution above this layer is either row-at-a-time (the interpreter
-//!   baseline, exactly as in the paper), vectorized over [`kernels`], or
-//!   partition-parallel over [`morsel`] ranges of 64-aligned rows,
+//! * execution above this layer reads typed column vectors: predicates
+//!   vectorized over [`kernels`], group-by and join keys row by row, either
+//!   sequentially or partition-parallel over [`morsel`] ranges of 64-aligned
+//!   rows,
 //! * every tuple is addressed by its **rid** (row identifier), the position of
 //!   the tuple inside its relation. Lineage indexes built by `smoke-lineage`
 //!   map rids of one relation to rids of another.

@@ -5,9 +5,10 @@ use crate::{Column, DataType, Field, Result, Rid, Schema, StorageError, Value};
 
 /// An in-memory relation.
 ///
-/// Rows are addressed by rid (their position). Storage is columnar; execution
-/// over relations is row-at-a-time via [`Relation::value`] / [`Relation::row`]
-/// or via the typed column accessors for hot loops.
+/// Rows are addressed by rid (their position). Storage is columnar: hot loops
+/// (predicate kernels, key extraction) read the typed columns, and
+/// [`Relation::value`] / [`Relation::row`] read single values for plan
+/// construction and result presentation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Relation {
     name: String,

@@ -26,10 +26,9 @@ impl fmt::Display for DataType {
 
 /// A dynamically-typed scalar value.
 ///
-/// The engine is row-at-a-time; operators that are on the hot path (group-by
-/// keys, join keys) avoid `Value` and work directly on the typed column
-/// vectors, but plan construction, predicates over heterogeneous rows and
-/// result presentation use `Value`.
+/// Hot loops (predicate kernels, group-by and join keys) avoid `Value` and
+/// work directly on the typed column vectors; plan construction, literals in
+/// predicates and result presentation use `Value`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// 64-bit signed integer value.
