@@ -12,7 +12,7 @@ use smoke_datagen::tpch::TpchSpec;
 use smoke_datagen::tpch_queries::{
     drilldown_aggs, evaluation_queries, q1, q10, q1_shipdate_cutoff, q1b_partition_attrs, q3,
 };
-use smoke_storage::{Database, Rid};
+use smoke_storage::{Database, Rid, Value};
 
 use crate::{ms, overhead, time_avg, ExpRow, Scale};
 
@@ -161,7 +161,7 @@ pub fn fig10(scale: &Scale) -> Vec<ExpRow> {
                     ms(no_skip),
                 ));
 
-                let parameter = format!("{mode}|{instruct}");
+                let parameter = [Value::Str(mode.into()), Value::Str(instruct.into())];
                 let skip = time_avg(scale.runs, scale.warmup, || {
                     consume_with_skipping(lineitem, part_index, bar, &parameter, &q1a_keys, &aggs)
                         .unwrap()

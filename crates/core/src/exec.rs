@@ -213,17 +213,18 @@ impl Executor {
                 let out = group_by(child.relation.as_ref(), keys, aggs, &opts)?;
                 let per_table = compose_unary(&child.per_table, &out.lineage, capture);
 
-                // Remap workload artifacts (whose rids refer to this
+                // Remap the partitioned index (whose rids refer to this
                 // operator's *input*) to base rids when the input is not a
-                // base scan. The experiments apply push-downs to single-table
-                // SPJA blocks, so a 1-to-1 remapping through the sole table's
-                // backward lineage is sufficient.
+                // base scan: its flat rid buffer maps in place through the
+                // sole table's 1-to-1 backward lineage (the experiments apply
+                // push-downs to single-table SPJA blocks). Cube cells hold no
+                // rids.
                 let mut artifacts = out.artifacts;
                 if !matches!(input.as_ref(), LogicalPlan::Scan { .. }) && tables.len() == 1 {
-                    if let Some(child_lin) = child.per_table.get(tables[0]) {
-                        if let Some(backward) = &child_lin.backward {
-                            artifacts = remap_artifacts(artifacts, backward);
-                        }
+                    let lineage = child.per_table.get(tables[0]);
+                    if let Some(backward) = lineage.and_then(|l| l.backward.as_ref()) {
+                        artifacts.partitioned = (artifacts.partitioned)
+                            .map(|part| part.map_rids(|rid| backward.single(rid)));
                     }
                 }
 
@@ -322,30 +323,6 @@ fn compose_side(
             _ => None,
         };
         out.insert(table.clone(), InputLineage { backward, forward });
-    }
-}
-
-/// Remaps workload artifacts whose rids refer to an intermediate relation so
-/// that they refer to the base relation instead, using the intermediate
-/// relation's (1-to-1) backward lineage.
-fn remap_artifacts(artifacts: WorkloadArtifacts, backward: &LineageIndex) -> WorkloadArtifacts {
-    let partitioned = artifacts.partitioned.map(|part| {
-        let mut remapped =
-            smoke_lineage::PartitionedRidIndex::with_len(part.attribute(), part.len());
-        for out_rid in 0..part.len() {
-            for (key, rids) in part.partitions(out_rid) {
-                for &rid in rids {
-                    if let Some(base) = backward.single(rid) {
-                        remapped.append(out_rid, key, base);
-                    }
-                }
-            }
-        }
-        remapped
-    });
-    WorkloadArtifacts {
-        partitioned,
-        cube: artifacts.cube,
     }
 }
 

@@ -22,9 +22,10 @@
 //! push-down is a per-ingest mask; data skipping and group-by push-down
 //! (§4.2) are a *finer* group-by keyed by `(coarse gid, partition
 //! attributes)` riding the coarse one: the coarse loop hands each row's gid
-//! over, so the finer γ probes only the attribute columns. Its groups are
-//! hung at finish under the coarse groups owning their key prefixes (rids →
-//! partition, states → cube cell, partition key rendered once per cell). A
+//! over, so the finer γ probes only the attribute columns. At finish its
+//! groups are listed, by typed attribute values, under the coarse groups
+//! owning their key prefixes; its sealed rid CSR and its states are moved
+//! under that directory whole (rids → partitions, states → cube cells). A
 //! lineage-consuming query (§2.1, [`crate::query`]) is the operator too,
 //! uninstrumented, ingesting the traced rids instead of a range: one γht
 //! and one aggregate fold in all.
@@ -32,14 +33,15 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use smoke_lineage::{
-    CaptureStats, CsrBuilder, CsrRidIndex, InputLineage, LineageIndex, OperatorLineage,
-    PartitionedRidIndex, RidArray, RidIndex, NO_RID,
+    CaptureStats, CellDirectory, CsrBuilder, CsrRidIndex, InputLineage, LineageIndex,
+    OperatorLineage, PartitionedRidIndex, RidArray, RidIndex, NO_RID,
 };
 use smoke_storage::kernels as sk;
-use smoke_storage::{Column, DataType, Field, Morsel, Relation, Rid, Schema, SelectionMask, Value};
+use smoke_storage::{Column, DataType, Field, Morsel, Relation, Rid, Schema, SelectionMask};
 
 use crate::agg::{AggExpr, AggFunc, AggState};
 use crate::error::{EngineError, Result};
@@ -50,7 +52,7 @@ use crate::instrument::{
 use crate::kernels::{predicate_mask_range, KernelPlan};
 use crate::key::{HashKey, KeyExtractor, KeyPart};
 use crate::ops::RowSource;
-use crate::workload::{CubeCell, LineageCube, WorkloadArtifacts};
+use crate::workload::{LineageCube, WorkloadArtifacts};
 
 /// Options controlling group-by instrumentation.
 #[derive(Debug, Clone, Default)]
@@ -486,7 +488,7 @@ impl CellTable {
 /// which [`GroupByCore::merge`] and the artifacts key on. A capturing
 /// finer core records each row's cell in `core.forward`, as a morsel
 /// fragment does, and is sealed into a backward CSR, exactly sized from
-/// the cells' counts, before its partitions are cut out of it.
+/// the cells' counts: the partitioned index's rids.
 struct FinerCore<'o> {
     core: GroupByCore<'o>,
     /// Chosen from the attribute column types at the first ingest.
@@ -1113,20 +1115,19 @@ impl<'o> GroupByCore<'o> {
         })
     }
 
-    /// Hangs every finer group under the coarse group that owns its key
-    /// prefix: its rids, cut exactly sized out of the finer core's backward
-    /// CSR, become that group's partition and its states the cube cell,
-    /// under the partition attributes' values
-    /// rendered once per cell by [`cell_key`] (partition attributes are
-    /// categorical or discretized, §4.2).
+    /// Lists every finer group — a cell — under the coarse group owning its
+    /// key prefix, in one typed [`CellDirectory`] keyed by the cell's
+    /// attribute values. The finer core's sealed backward CSR, moved in
+    /// whole, becomes the partitioned index over it, and the cells' states,
+    /// moved into one flat buffer, the cube.
     fn artifacts(&mut self, schema: &Schema) -> Result<WorkloadArtifacts> {
         let mut out = WorkloadArtifacts::default();
         if self.finer.is_empty() {
             return Ok(out);
         }
         let coarse_keys = self.keys.len();
-        let gid_of: HashMap<Vec<KeyPart>, usize> = (self.groups.iter().enumerate())
-            .map(|(gid, g)| (g.key.clone().into_parts(), gid))
+        let gid_of: HashMap<Vec<KeyPart>, u32> = (self.groups.iter().enumerate())
+            .map(|(gid, g)| (g.key.clone().into_parts(), gid as u32))
             .collect();
         for FinerCore {
             core: mut finer, ..
@@ -1136,53 +1137,27 @@ impl<'o> GroupByCore<'o> {
             if finer.backward_csr.is_none() {
                 finer.seal();
             }
-            let mut partitioned = (finer.backward_csr.take())
-                .map(|csr| (csr, PartitionedRidIndex::with_len(attrs.join(","), 0)));
-            let mut cells = match finer.cube {
-                Some(pd) => {
-                    let fields = attrs
-                        .iter()
-                        .map(|a| Ok(Field::new(a, key_type(schema, a)?)));
-                    Some(LineageCube::new(
-                        fields.collect::<Result<_>>()?,
-                        pd.aggs.clone(),
-                    ))
-                }
-                None => None,
-            };
-            for (cell, group) in finer.groups.into_iter().enumerate() {
-                let mut prefix = group.key.into_parts();
-                let attrs = prefix.split_off(coarse_keys);
-                let gid = gid_of[&prefix];
-                let key_values: Vec<Value> = attrs.iter().map(KeyPart::to_value).collect();
-                let key = cell_key(&key_values);
-                if let Some((csr, partitioned)) = &mut partitioned {
-                    partitioned.insert(gid, key.clone(), csr.get(cell).to_vec());
-                }
-                if let Some(cells) = &mut cells {
-                    let states = group.states;
-                    cells.insert(gid, key, CubeCell { key_values, states });
-                }
+            let (mut gids, mut keys, mut states) = (Vec::new(), Vec::new(), Vec::new());
+            for group in finer.groups {
+                let parts = group.key.into_parts();
+                let (prefix, attr_parts) = parts.split_at(coarse_keys);
+                gids.push(gid_of[prefix]);
+                keys.extend(attr_parts.iter().map(KeyPart::to_value));
+                states.extend(group.states);
             }
-            out.partitioned = out.partitioned.or(partitioned.map(|(_, p)| p));
-            out.cube = out.cube.or(cells);
+            let directory = Arc::new(CellDirectory::new(attrs.len(), &gids, keys));
+            if let Some(csr) = finer.backward_csr.take() {
+                let index = PartitionedRidIndex::new(attrs.join(","), directory.clone(), csr);
+                out.partitioned = Some(index);
+            }
+            if let Some(pd) = finer.cube {
+                let fields = (attrs.iter()).map(|a| Ok(Field::new(a, key_type(schema, a)?)));
+                let fields = fields.collect::<Result<_>>()?;
+                out.cube = Some(LineageCube::new(fields, pd.aggs.clone(), directory, states));
+            }
         }
         Ok(out)
     }
-}
-
-/// A partition or cube cell's key: its attribute values as
-/// [`Value::group_key`]s, `|`-joined when there are several. Joined parts
-/// escape `\` and `|` inside strings, so distinct cells never render alike.
-fn cell_key(values: &[Value]) -> String {
-    if let [value] = values {
-        return value.group_key();
-    }
-    let parts = values.iter().map(|v| match v {
-        Value::Str(s) => s.replace('\\', "\\\\").replace('|', "\\|"),
-        v => v.group_key(),
-    });
-    parts.collect::<Vec<_>>().join("|")
 }
 
 /// The type of key column `name` in the operator's input.
@@ -1376,11 +1351,12 @@ mod tests {
         opts.workload.skipping_partition_by = vec!["tag".to_string()];
         let result = group_by(&r, &["z".to_string()], &[AggExpr::count("cnt")], &opts).unwrap();
         let part = result.artifacts.partitioned.as_ref().unwrap();
-        assert_eq!(part.partition(0, "even"), &[0, 2]);
-        assert_eq!(part.partition(0, "odd"), &[5]);
-        assert_eq!(part.partition(1, "odd"), &[1]);
+        let tag = |t: &str| [Value::Str(t.into())];
+        assert_eq!(part.partition(0, &tag("even")), &[0, 2]);
+        assert_eq!(part.partition(0, &tag("odd")), &[5]);
+        assert_eq!(part.partition(1, &tag("odd")), &[1]);
         // Union of partitions equals the plain backward entry.
-        let mut all = part.all(0);
+        let mut all: Vec<Rid> = part.partitions(0).flat_map(|(_, r)| r.to_vec()).collect();
         all.sort_unstable();
         assert_eq!(all, vec![0, 2, 5]);
     }
@@ -1410,9 +1386,10 @@ mod tests {
     }
 
     #[test]
-    fn multi_attribute_keys_escape_the_separator() {
-        // One coarse group, two cells whose unescaped `|`-joins are both
-        // `a|b|c`: they must stay two partitions and two cube rows.
+    fn multi_attribute_keys_are_typed_values() {
+        // One coarse group, two cells whose `|`-joins would both read
+        // `a|b|c`: they are two partitions and two cube rows, keyed by their
+        // values, in typed order.
         let r = Relation::builder("t")
             .column("z", DataType::Int)
             .column("s", DataType::Str)
@@ -1438,13 +1415,16 @@ mod tests {
         });
         let result = group_by(&r, &["z".to_string()], &[], &opts).unwrap();
         let part = result.artifacts.partitioned.as_ref().unwrap();
-        assert_eq!(part.keys(0), vec!["a\\|b|c", "a|b\\|c"]);
-        assert_eq!(part.partition(0, "a\\|b|c"), &[0]);
-        assert_eq!(part.partition(0, "a|b\\|c"), &[1]);
+        let key = |s: &str, t: &str| vec![Value::Str(s.into()), Value::Str(t.into())];
+        let keys: Vec<Vec<Value>> = part.partitions(0).map(|(k, _)| k.to_vec()).collect();
+        assert_eq!(keys, vec![key("a", "b|c"), key("a|b", "c")]);
+        assert_eq!(part.partition(0, &key("a|b", "c")), &[0]);
+        assert_eq!(part.partition(0, &key("a", "b|c")), &[1]);
+        assert_eq!(part.partition(0, &key("a|b|c", "")), &[] as &[Rid]);
         let drill = result.artifacts.cube.as_ref().unwrap().query(0).unwrap();
         assert_eq!(drill.len(), 2);
-        assert_eq!(drill.value(0, 0), Value::Str("a|b".into()));
-        assert_eq!(drill.value(1, 0), Value::Str("a".into()));
+        assert_eq!(drill.row_values(0)[..2], key("a", "b|c"));
+        assert_eq!(drill.row_values(1)[..2], key("a|b", "c"));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::borrow::Cow;
 use std::time::Instant;
 
 use smoke_lineage::PartitionedRidIndex;
-use smoke_storage::{Relation, Rid};
+use smoke_storage::{Relation, Rid, Value};
 
 use crate::agg::AggExpr;
 use crate::error::Result;
@@ -64,13 +64,14 @@ pub fn consume_filter_aggregate(
 }
 
 /// Evaluates a lineage-consuming aggregation using a data-skipping partitioned
-/// index (§4.2): only the rid partition matching `parameter` for the given
-/// base-query output is scanned.
+/// index (§4.2): only the rid partition whose partition attributes equal
+/// `parameter` (one value per attribute, under [`Value::total_cmp`]) for the
+/// given base-query output is scanned.
 pub fn consume_with_skipping(
     relation: &Relation,
     index: &PartitionedRidIndex,
     output_rid: Rid,
-    parameter: &str,
+    parameter: &[Value],
     keys: &[String],
     aggs: &[AggExpr],
 ) -> Result<Relation> {
@@ -90,7 +91,7 @@ mod tests {
     use crate::kernels::filter_rids;
     use crate::ops::groupby::group_by;
     use proptest::prelude::*;
-    use smoke_storage::{DataType, Value};
+    use smoke_storage::DataType;
 
     fn rel() -> Relation {
         let mut b = Relation::builder("items")
@@ -157,17 +158,15 @@ mod tests {
     #[test]
     fn consume_with_skipping_scans_one_partition() {
         let r = rel();
-        let mut idx = PartitionedRidIndex::with_len("mode", 1);
-        idx.append(0, "AIR", 0);
-        idx.append(0, "MAIL", 1);
-        idx.append(0, "AIR", 2);
-        idx.append(0, "AIR", 3);
-        idx.append(0, "MAIL", 4);
+        let mut opts = GroupByOptions::inject();
+        opts.workload.skipping_partition_by = vec!["mode".to_string()];
+        let captured = group_by(&r, &[], &[AggExpr::count("c")], &opts).unwrap();
+        let idx = captured.artifacts.partitioned.as_ref().unwrap();
         let out = consume_with_skipping(
             &r,
-            &idx,
+            idx,
             0,
-            "MAIL",
+            &[Value::Str("MAIL".into())],
             &["month".to_string()],
             &[AggExpr::sum("qty", "total")],
         )

@@ -9,28 +9,26 @@
 //!   maintained incrementally during capture (group-by push-down), i.e. an
 //!   online partial data cube built by piggy-backing on the base query's scan.
 //!
-//! Both are the groups of a finer group-by keyed by `(coarse gid, partition
-//! attributes)` that rides the base query's γ ([`crate::ops::groupby`]);
-//! this module only holds them once finished — a partition or a cell
-//! arrives whole, keyed by its partition attributes' values rendered as
-//! [`Value::group_key`]s, `|`-joined (with `\` and `|` escaped inside
-//! strings) when there are several.
+//! Both are the cells of a finer group-by keyed by `(coarse gid, partition
+//! attributes)` riding the base query's γ ([`crate::ops::groupby`]), listed
+//! per output rid in one typed [`CellDirectory`]: the partitioned index is
+//! that directory over the cells' sealed rid CSR, the cube over their states.
 
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::Arc;
 
-use smoke_lineage::PartitionedRidIndex;
-use smoke_storage::{DataType, Field, Relation, Value};
+use smoke_lineage::{CellDirectory, PartitionedRidIndex};
+use smoke_storage::{DataType, Field, Relation};
 
 use crate::agg::{AggExpr, AggState};
 use crate::error::Result;
 
 /// Aggregates materialized during lineage capture, keyed by (output rid of the
-/// base query, partition key of the push-down group-by attributes).
+/// base query, values of the push-down group-by attributes).
 #[derive(Debug, Clone)]
 pub struct LineageCube {
-    /// `entries[out_rid]` maps a partition key (the rendered values of the
-    /// push-down group-by attributes) to the aggregate states for that cell.
-    entries: Vec<BTreeMap<String, CubeCell>>,
+    directory: Arc<CellDirectory>,
+    /// Cell `c`'s aggregate states: `states[c * aggs.len()..][..aggs.len()]`.
+    states: Vec<AggState>,
     partition_by: Vec<String>,
     /// The partition attributes' types in the captured input, so every
     /// answer — an empty one included — has the same schema.
@@ -38,25 +36,22 @@ pub struct LineageCube {
     aggs: Vec<AggExpr>,
 }
 
-/// One cell of the cube: the partition's group-by values plus its aggregate
-/// states.
-#[derive(Debug, Clone)]
-pub struct CubeCell {
-    /// Values of the push-down group-by attributes for this cell.
-    pub key_values: Vec<Value>,
-    /// Aggregate states for this cell.
-    pub states: Vec<AggState>,
-}
-
 impl LineageCube {
-    /// Creates an empty cube over the given push-down group-by attributes
-    /// (name and type in the captured input) and aggregates.
-    pub fn new(partition_fields: Vec<Field>, aggs: Vec<AggExpr>) -> Self {
+    /// A cube over the push-down group-by attributes (name and type in the
+    /// captured input) and aggregates, whose cells `directory` lists.
+    pub fn new(
+        partition_fields: Vec<Field>,
+        aggs: Vec<AggExpr>,
+        directory: Arc<CellDirectory>,
+        states: Vec<AggState>,
+    ) -> Self {
+        debug_assert_eq!(states.len(), directory.cell_count() * aggs.len());
         let (partition_by, partition_types) = (partition_fields.into_iter())
             .map(|f| (f.name, f.data_type))
             .unzip();
         LineageCube {
-            entries: Vec::new(),
+            directory,
+            states,
             partition_by,
             partition_types,
             aggs,
@@ -75,34 +70,19 @@ impl LineageCube {
 
     /// Number of base-query output records covered.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.directory.len()
     }
 
     /// Whether the cube covers no output records.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Hangs a finished cell — the folded states of every input row of
-    /// output `out_rid` whose partition attributes render as `key` — growing
-    /// the cube as necessary.
-    pub fn insert(&mut self, out_rid: usize, key: String, cell: CubeCell) {
-        if out_rid >= self.entries.len() {
-            self.entries.resize(out_rid + 1, BTreeMap::new());
-        }
-        match self.entries[out_rid].entry(key) {
-            Entry::Vacant(slot) => drop(slot.insert(cell)),
-            Entry::Occupied(mut slot) => {
-                for (mine, theirs) in slot.get_mut().states.iter_mut().zip(&cell.states) {
-                    mine.merge(theirs);
-                }
-            }
-        }
+        self.directory.is_empty()
     }
 
     /// Answers the push-down lineage-consuming query for one base-query output
     /// record: a relation with the partition attributes plus one column per
-    /// aggregate. This is the "≈0 ms" path of Fig. 11.
+    /// aggregate, one row per cell in ascending typed key order
+    /// ([`smoke_storage::Value::total_cmp`], lexicographic over the
+    /// attributes). This is the "≈0 ms" path of Fig. 11.
     pub fn query(&self, out_rid: usize) -> Result<Relation> {
         let mut b = Relation::builder("cube_result");
         for (name, data_type) in self.partition_by.iter().zip(&self.partition_types) {
@@ -111,14 +91,11 @@ impl LineageCube {
         for agg in &self.aggs {
             b = b.column(agg.alias.clone(), agg.output_type());
         }
-        for cell in self
-            .entries
-            .get(out_rid)
-            .into_iter()
-            .flat_map(BTreeMap::values)
-        {
-            let mut row = cell.key_values.clone();
-            row.extend(cell.states.iter().map(AggState::finalize));
+        let width = self.aggs.len();
+        for (key, cell) in self.directory.cells(out_rid) {
+            let states = &self.states[cell * width..][..width];
+            let mut row = key.to_vec();
+            row.extend(states.iter().map(AggState::finalize));
             b = b.row(row);
         }
         Ok(b.build()?)
@@ -126,7 +103,7 @@ impl LineageCube {
 
     /// Total number of materialized cells.
     pub fn cell_count(&self) -> usize {
-        self.entries.iter().map(BTreeMap::len).sum()
+        self.directory.cell_count()
     }
 }
 
@@ -149,69 +126,59 @@ impl WorkloadArtifacts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smoke_storage::Value;
 
-    /// A finished `COUNT(*), SUM(v)` cell over the given `v` values.
-    fn cell(key: &str, vs: &[f64]) -> CubeCell {
-        CubeCell {
-            key_values: vec![Value::Str(key.into())],
-            states: vec![
+    /// `COUNT(*), SUM(v)` over `month`: output 0 holds `jan` {10, 5} and
+    /// `feb` {2}, output 1 holds `jan` {7}.
+    fn cube() -> LineageCube {
+        let cells = [
+            (0, "jan", &[10.0, 5.0][..]),
+            (1, "jan", &[7.0]),
+            (0, "feb", &[2.0]),
+        ];
+        let gids: Vec<u32> = cells.iter().map(|c| c.0).collect();
+        let keys = cells.iter().map(|c| Value::Str(c.1.into())).collect();
+        let states = cells.iter().flat_map(|(_, _, vs)| {
+            [
                 AggState::Count(vs.len() as u64),
                 AggState::Sum(vs.iter().sum()),
-            ],
-        }
-    }
-
-    fn cube() -> LineageCube {
-        let mut cube = LineageCube::new(
+            ]
+        });
+        LineageCube::new(
             vec![Field::new("month", DataType::Str)],
             vec![AggExpr::count("cnt"), AggExpr::sum("v", "total")],
-        );
-        cube.insert(0, "jan".into(), cell("jan", &[10.0, 5.0]));
-        cube.insert(0, "feb".into(), cell("feb", &[2.0]));
-        cube.insert(1, "jan".into(), cell("jan", &[7.0]));
-        cube
+            Arc::new(CellDirectory::new(1, &gids, keys)),
+            states.collect(),
+        )
     }
 
     #[test]
-    fn cube_answers_per_partition() {
+    fn cube_answers_per_partition_in_typed_key_order() {
         let cube = cube();
         assert_eq!(cube.cell_count(), 3);
         assert_eq!(cube.len(), 2);
 
         let result = cube.query(0).unwrap();
         assert_eq!(result.len(), 2);
-        // BTreeMap ordering: feb before jan.
         assert_eq!(result.value(0, 0), Value::Str("feb".into()));
         assert_eq!(result.value(0, 1), Value::Int(1));
         assert_eq!(result.value(1, 0), Value::Str("jan".into()));
         assert_eq!(result.value(1, 1), Value::Int(2));
         assert_eq!(result.value(1, 2), Value::Float(15.0));
-    }
-
-    #[test]
-    fn cells_rendering_alike_merge() {
-        let mut cube = cube();
-        cube.insert(1, "jan".into(), cell("jan", &[1.0, 2.0]));
-        assert_eq!(cube.cell_count(), 3);
         let result = cube.query(1).unwrap();
-        assert_eq!(result.value(0, 1), Value::Int(3));
-        assert_eq!(result.value(0, 2), Value::Float(10.0));
+        assert_eq!(
+            result.row_values(0)[1..],
+            [Value::Int(1), Value::Float(7.0)]
+        );
     }
 
     #[test]
     fn empty_and_uncovered_entries_answer_with_the_cube_schema() {
-        let mut cube = LineageCube::new(
+        let cube = LineageCube::new(
             vec![Field::new("bin", DataType::Int)],
             vec![AggExpr::count("c")],
-        );
-        assert!(cube.is_empty());
-        cube.insert(
-            2,
-            "7".into(),
-            CubeCell {
-                key_values: vec![Value::Int(7)],
-                states: vec![AggState::Count(4)],
-            },
+            Arc::new(CellDirectory::new(1, &[2], vec![Value::Int(7)])),
+            vec![AggState::Count(4)],
         );
         assert_eq!(cube.len(), 3);
         let hit = cube.query(2).unwrap();
@@ -223,6 +190,13 @@ mod tests {
             assert_eq!(empty.len(), 0);
             assert_eq!(empty.schema(), hit.schema());
         }
+        let none = LineageCube::new(
+            vec![Field::new("bin", DataType::Int)],
+            vec![AggExpr::count("c")],
+            Arc::new(CellDirectory::new(1, &[], Vec::new())),
+            Vec::new(),
+        );
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! `(coarse gid, partition attributes)`; `chunk_source_equivalence.rs`
 //! diffs every driver against the resident run of that same γ, so it cannot
 //! see a bug shared by all of them. This suite computes what the artifacts
-//! must hold with a `BTreeMap` over the rows — no code shared with
-//! `smoke-core` — and checks every partition and cube cell that the
-//! resident, morsel and page-run drivers produce.
+//! must hold with a `BTreeMap` over the rows, keyed by typed values — no
+//! code shared with `smoke-core` — and checks every partition and cube cell
+//! that the resident, morsel and page-run drivers produce, and that each
+//! output's partitions and cube rows come in ascending typed key order.
 //!
 //! Float columns hold multiples of 0.5, so every sum is exact whatever the
 //! order of addition.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -81,22 +83,40 @@ fn strs(names: &[&str]) -> Vec<String> {
     names.iter().map(|n| n.to_string()).collect()
 }
 
-/// A partition key as the artifacts render it: one attribute's value alone,
-/// several `|`-joined with `\` and `|` escaped inside strings.
-fn render(values: &[Value]) -> String {
-    let escape = values.len() > 1;
-    let part = |v: &Value| match v {
-        Value::Int(x) => x.to_string(),
-        Value::Float(x) => format!("{x:?}"),
-        Value::Str(s) if escape => s.replace('\\', "\\\\").replace('|', "\\|"),
-        Value::Str(s) => s.clone(),
-    };
-    values.iter().map(part).collect::<Vec<_>>().join("|")
+/// A key of typed values, ordered lexicographically by `Value::total_cmp`.
+#[derive(Debug, Clone)]
+struct Key(Vec<Value>);
+
+impl Ord for Key {
+    fn cmp(&self, other: &Key) -> Ordering {
+        let pairs = self.0.iter().zip(&other.0);
+        let first_difference = pairs.map(|(a, b)| a.total_cmp(b)).find(|o| o.is_ne());
+        first_difference.unwrap_or_else(|| self.0.len().cmp(&other.0.len()))
+    }
 }
 
-fn values(table: &Relation, row: usize, names: &[String]) -> Vec<Value> {
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Key) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Key {}
+
+fn values(table: &Relation, row: usize, names: &[String]) -> Key {
     let col = |n: &String| table.column_index(n).unwrap();
-    names.iter().map(|n| table.value(row, col(n))).collect()
+    Key(names.iter().map(|n| table.value(row, col(n))).collect())
+}
+
+/// Whether `keys` ascend strictly.
+fn ascending(keys: &[Key]) -> bool {
+    keys.windows(2).all(|w| w[0] < w[1])
 }
 
 /// One expected cell: its rids, ascending, and `COUNT(*)`, `SUM(v)`.
@@ -108,20 +128,18 @@ struct Cell {
 }
 
 /// The cells of partitioning the rows that `pass` by `attrs` under each
-/// coarse key: `(coarse key, rendered partition key) → cell`.
+/// coarse key: `(coarse key, partition key) → cell`.
 fn oracle(
     table: &Relation,
     keys: &[String],
     attrs: &[String],
     pass: &dyn Fn(usize) -> bool,
-) -> BTreeMap<(String, String), Cell> {
+) -> BTreeMap<(Key, Key), Cell> {
     let v = table.column_index("v").unwrap();
-    let mut cells: BTreeMap<(String, String), Cell> = BTreeMap::new();
+    let mut cells: BTreeMap<(Key, Key), Cell> = BTreeMap::new();
     for row in (0..table.len()).filter(|&r| pass(r)) {
-        let coarse = format!("{:?}", values(table, row, keys));
-        let cell = cells
-            .entry((coarse, render(&values(table, row, attrs))))
-            .or_default();
+        let at = (values(table, row, keys), values(table, row, attrs));
+        let cell = cells.entry(at).or_default();
         cell.rids.push(row as Rid);
         cell.count += 1;
         let Value::Float(x) = table.value(row, v) else {
@@ -174,8 +192,8 @@ fn check(keys: &[&str], opts: &GroupByOptions, pass: &dyn Fn(usize) -> bool) {
     let keys = strs(keys);
     for (driver, got) in runs(&table, &keys, opts) {
         let ctx = format!("{driver}, GROUP BY {keys:?}, {:?}", opts.workload);
-        let coarse: Vec<String> = (0..got.output.len())
-            .map(|out| format!("{:?}", &got.output.row_values(out)[..keys.len()]))
+        let coarse: Vec<Key> = (0..got.output.len())
+            .map(|out| Key(got.output.row_values(out)[..keys.len()].to_vec()))
             .collect();
         let skip = &opts.workload.skipping_partition_by;
         if !skip.is_empty() {
@@ -185,8 +203,16 @@ fn check(keys: &[&str], opts: &GroupByOptions, pass: &dyn Fn(usize) -> bool) {
             let index = got.artifacts.partitioned.as_ref().expect(&ctx);
             let mut partitions = BTreeMap::new();
             for (out, coarse) in coarse.iter().enumerate() {
+                let order: Vec<Key> = index
+                    .partitions(out)
+                    .map(|(k, _)| Key(k.to_vec()))
+                    .collect();
+                assert!(
+                    ascending(&order),
+                    "partitions of {out} in typed order: {ctx}"
+                );
                 for (key, rids) in index.partitions(out) {
-                    partitions.insert((coarse.clone(), key.to_string()), rids.to_vec());
+                    partitions.insert((coarse.clone(), Key(key.to_vec())), rids.to_vec());
                 }
             }
             assert_eq!(partitions, want, "{ctx}");
@@ -200,11 +226,17 @@ fn check(keys: &[&str], opts: &GroupByOptions, pass: &dyn Fn(usize) -> bool) {
             let (mut cells, mut rows) = (BTreeMap::new(), 0);
             for (out, coarse) in coarse.iter().enumerate() {
                 let drill = cube.query(out).unwrap();
+                let mut order = Vec::new();
                 for r in 0..drill.len() {
                     let row = drill.row_values(r);
-                    let at = (coarse.clone(), render(&row[..attrs]));
+                    order.push(Key(row[..attrs].to_vec()));
+                    let at = (coarse.clone(), Key(row[..attrs].to_vec()));
                     cells.insert(at, (row[attrs].clone(), row[attrs + 1].clone()));
                 }
+                assert!(
+                    ascending(&order),
+                    "cube rows of {out} in typed order: {ctx}"
+                );
                 rows += drill.len();
             }
             assert_eq!(cells, want, "{ctx}");
@@ -281,13 +313,4 @@ fn selection_pushdown_feeds_the_finer_cores() {
         opts.mode = CaptureMode::Defer;
         check(&["z"], &opts, &pass);
     }
-}
-
-#[test]
-fn oracle_renders_keys_distinctly() {
-    // The oracle's own check: the two cells that used to collide on `|`.
-    let a = render(&[Value::Str("a|b".into()), Value::Str("c".into())]);
-    let b = render(&[Value::Str("a".into()), Value::Str("b|c".into())]);
-    assert_ne!(a, b);
-    assert_eq!(render(&[Value::Str("a|b".into())]), "a|b");
 }

@@ -124,6 +124,23 @@ impl CsrRidIndex {
             + self.rids.capacity() * std::mem::size_of::<Rid>()
     }
 
+    /// Maps every rid through `f` in place, dropping those it maps to
+    /// `None`; every entry keeps its position.
+    pub fn filter_map_rids(mut self, mut f: impl FnMut(Rid) -> Option<Rid>) -> CsrRidIndex {
+        let (mut kept, mut lo) = (0, 0);
+        for end in self.offsets.iter_mut().skip(1) {
+            for at in lo..*end as usize {
+                if let Some(rid) = f(self.rids[at]) {
+                    self.rids[kept] = rid;
+                    kept += 1;
+                }
+            }
+            (lo, *end) = (*end as usize, kept as u32);
+        }
+        self.rids.truncate(kept);
+        self
+    }
+
     /// Merges per-partition CSR indexes into one global index — the
     /// finalize step of parallel lineage capture.
     ///

@@ -29,9 +29,10 @@
 //!   single/multi variants;
 //! * [`OperatorLineage`] / [`QueryLineage`] — per-operator and end-to-end
 //!   (output ↔ base relation) lineage;
-//! * [`PartitionedRidIndex`] — rid arrays partitioned by an attribute, the
-//!   physical design used by the data-skipping and group-by push-down
-//!   optimizations of §4.2;
+//! * [`CellDirectory`] / [`PartitionedRidIndex`] — per output entry, the
+//!   cells of a finer group-by sorted by typed attribute values, and that
+//!   directory over the cells' sealed rid CSR: the physical design used by
+//!   the data-skipping and group-by push-down optimizations of §4.2;
 //! * [`semantics`] — which/why/how provenance derived from backward indexes
 //!   (Appendix E).
 
@@ -53,7 +54,7 @@ pub use compressed::{CompressedCsrIndex, EDGES_PER_BLOCK};
 pub use csr::{CsrBuilder, CsrRidIndex};
 pub use index::LineageIndex;
 pub use operator::{InputLineage, OperatorLineage, QueryLineage};
-pub use partitioned::{PartitionKey, PartitionedRidIndex};
+pub use partitioned::{CellDirectory, PartitionedRidIndex};
 pub use rid_array::{RidArray, NO_RID};
 pub use rid_index::RidIndex;
 pub use stats::CaptureStats;

@@ -38,7 +38,9 @@ fn violation(rule: &'static str, path: &str, tok: &Token, message: String) -> Vi
 /// grace-join path, which runs arbitrary key data through partition writers
 /// under the same shared pool, plus the predicate evaluator (expressions,
 /// their kernel compiler and the lazy rewrites), which compiles and runs
-/// predicates decoded off the wire.
+/// predicates decoded off the wire, plus the lineage planner and the §4.2
+/// artifact probes it runs on every request (the partitioned index and the
+/// cube).
 fn on_request_path(path: &str) -> bool {
     path.starts_with("crates/server/src/")
         || path.starts_with("crates/pager/src/")
@@ -46,6 +48,9 @@ fn on_request_path(path: &str) -> bool {
         || path == "crates/core/src/kernels.rs"
         || path == "crates/core/src/expr.rs"
         || path == "crates/core/src/lazy.rs"
+        || path == "crates/core/src/workload.rs"
+        || path == "crates/lineage/src/partitioned.rs"
+        || path == "crates/planner/src/planner.rs"
         || path == "crates/planner/src/json.rs"
         || path == "crates/planner/src/wire.rs"
 }

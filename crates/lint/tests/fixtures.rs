@@ -187,6 +187,22 @@ fn no_panic_rule_covers_the_predicate_evaluator() {
 }
 
 #[test]
+fn no_panic_rule_covers_the_lineage_planner() {
+    let src = fixture("no_panic", "fires");
+    for path in [
+        "crates/planner/src/planner.rs",
+        "crates/lineage/src/partitioned.rs",
+        "crates/core/src/workload.rs",
+    ] {
+        let r = check_source(path, &src);
+        assert_eq!(r.violations.len(), 3, "{path}: {:#?}", r.violations);
+    }
+    // ...but not the capture code that builds the artifacts.
+    let r = check_source("crates/core/src/ops/groupby.rs", &src);
+    assert!(r.violations.is_empty());
+}
+
+#[test]
 fn kernel_range_twin_fires() {
     let src = fixture("kernel_twin", "fires");
     assert_fires(

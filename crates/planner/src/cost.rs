@@ -19,8 +19,9 @@ pub enum Strategy {
     /// Relational rewrite over the base relation with no captured index
     /// (paper §2.1, Appendix C; `smoke_core::lazy`).
     LazyRewrite,
-    /// Data skipping over a [`smoke_lineage::PartitionedRidIndex`]: scan only
-    /// the partition matching the query's equality filter (§4.2).
+    /// Data skipping over a [`smoke_lineage::PartitionedRidIndex`]: find the
+    /// equality filter's typed value in each selected output's cell
+    /// directory and scan only that cell's rids (§4.2).
     PartitionPruned,
     /// Answer straight from the [`smoke_core::LineageCube`] materialized by
     /// group-by push-down — no base-relation access at all (§4.2, Fig. 11).

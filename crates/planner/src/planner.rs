@@ -81,7 +81,7 @@ pub struct LineagePlan {
     pub(crate) rids: Vec<Rid>,
     /// The partition key extracted from the query's equality filter, when the
     /// filter matches the partitioned index's attribute.
-    pub(crate) partition_key: Option<String>,
+    pub(crate) partition_key: Option<Value>,
 }
 
 /// The unified result of executing a lineage plan.
@@ -383,7 +383,7 @@ impl<'a> LineagePlanner<'a> {
         let best = candidates
             .iter()
             .filter(|c| c.feasible)
-            .min_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite costs"))
+            .min_by(|a, b| a.cost.total_cmp(&b.cost))
             .ok_or_else(|| {
                 EngineError::InvalidPlan(
                     "no feasible lineage strategy: no index, rewrite info, or artifact can \
@@ -428,7 +428,9 @@ impl<'a> LineagePlanner<'a> {
             .candidates
             .iter()
             .find(|c| c.strategy == strategy)
-            .expect("all strategies are always costed");
+            .ok_or_else(|| {
+                EngineError::InvalidPlan(format!("strategy {strategy} was not costed"))
+            })?;
         if !candidate.feasible {
             return Err(EngineError::InvalidPlan(format!(
                 "strategy {strategy} is infeasible here: {}",
@@ -568,29 +570,27 @@ impl<'a> LineagePlanner<'a> {
         }
     }
 
-    /// Renders an equality literal as a partition key, coercing it to the
-    /// partition column's data type first. Partition keys were rendered from
-    /// column values during capture, so `v_bin = 3.0` over an Int column must
-    /// probe key `"3"`, not `"3.0"` — predicate evaluation coerces
-    /// numerically, and the key lookup must agree with it. Cross-type
-    /// combinations with no numeric coercion return `None`, making pruning
-    /// infeasible so the planner falls back to a strategy that evaluates the
-    /// predicate itself.
-    fn coerced_partition_key(&self, attr: &str, literal: Value) -> Option<String> {
+    /// Coerces an equality literal to the partition column's type, so that
+    /// the one partition it probes holds exactly the rows the predicate
+    /// keeps. An `Int` column compares with a `Float` literal `f` as `a as
+    /// f64`, which below 2^53 equals `f` iff `a == f as i64`; past 2^53
+    /// several integers round to `f`, and none equals `-0.0`. Such literals,
+    /// and cross-type ones with no coercion, make pruning infeasible.
+    fn coerced_partition_key(&self, attr: &str, literal: Value) -> Option<Value> {
+        const EXACT: f64 = (1u64 << 53) as f64;
         let idx = self.base.column_index(attr).ok()?;
-        let coerced = match (self.base.schema().field(idx).data_type, literal) {
-            (DataType::Int, Value::Int(i)) => Value::Int(i),
+        match (self.base.schema().field(idx).data_type, literal) {
+            (DataType::Int, Value::Int(i)) => Some(Value::Int(i)),
             (DataType::Int, Value::Float(f))
-                if f.fract() == 0.0 && f >= i64::MIN as f64 && f <= i64::MAX as f64 =>
+                if f.fract() == 0.0 && f.abs() < EXACT && f.to_bits() != (-0.0f64).to_bits() =>
             {
-                Value::Int(f as i64)
+                Some(Value::Int(f as i64))
             }
-            (DataType::Float, Value::Float(f)) => Value::Float(f),
-            (DataType::Float, Value::Int(i)) => Value::Float(i as f64),
-            (DataType::Str, Value::Str(s)) => Value::Str(s),
-            _ => return None,
-        };
-        Some(coerced.group_key())
+            (DataType::Float, Value::Float(f)) => Some(Value::Float(f)),
+            (DataType::Float, Value::Int(i)) => Some(Value::Float(i as f64)),
+            (DataType::Str, Value::Str(s)) => Some(Value::Str(s)),
+            _ => None,
+        }
     }
 
     /// Number of paged base columns among `names`. Every column spills: a
@@ -608,11 +608,14 @@ impl<'a> LineagePlanner<'a> {
     /// Average number of partitions per selected entry, sampled over at most
     /// the first 8 selected rids.
     fn avg_partitions(&self, part: &PartitionedRidIndex, rids: &[Rid]) -> f64 {
-        let sample: Vec<&Rid> = rids.iter().take(8).collect();
+        let sample = &rids[..rids.len().min(8)];
         if sample.is_empty() {
             return 1.0;
         }
-        let total: usize = sample.iter().map(|&&r| part.keys(r as usize).len()).sum();
+        let total: usize = sample
+            .iter()
+            .map(|&r| part.partition_count(r as usize))
+            .sum();
         (total as f64 / sample.len() as f64).max(1.0)
     }
 
@@ -720,7 +723,7 @@ impl<'a> LineagePlanner<'a> {
         })?;
         let mut traced = Vec::new();
         for &rid in &plan.rids {
-            traced.extend_from_slice(part.partition(rid as usize, key));
+            traced.extend_from_slice(part.partition(rid as usize, std::slice::from_ref(key)));
         }
         traced.sort_unstable();
         traced.dedup();

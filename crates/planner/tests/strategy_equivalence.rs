@@ -1,7 +1,8 @@
 //! Property-based equivalence between the planner's strategies: on random
 //! group-by/select queries, `LazyRewrite` and `EagerTrace` backward lineage
 //! must agree rid-for-rid, and a lineage-consuming aggregate evaluated both
-//! ways must produce the same relation.
+//! ways must produce the same relation. Over the §4.2 artifacts, typed
+//! partition probes and cube rows must agree with both.
 
 use proptest::prelude::*;
 use smoke_core::ops::groupby::{group_by, GroupByOptions};
@@ -117,6 +118,130 @@ proptest! {
                 .execute(&LineageQuery::backward().rids(set.clone()))
                 .unwrap();
             prop_assert_eq!(&single.rids, batch_result);
+        }
+    }
+}
+
+/// 2^53: the first integer past which `i64 as f64` stops being exact.
+const BIG: i64 = 1 << 53;
+
+/// The values one partition attribute draws from, per type: `Int` around
+/// ±2^53, `Float` with both zeros, `Str` with separators, escapes and "".
+fn attribute_values(ty: usize) -> (DataType, Vec<Value>) {
+    match ty {
+        0 => (
+            DataType::Int,
+            [BIG - 1, BIG, BIG + 1, BIG + 2, -BIG, -BIG - 1, 0, 1, -1, 3]
+                .map(Value::Int)
+                .to_vec(),
+        ),
+        1 => (
+            DataType::Float,
+            [0.0, -0.0, 1.5, -1.5, 3.0, BIG as f64, -(BIG as f64)]
+                .map(Value::Float)
+                .to_vec(),
+        ),
+        _ => (
+            DataType::Str,
+            ["a|b", "a", "b|c", "\\", "", "\\|", "3"]
+                .map(|s| Value::Str(s.into()))
+                .to_vec(),
+        ),
+    }
+}
+
+/// Equality literals of every type: each attribute value, each numeric
+/// one as the other numeric type too (`-0.0` and the floats nearest ±2^53
+/// included), and a few that match nothing.
+fn literals() -> Vec<Value> {
+    let mut all: Vec<Value> = (0..3).flat_map(|ty| attribute_values(ty).1).collect();
+    let crossed: Vec<Value> = (all.iter())
+        .filter_map(|v| match *v {
+            Value::Int(i) => Some(Value::Float(i as f64)),
+            Value::Float(f) if f.fract() == 0.0 => Some(Value::Int(f as i64)),
+            _ => None,
+        })
+        .collect();
+    all.extend(crossed);
+    all.extend([Value::Float(0.5), Value::Int(2), Value::Str("zz".into())]);
+    all
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Over one partition attribute of any type and every equality literal
+    /// of any type, every feasible strategy among `PartitionPruned`,
+    /// `EagerTrace` and `LazyRewrite` keeps the same rids and aggregates
+    /// them alike, and a `CubeHit` answers what the eager trace re-groups.
+    #[test]
+    fn pruned_eager_lazy_and_cube_agree_on_typed_partitions(
+        ty in 0usize..3,
+        rows in prop::collection::vec((0i64..3, 0usize..16, 0i64..20), 1..40),
+    ) {
+        let (data_type, values) = attribute_values(ty);
+        let mut b = Relation::builder("t")
+            .column("z", DataType::Int)
+            .column("p", data_type)
+            .column("v", DataType::Float);
+        for &(z, p, v) in &rows {
+            let p = values[p % values.len()].clone();
+            b = b.row(vec![Value::Int(z), p, Value::Float(v as f64 * 0.5)]);
+        }
+        let table = b.build().unwrap();
+        let aggs = vec![AggExpr::count("cnt"), AggExpr::sum("v", "total")];
+        let mut opts = GroupByOptions::inject();
+        opts.workload.skipping_partition_by = vec!["p".to_string()];
+        opts.workload.agg_pushdown = Some(AggPushdown {
+            partition_by: vec!["p".to_string()],
+            aggs: aggs.clone(),
+        });
+        let captured = group_by(&table, &["z".to_string()], &[], &opts).unwrap();
+        let planner = LineagePlanner::new(&table, &captured.output)
+            .lineage(captured.lineage.input(0))
+            .artifacts(&captured.artifacts)
+            .rewrite(RewriteInfo::new(vec!["z".to_string()], None));
+
+        for pick in 0..=captured.output.len() as Rid {
+            for literal in literals() {
+                let filter = Expr::col("p").eq(Expr::Literal(literal.clone()));
+                let traced = LineageQuery::backward().rids([pick]).filter(filter);
+                let counted = traced.clone().aggregate(&["p"], vec![AggExpr::count("cnt")]);
+                for q in [&traced, &counted] {
+                    let eager = planner.execute_with(Strategy::EagerTrace, q).unwrap();
+                    let chosen = planner.execute(q).unwrap();
+                    let ctx = format!("{data_type:?} p = {literal:?} under output {pick}");
+                    prop_assert_eq!(&chosen.rids, &eager.rids, "{:?}: {}", chosen.strategy, ctx);
+                    for strategy in [Strategy::PartitionPruned, Strategy::LazyRewrite] {
+                        match planner.execute_with(strategy, q) {
+                            Ok(got) => {
+                                prop_assert_eq!(&got.rids, &eager.rids, "{:?}: {}", strategy, ctx);
+                                prop_assert_eq!(
+                                    got.rows.as_ref().map(normalized),
+                                    eager.rows.as_ref().map(normalized),
+                                    "{:?}: {}", strategy, ctx
+                                );
+                            }
+                            Err(e) => prop_assert!(
+                                strategy == Strategy::PartitionPruned
+                                    && matches!(e, EngineError::InvalidPlan(_)),
+                                "{:?}: {}: {:?}", strategy, ctx, e
+                            ),
+                        }
+                    }
+                }
+            }
+
+            let drill = LineageQuery::backward().rids([pick]).aggregate(&["p"], aggs.clone());
+            let eager = planner.execute_with(Strategy::EagerTrace, &drill).unwrap();
+            match planner.execute_with(Strategy::CubeHit, &drill) {
+                Ok(hit) => prop_assert_eq!(
+                    normalized(hit.rows.as_ref().unwrap()),
+                    normalized(eager.rows.as_ref().unwrap())
+                ),
+                // A selection past the outputs resolves to no rid at all.
+                Err(_) => prop_assert_eq!(pick as usize, captured.output.len()),
+            }
         }
     }
 }

@@ -9,7 +9,7 @@ use smoke_core::ops::groupby::{group_by, GroupByOptions, GroupByResult};
 use smoke_core::{AggExpr, AggPushdown, Expr};
 use smoke_datagen::zipf::{zipf_table_binned, ZipfSpec};
 use smoke_planner::{Direction, LineagePlanner, LineageQuery, RewriteInfo, Strategy};
-use smoke_storage::Relation;
+use smoke_storage::{DataType, Relation, Value};
 
 const BINS: usize = 4;
 
@@ -156,6 +156,80 @@ fn partition_key_coerces_cross_type_equality_literals() {
     let explain = p.explain(&q).unwrap();
     assert_ne!(explain.strategy, Strategy::PartitionPruned);
     assert!(p.execute(&q).unwrap().rids.is_empty());
+
+    // Past 2^53 several integers round to one float: predicate evaluation
+    // keeps both 2^53 and 2^53 + 1 under the literal 2^53, which no single
+    // partition holds, so pruning must step aside.
+    let table = wide_int_table();
+    let captured = capture_on_p(&table);
+    let p = planner(&table, &captured);
+    let q = LineageQuery::backward()
+        .rids([0])
+        .filter(Expr::col("p").eq(Expr::lit(BIG as f64)));
+    let explain = p.explain(&q).unwrap();
+    assert_ne!(
+        explain.strategy,
+        Strategy::PartitionPruned,
+        "{}",
+        explain.render()
+    );
+    for strategy in [Strategy::EagerTrace, Strategy::LazyRewrite] {
+        assert_eq!(p.execute_with(strategy, &q).unwrap().rids, vec![0, 1]);
+    }
+    assert_eq!(p.execute(&q).unwrap().rids, vec![0, 1]);
+    // Below 2^53 an integral literal still prunes, and agrees.
+    let q = LineageQuery::backward()
+        .rids([0])
+        .filter(Expr::col("p").eq(Expr::lit(-2.0)));
+    assert_eq!(p.explain(&q).unwrap().strategy, Strategy::PartitionPruned);
+    assert_eq!(p.execute(&q).unwrap().rids, vec![7]);
+}
+
+/// 2^53: the first integer past which `i64 as f64` stops being exact.
+const BIG: i64 = 1 << 53;
+
+/// `t(z, p, v)`: one `z` group whose `Int` attribute `p` holds 2^53 and its
+/// neighbours among small values of both signs.
+fn wide_int_table() -> Relation {
+    let ps = [BIG, BIG + 1, BIG + 2, 3, 10, 2, -1, -2];
+    let mut b = Relation::builder("t")
+        .column("z", DataType::Int)
+        .column("p", DataType::Int)
+        .column("v", DataType::Float);
+    for (i, p) in ps.into_iter().enumerate() {
+        b = b.row(vec![Value::Int(0), Value::Int(p), Value::Float(i as f64)]);
+    }
+    b.build().unwrap()
+}
+
+/// `GROUP BY z` with partitions and a `COUNT(*), SUM(v)` cube on `p`.
+fn capture_on_p(table: &Relation) -> GroupByResult {
+    let mut opts = GroupByOptions::inject();
+    opts.workload.skipping_partition_by = vec!["p".to_string()];
+    opts.workload.agg_pushdown = Some(AggPushdown {
+        partition_by: vec!["p".to_string()],
+        aggs: vec![AggExpr::count("cnt"), AggExpr::sum("v", "total")],
+    });
+    group_by(table, &["z".to_string()], &[AggExpr::count("cnt")], &opts).unwrap()
+}
+
+#[test]
+fn cube_rows_come_in_ascending_typed_key_order() {
+    let table = wide_int_table();
+    let captured = capture_on_p(&table);
+    let p = planner(&table, &captured);
+    let q = LineageQuery::backward().rids([0]).aggregate(
+        &["p"],
+        vec![AggExpr::count("cnt"), AggExpr::sum("v", "total")],
+    );
+    let hit = p.execute(&q).unwrap();
+    assert_eq!(hit.strategy, Strategy::CubeHit);
+    let rows = hit.rows.unwrap();
+    let keys: Vec<Value> = (0..rows.len()).map(|r| rows.value(r, 0)).collect();
+    let want = [-2, -1, 2, 3, 10, BIG, BIG + 1, BIG + 2].map(Value::Int);
+    assert_eq!(keys, want);
+    let eager = p.execute_with(Strategy::EagerTrace, &q).unwrap();
+    assert_eq!(normalized(&rows), normalized(eager.rows.as_ref().unwrap()));
 }
 
 #[test]

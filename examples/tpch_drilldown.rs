@@ -69,7 +69,7 @@ fn main() -> smoke::core::Result<()> {
         lineitem,
         skipping,
         bar,
-        "MAIL|NONE",
+        &[Value::Str("MAIL".into()), Value::Str("NONE".into())],
         &q1a_keys(),
         &drilldown_aggs(),
     )?;

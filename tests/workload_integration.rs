@@ -82,7 +82,7 @@ fn data_skipping_partition_equals_filtered_index_scan() {
                 lineitem,
                 index,
                 bar,
-                &format!("{mode}|{instruct}"),
+                &[Value::Str(mode.into()), Value::Str(instruct.into())],
                 &q1a_keys(),
                 &drilldown_aggs(),
             )
