@@ -746,6 +746,23 @@ impl<'o> GroupByCore<'o> {
         }
     }
 
+    /// The input columns this core reads, by name: its keys, its
+    /// aggregates' inputs, the selection push-down's columns and those of
+    /// every finer core riding it (their partition attributes and cube
+    /// aggregate inputs). A paged driver decodes only these.
+    pub(crate) fn columns(&self) -> Vec<&'o str> {
+        let mut names: Vec<&'o str> = self.keys.iter().map(String::as_str).collect();
+        names.extend(self.aggs.iter().filter_map(|agg| agg.column.as_deref()));
+        names.extend(
+            self.pushdown
+                .map_or_else(Vec::new, Expr::referenced_columns),
+        );
+        for finer in &self.finer {
+            names.extend(finer.core.columns());
+        }
+        names
+    }
+
     /// A per-morsel core, run to completion on a worker: an independent
     /// group table over rows `m` of `input` whose captured lineage is sealed
     /// as a morsel-local backward CSR plus the local gid of every row. Global

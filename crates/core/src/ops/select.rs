@@ -96,6 +96,11 @@ impl<'o> SelectCore<'o> {
         }
     }
 
+    /// The input columns this core reads, by name: its predicate's.
+    pub(crate) fn columns(&self) -> Vec<&'o str> {
+        self.predicate.referenced_columns()
+    }
+
     /// A per-morsel core: it only collects matches, because output rids are
     /// unknown until the ordered merge ([`SelectCore::absorb`]).
     pub(crate) fn fragment(predicate: &'o Expr, opts: &'o SelectOptions) -> Self {

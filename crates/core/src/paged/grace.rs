@@ -41,7 +41,7 @@ use crate::ops::join::{
     JoinRuns,
 };
 
-use super::{align_chunk, chunk_bounds, scan_chunks};
+use super::{align_chunk, all_columns, chunk_bounds, scan_chunks};
 
 /// Rough per-row footprint of the resident build hash table (key, rid vec,
 /// bucket overhead). Deliberately coarse: it only decides *when* to switch
@@ -115,16 +115,6 @@ fn raw8(col: &Column, local: usize) -> [u8; 8] {
     }
 }
 
-/// A transient single-chunk relation holding just the key columns, so
-/// [`KeyExtractor`] sees the same names and types it would on a full chunk.
-fn key_chunk(name: &str, fields: &[Field], columns: Vec<Column>) -> Result<Relation> {
-    Ok(Relation::from_columns(
-        name.to_string(),
-        Schema::new(fields.to_vec())?,
-        columns,
-    )?)
-}
-
 /// Streams `rel`'s key columns twice: a histogram pass sizes every
 /// partition exactly, then a write pass appends each row's key values and
 /// original rid to its partition's runs. Writes go directly to the segment
@@ -157,13 +147,9 @@ fn partition_side(
     // Pass 1: per-partition row counts.
     let mut hist = vec![0usize; partitions];
     for (cs, ce) in chunk_bounds(rel.len(), chunk_rows) {
-        let cols: Vec<Column> = key_idx
-            .iter()
-            .map(|&c| rel.decode_range(c, cs, ce))
-            .collect::<std::result::Result<_, _>>()?;
-        let mini = key_chunk(rel.name(), &key_fields, cols)?;
-        let extractor = KeyExtractor::new(&mini, keys)?;
-        for local in 0..mini.len() {
+        let chunk = rel.chunk_of(cs, ce, &key_idx)?;
+        let extractor = KeyExtractor::new(&chunk, keys)?;
+        for local in 0..chunk.len() {
             hist[partition_of(&extractor.key(local), partitions)] += 1;
         }
     }
@@ -180,16 +166,13 @@ fn partition_side(
         })
         .collect();
     for (cs, ce) in chunk_bounds(rel.len(), chunk_rows) {
-        let cols: Vec<Column> = key_idx
-            .iter()
-            .map(|&c| rel.decode_range(c, cs, ce))
-            .collect::<std::result::Result<_, _>>()?;
-        let mini = key_chunk(rel.name(), &key_fields, cols)?;
-        let extractor = KeyExtractor::new(&mini, keys)?;
-        for local in 0..mini.len() {
+        // The key columns in key order: column `ci` feeds run `ci`.
+        let chunk = rel.chunk_of(cs, ce, &key_idx)?;
+        let extractor = KeyExtractor::new(&chunk, keys)?;
+        for local in 0..chunk.len() {
             let p = partition_of(&extractor.key(local), partitions);
             let runs = &mut writers[p];
-            for (ci, col) in mini.columns().iter().enumerate() {
+            for (ci, col) in chunk.columns().iter().enumerate() {
                 runs[ci].push(raw8(col, local))?;
             }
             let rid = (cs + local) as u64;
@@ -262,14 +245,16 @@ pub fn paged_grace_hash_join(
         let mut pk_fk = true;
         let mut pairs: Vec<(Vec<Rid>, Vec<Rid>)> = Vec::with_capacity(partitions);
         for (build_part, probe_part) in build_parts.iter().zip(&probe_parts) {
+            // A partition holds only keys and carried rids: read it whole.
+            let (build_cols, probe_cols) = (all_columns(build_part), all_columns(probe_part));
             let mut build = JoinBuild::<K>::new(build_part.len());
-            scan_chunks(build_part, chunk_rows, |chunk, _| {
+            scan_chunks(build_part, &build_cols, chunk_rows, |chunk, _| {
                 let rids = carried_rids(chunk);
                 build.ingest(chunk, left_keys, 0..chunk.len(), |i| rids[i] as Rid)
             })?;
             pk_fk &= build.pk_fk;
             let mut probe = JoinProbe::new(&runs_only, &build, probe_part.len());
-            scan_chunks(probe_part, chunk_rows, |chunk, _| {
+            scan_chunks(probe_part, &probe_cols, chunk_rows, |chunk, _| {
                 let rids = carried_rids(chunk);
                 probe.ingest(&build, chunk, right_keys, 0..chunk.len(), |i| {
                     rids[i] as Rid

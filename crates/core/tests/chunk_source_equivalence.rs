@@ -36,11 +36,10 @@ use smoke_lineage::{LineageIndex, OperatorLineage};
 use smoke_pager::{BufferPool, ReplacementPolicy, SegmentStore};
 use smoke_storage::{DataType, PagedRelation, Relation, Rid, Value, ROWS_PER_PAGE};
 
-/// Where an operator core's rows come from.
+/// Where an operator core's rows come from, besides the reference: one
+/// resident ingest of the whole relation.
 #[derive(Debug, Clone, Copy)]
 enum Source {
-    /// One ingest of the whole relation: the reference.
-    Resident,
     /// `(dop, morsel_rows)`: one core per morsel on `dop` workers, then an
     /// ordered merge.
     Morsels(usize, usize),
@@ -105,7 +104,6 @@ impl Source {
         opts: &SelectOptions,
     ) -> smoke_core::Result<OpOutput> {
         match self {
-            Source::Resident => select(t, pred, opts),
             Source::Morsels(..) => par_select(t, pred, opts, &self.par()),
             Source::PageRuns(..) => paged_select(&self.spill(t), pred, opts, CHUNK),
         }
@@ -119,7 +117,6 @@ impl Source {
         opts: &GroupByOptions,
     ) -> smoke_core::Result<GroupByResult> {
         match self {
-            Source::Resident => group_by(t, keys, aggs, opts),
             Source::Morsels(..) => par_group_by(t, keys, aggs, opts, &self.par()),
             Source::PageRuns(..) => paged_group_by(&self.spill(t), keys, aggs, opts, CHUNK),
         }
@@ -127,7 +124,6 @@ impl Source {
 
     fn join(self, l: &Relation, r: &Relation, on: &[String], opts: &JoinOptions) -> JoinResult {
         match self {
-            Source::Resident => hash_join(l, r, on, on, opts),
             Source::Morsels(..) => par_hash_join(l, r, on, on, opts, &self.par()),
             Source::PageRuns(..) => {
                 paged_hash_join(&self.spill(l), &self.spill(r), on, on, opts, CHUNK)
@@ -684,21 +680,114 @@ fn empty_relation_through_every_driver() {
 
 #[test]
 fn unknown_columns_error_through_every_driver() {
-    // Page-run drivers must surface these before any page I/O: the scan
-    // opens with a zero-row chunk that binds every column.
-    let table = table_from(&[(1, 2), (3, 4)], 50);
+    // Every driver returns the resident operator's error, variant and
+    // message alike. Page-run drivers return it before any page I/O: the
+    // scan opens with a zero-row chunk that binds every column it names.
+    let table = table_from(&[(1, 2), (3, 4)], 600);
+    let paged = page_runs(1).spill(&table);
+    let no_io = |what: &str| {
+        assert_eq!(paged.pool().stats().disk_reads, 0, "{what}");
+    };
+
+    let (bad, inject) = (Expr::col("nope").lt(Expr::lit(1)), SelectOptions::inject());
+    let want = select(&table, &bad, &inject).unwrap_err();
+    assert_eq!(morsels(2).select(&table, &bad, &inject).unwrap_err(), want);
+    paged.pool().reset_stats();
+    assert_eq!(
+        paged_select(&paged, &bad, &inject, CHUNK).unwrap_err(),
+        want
+    );
+    no_io("select");
+
     let mut bad_pushdown = GroupByOptions::inject();
-    bad_pushdown.workload.selection_pushdown = Some(Expr::col("nope").lt(Expr::lit(1)));
-    let bad = Expr::col("nope").lt(Expr::lit(1));
-    for src in [Source::Resident, morsels(2), page_runs(1)] {
-        let inject = SelectOptions::inject();
-        assert!(src.select(&table, &bad, &inject).is_err(), "{src:?}");
-        let gb = |keys: &[&str], aggs: &[AggExpr], opts: &GroupByOptions| {
-            src.group_by(&table, &strs(keys), aggs, opts).is_err()
-        };
-        assert!(gb(&["nope"], &[], &GroupByOptions::inject()), "{src:?}");
-        let bad_agg = [AggExpr::sum("nope", "s")];
-        assert!(gb(&["a"], &bad_agg, &GroupByOptions::baseline()), "{src:?}");
-        assert!(gb(&["a"], &[], &bad_pushdown), "{src:?}");
+    bad_pushdown.workload.selection_pushdown = Some(bad.clone());
+    let mut bad_partition = GroupByOptions::inject();
+    bad_partition.workload.skipping_partition_by = strs(&["nope"]);
+    let bad_agg = [AggExpr::sum("nope", "s")];
+    let cases: [(&[&str], &[AggExpr], GroupByOptions); 4] = [
+        (&["nope"], &[], GroupByOptions::inject()),
+        (&["a"], &bad_agg, GroupByOptions::baseline()),
+        (&["a"], &[], bad_pushdown),
+        (&["a"], &[], bad_partition),
+    ];
+    for (keys, aggs, opts) in &cases {
+        let keys = strs(keys);
+        let want = group_by(&table, &keys, aggs, opts).unwrap_err();
+        let got = morsels(2).group_by(&table, &keys, aggs, opts);
+        assert_eq!(got.unwrap_err(), want, "{keys:?} {opts:?}");
+        paged.pool().reset_stats();
+        let got = paged_group_by(&paged, &keys, aggs, opts, CHUNK);
+        assert_eq!(got.unwrap_err(), want, "{keys:?} {opts:?}");
+        no_io("group-by");
     }
+
+    let (on, bad_on) = (strs(&["a"]), strs(&["nope"]));
+    let opts = JoinOptions::inject();
+    for (l, r) in [(&bad_on, &on), (&on, &bad_on)] {
+        let want = hash_join(&table, &table, l, r, &opts).unwrap_err();
+        paged.pool().reset_stats();
+        let got = paged_hash_join(&paged, &paged, l, r, &opts, CHUNK);
+        assert_eq!(got.unwrap_err(), want, "{l:?} ⋈ {r:?}");
+        no_io("join");
+    }
+}
+
+#[test]
+fn a_core_that_names_no_column_still_sees_every_row() {
+    // `COUNT(*)` without keys and a constant predicate read no column, but a
+    // chunk of no columns has no rows: the scan must still see all 5,000.
+    let rows: Vec<(i64, i64)> = (0..2500).map(|i| (i % 7, i)).collect();
+    let table = table_from(&rows, 2);
+    let count = [AggExpr::count("n")];
+    for src in [page_runs(1), page_runs(8), morsels(3)] {
+        for opts in group_by_modes() {
+            let want = group_by(&table, &[], &count, &opts).unwrap();
+            assert_eq!(want.output.value(0, 0), Value::Int(5000));
+            let got = src.group_by(&table, &[], &count, &opts).unwrap();
+            assert_eq!(want.output, got.output, "{src:?} {opts:?}");
+            same_lineage(src, &want.lineage, &got.lineage, &[table.len()], 1);
+        }
+        check_select(src, &table, &Expr::lit(1).lt(Expr::lit(2)));
+        check_select(src, &table, &Expr::lit(2).lt(Expr::lit(1)));
+    }
+}
+
+#[test]
+fn a_paged_scan_reads_only_the_columns_its_core_names() {
+    // `t(a, b, s, c)` over 3,000 rows: 3 pages for each numeric column, and
+    // `s` as offsets and payload runs. Each table spills into its own cold
+    // pool, large enough that no page is read twice.
+    let rows: Vec<(i64, i64)> = (0..3000).map(|i| (i % 7, i)).collect();
+    let facts = table_from(&rows, 1);
+    let dims = table_from(&(0..7).map(|i| (i, i)).collect::<Vec<_>>(), 1).with_name("dims");
+    let cold = |table: &Relation| Source::PageRuns(64, Store::Memory).spill(table);
+    let reads = |rel: &PagedRelation| rel.pool().stats().disk_reads;
+    let on = strs(&["a"]);
+
+    // γ on `a` with COUNT(*): `a`'s pages and no others, under Inject and
+    // Baseline alike (the output is built from the groups, not gathered).
+    for opts in [GroupByOptions::inject(), GroupByOptions::baseline()] {
+        let paged = cold(&facts);
+        assert!(paged.total_pages() > 4 * paged.pages_per_column());
+        let count = [AggExpr::count("n")];
+        paged_group_by(&paged, &on, &count, &opts, CHUNK).unwrap();
+        assert_eq!(reads(&paged), u64::from(paged.pages_per_column()));
+    }
+
+    // A resident-build join: build and probe read only their key pages.
+    let (left, right) = (cold(&dims), cold(&facts));
+    let opts = JoinOptions::inject().without_output();
+    let got = paged_hash_join(&left, &right, &on, &on, &opts, CHUNK).unwrap();
+    assert_eq!(got.grace_partitions, 1);
+    assert_eq!(reads(&left), u64::from(left.pages_per_column()));
+    assert_eq!(reads(&right), u64::from(right.pages_per_column()));
+
+    // With the output gathered: every row matches, so the gather reads
+    // every other page once, and the key pages the scan left resident are
+    // not read again.
+    let (left, right) = (cold(&dims), cold(&facts));
+    let got = paged_hash_join(&left, &right, &on, &on, &JoinOptions::inject(), CHUNK).unwrap();
+    assert_eq!(got.output_rows, facts.len());
+    assert_eq!(reads(&left), u64::from(left.total_pages()));
+    assert_eq!(reads(&right), u64::from(right.total_pages()));
 }

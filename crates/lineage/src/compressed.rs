@@ -68,8 +68,8 @@ impl CompressedCsrIndex {
         for (b, block) in rids.chunks(EDGES_PER_BLOCK).enumerate() {
             let used = encode_block(block, &mut page_buf);
             compressed_bytes += used;
-            for slot in page_buf.iter_mut().skip(used) {
-                *slot = 0;
+            if let Some(tail) = page_buf.get_mut(used..) {
+                tail.fill(0);
             }
             pool.store()
                 .write_page(PageId(first_page.0 + b as u32), &page_buf)?;
@@ -133,6 +133,18 @@ impl CompressedCsrIndex {
         (hi - 1) / EDGES_PER_BLOCK - lo / EDGES_PER_BLOCK + 1
     }
 
+    /// Pins block `block` and decodes it into `out`. The block must hold
+    /// exactly the rids the resident offsets place in it — all
+    /// [`EDGES_PER_BLOCK`], or what is left in the last block — so a
+    /// corrupt count is an error, not a shorter or longer trace.
+    fn read_block(&self, block: usize, out: &mut Vec<Rid>) -> Result<(), PagerError> {
+        let expected = (self.edge_count)
+            .saturating_sub(block * EDGES_PER_BLOCK)
+            .min(EDGES_PER_BLOCK);
+        let guard = self.pool.pin(PageId(self.first_page.0 + block as u32))?;
+        decode_block(&guard, expected, out)
+    }
+
     fn entry_range(&self, pos: usize) -> Option<(usize, usize)> {
         let lo = *self.offsets.get(pos)? as usize;
         let hi = *self.offsets.get(pos + 1)? as usize;
@@ -154,16 +166,11 @@ impl CompressedCsrIndex {
         while edge < hi {
             let block = edge / EDGES_PER_BLOCK;
             let block_end = ((block + 1) * EDGES_PER_BLOCK).min(hi);
-            {
-                let guard = self.pool.pin(PageId(self.first_page.0 + block as u32))?;
-                decode_block(&guard, &mut decoded)?;
-            }
+            self.read_block(block, &mut decoded)?;
             let base = block * EDGES_PER_BLOCK;
-            out.extend_from_slice(
-                decoded
-                    .get(edge - base..block_end - base)
-                    .unwrap_or_default(),
-            );
+            let rids = (decoded.get(edge - base..block_end - base))
+                .ok_or_else(|| invalid_data(format!("entry {pos} overruns block {block}")))?;
+            out.extend_from_slice(rids);
             edge = block_end;
         }
         Ok(out)
@@ -174,12 +181,10 @@ impl CompressedCsrIndex {
     pub fn materialize(&self) -> Result<CsrRidIndex, PagerError> {
         let mut rids = Vec::with_capacity(self.edge_count);
         let mut decoded = Vec::with_capacity(EDGES_PER_BLOCK);
-        for b in 0..self.blocks {
-            let guard = self.pool.pin(PageId(self.first_page.0 + b))?;
-            decode_block(&guard, &mut decoded)?;
+        for b in 0..self.blocks as usize {
+            self.read_block(b, &mut decoded)?;
             rids.extend_from_slice(&decoded);
         }
-        rids.truncate(self.edge_count);
         Ok(CsrRidIndex::from_parts(self.offsets.clone(), rids))
     }
 }
@@ -224,8 +229,9 @@ fn encode_block(rids: &[Rid], buf: &mut [u8]) -> usize {
         if let Some(h) = buf.get_mut(4..8) {
             h.copy_from_slice(&first.to_le_bytes());
         }
-        // LSB-first bit packing. `width <= 33` and the accumulator is
-        // drained below 8 bits each step, so `acc` never overflows.
+        // LSB-first bit packing, flushed 32 bits per store. Fewer than 32
+        // bits are pending before each value and `width <= 33`, so `acc`
+        // holds at most 64 bits and never overflows.
         let mut acc = 0u64;
         let mut nbits = 0u32;
         let mut at = 8usize;
@@ -234,22 +240,22 @@ fn encode_block(rids: &[Rid], buf: &mut [u8]) -> usize {
             acc |= zigzag(rid as i64 - prev) << nbits;
             nbits += width;
             prev = rid as i64;
-            while nbits >= 8 {
-                if let Some(slot) = buf.get_mut(at) {
-                    *slot = acc as u8;
+            while nbits >= 32 {
+                if let Some(word) = buf.get_mut(at..at + 4) {
+                    word.copy_from_slice(&(acc as u32).to_le_bytes());
                 }
-                at += 1;
-                acc >>= 8;
-                nbits -= 8;
+                at += 4;
+                acc >>= 32;
+                nbits -= 32;
             }
         }
-        if nbits > 0 {
-            if let Some(slot) = buf.get_mut(at) {
-                *slot = acc as u8;
-            }
-            at += 1;
+        // The pending bits, fewer than 32, end the block in whole bytes.
+        let tail = nbits.div_ceil(8) as usize;
+        let word = (acc as u32).to_le_bytes();
+        if let (Some(dst), Some(src)) = (buf.get_mut(at..at + tail), word.get(..tail)) {
+            dst.copy_from_slice(src);
         }
-        at
+        at + tail
     } else {
         if let Some(h) = buf.get_mut(..4) {
             h.copy_from_slice(&[TAG_RAW, 0, count as u8, (count >> 8) as u8]);
@@ -265,21 +271,28 @@ fn encode_block(rids: &[Rid], buf: &mut [u8]) -> usize {
     }
 }
 
-/// Decodes one block page into `out` (cleared first).
-fn decode_block(page: &[u8], out: &mut Vec<Rid>) -> Result<(), PagerError> {
+/// A malformed block: typed [`std::io::ErrorKind::InvalidData`], never a
+/// panic or a silently short trace.
+fn invalid_data(what: String) -> PagerError {
+    PagerError::io(
+        "decode compressed lineage block",
+        &std::io::Error::new(std::io::ErrorKind::InvalidData, what),
+    )
+}
+
+/// Decodes one block page, which must hold exactly `expected` rids, into
+/// `out` (cleared first).
+fn decode_block(page: &[u8], expected: usize, out: &mut Vec<Rid>) -> Result<(), PagerError> {
     out.clear();
-    let corrupt = || {
-        PagerError::io(
-            "decode compressed lineage block",
-            &std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed block header"),
-        )
-    };
+    let corrupt = || invalid_data("malformed block header".to_string());
     let [tag, width, count_lo, count_hi] = *page.get(..4).ok_or_else(corrupt)? else {
         return Err(corrupt());
     };
     let count = u16::from_le_bytes([count_lo, count_hi]) as usize;
-    if count > EDGES_PER_BLOCK {
-        return Err(corrupt());
+    if count != expected {
+        return Err(invalid_data(format!(
+            "block holds {count} rids, the offsets place {expected} in it"
+        )));
     }
     let payload = page.get(4..).ok_or_else(corrupt)?;
     match tag {
@@ -336,6 +349,7 @@ fn decode_block(page: &[u8], out: &mut Vec<Rid>) -> Result<(), PagerError> {
 mod tests {
     use super::*;
     use crate::csr::CsrBuilder;
+    use proptest::prelude::*;
     use smoke_pager::{ReplacementPolicy, SegmentStore};
 
     fn pool(budget: usize) -> Arc<BufferPool> {
@@ -432,6 +446,162 @@ mod tests {
         let comp = CompressedCsrIndex::spill(&one, &p).unwrap();
         assert_eq!(comp.lookup(0).unwrap(), vec![42]);
         assert_eq!(comp.blocks_touched(0), 1);
+    }
+
+    /// The byte-at-a-time encoder [`encode_block`] replaced, kept verbatim
+    /// as the reference its bytes must match.
+    fn encode_block_bytewise(rids: &[Rid], buf: &mut [u8]) -> usize {
+        let count = rids.len() as u16;
+        let raw_len = 4 + rids.len() * 4;
+        let (first, rest) = match rids.split_first() {
+            Some((&first, rest)) => (first, rest),
+            None => (0, rids),
+        };
+        let mut width = 0u32;
+        let mut prev = first as i64;
+        for &rid in rest {
+            let zz = zigzag(rid as i64 - prev);
+            width = width.max(64 - zz.leading_zeros());
+            prev = rid as i64;
+        }
+        let packed_len = 8 + (rest.len() * width as usize).div_ceil(8);
+        if !rids.is_empty() && packed_len < raw_len {
+            buf[..4].copy_from_slice(&[TAG_PACKED, width as u8, count as u8, (count >> 8) as u8]);
+            buf[4..8].copy_from_slice(&first.to_le_bytes());
+            let mut acc = 0u64;
+            let mut nbits = 0u32;
+            let mut at = 8usize;
+            let mut prev = first as i64;
+            for &rid in rest {
+                acc |= zigzag(rid as i64 - prev) << nbits;
+                nbits += width;
+                prev = rid as i64;
+                while nbits >= 8 {
+                    buf[at] = acc as u8;
+                    at += 1;
+                    acc >>= 8;
+                    nbits -= 8;
+                }
+            }
+            if nbits > 0 {
+                buf[at] = acc as u8;
+                at += 1;
+            }
+            at
+        } else {
+            buf[..4].copy_from_slice(&[TAG_RAW, 0, count as u8, (count >> 8) as u8]);
+            let mut at = 4usize;
+            for &rid in rids {
+                buf[at..at + 4].copy_from_slice(&rid.to_le_bytes());
+                at += 4;
+            }
+            at
+        }
+    }
+
+    /// `len` rids shaped by `shape`: a walk whose zigzag deltas are at most
+    /// `width` bits wide (reflected at the `u32` bounds), or one of the
+    /// extreme patterns.
+    fn block_rids(len: usize, width: u32, shape: u8, start: u32, mut seed: u64) -> Vec<Rid> {
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        match shape {
+            0 => {
+                let mut rid = start as i64;
+                (0..len)
+                    .map(|i| {
+                        if i > 0 && width > 0 {
+                            let zz = next() & ((1u64 << width) - 1);
+                            let delta = unzigzag(zz);
+                            rid = match rid + delta {
+                                r if (0..=u32::MAX as i64).contains(&r) => r,
+                                _ => (rid - delta).clamp(0, u32::MAX as i64),
+                            };
+                        }
+                        rid as Rid
+                    })
+                    .collect()
+            }
+            1 => (0..len)
+                .map(|i| if i % 2 == 0 { 0 } else { u32::MAX })
+                .collect(),
+            2 => vec![u32::MAX; len],
+            _ => (0..len).map(|i| u32::MAX - i as u32).collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The word-at-a-time encoder writes the same bytes, and nothing past
+        /// them, as the byte-at-a-time one: for every block length, every
+        /// delta width up to 33 bits, the raw fallback and the `u32`
+        /// extremes.
+        #[test]
+        fn encoder_is_byte_identical(
+            len in 1usize..EDGES_PER_BLOCK + 1,
+            width in 0u32..34,
+            shape in 0u8..5,
+            start in 0u32..u32::MAX,
+            seed in 1u64..u64::MAX,
+        ) {
+            let rids = block_rids(len, width, shape.min(3), start, seed);
+            let (mut want, mut got) = (vec![0xA5u8; PAGE_SIZE], vec![0xA5u8; PAGE_SIZE]);
+            let used = encode_block_bytewise(&rids, &mut want);
+            prop_assert_eq!(encode_block(&rids, &mut got), used);
+            prop_assert!(want == got, "len {len} width {width} shape {shape}");
+            let mut back = Vec::new();
+            decode_block(&got, len, &mut back).unwrap();
+            prop_assert_eq!(back, rids);
+        }
+    }
+
+    #[test]
+    fn encoder_covers_every_width_and_the_raw_fallback() {
+        // Full blocks at each width: 32 and 33 bits do not beat raw.
+        for width in 0..34 {
+            let rids = block_rids(EDGES_PER_BLOCK, width, 0, 1 << 31, 0x9E37_79B9);
+            let (mut want, mut got) = (vec![0u8; PAGE_SIZE], vec![0u8; PAGE_SIZE]);
+            let used = encode_block_bytewise(&rids, &mut want);
+            assert_eq!(encode_block(&rids, &mut got), used, "width {width}");
+            assert_eq!(want, got, "width {width}");
+            let tag = if width >= 32 { TAG_RAW } else { TAG_PACKED };
+            assert_eq!(got[0], tag, "width {width}");
+        }
+    }
+
+    /// One entry of 3,000 ascending rids: blocks of 1024, 1024 and 952.
+    fn three_block_index(p: &Arc<BufferPool>) -> (CsrRidIndex, CompressedCsrIndex) {
+        let csr = skewed_csr(1, 3000);
+        let comp = CompressedCsrIndex::spill(&csr, p).unwrap();
+        assert_eq!(comp.pages(), 3);
+        (csr, comp)
+    }
+
+    #[test]
+    fn a_corrupt_block_count_is_an_error_not_a_short_trace() {
+        // A block that claims fewer rids than the offsets place in it (block
+        // 1: 10 of 1024), or more (block 2: 1000 of 952), must fail both the
+        // entry lookup and the full read-back.
+        for (block, count) in [(1u32, 10u16), (2, 1000)] {
+            let p = pool(4);
+            let (csr, comp) = three_block_index(&p);
+            assert_eq!(comp.lookup(0).unwrap(), csr.get(0));
+            p.with_page_mut(PageId(comp.first_page.0 + block), |page| {
+                page[2..4].copy_from_slice(&count.to_le_bytes());
+            })
+            .unwrap();
+            for got in [comp.lookup(0).map(drop), comp.materialize().map(drop)] {
+                let Err(PagerError::Io { cause, .. }) = got else {
+                    panic!("block {block} with count {count}: {got:?}");
+                };
+                assert!(cause.contains(&format!("holds {count} rids")), "{cause}");
+            }
+        }
     }
 
     #[test]

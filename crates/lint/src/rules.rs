@@ -40,10 +40,15 @@ fn violation(rule: &'static str, path: &str, tok: &Token, message: String) -> Vi
 /// their kernel compiler and the lazy rewrites), which compiles and runs
 /// predicates decoded off the wire, plus the lineage planner and the §4.2
 /// artifact probes it runs on every request (the partitioned index and the
-/// cube).
+/// cube), plus everything that decodes page bytes — paged columns, compressed
+/// lineage blocks and the paged drivers over them — because a page read back
+/// from a segment store is untrusted input too.
 fn on_request_path(path: &str) -> bool {
     path.starts_with("crates/server/src/")
         || path.starts_with("crates/pager/src/")
+        || path == "crates/storage/src/paged.rs"
+        || path == "crates/lineage/src/compressed.rs"
+        || path == "crates/core/src/paged/mod.rs"
         || path == "crates/core/src/paged/grace.rs"
         || path == "crates/core/src/kernels.rs"
         || path == "crates/core/src/expr.rs"

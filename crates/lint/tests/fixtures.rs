@@ -171,6 +171,30 @@ fn no_panic_rule_covers_the_grace_join_path() {
 }
 
 #[test]
+fn no_panic_rule_covers_paged_bytes() {
+    // Page bytes read back from a segment store are untrusted: paged column
+    // decode, compressed lineage blocks and the paged drivers are in scope.
+    let src = fixture("no_panic", "fires");
+    for path in [
+        "crates/storage/src/paged.rs",
+        "crates/lineage/src/compressed.rs",
+        "crates/core/src/paged/mod.rs",
+    ] {
+        let r = check_source(path, &src);
+        assert_eq!(r.violations.len(), 3, "{path}: {:#?}", r.violations);
+    }
+    // A page decoded through `as_chunks` and `get` passes with no pragma.
+    assert_clean(
+        "crates/storage/src/paged.rs",
+        &fixture("no_panic", "page_decode_clean"),
+    );
+    // ...but not the rest of the storage and lineage crates.
+    for path in ["crates/storage/src/column.rs", "crates/lineage/src/csr.rs"] {
+        assert!(check_source(path, &src).violations.is_empty(), "{path}");
+    }
+}
+
+#[test]
 fn no_panic_rule_covers_the_predicate_evaluator() {
     let src = fixture("no_panic", "fires");
     for path in [

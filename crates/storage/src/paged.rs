@@ -10,10 +10,11 @@
 //! instead of silently staying resident.
 //!
 //! Execution over a paged relation is *chunked*: operators materialize
-//! page-aligned row ranges ([`PagedRelation::chunk`]) into transient
-//! in-memory [`Relation`]s and run the existing vectorized `*_range`
-//! kernels over them. A chunk materialization pins at most one page at a
-//! time per column, so any pool budget — including a single page — can
+//! page-aligned row ranges of just the columns they read
+//! ([`PagedRelation::chunk_of`]) into transient in-memory [`Relation`]s and
+//! run the existing vectorized `*_range` kernels over them; the pages of
+//! the other columns stay on disk. A chunk materialization pins at most one
+//! page at a time, so any pool budget — including a single page — can
 //! execute any query; smaller budgets just evict harder. Trace-time row
 //! fetches use [`PagedRelation::gather`], which pins only the pages the
 //! requested rids actually touch — this is what makes partition pruning
@@ -253,18 +254,41 @@ impl PagedRelation {
     pub fn prefetch_rids(&self, _rids: &[Rid]) {}
 
     /// Materializes rows `[start, end)` of every column as a transient
-    /// in-memory [`Relation`] (named like the source so column lookups and
-    /// key extraction behave identically). Pins at most one page at a time.
+    /// in-memory [`Relation`]: [`PagedRelation::chunk_of`] over all columns.
     pub fn chunk(&self, start: usize, end: usize) -> Result<Relation> {
-        let columns: Result<Vec<Column>> = (0..self.slots.len())
-            .map(|c| self.decode_range(c, start, end))
-            .collect();
-        Relation::from_columns(self.name.clone(), self.schema.clone(), columns?)
+        let all: Vec<usize> = (0..self.slots.len()).collect();
+        self.chunk_of(start, end, &all)
     }
 
-    /// Materializes rows `[start, end)` of one column. For paged columns
-    /// this pins each covering page once; resident columns are sliced.
-    pub fn decode_range(&self, col: usize, start: usize, end: usize) -> Result<Column> {
+    /// Materializes rows `[start, end)` of the columns `cols` only, in that
+    /// order, as a transient in-memory [`Relation`] under the projected
+    /// schema. It is named like the source, so column lookups and key
+    /// extraction behave as on the whole relation, and it pins at most one
+    /// page at a time. The pages of every other column are never read.
+    ///
+    /// A chunk of no columns has no rows, whatever `[start, end)` says.
+    pub fn chunk_of(&self, start: usize, end: usize, cols: &[usize]) -> Result<Relation> {
+        let fields = self.schema.fields();
+        let names = cols
+            .iter()
+            .map(|&c| match fields.get(c) {
+                Some(field) => Ok(field.name.as_str()),
+                None => Err(StorageError::UnknownColumn {
+                    column: format!("#{c}"),
+                    relation: self.name.clone(),
+                }),
+            })
+            .collect::<Result<Vec<&str>>>()?;
+        let columns = cols
+            .iter()
+            .map(|&c| self.decode_range(c, start, end))
+            .collect::<Result<Vec<Column>>>()?;
+        Relation::from_columns(self.name.clone(), self.schema.project(&names)?, columns)
+    }
+
+    /// Materializes rows `[start, end)` of one column, pinning each covering
+    /// page once.
+    fn decode_range(&self, col: usize, start: usize, end: usize) -> Result<Column> {
         let end = end.min(self.len);
         let start = start.min(end);
         let slot = self
@@ -279,15 +303,15 @@ impl PagedRelation {
             PagedSlot::Fixed { first_page } => match dtype {
                 DataType::Int => {
                     let mut out: Vec<i64> = Vec::with_capacity(end - start);
-                    self.scan_fixed(*first_page, start, end, |bytes| {
-                        out.push(i64::from_le_bytes(bytes));
+                    self.scan_fixed(*first_page, start, end, |words| {
+                        out.extend(words.iter().map(|w| i64::from_le_bytes(*w)));
                     })?;
                     Ok(Column::Int(out))
                 }
                 DataType::Float => {
                     let mut out: Vec<f64> = Vec::with_capacity(end - start);
-                    self.scan_fixed(*first_page, start, end, |bytes| {
-                        out.push(f64::from_le_bytes(bytes));
+                    self.scan_fixed(*first_page, start, end, |words| {
+                        out.extend(words.iter().map(|w| f64::from_le_bytes(*w)));
                     })?;
                     Ok(Column::Float(out))
                 }
@@ -306,8 +330,8 @@ impl PagedRelation {
                 }
                 // Rows [start, end) need offsets [start, end] inclusive.
                 let mut offs: Vec<u64> = Vec::with_capacity(end - start + 1);
-                self.scan_fixed(*offsets_first_page, start, end + 1, |bytes| {
-                    offs.push(u64::from_le_bytes(bytes));
+                self.scan_fixed(*offsets_first_page, start, end + 1, |words| {
+                    offs.extend(words.iter().map(|w| u64::from_le_bytes(*w)));
                 })?;
                 self.decode_strings(*bytes_first_page, &offs)
             }
@@ -320,18 +344,25 @@ impl PagedRelation {
         let (Some(&lo), Some(&hi)) = (offs.first(), offs.last()) else {
             return Ok(Column::Str(Vec::new()));
         };
-        if hi < lo {
-            return Err(StorageError::Pager(format!(
-                "corrupt string offsets in `{}`: {hi} < {lo}",
+        let corrupt = |a: u64, b: u64| {
+            StorageError::Pager(format!(
+                "corrupt string offsets in `{}`: {a}..{b}",
                 self.name
-            )));
+            ))
+        };
+        if hi < lo {
+            return Err(corrupt(lo, hi));
         }
         let mut bytes = vec![0u8; (hi - lo) as usize];
         self.read_bytes_range(bytes_first_page, lo, &mut bytes)?;
         let mut out: Vec<String> = Vec::with_capacity(offs.len().saturating_sub(1));
-        for w in offs.windows(2) {
-            let (a, b) = ((w[0] - lo) as usize, (w[1] - lo) as usize);
-            let s = std::str::from_utf8(&bytes[a..b]).map_err(|e| {
+        for (&a, &b) in offs.iter().zip(offs.iter().skip(1)) {
+            // Offsets are read back from pages, so a non-ascending pair (or
+            // one outside `[lo, hi]`) is corrupt data, not a slicing panic.
+            let payload = (a.checked_sub(lo).zip(b.checked_sub(lo)))
+                .and_then(|(a, b)| bytes.get(a as usize..b as usize))
+                .ok_or_else(|| corrupt(a, b))?;
+            let s = std::str::from_utf8(payload).map_err(|e| {
                 StorageError::Pager(format!(
                     "invalid UTF-8 in paged string column of `{}`: {e}",
                     self.name
@@ -360,24 +391,28 @@ impl PagedRelation {
     }
 
     /// Streams the 8-byte values of rows `[start, end)` from the page run
-    /// starting at `first_page`, pinning each covering page exactly once.
+    /// starting at `first_page`, pinning each covering page exactly once:
+    /// `emit` sees each page's share of the rows as one slice of words.
     fn scan_fixed(
         &self,
         first_page: PageId,
         start: usize,
         end: usize,
-        mut emit: impl FnMut([u8; 8]),
+        mut emit: impl FnMut(&[[u8; 8]]),
     ) -> Result<()> {
         let mut rid = start;
         while rid < end {
             let page_no = rid / ROWS_PER_PAGE;
             let page_end = ((page_no + 1) * ROWS_PER_PAGE).min(end);
             let guard = self.pool.pin(PageId(first_page.0 + page_no as u32))?;
-            let lo = (rid % ROWS_PER_PAGE) * 8;
-            let hi = lo + (page_end - rid) * 8;
-            for bytes in guard[lo..hi].chunks_exact(8) {
-                emit(bytes.try_into().expect("chunks_exact yields 8-byte slices"));
-            }
+            let (words, _) = guard.as_chunks::<8>();
+            let rows = (rid % ROWS_PER_PAGE)..(page_end - page_no * ROWS_PER_PAGE);
+            emit(words.get(rows).ok_or_else(|| {
+                StorageError::Pager(format!(
+                    "rows {rid}..{page_end} of `{}` overrun a page",
+                    self.name
+                ))
+            })?);
             rid = page_end;
         }
         Ok(())
@@ -449,7 +484,7 @@ impl PagedRelation {
                 let b = self.read_offset(offsets_first_page, &mut current, rid + 1)?;
                 if b < a {
                     return Err(StorageError::Pager(format!(
-                        "corrupt string offsets in `{}`: {b} < {a}",
+                        "corrupt string offsets in `{}`: {a}..{b}",
                         self.name
                     )));
                 }
@@ -489,12 +524,14 @@ impl PagedRelation {
         let Some((_, guard)) = current else {
             return Err(StorageError::Pager("offset page pin lost".into()));
         };
-        let lo = (idx % ROWS_PER_PAGE) * 8;
-        Ok(u64::from_le_bytes(
-            guard[lo..lo + 8]
-                .try_into()
-                .expect("8-byte slice within a page"),
-        ))
+        let (words, _) = guard.as_chunks::<8>();
+        match words.get(idx % ROWS_PER_PAGE) {
+            Some(word) => Ok(u64::from_le_bytes(*word)),
+            None => Err(StorageError::Pager(format!(
+                "offset #{idx} of `{}` overruns a page",
+                self.name
+            ))),
+        }
     }
 
     /// Fetches the 8-byte value of each rid in `rids`, keeping the current
@@ -798,6 +835,53 @@ mod tests {
         assert_eq!(chunk.value(50, 2), Value::Str("tag0".into()));
         // End is clamped to the relation length.
         assert_eq!(paged.chunk(2400, 9999).unwrap().len(), 100);
+    }
+
+    #[test]
+    fn chunk_of_reads_only_the_named_columns() {
+        let rel = sample(2500);
+        let pool = test_pool(16);
+        let paged = PagedRelation::spill(&rel, &pool).unwrap();
+        pool.reset_stats();
+        // `tag` then `id`: the projection keeps the requested order, the
+        // source's name, and decodes 3 offsets + 2 payload + 3 id pages.
+        let chunk = paged.chunk_of(0, 2500, &[2, 0]).unwrap();
+        assert_eq!(pool.stats().disk_reads, 8);
+        assert_eq!(chunk.name(), "t");
+        assert_eq!(chunk.schema().names(), ["tag", "id"]);
+        assert_eq!(chunk.len(), 2500);
+        assert_eq!(chunk.value(1999, 0), Value::Str("tag1".into()));
+        assert_eq!(chunk.value(1999, 1), Value::Int(1999));
+        // No columns, no rows; an unknown column is a typed error.
+        assert_eq!(paged.chunk_of(0, 2500, &[]).unwrap().len(), 0);
+        assert!(matches!(
+            paged.chunk_of(0, 10, &[3]),
+            Err(StorageError::UnknownColumn { .. })
+        ));
+        assert_eq!(paged.chunk(0, 2500).unwrap(), rel);
+    }
+
+    #[test]
+    fn corrupt_string_offsets_are_a_typed_error() {
+        let rel = sample(10);
+        let pool = test_pool(2);
+        let paged = PagedRelation::spill(&rel, &pool).unwrap();
+        let PagedSlot::Var {
+            offsets_first_page, ..
+        } = paged.slots[2]
+        else {
+            panic!("`tag` spills as a string run");
+        };
+        // Row 4's end offset below its start: decoding must not slice
+        // backwards.
+        pool.with_page_mut(offsets_first_page, |page| {
+            page[5 * 8..6 * 8].copy_from_slice(&1u64.to_le_bytes());
+        })
+        .unwrap();
+        assert!(matches!(
+            paged.chunk(0, 10),
+            Err(StorageError::Pager(msg)) if msg.contains("corrupt string offsets")
+        ));
     }
 
     #[test]
