@@ -8,9 +8,9 @@
 //!
 //! Rather than materializing the intermediate base rid set on every
 //! interaction, [`LinkedViews::build`] composes `V1`'s backward index with
-//! `V2`'s forward index once (through `compose_backward`'s CSR fast path when
-//! the backward side finalizes to CSR) and serves each brush as a **single**
-//! trace of the composed index via the lineage planner.
+//! `V2`'s forward index once (a 1-to-N side composes into CSR through
+//! `compose_backward`'s count-then-fill kernel) and serves each brush as a
+//! **single** trace of the composed index via the lineage planner.
 
 use smoke_core::{CaptureMode, EngineError, Executor, LogicalPlan, QueryOutput, Result};
 use smoke_lineage::{compose_backward, LineageIndex};
@@ -104,12 +104,11 @@ impl LinkedViews {
 }
 
 /// Composes `src`'s backward index with `dst`'s forward index into a direct
-/// `src mark → dst marks` index. The backward side is finalized to CSR first
-/// so 1-to-N sources take the CSR count-then-fill composition fast path.
+/// `src mark → dst marks` index.
 fn compose_views(src: &QueryOutput, dst: &QueryOutput, table: &str) -> Option<LineageIndex> {
     let backward = src.lineage.table(table)?.backward.as_ref()?;
     let forward = dst.lineage.table(table)?.forward.as_ref()?;
-    Some(compose_backward(&backward.finalized(), forward))
+    Some(compose_backward(backward, forward))
 }
 
 /// One planner-served trace of a composed cross-view index.

@@ -8,10 +8,12 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::mem::take;
 use std::time::Instant;
 
 use smoke_lineage::{
-    compose_backward, compose_forward, CaptureStats, InputLineage, LineageIndex, QueryLineage,
+    compose_backward, compose_forward, CaptureStats, InputLineage, LineageIndex, OperatorLineage,
+    QueryLineage,
 };
 use smoke_storage::{Database, Relation, Rid, Value};
 
@@ -170,8 +172,8 @@ impl Executor {
                     capture,
                     directions: self.directions_for_side(&tables),
                 };
-                let out = select(child.relation.as_ref(), predicate, &opts)?;
-                let per_table = compose_unary(&child.per_table, &out.lineage, capture);
+                let mut out = select(child.relation.as_ref(), predicate, &opts)?;
+                let per_table = compose_unary(&child.per_table, &mut out.lineage, capture);
                 let mut stats = child.stats;
                 stats.merge(&out.stats);
                 Ok(NodeResult {
@@ -210,8 +212,8 @@ impl Executor {
                     hints: self.config.hints.clone(),
                     workload: self.config.workload.clone(),
                 };
-                let out = group_by(child.relation.as_ref(), keys, aggs, &opts)?;
-                let per_table = compose_unary(&child.per_table, &out.lineage, capture);
+                let mut out = group_by(child.relation.as_ref(), keys, aggs, &opts)?;
+                let per_table = compose_unary(&child.per_table, &mut out.lineage, capture);
 
                 // Remap the partitioned index (whose rids refer to this
                 // operator's *input*) to base rids when the input is not a
@@ -259,7 +261,7 @@ impl Executor {
                     hints: self.config.hints.clone(),
                     materialize_output: true,
                 };
-                let out = hash_join(
+                let mut out = hash_join(
                     left_node.relation.as_ref(),
                     right_node.relation.as_ref(),
                     left_keys,
@@ -269,8 +271,9 @@ impl Executor {
 
                 let mut per_table = BTreeMap::new();
                 if capture {
-                    compose_side(&mut per_table, &left_node.per_table, out.lineage.input(0));
-                    compose_side(&mut per_table, &right_node.per_table, out.lineage.input(1));
+                    let [left_op, right_op] = [0, 1].map(|at| take(out.lineage.input_mut(at)));
+                    compose_side(&mut per_table, &left_node.per_table, left_op);
+                    compose_side(&mut per_table, &right_node.per_table, right_op);
                 }
                 let mut stats = left_node.stats;
                 stats.merge(&right_node.stats);
@@ -292,38 +295,72 @@ impl Executor {
 }
 
 /// Composes the per-base-table lineage of a unary operator's child with the
-/// operator's own lineage (input 0).
+/// operator's own lineage (input 0), which moves out of `op`.
 fn compose_unary(
     child: &BTreeMap<String, InputLineage>,
-    op: &smoke_lineage::OperatorLineage,
+    op: &mut OperatorLineage,
     capture: bool,
 ) -> BTreeMap<String, InputLineage> {
     let mut out = BTreeMap::new();
     if !capture || op.is_none() {
         return out;
     }
-    compose_side(&mut out, child, op.input(0));
+    compose_side(&mut out, child, take(op.input_mut(0)));
     out
 }
 
 /// Composes one side of an operator: for every base table reachable through
 /// the child, chain the child's indexes with the operator's indexes.
+///
+/// A child that is the operator's own input scan (through any projections)
+/// maps one table by `Identity(n)` over exactly the `n` rows the operator
+/// read: there the operator's index is the composition, and it moves in
+/// rather than being copied through [`compose_backward`]'s identity rules.
 fn compose_side(
     out: &mut BTreeMap<String, InputLineage>,
     child: &BTreeMap<String, InputLineage>,
-    op: &InputLineage,
+    op: InputLineage,
 ) {
-    for (table, lin) in child {
-        let backward = match (&op.backward, &lin.backward) {
-            (Some(parent), Some(child_idx)) => Some(compose_backward(parent, child_idx)),
-            _ => None,
+    if let (1, Some((table, lin))) = (child.len(), child.iter().next()) {
+        let backward = match (op.backward, &lin.backward) {
+            (Some(parent), Some(LineageIndex::Identity(n))) => {
+                debug_assert!(
+                    (0..parent.len() as Rid).all(|o| {
+                        let mut inside = true;
+                        parent.for_each(o, |r| inside &= (r as usize) < *n);
+                        inside
+                    }),
+                    "an operator's backward lineage points past its input scan"
+                );
+                Some(parent)
+            }
+            (parent, child_idx) => compose(parent.as_ref(), child_idx.as_ref(), compose_backward),
         };
-        let forward = match (&lin.forward, &op.forward) {
-            (Some(child_idx), Some(parent)) => Some(compose_forward(child_idx, parent)),
-            _ => None,
+        let forward = match (&lin.forward, op.forward) {
+            (Some(LineageIndex::Identity(n)), Some(parent)) if parent.len() == *n => Some(parent),
+            (child_idx, parent) => compose(child_idx.as_ref(), parent.as_ref(), compose_forward),
         };
         out.insert(table.clone(), InputLineage { backward, forward });
+        return;
     }
+    for (table, lin) in child {
+        let backward = compose(
+            op.backward.as_ref(),
+            lin.backward.as_ref(),
+            compose_backward,
+        );
+        let forward = compose(lin.forward.as_ref(), op.forward.as_ref(), compose_forward);
+        out.insert(table.clone(), InputLineage { backward, forward });
+    }
+}
+
+/// `how(first, second)` when both directions were captured.
+fn compose(
+    first: Option<&LineageIndex>,
+    second: Option<&LineageIndex>,
+    how: fn(&LineageIndex, &LineageIndex) -> LineageIndex,
+) -> Option<LineageIndex> {
+    Some(how(first?, second?))
 }
 
 /// Convenience: executes a plan without capturing lineage and returns only the

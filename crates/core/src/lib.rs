@@ -53,6 +53,7 @@ mod error;
 pub mod exec;
 pub mod expr;
 pub mod failpoint;
+mod hash;
 pub mod instrument;
 pub mod kernels;
 pub mod key;

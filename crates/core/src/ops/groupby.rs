@@ -12,7 +12,10 @@
 //! * **Defer** stores only an output id per group during execution and builds
 //!   the indexes in a separate pass that re-probes the (pinned) hash table;
 //!   because group cardinalities are known by then, the indexes are allocated
-//!   exactly and never resized.
+//!   exactly and never resized. The re-probe matches the table's key mode
+//!   once per ingest and runs one tight loop per mode; a key the first pass
+//!   never saw (an input that changed between the passes) is a typed
+//!   [`EngineError`], not a panic.
 //! * Cardinality hints (`Smoke-I+TC`) pre-allocate `i_rids` and eliminate the
 //!   resize costs that otherwise dominate capture overhead.
 //!
@@ -29,6 +32,13 @@
 //! lineage-consuming query (§2.1, [`crate::query`]) is the operator too,
 //! uninstrumented, ingesting the traced rids instead of a range: one γht
 //! and one aggregate fold in all.
+//!
+//! Every hashed table here — the hashed key modes of γht, the finer cores'
+//! cell tables, and the gid maps of the morsel merge and the artifacts — is
+//! keyed by base-data values and hashes with the crate's fixed
+//! folded-multiply hasher (`hash.rs`); a dense integer domain hashes
+//! nothing. [`true_cardinalities`] builds the public
+//! [`CardinalityHints::per_key`] map and keeps std's seeded hasher.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -46,6 +56,7 @@ use smoke_storage::{Column, DataType, Field, Morsel, Relation, Rid, Schema, Sele
 use crate::agg::{AggExpr, AggFunc, AggState};
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
+use crate::hash::FoldMap;
 use crate::instrument::{
     AggPushdown, CaptureMode, CardinalityHints, DirectionFilter, WorkloadOptions,
 };
@@ -193,9 +204,9 @@ enum Probe {
 /// back to the generic [`HashKey`] path.
 enum GroupTable {
     DenseInt { min: i64, slots: Vec<u32> },
-    HashInt(HashMap<i64, u32>),
-    HashPair(HashMap<(i64, i64), u32>),
-    Generic(HashMap<HashKey, u32>),
+    HashInt(FoldMap<i64, u32>),
+    HashPair(FoldMap<(i64, i64), u32>),
+    Generic(FoldMap<HashKey, u32>),
 }
 
 impl GroupTable {
@@ -205,8 +216,8 @@ impl GroupTable {
                 min: 0,
                 slots: Vec::new(),
             },
-            [Column::Int(_), Column::Int(_)] => GroupTable::HashPair(HashMap::new()),
-            _ => GroupTable::Generic(HashMap::new()),
+            [Column::Int(_), Column::Int(_)] => GroupTable::HashPair(FoldMap::default()),
+            _ => GroupTable::Generic(FoldMap::default()),
         }
     }
 
@@ -267,15 +278,15 @@ enum KeyMode<'a> {
     },
     HashInt {
         keys: &'a [i64],
-        ht: &'a mut HashMap<i64, u32>,
+        ht: &'a mut FoldMap<i64, u32>,
     },
     HashPair {
         a: &'a [i64],
         b: &'a [i64],
-        ht: &'a mut HashMap<(i64, i64), u32>,
+        ht: &'a mut FoldMap<(i64, i64), u32>,
     },
     Generic {
-        ht: &'a mut HashMap<HashKey, u32>,
+        ht: &'a mut FoldMap<HashKey, u32>,
     },
 }
 
@@ -319,14 +330,46 @@ impl KeyMode<'_> {
             KeyMode::Generic { ht } => drop(ht.insert(key.clone(), gid)),
         }
     }
+}
 
-    /// The (existing) group of row `i`, used by the Defer re-probe pass.
+/// Where the Defer re-probe writes: the exactly-sized backward CSR and the
+/// forward array, either of which may be pruned.
+struct DeferSink<'a> {
+    backward: Option<&'a mut CsrBuilder>,
+    forward: Option<&'a mut RidArray>,
+    /// Global rid of `forward[0]`.
+    base: usize,
+    rid_offset: usize,
+}
+
+impl DeferSink<'_> {
+    /// Appends every row of `range` that passes the push-down `mask` (over
+    /// the range, from its first row) to the group `gid_of` finds for it.
     #[inline]
-    fn lookup(&self, i: usize, extractor: &KeyExtractor) -> u32 {
-        match self.probe(i, extractor) {
-            Probe::Hit(gid) => gid,
-            Probe::Miss(_) => unreachable!("defer pass re-probes only known keys"),
+    fn run(
+        &mut self,
+        range: Range<usize>,
+        mask: Option<(&SelectionMask, usize)>,
+        gid_of: impl Fn(usize) -> Option<u32>,
+    ) -> Result<()> {
+        for i in range {
+            if mask.is_some_and(|(m, first)| !m.get(i - first)) {
+                continue;
+            }
+            let Some(gid) = gid_of(i) else {
+                return Err(EngineError::InvalidPlan(format!(
+                    "the Defer re-probe met a key at row {i} that the first pass never saw"
+                )));
+            };
+            let rid = self.rid_offset + i;
+            if let Some(b) = self.backward.as_deref_mut() {
+                b.append(gid as usize, rid as Rid);
+            }
+            if let Some(f) = self.forward.as_deref_mut() {
+                f.set(rid - self.base, gid);
+            }
         }
+        Ok(())
     }
 }
 
@@ -345,9 +388,9 @@ enum CellTable {
         slots: Vec<u32>,
     },
     /// A single `Int` attribute past the dense cap.
-    HashInt(HashMap<(u32, i64), u32>),
+    HashInt(FoldMap<(u32, i64), u32>),
     /// Any other attribute shape (`Float`, `Str`, several attributes).
-    Generic(HashMap<(u32, HashKey), u32>),
+    Generic(FoldMap<(u32, HashKey), u32>),
 }
 
 /// A finer core's attribute columns, bound to one ingest.
@@ -364,7 +407,7 @@ impl CellTable {
                 width: 0,
                 slots: Vec::new(),
             },
-            _ => CellTable::Generic(HashMap::new()),
+            _ => CellTable::Generic(FoldMap::default()),
         }
     }
 
@@ -958,7 +1001,11 @@ impl<'o> GroupByCore<'o> {
     }
 
     /// The Defer pass over rows `range` of `rel`: re-probes the pinned hash
-    /// table and appends each row to its group's exactly-sized entry.
+    /// table and appends each row to its group's exactly-sized entry. The
+    /// key mode is matched once, and each mode runs its own loop: a dense
+    /// slot read, a primitive-key probe or a generic-key probe. A row whose
+    /// key the first pass never saw (its input changed between the passes)
+    /// is a typed error.
     pub(crate) fn ingest_defer(
         &mut self,
         rel: &Relation,
@@ -967,26 +1014,32 @@ impl<'o> GroupByCore<'o> {
     ) -> Result<()> {
         self.begin_defer();
         let extractor = KeyExtractor::new(rel, self.keys)?;
-        let pushdown_mask = self.pushdown_mask(rel, range.clone())?;
+        let mask = self.pushdown_mask(rel, range.clone())?;
         let Some(table) = self.table.as_mut() else {
             return Ok(());
         };
-        let key_mode = table.bind(&extractor);
-        let first = range.start;
-        for i in range {
-            if !pushdown_mask.as_ref().is_none_or(|m| m.get(i - first)) {
-                continue;
+        let mut sink = DeferSink {
+            backward: self.deferred_backward.as_mut(),
+            forward: self.capture_f.then_some(&mut self.forward),
+            base: self.base,
+            rid_offset,
+        };
+        let mask = (mask.as_ref()).map(|m| (m, range.start));
+        match table.bind(&extractor) {
+            KeyMode::DenseInt { keys, min, slots } => sink.run(range, mask, |i| {
+                // Out of the slot range wraps past `slots.len()`: the slots
+                // span at most `dense_cap` keys inside `i64`.
+                let slot = slots.get(keys[i].wrapping_sub(min) as u64 as usize);
+                slot.copied().filter(|&gid| gid != NO_GROUP)
+            }),
+            KeyMode::HashInt { keys, ht } => sink.run(range, mask, |i| ht.get(&keys[i]).copied()),
+            KeyMode::HashPair { a, b, ht } => {
+                sink.run(range, mask, |i| ht.get(&(a[i], b[i])).copied())
             }
-            let gid = key_mode.lookup(i, &extractor);
-            let rid = rid_offset + i;
-            if let Some(b) = self.deferred_backward.as_mut() {
-                b.append(gid as usize, rid as Rid);
-            }
-            if self.capture_f {
-                self.forward.set(rid - self.base, gid);
+            KeyMode::Generic { ht } => {
+                sink.run(range, mask, |i| ht.get(&extractor.key(i)).copied())
             }
         }
-        Ok(())
     }
 
     /// Deterministic merge of per-morsel fragments, in morsel order, into
@@ -1012,7 +1065,7 @@ impl<'o> GroupByCore<'o> {
         if self.capture_f && !self.fuse_f {
             self.forward = RidArray::filled(self.rows);
         }
-        let mut gid_of: HashMap<HashKey, u32> = HashMap::new();
+        let mut gid_of: FoldMap<HashKey, u32> = FoldMap::default();
         let mut maps: Vec<Vec<u32>> = Vec::with_capacity(parts.len());
         let mut csrs: Vec<CsrRidIndex> = Vec::with_capacity(parts.len());
         for part in parts {
@@ -1143,7 +1196,7 @@ impl<'o> GroupByCore<'o> {
             return Ok(out);
         }
         let coarse_keys = self.keys.len();
-        let gid_of: HashMap<Vec<KeyPart>, u32> = (self.groups.iter().enumerate())
+        let gid_of: FoldMap<Vec<KeyPart>, u32> = (self.groups.iter().enumerate())
             .map(|(gid, g)| (g.key.clone().into_parts(), gid as u32))
             .collect();
         for FinerCore {
@@ -1488,5 +1541,81 @@ mod tests {
             &GroupByOptions::inject()
         )
         .is_err());
+    }
+
+    /// A relation with an `Int` column `k<c>` per slice of `ints` and a `Str`
+    /// column `s` of `strs`.
+    fn keyed(ints: &[&[i64]], strs: &[&str]) -> Relation {
+        let mut b = Relation::builder("keyed");
+        for c in 0..ints.len() {
+            b = b.column(format!("k{c}"), DataType::Int);
+        }
+        b = b.column("s", DataType::Str);
+        for (row, s) in strs.iter().enumerate() {
+            let mut values: Vec<Value> = ints.iter().map(|col| Value::Int(col[row])).collect();
+            values.push(Value::Str(s.to_string()));
+            b = b.row(values);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn defer_reprobe_of_an_unseen_key_is_a_typed_error() {
+        let opts = GroupByOptions::defer();
+        let strs = ["a", "b", "a"];
+        let cases: Vec<(&str, Vec<String>, Relation, Relation)> = vec![
+            (
+                "dense, unseen key inside the slot range",
+                vec!["k0".into()],
+                keyed(&[&[1, 2, 4]], &strs),
+                keyed(&[&[1, 3, 4]], &strs),
+            ),
+            (
+                "dense, key past the slot range",
+                vec!["k0".into()],
+                keyed(&[&[1, 2, 4]], &strs),
+                keyed(&[&[1, 2, i64::MAX]], &strs),
+            ),
+            (
+                "dense, key below the slot range",
+                vec!["k0".into()],
+                keyed(&[&[1, 2, 4]], &strs),
+                keyed(&[&[i64::MIN, 2, 4]], &strs),
+            ),
+            (
+                "hashed integer",
+                vec!["k0".into()],
+                keyed(&[&[0, 1 << 40, 0]], &strs),
+                keyed(&[&[0, 1 << 40, 7]], &strs),
+            ),
+            (
+                "integer pair",
+                vec!["k0".into(), "k1".into()],
+                keyed(&[&[1, 2, 1], &[5, 6, 5]], &strs),
+                keyed(&[&[1, 2, 1], &[5, 6, 6]], &strs),
+            ),
+            (
+                "generic",
+                vec!["s".into()],
+                keyed(&[], &strs),
+                keyed(&[], &["a", "b", "c"]),
+            ),
+        ];
+        for (case, keys, first, second) in &cases {
+            let aggs = [AggExpr::count("n")];
+            let mut core = GroupByCore::new(keys, &aggs, &opts, first.len());
+            core.ingest(first, 0..first.len(), 0).unwrap();
+            let replay = core.ingest_defer(second, 0..second.len(), 0);
+            assert!(
+                matches!(replay, Err(EngineError::InvalidPlan(_))),
+                "{case}: {replay:?}"
+            );
+            // The same core re-probes its own input cleanly.
+            let mut core = GroupByCore::new(keys, &aggs, &opts, first.len());
+            core.ingest(first, 0..first.len(), 0).unwrap();
+            core.ingest_defer(first, 0..first.len(), 0).unwrap();
+            let out = core.finish(first, Instant::now()).unwrap();
+            assert_eq!(out.stats.edges, first.len() as u64, "{case}");
+        }
     }
 }

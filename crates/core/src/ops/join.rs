@@ -19,8 +19,15 @@
 //!   single rid, the output cardinality is bounded by the probe side's, and
 //!   the right-side forward index is a plain rid array — backward indexes are
 //!   pre-allocated and Inject/Defer coincide.
+//!
+//! ⋈ht is a std `HashMap` sized for the build side's row count up front and
+//! hashed by the crate's fixed folded-multiply hasher (`hash.rs`): it
+//! is keyed by base-data values, never by request literals, so a fixed
+//! hasher is safe here. The grace join's partition hash
+//! ([`crate::HashKey::hash64`]) is separate and unchanged. A driver picks the
+//! typed key representation once from the key column types; an ingest whose
+//! columns read as another type is a typed [`EngineError`], not a panic.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -31,7 +38,8 @@ use smoke_lineage::{
 use smoke_storage::kernels as sk;
 use smoke_storage::{Column, Relation, Rid, Schema};
 
-use crate::error::Result;
+use crate::error::{EngineError, Result};
+use crate::hash::FoldMap;
 use crate::instrument::{CaptureMode, CardinalityHints, DirectionFilter};
 use crate::key::{HashKey, KeyExtractor, KeyPart};
 use crate::ops::RowSource;
@@ -205,6 +213,18 @@ pub(crate) fn fits<'a, K: JoinKey<'a>>(left: &KeyExtractor<'a>, right: &KeyExtra
     K::view(left).is_some() && K::view(right).is_some()
 }
 
+/// The key columns of one ingest viewed as `K`. A driver picks `K` from the
+/// key column types once, so a later ingest (a chunk, a grace partition)
+/// whose columns read differently is a typed error, not a panic.
+fn view_of<'a, K: JoinKey<'a>>(extractor: &KeyExtractor<'a>) -> Result<K::View> {
+    K::view(extractor).ok_or_else(|| {
+        let types: Vec<_> = extractor.columns().iter().map(|c| c.data_type()).collect();
+        EngineError::InvalidPlan(format!(
+            "join key columns changed type between ingests: now {types:?}"
+        ))
+    })
+}
+
 /// Evaluates to `$run::<K> $args` for the first typed key representation in
 /// the list that fits both sides' key columns, or for generic [`HashKey`]s.
 macro_rules! with_join_key {
@@ -297,17 +317,18 @@ struct BuildEntry {
 /// ⋈ht: the build side of the hash join, written once and fed by its drivers
 /// one ingest at a time.
 pub(crate) struct JoinBuild<K> {
-    ht: HashMap<K, BuildEntry>,
+    ht: FoldMap<K, BuildEntry>,
     /// Whether the build side is unique so far (pk-fk join).
     pub(crate) pk_fk: bool,
     rows: usize,
 }
 
 impl<K> JoinBuild<K> {
-    /// A build table for a left relation of `rows` rows.
+    /// A build table for a left relation of `rows` rows, sized for `rows`
+    /// distinct keys so that it never rehashes.
     pub(crate) fn new(rows: usize) -> Self {
         JoinBuild {
-            ht: HashMap::new(),
+            ht: FoldMap::with_capacity_and_hasher(rows, Default::default()),
             pk_fk: true,
             rows,
         }
@@ -327,7 +348,7 @@ impl<K> JoinBuild<K> {
         K: JoinKey<'a>,
     {
         let extractor = KeyExtractor::new(rel, keys)?;
-        let view = K::view(&extractor).expect("the driver dispatched on these key column types");
+        let view = view_of::<K>(&extractor)?;
         for i in range {
             let slot = self.ht.len() as u32;
             let entry = self
@@ -422,7 +443,7 @@ impl<'o> JoinProbe<'o> {
         rid_of: impl Fn(usize) -> Rid,
     ) -> Result<()> {
         let extractor = KeyExtractor::new(rel, keys)?;
-        let view = K::view(&extractor).expect("the driver dispatched on these key column types");
+        let view = view_of::<K>(&extractor)?;
         let c = self.capture;
         let push_left = self.opts.materialize_output || (c.a_b && !c.defer_left);
         let push_right = self.opts.materialize_output || c.b_b;

@@ -6,6 +6,15 @@
 //! parent's backward index through the child's backward index produces an
 //! index that maps parent output rids directly to rids of the base relation
 //! `R`; the child's indexes can then be garbage collected.
+//!
+//! Two kernels do every composition that is not an `Identity` rule. A 1-to-1
+//! chain (`Array∘Array`) is one gather over the two rid slices. Every other
+//! pair of `Array`, `Index` and `Csr` views both sides as per-position rid
+//! slices and runs one count-then-fill pass: the first pass sums each
+//! position's composed cardinality, the second copies the child's slices
+//! into two exactly-sized CSR buffers. The representation pair is matched
+//! once per call, into one of nine monomorphic instances of that kernel;
+//! no per-edge dispatch, no growing per-position arrays.
 
 use crate::csr::CsrRidIndex;
 use crate::index::LineageIndex;
@@ -20,45 +29,32 @@ use smoke_storage::Rid;
 /// The composed index always covers exactly `parent.len()` positions, and its
 /// targets are always rids the child actually maps — identity indexes are
 /// truncated/filtered to their declared length rather than blindly cloned
-/// through.
+/// through. Per position, rids come out in the parent's order, each mid
+/// expanded in the child's order. `Array∘Array` stays an `Array` (a missing
+/// link is [`NO_RID`]); any other non-identity pair becomes an exactly-sized
+/// `Csr`.
 pub fn compose_backward(parent: &LineageIndex, child: &LineageIndex) -> LineageIndex {
     // Identity parent: the result is the child's mapping over exactly the
     // parent's `n` positions.
-    if let LineageIndex::Identity(n) = parent {
-        return restrict_positions(child, *n);
-    }
+    let parent = match Slices::of(parent) {
+        Ok(slices) => slices,
+        Err(n) => return restrict_positions(child, n),
+    };
     // Identity child: the result is the parent's mapping, minus any target
     // outside the identity's domain `0..n`.
-    if let LineageIndex::Identity(n) = child {
-        return restrict_targets(parent, *n);
-    }
-
+    let child = match Slices::of(child) {
+        Ok(slices) => slices,
+        Err(n) => return restrict_targets(parent, n),
+    };
     match (parent, child) {
-        // 1-to-1 chain stays an array. (Identity children were fully handled
-        // above, so they no longer appear in this match.)
-        (LineageIndex::Array(_), LineageIndex::Array(_)) => {
-            let mut out = RidArray::with_capacity(parent.len());
-            for pos in 0..parent.len() {
-                match parent.single(pos as u32).and_then(|mid| child.single(mid)) {
-                    Some(base) => out.push(base),
-                    None => out.push(NO_RID),
-                }
-            }
-            LineageIndex::Array(out)
+        // 1-to-1 chain stays an array: one gather.
+        (Slices::Array(p), Slices::Array(c)) => {
+            let c = c.as_slice();
+            let gathered =
+                (p.as_slice().iter()).map(|&mid| c.get(mid as usize).copied().unwrap_or(NO_RID));
+            LineageIndex::Array(gathered.collect())
         }
-        // CSR parent: per-position output cardinalities are computable from
-        // the child in a first pass, so the composed index is built directly
-        // in CSR form — two exactly-sized buffers, zero resizes.
-        (LineageIndex::Csr(p), _) => LineageIndex::Csr(compose_csr(p, child)),
-        _ => {
-            let mut out = RidIndex::with_len(parent.len());
-            for pos in 0..parent.len() {
-                parent.for_each(pos as u32, |mid| {
-                    child.for_each(mid, |base| out.append(pos, base));
-                });
-            }
-            LineageIndex::Index(out)
-        }
+        (parent, child) => LineageIndex::Csr(parent.compose(child)),
     }
 }
 
@@ -72,41 +68,73 @@ pub fn compose_forward(child: &LineageIndex, parent: &LineageIndex) -> LineageIn
     compose_backward(child, parent)
 }
 
-/// CSR×(Array|CSR|Index) composition: count pass over the flat buffers, then
-/// a sequential fill into exactly-sized output buffers.
-fn compose_csr(parent: &CsrRidIndex, child: &LineageIndex) -> CsrRidIndex {
-    // The child representation is dispatched ONCE, into a per-mid slice
-    // accessor shared by the count and fill passes — the two can never
-    // disagree on per-mid cardinality, and each variant gets its own
-    // monomorphized pair of tight loops.
-    fn build<'c>(parent: &CsrRidIndex, get: impl Fn(Rid) -> &'c [Rid]) -> CsrRidIndex {
-        let mut offsets = Vec::with_capacity(parent.len() + 1);
-        offsets.push(0u32);
-        let mut total = 0u64;
-        for pos in 0..parent.len() {
-            for &mid in parent.get(pos) {
-                total += get(mid).len() as u64;
-            }
-            offsets.push(crate::csr::checked_offset(total));
+/// A non-identity index viewed as its per-position rid slices.
+#[derive(Clone, Copy)]
+enum Slices<'a> {
+    Array(&'a RidArray),
+    Index(&'a RidIndex),
+    Csr(&'a CsrRidIndex),
+}
+
+impl<'a> Slices<'a> {
+    /// The slices of `index`, or the length of an `Identity` index.
+    fn of(index: &'a LineageIndex) -> Result<Self, usize> {
+        match index {
+            LineageIndex::Array(a) => Ok(Slices::Array(a)),
+            LineageIndex::Index(i) => Ok(Slices::Index(i)),
+            LineageIndex::Csr(c) => Ok(Slices::Csr(c)),
+            LineageIndex::Identity(n) => Err(*n),
         }
-        let mut rids: Vec<Rid> = Vec::with_capacity(total as usize);
-        for pos in 0..parent.len() {
-            for &mid in parent.get(pos) {
-                rids.extend_from_slice(get(mid));
-            }
-        }
-        CsrRidIndex::from_parts(offsets, rids)
     }
 
-    match child {
-        // Array's 1-to-(0|1) targets are viewed as sub-slices of its backing
-        // buffer (empty at NO_RID gaps) so it flows through the same shared
-        // count/fill passes as the other variants.
-        LineageIndex::Array(a) => build(parent, |mid| a.slice_checked(mid as usize)),
-        LineageIndex::Csr(c) => build(parent, |mid| c.get_checked(mid as usize)),
-        LineageIndex::Index(i) => build(parent, |mid| i.get_checked(mid as usize)),
-        LineageIndex::Identity(_) => unreachable!("identity children are handled earlier"),
+    /// `self ∘ child` by [`count_then_fill`], with the parent accessor bound
+    /// here and the child's in [`Slices::compose_into`].
+    fn compose(self, child: Slices<'_>) -> CsrRidIndex {
+        match self {
+            // An array's 1-to-(0|1) entry is a sub-slice of its buffer, empty
+            // at a NO_RID gap.
+            Slices::Array(p) => child.compose_into(p.len(), |pos| p.slice_checked(pos)),
+            Slices::Index(p) => child.compose_into(p.len(), |pos| p.get(pos)),
+            Slices::Csr(p) => child.compose_into(p.len(), |pos| p.get(pos)),
+        }
     }
+
+    /// `parent ∘ self` over `len` parent positions; a mid this index does not
+    /// cover expands to nothing.
+    fn compose_into<'p>(self, len: usize, parent: impl Fn(usize) -> &'p [Rid]) -> CsrRidIndex {
+        match self {
+            Slices::Array(c) => count_then_fill(len, parent, |mid| c.slice_checked(mid as usize)),
+            Slices::Index(c) => count_then_fill(len, parent, |mid| c.get_checked(mid as usize)),
+            Slices::Csr(c) => count_then_fill(len, parent, |mid| c.get_checked(mid as usize)),
+        }
+    }
+}
+
+/// The composition kernel: a count pass sums every position's composed
+/// cardinality into the offsets, then a fill pass copies each mid's child
+/// slice into the one exactly-sized rid buffer. Both passes read the same
+/// two accessors, so they cannot disagree on a count.
+fn count_then_fill<'p, 'c>(
+    len: usize,
+    parent: impl Fn(usize) -> &'p [Rid],
+    child: impl Fn(Rid) -> &'c [Rid],
+) -> CsrRidIndex {
+    let mut offsets = Vec::with_capacity(len + 1);
+    offsets.push(0u32);
+    let mut total = 0u64;
+    for pos in 0..len {
+        for &mid in parent(pos) {
+            total += child(mid).len() as u64;
+        }
+        offsets.push(crate::csr::checked_offset(total));
+    }
+    let mut rids: Vec<Rid> = Vec::with_capacity(total as usize);
+    for pos in 0..len {
+        for &mid in parent(pos) {
+            rids.extend_from_slice(child(mid));
+        }
+    }
+    CsrRidIndex::from_parts(offsets, rids)
 }
 
 /// `Identity(n) ∘ child`: the child's mapping restricted (or extended with
@@ -130,8 +158,9 @@ fn restrict_positions(child: &LineageIndex, n: usize) -> LineageIndex {
                 let end = offsets[n] as usize;
                 (offsets, c.rids()[..end].to_vec())
             } else {
-                let mut offsets = c.offsets().to_vec();
-                offsets.resize(n + 1, *offsets.last().expect("offsets never empty"));
+                let mut offsets = Vec::with_capacity(n + 1);
+                offsets.extend_from_slice(c.offsets());
+                offsets.resize(n + 1, c.edge_count() as u32);
                 (offsets, c.rids().to_vec())
             };
             LineageIndex::Csr(CsrRidIndex::from_parts(offsets, rids))
@@ -151,13 +180,13 @@ fn restrict_positions(child: &LineageIndex, n: usize) -> LineageIndex {
 
 /// `parent ∘ Identity(n)`: the parent's mapping with every target outside the
 /// identity's domain `0..n` dropped.
-fn restrict_targets(parent: &LineageIndex, n: usize) -> LineageIndex {
+fn restrict_targets(parent: Slices<'_>, n: usize) -> LineageIndex {
     let in_domain = |r: Rid| (r as usize) < n;
     match parent {
-        LineageIndex::Array(a) => {
+        Slices::Array(a) => {
             let clean = a.iter().all(|r| r == NO_RID || in_domain(r));
             if clean {
-                parent.clone()
+                LineageIndex::Array(a.clone())
             } else {
                 LineageIndex::Array(RidArray::from_vec(
                     a.iter()
@@ -172,12 +201,12 @@ fn restrict_targets(parent: &LineageIndex, n: usize) -> LineageIndex {
                 ))
             }
         }
-        LineageIndex::Index(i) => {
+        Slices::Index(i) => {
             let clean = i
                 .iter()
                 .all(|(_, rids)| rids.iter().copied().all(in_domain));
             if clean {
-                parent.clone()
+                LineageIndex::Index(i.clone())
             } else {
                 LineageIndex::Index(RidIndex::from_entries(
                     i.iter()
@@ -186,10 +215,10 @@ fn restrict_targets(parent: &LineageIndex, n: usize) -> LineageIndex {
                 ))
             }
         }
-        LineageIndex::Csr(c) => {
+        Slices::Csr(c) => {
             let survivors = c.rids().iter().copied().filter(|&r| in_domain(r)).count();
             if survivors == c.edge_count() {
-                parent.clone()
+                LineageIndex::Csr(c.clone())
             } else {
                 // Pre-counted so both buffers stay exactly sized, preserving
                 // the CSR contract that `heap_bytes` carries no slack.
@@ -203,7 +232,6 @@ fn restrict_targets(parent: &LineageIndex, n: usize) -> LineageIndex {
                 LineageIndex::Csr(CsrRidIndex::from_parts(offsets, rids))
             }
         }
-        LineageIndex::Identity(_) => unreachable!("identity parents are handled earlier"),
     }
 }
 
@@ -368,5 +396,126 @@ mod tests {
         let composed = compose_backward(&parent, &child);
         assert_eq!(composed.lookup(0), vec![9]);
         assert_eq!(composed.lookup(1), Vec::<Rid>::new());
+    }
+
+    mod against_a_nested_loop {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Positions per generated index, and rids per 1-to-N entry.
+        const POSITIONS: usize = 12;
+        const FANOUT: usize = 4;
+        #[cfg(not(miri))]
+        const CASES: u32 = 512;
+        #[cfg(miri)]
+        const CASES: u32 = 8;
+
+        /// `(representation, entries, identity length selector)`. The
+        /// representation is 0 `Array` (an empty entry is a `NO_RID` gap,
+        /// a longer one keeps its first rid), 1 `Index`, 2 `Csr` or
+        /// 3 `Identity`, whose length is shorter than, equal to or longer
+        /// than the other side's, by the selector.
+        type Spec = (u32, Vec<Vec<Rid>>, u32);
+
+        fn spec(targets: u32) -> impl Strategy<Value = Spec> {
+            let entries =
+                prop::collection::vec(prop::collection::vec(0..targets, 0..FANOUT), 0..POSITIONS);
+            (0u32..4, entries, 0u32..3)
+        }
+
+        fn build((kind, entries, _): &Spec, identity: usize) -> LineageIndex {
+            match kind {
+                0 => LineageIndex::Array(
+                    entries
+                        .iter()
+                        .map(|e| e.first().copied().unwrap_or(NO_RID))
+                        .collect(),
+                ),
+                1 => LineageIndex::Index(RidIndex::from_entries(entries.clone())),
+                2 => LineageIndex::Index(RidIndex::from_entries(entries.clone())).finalize(),
+                _ => LineageIndex::Identity(identity),
+            }
+        }
+
+        /// An `Identity`'s length against the `other` side's: one shorter,
+        /// equal or three longer.
+        fn identity_len(selector: u32, other: usize) -> usize {
+            match selector {
+                0 => other.saturating_sub(1),
+                1 => other,
+                _ => other + 3,
+            }
+        }
+
+        /// The rids of position `pos`, read without any representation
+        /// logic beyond the definitions.
+        fn rids(index: &LineageIndex, pos: usize) -> Vec<Rid> {
+            match index {
+                LineageIndex::Array(a) => match a.as_slice().get(pos) {
+                    Some(&r) if r != NO_RID => vec![r],
+                    _ => vec![],
+                },
+                LineageIndex::Index(i) => i.get_checked(pos).to_vec(),
+                LineageIndex::Csr(c) => c.get_checked(pos).to_vec(),
+                LineageIndex::Identity(n) => (pos < *n).then_some(pos as Rid).into_iter().collect(),
+            }
+        }
+
+        fn kind(index: &LineageIndex) -> &'static str {
+            match index {
+                LineageIndex::Array(_) => "Array",
+                LineageIndex::Index(_) => "Index",
+                LineageIndex::Csr(_) => "Csr",
+                LineageIndex::Identity(_) => "Identity",
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+            #[test]
+            fn compose_matches_the_nested_loop(
+                parent_spec in spec(POSITIONS as u32 + 3),
+                child_spec in spec(1_000),
+            ) {
+                // Parent targets run past the child's positions, so some mids
+                // are out of range.
+                let child_len = match child_spec.0 {
+                    3 => identity_len(child_spec.2, POSITIONS),
+                    _ => child_spec.1.len(),
+                };
+                let child = build(&child_spec, child_len);
+                let parent = build(&parent_spec, identity_len(parent_spec.2, child.len()));
+                let composed = compose_backward(&parent, &child);
+
+                prop_assert_eq!(composed.len(), parent.len());
+                for pos in 0..parent.len() + 2 {
+                    let mut expected = Vec::new();
+                    if pos < parent.len() {
+                        for mid in rids(&parent, pos) {
+                            expected.extend(rids(&child, mid as usize));
+                        }
+                    }
+                    prop_assert_eq!(composed.lookup(pos as Rid), expected, "position {}", pos);
+                }
+
+                let want = match (&parent, &child) {
+                    (LineageIndex::Identity(n), LineageIndex::Identity(m)) => {
+                        if n <= m { "Identity" } else { "Array" }
+                    }
+                    (LineageIndex::Identity(_), other) | (other, LineageIndex::Identity(_)) => {
+                        kind(other)
+                    }
+                    (LineageIndex::Array(_), LineageIndex::Array(_)) => "Array",
+                    _ => "Csr",
+                };
+                prop_assert_eq!(kind(&composed), want);
+                if let LineageIndex::Csr(c) = &composed {
+                    let exact = 4 * (c.len() + 1) + 4 * c.edge_count();
+                    prop_assert_eq!(composed.heap_bytes(), exact);
+                }
+                prop_assert_eq!(composed.resizes(), 0);
+            }
+        }
     }
 }

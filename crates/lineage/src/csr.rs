@@ -48,8 +48,8 @@ impl CsrRidIndex {
         }
     }
 
-    /// Assembles a CSR index from raw parts (used by composition fast paths
-    /// that compute both buffers themselves).
+    /// Assembles a CSR index from raw parts (used by the composition kernel,
+    /// which computes both buffers itself).
     ///
     /// Panics (in debug builds) when the offsets invariant does not hold.
     pub fn from_parts(offsets: Vec<u32>, rids: Vec<Rid>) -> Self {
