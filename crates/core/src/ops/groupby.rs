@@ -19,6 +19,15 @@
 //! * Cardinality hints (`Smoke-I+TC`) pre-allocate `i_rids` and eliminate the
 //!   resize costs that otherwise dominate capture overhead.
 //!
+//! γht and the aggregate fold run one batch of rows at a time, in three
+//! passes, each dispatched once per batch and then a tight typed loop: the
+//! rows' gids (one loop per key mode; a new key becomes a group in order of
+//! first appearance), the aggregates (one loop per aggregate over its typed
+//! per-group state column, chosen by the function and the input column's
+//! type), and capture (the lineage count, `i_rids`, the forward write, and
+//! the hand-off to the finer cores). Each group folds its rows in rid order,
+//! so float aggregates are bit-identical to a row-at-a-time fold.
+//!
 //! The workload-aware options of §4 are applied here because the final
 //! aggregation of an SPJA block is where backward lineage for the query
 //! output is materialized — and they are this operator again. The selection
@@ -41,7 +50,7 @@
 //! [`CardinalityHints::per_key`] map and keeps std's seeded hasher.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -169,7 +178,6 @@ impl RowSet for Range<usize> {
 
 struct GroupEntry {
     key: HashKey,
-    states: Vec<AggState>,
     i_rids: RidArray,
     /// Rows that passed the selection push-down (every row without one);
     /// the exact backward cardinality the Defer pass and the morsel
@@ -186,12 +194,11 @@ fn dense_cap(rows: usize) -> usize {
     4 * rows.max(256)
 }
 
-/// The result of probing a [`KeyMode`] for one row: either the row's group
-/// already exists, or a new group must be created for the returned key.
-enum Probe {
-    Hit(u32),
-    Miss(HashKey),
-}
+/// Rows per batch of the γ fold ([`GroupByCore::fold`],
+/// [`CellSink::fold`]): each of a batch's passes is dispatched once, on the
+/// key mode or on an aggregate's function and column type, and then runs a
+/// typed loop over the batch.
+const BATCH: usize = 1024;
 
 /// The γht table (group key → group id), owned by the core across ingests
 /// and specialised by the typed shape of the key columns (paper §3.2.3's
@@ -291,43 +298,48 @@ enum KeyMode<'a> {
 }
 
 impl KeyMode<'_> {
-    /// Looks up the group of row `i`, or reports the key a new group needs.
+    /// The first pass of a batch: the gid of each row of `rows`, into
+    /// `gids`, in one loop per key mode. A key seen for the first time gets
+    /// the gid `new` returns for it, so groups are created in order of first
+    /// appearance.
     #[inline]
-    fn probe(&self, i: usize, extractor: &KeyExtractor) -> Probe {
+    fn gids(
+        &mut self,
+        rows: &[usize],
+        extractor: &KeyExtractor,
+        gids: &mut Vec<u32>,
+        mut new: impl FnMut(HashKey) -> u32,
+    ) {
+        gids.clear();
         match self {
-            KeyMode::DenseInt { keys, min, slots } => match slots[(keys[i] - min) as usize] {
-                NO_GROUP => Probe::Miss(HashKey::Int(keys[i])),
-                gid => Probe::Hit(gid),
-            },
-            KeyMode::HashInt { keys, ht } => match ht.get(&keys[i]) {
-                Some(&gid) => Probe::Hit(gid),
-                None => Probe::Miss(HashKey::Int(keys[i])),
-            },
-            KeyMode::HashPair { a, b, ht } => match ht.get(&(a[i], b[i])) {
-                Some(&gid) => Probe::Hit(gid),
-                None => Probe::Miss(HashKey::Composite(vec![
-                    KeyPart::Int(a[i]),
-                    KeyPart::Int(b[i]),
-                ])),
-            },
-            KeyMode::Generic { ht } => {
-                let key = extractor.key(i);
-                match ht.get(&key) {
-                    Some(&gid) => Probe::Hit(gid),
-                    None => Probe::Miss(key),
+            KeyMode::DenseInt { keys, min, slots } => gids.extend(rows.iter().map(|&i| {
+                let slot = &mut slots[(keys[i] - *min) as usize];
+                if *slot == NO_GROUP {
+                    *slot = new(HashKey::Int(keys[i]));
                 }
+                *slot
+            })),
+            KeyMode::HashInt { keys, ht } => gids.extend(
+                rows.iter()
+                    .map(|&i| *(ht.entry(keys[i])).or_insert_with(|| new(HashKey::Int(keys[i])))),
+            ),
+            KeyMode::HashPair { a, b, ht } => gids.extend(rows.iter().map(|&i| {
+                *(ht.entry((a[i], b[i]))).or_insert_with(|| {
+                    new(HashKey::Composite(vec![
+                        KeyPart::Int(a[i]),
+                        KeyPart::Int(b[i]),
+                    ]))
+                })
+            })),
+            KeyMode::Generic { ht } => {
+                gids.extend(rows.iter().map(|&i| match ht.entry(extractor.key(i)) {
+                    Entry::Occupied(slot) => *slot.get(),
+                    Entry::Vacant(slot) => {
+                        let gid = new(slot.key().clone());
+                        *slot.insert(gid)
+                    }
+                }))
             }
-        }
-    }
-
-    /// Registers a freshly created group for row `i` (the second half of a
-    /// [`Probe::Miss`]; only runs once per distinct group).
-    fn record(&mut self, i: usize, key: &HashKey, gid: u32) {
-        match self {
-            KeyMode::DenseInt { keys, min, slots } => slots[(keys[i] - *min) as usize] = gid,
-            KeyMode::HashInt { keys, ht } => drop(ht.insert(keys[i], gid)),
-            KeyMode::HashPair { a, b, ht } => drop(ht.insert((a[i], b[i]), gid)),
-            KeyMode::Generic { ht } => drop(ht.insert(key.clone(), gid)),
         }
     }
 }
@@ -363,7 +375,11 @@ impl DeferSink<'_> {
             };
             let rid = self.rid_offset + i;
             if let Some(b) = self.backward.as_deref_mut() {
-                b.append(gid as usize, rid as Rid);
+                if !b.try_append(gid as usize, rid as Rid) {
+                    return Err(EngineError::InvalidPlan(format!(
+                        "the Defer re-probe met group {gid} at row {i} more often than the first pass counted"
+                    )));
+                }
             }
             if let Some(f) = self.forward.as_deref_mut() {
                 f.set(rid - self.base, gid);
@@ -546,6 +562,8 @@ struct CellSink<'a, 'o> {
     cols: CellCols<'a>,
     agg_inputs: AggInputs<'a>,
     cap: usize,
+    /// The cell of each row of the batch being folded.
+    cells: Vec<u32>,
 }
 
 impl<'o> FinerCore<'o> {
@@ -570,33 +588,39 @@ impl<'o> FinerCore<'o> {
             cols,
             agg_inputs,
             cap,
+            cells: Vec::with_capacity(BATCH),
         })
     }
 }
 
 impl CellSink<'_, '_> {
-    /// Folds row `i` (global rid `rid`) of coarse group `gid` among the
-    /// `coarse` groups into its cell.
-    #[inline]
-    fn push(&mut self, i: usize, rid: usize, gid: u32, coarse: &[GroupEntry]) {
+    /// Folds a batch of rows into their cells, in the three passes of
+    /// [`GroupByCore::fold`]: row `rows[k]` (global rid `rid_offset +
+    /// rows[k]`) belongs to coarse group `gids[k]` among the `coarse` groups.
+    fn fold(&mut self, rows: &[usize], gids: &[u32], rid_offset: usize, coarse: &[GroupEntry]) {
         let core = &mut *self.core;
-        let (groups, aggs) = (&mut core.groups, core.aggs);
-        let cell = self.table.cell(i, gid, &self.cols, self.cap, |attrs| {
-            let mut parts = coarse[gid as usize].key.clone().into_parts();
-            parts.extend(attrs);
-            groups.push(GroupEntry {
-                key: HashKey::Composite(parts),
-                states: aggs.iter().map(AggExpr::new_state).collect(),
-                i_rids: RidArray::new(),
-                lineage_count: 0,
+        let (groups, states, aggs) = (&mut core.groups, &mut core.states, core.aggs);
+        self.cells.clear();
+        for (&i, &gid) in rows.iter().zip(gids) {
+            let cell = self.table.cell(i, gid, &self.cols, self.cap, |attrs| {
+                let mut parts = coarse[gid as usize].key.clone().into_parts();
+                parts.extend(attrs);
+                groups.push(GroupEntry {
+                    key: HashKey::Composite(parts),
+                    i_rids: RidArray::new(),
+                    lineage_count: 0,
+                });
+                push_states(states, aggs);
+                groups.len() as u32 - 1
             });
-            groups.len() as u32 - 1
-        });
-        let entry = &mut groups[cell as usize];
-        self.agg_inputs.update(&mut entry.states, aggs, i);
+            self.cells.push(cell);
+        }
+        self.agg_inputs.fold(states, aggs, rows, &self.cells);
         if core.capture {
-            entry.lineage_count += 1;
-            core.forward.set(rid - core.base, cell);
+            for (&i, &cell) in rows.iter().zip(&self.cells) {
+                groups[cell as usize].lineage_count += 1;
+                core.forward.set(rid_offset + i - core.base, cell);
+            }
         }
     }
 }
@@ -622,20 +646,186 @@ impl<'a> AggInputs<'a> {
         Ok(AggInputs { columns })
     }
 
-    /// Folds row `rid` into a group's states: the one aggregate fold. Inlined
-    /// by force — see [`AggState::update`].
-    #[inline(always)]
-    pub(crate) fn update(&self, states: &mut [AggState], aggs: &[AggExpr], rid: usize) {
-        for (i, state) in states.iter_mut().enumerate() {
-            match (&aggs[i].func, self.columns[i]) {
-                (AggFunc::Count, _) => state.update(0.0),
-                (AggFunc::CountDistinct, Some(col)) => {
-                    state.update_key(&col.value(rid).group_key())
+    /// The one aggregate fold: folds row `rows[k]` of the input into the
+    /// states of group `gids[k]`, for every row of a batch, aggregate `j`
+    /// into `states[j]`. Each aggregate is one loop over the batch, chosen
+    /// once per batch by its function and its column's type;
+    /// `COUNT(DISTINCT)`, a `Str` input and a missing column fold row by row
+    /// through [`AggState`]'s own update. A group sees its rows in batch
+    /// order, so every float state is bit-identical to folding the rows one
+    /// at a time.
+    pub(crate) fn fold(
+        &self,
+        states: &mut [StateColumn],
+        aggs: &[AggExpr],
+        rows: &[usize],
+        gids: &[u32],
+    ) {
+        for ((agg, column), state) in aggs.iter().zip(&self.columns).zip(states) {
+            match (agg.func, column) {
+                (AggFunc::Count, _) => {
+                    for &gid in gids {
+                        state.n[gid as usize] += 1;
+                    }
                 }
-                (_, Some(col)) => state.update(col.numeric(rid).unwrap_or(0.0)),
-                (_, None) => state.update(0.0),
+                (AggFunc::CountDistinct, Some(col)) => {
+                    for (&gid, &i) in gids.iter().zip(rows) {
+                        let mut one = state.take(gid as usize);
+                        one.update_key(&col.value(i).group_key());
+                        state.put(gid as usize, one);
+                    }
+                }
+                (func, Some(Column::Int(v))) => {
+                    fold_values(state, func, gids, rows.iter().map(|&i| v[i] as f64));
+                }
+                (func, Some(Column::Float(v))) => {
+                    fold_values(state, func, gids, rows.iter().map(|&i| v[i]));
+                }
+                (_, Some(Column::Str(_)) | None) => {
+                    for &gid in gids {
+                        let mut one = state.take(gid as usize);
+                        one.update(0.0);
+                        state.put(gid as usize, one);
+                    }
+                }
             }
         }
+    }
+}
+
+/// One numeric aggregate's loop over a batch: folds `values[k]` into the
+/// state of group `gids[k]`, with the function fixed for the whole loop.
+#[inline(always)]
+fn fold_values(
+    state: &mut StateColumn,
+    func: AggFunc,
+    gids: &[u32],
+    values: impl Iterator<Item = f64>,
+) {
+    let (x, n) = (&mut state.x, &mut state.n);
+    let pairs = gids.iter().map(|&gid| gid as usize).zip(values);
+    match func {
+        AggFunc::Sum => pairs.for_each(|(g, v)| x[g] += v),
+        AggFunc::SumSq => pairs.for_each(|(g, v)| x[g] += v * v),
+        AggFunc::SumSqrt => pairs.for_each(|(g, v)| x[g] += v.abs().sqrt()),
+        AggFunc::Min => pairs.for_each(|(g, v)| {
+            if v < x[g] {
+                x[g] = v;
+            }
+        }),
+        AggFunc::Max => pairs.for_each(|(g, v)| {
+            if v > x[g] {
+                x[g] = v;
+            }
+        }),
+        AggFunc::Avg => pairs.for_each(|(g, v)| {
+            x[g] += v;
+            n[g] += 1;
+        }),
+        AggFunc::Count | AggFunc::CountDistinct => {
+            for (g, v) in pairs {
+                let mut one = state.take(g);
+                one.update(v);
+                state.put(g, one);
+            }
+        }
+    }
+}
+
+/// Every group's state of one aggregate, as typed columns indexed by gid:
+/// what the batch fold ([`AggInputs::fold`]) writes. `COUNT` keeps `n`;
+/// `SUM`, `SUM(x*x)`, `SUM(sqrt x)`, `MIN` and `MAX` keep `x`; `AVG` keeps
+/// its sum in `x` and its count in `n`; `COUNT(DISTINCT)` keeps `sets`. A
+/// group's state moves out as an [`AggState`] ([`StateColumn::take`]) for
+/// merging, finalizing and the cube, so those stay [`AggState`]'s.
+pub(crate) struct StateColumn {
+    func: AggFunc,
+    x: Vec<f64>,
+    n: Vec<u64>,
+    sets: Vec<BTreeSet<String>>,
+}
+
+impl StateColumn {
+    fn new(func: AggFunc) -> Self {
+        StateColumn {
+            func,
+            x: Vec::new(),
+            n: Vec::new(),
+            sets: Vec::new(),
+        }
+    }
+
+    /// Appends a group whose state is `state`.
+    fn push(&mut self, state: AggState) {
+        match state {
+            AggState::Count(c) => self.n.push(c),
+            AggState::Sum(v)
+            | AggState::SumSq(v)
+            | AggState::SumSqrt(v)
+            | AggState::Min(v)
+            | AggState::Max(v) => self.x.push(v),
+            AggState::Avg { sum, count } => {
+                self.x.push(sum);
+                self.n.push(count);
+            }
+            AggState::CountDistinct(set) => self.sets.push(set),
+        }
+    }
+
+    /// Moves group `gid`'s state out (a distinct set is taken, not cloned);
+    /// [`StateColumn::put`] moves it back.
+    fn take(&mut self, gid: usize) -> AggState {
+        let x = self.x.get(gid).copied().unwrap_or_default();
+        let n = self.n.get(gid).copied().unwrap_or_default();
+        match self.func {
+            AggFunc::Count => AggState::Count(n),
+            AggFunc::Sum => AggState::Sum(x),
+            AggFunc::SumSq => AggState::SumSq(x),
+            AggFunc::SumSqrt => AggState::SumSqrt(x),
+            AggFunc::Min => AggState::Min(x),
+            AggFunc::Max => AggState::Max(x),
+            AggFunc::Avg => AggState::Avg { sum: x, count: n },
+            AggFunc::CountDistinct => AggState::CountDistinct(
+                self.sets
+                    .get_mut(gid)
+                    .map(std::mem::take)
+                    .unwrap_or_default(),
+            ),
+        }
+    }
+
+    /// Sets group `gid`'s state.
+    fn put(&mut self, gid: usize, state: AggState) {
+        fn set<T>(column: &mut [T], gid: usize, value: T) {
+            if let Some(slot) = column.get_mut(gid) {
+                *slot = value;
+            }
+        }
+        match state {
+            AggState::Count(c) => set(&mut self.n, gid, c),
+            AggState::Sum(v)
+            | AggState::SumSq(v)
+            | AggState::SumSqrt(v)
+            | AggState::Min(v)
+            | AggState::Max(v) => set(&mut self.x, gid, v),
+            AggState::Avg { sum, count } => {
+                set(&mut self.x, gid, sum);
+                set(&mut self.n, gid, count);
+            }
+            AggState::CountDistinct(distinct) => set(&mut self.sets, gid, distinct),
+        }
+    }
+}
+
+/// One column of states per aggregate of `aggs`, with no groups yet.
+fn state_columns(aggs: &[AggExpr]) -> Vec<StateColumn> {
+    aggs.iter().map(|agg| StateColumn::new(agg.func)).collect()
+}
+
+/// Appends a new group's fresh states to `states`.
+fn push_states(states: &mut [StateColumn], aggs: &[AggExpr]) {
+    for (column, agg) in states.iter_mut().zip(aggs) {
+        column.push(agg.new_state());
     }
 }
 
@@ -688,6 +878,9 @@ pub(crate) struct GroupByCore<'o> {
     /// Chosen from the key column types at the first ingest.
     table: Option<GroupTable>,
     groups: Vec<GroupEntry>,
+    /// Every group's aggregate states: one typed column per aggregate,
+    /// indexed by gid.
+    states: Vec<StateColumn>,
     forward: RidArray,
     /// The workload-aware artifacts of §4.2, as finer γs riding this one:
     /// group-bys keyed by `(gid, partition attributes)`, fed every row of an
@@ -780,6 +973,7 @@ impl<'o> GroupByCore<'o> {
             rows,
             table: None,
             groups: Vec::new(),
+            states: state_columns(aggs),
             forward: RidArray::filled(if fuse_f { rows } else { 0 }),
             finer: Vec::new(),
             cube: None,
@@ -874,8 +1068,8 @@ impl<'o> GroupByCore<'o> {
 
     /// [`GroupByCore::ingest`] with finer cores riding: the coarse loop
     /// records the gid of every row that enters the lineage indexes, and
-    /// each finer core then folds those rows, in order, probing only its
-    /// attribute columns under the recorded gids.
+    /// each finer core then folds those rows, in order and a batch at a
+    /// time, probing only its attribute columns under the recorded gids.
     fn ingest_finer(
         &mut self,
         finer: &mut [FinerCore<'o>],
@@ -884,26 +1078,31 @@ impl<'o> GroupByCore<'o> {
         rid_offset: usize,
     ) -> Result<()> {
         let sinks = finer.iter_mut().map(|f| f.bind(rel, &rows));
-        let sinks = sinks.collect::<Result<Vec<_>>>()?;
+        let mut sinks = sinks.collect::<Result<Vec<_>>>()?;
         let span = rows.span(rel.len());
         let mut gids = Vec::with_capacity(span.len());
         let mask = self.fold(rel, rows.clone(), rid_offset, |gid| gids.push(gid))?;
-        let passed = || {
-            let mask = mask.as_ref();
-            (rows.rows()).filter(move |i| mask.is_none_or(|m| m.get(i - span.start)))
-        };
-        for mut sink in sinks {
-            for (i, &gid) in passed().zip(&gids) {
-                sink.push(i, rid_offset + i, gid, &self.groups);
+        let mask = mask.as_ref();
+        let mut passed = (rows.rows()).filter(|i| mask.is_none_or(|m| m.get(i - span.start)));
+        let mut batch = Vec::with_capacity(BATCH.min(gids.len()));
+        for gids in gids.chunks(BATCH) {
+            batch.clear();
+            batch.extend(passed.by_ref().take(gids.len()));
+            for sink in &mut sinks {
+                sink.fold(&batch, gids, rid_offset, &self.groups);
             }
         }
         Ok(())
     }
 
-    /// The coarse loop of [`GroupByCore::ingest`]: `finer(gid)` sees the gid
-    /// of every row that enters the lineage indexes, in order. A core with
-    /// no finer cores passes a no-op, which compiles away. Returns the
-    /// selection push-down's mask over the ingest's span.
+    /// The coarse loop of [`GroupByCore::ingest`], one batch of [`BATCH`]
+    /// rows at a time, in three passes: the rows' gids (one typed loop per
+    /// key mode, creating groups in order of first appearance), the
+    /// aggregates ([`AggInputs::fold`], one typed loop per aggregate), and
+    /// capture, where `finer(gid)` sees the gid of every row that enters
+    /// the lineage indexes, in order. A core with no finer cores passes a
+    /// no-op, which compiles away. Returns the selection push-down's mask
+    /// over the ingest's span.
     fn fold(
         &mut self,
         rel: &Relation,
@@ -915,7 +1114,7 @@ impl<'o> GroupByCore<'o> {
         let agg_inputs = AggInputs::resolve(rel, self.aggs)?;
 
         // The push-down predicate is evaluated once per ingest through the
-        // kernel layer; the capture loop then tests a bit per row.
+        // kernel layer; the capture pass then tests a bit per row.
         // Uninstrumented runs never read the mask, so they only compile
         // (validating the expression) without paying for the scan.
         let span = rows.span(rel.len());
@@ -931,45 +1130,52 @@ impl<'o> GroupByCore<'o> {
         let mut key_mode = table.bind(&extractor);
         let (aggs, hints) = (self.aggs, self.hints);
         let (capture, fuse_b, fuse_f) = (self.capture, self.fuse_b, self.fuse_f);
-        let (groups, forward, base) = (&mut self.groups, &mut self.forward, self.base);
+        let (groups, states) = (&mut self.groups, &mut self.states);
+        let (forward, base) = (&mut self.forward, self.base);
 
-        for i in rows.rows() {
-            let gid = match key_mode.probe(i, &extractor) {
-                Probe::Hit(gid) => gid,
-                Probe::Miss(key) => {
-                    let gid = groups.len() as u32;
-                    let i_rids = match hints.and_then(|h| h.cardinality(&key)) {
-                        Some(cap) if fuse_b => RidArray::with_capacity(cap),
-                        _ => RidArray::new(),
-                    };
-                    key_mode.record(i, &key, gid);
-                    groups.push(GroupEntry {
-                        key,
-                        states: aggs.iter().map(AggExpr::new_state).collect(),
-                        i_rids,
-                        lineage_count: 0,
-                    });
-                    gid
-                }
-            };
-            let entry = &mut groups[gid as usize];
-            agg_inputs.update(&mut entry.states, aggs, i);
-
+        let mut rows = rows.rows();
+        let cap = BATCH.min(rows.size_hint().0);
+        let (mut batch, mut gids) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+        loop {
+            batch.clear();
+            batch.extend(rows.by_ref().take(BATCH));
+            if batch.is_empty() {
+                return Ok(pushdown_mask);
+            }
+            key_mode.gids(&batch, &extractor, &mut gids, |key| {
+                let i_rids = match hints.and_then(|h| h.cardinality(&key)) {
+                    Some(cap) if fuse_b => RidArray::with_capacity(cap),
+                    _ => RidArray::new(),
+                };
+                groups.push(GroupEntry {
+                    key,
+                    i_rids,
+                    lineage_count: 0,
+                });
+                push_states(states, aggs);
+                groups.len() as u32 - 1
+            });
+            agg_inputs.fold(states, aggs, &batch, &gids);
+            if !capture {
+                continue;
+            }
             // Selection push-down: only rows satisfying the future consuming
             // query's predicate enter the lineage indexes.
-            if capture && pushdown_mask.as_ref().is_none_or(|m| m.get(i - first)) {
-                let rid = rid_offset + i;
-                entry.lineage_count += 1;
-                if fuse_b {
-                    entry.i_rids.push(rid as Rid);
+            for (&i, &gid) in batch.iter().zip(&gids) {
+                if pushdown_mask.as_ref().is_none_or(|m| m.get(i - first)) {
+                    let rid = rid_offset + i;
+                    let entry = &mut groups[gid as usize];
+                    entry.lineage_count += 1;
+                    if fuse_b {
+                        entry.i_rids.push(rid as Rid);
+                    }
+                    if fuse_f {
+                        forward.set(rid - base, gid);
+                    }
+                    finer(gid);
                 }
-                if fuse_f {
-                    forward.set(rid - base, gid);
-                }
-                finer(gid);
             }
         }
-        Ok(pushdown_mask)
     }
 
     fn pushdown_mask(&self, rel: &Relation, span: Range<usize>) -> Result<Option<SelectionMask>> {
@@ -1068,22 +1274,30 @@ impl<'o> GroupByCore<'o> {
         let mut gid_of: FoldMap<HashKey, u32> = FoldMap::default();
         let mut maps: Vec<Vec<u32>> = Vec::with_capacity(parts.len());
         let mut csrs: Vec<CsrRidIndex> = Vec::with_capacity(parts.len());
-        for part in parts {
-            let map: Vec<u32> = (part.groups.into_iter())
-                .map(|local| match gid_of.get(&local.key) {
-                    Some(&gid) => {
-                        let global = &mut self.groups[gid as usize];
-                        for (g, l) in global.states.iter_mut().zip(&local.states) {
-                            g.merge(l);
+        for mut part in parts {
+            let mut local_states = std::mem::take(&mut part.states);
+            let map: Vec<u32> = (part.groups.into_iter().enumerate())
+                .map(|(lid, local)| {
+                    let columns = self.states.iter_mut().zip(&mut local_states);
+                    match gid_of.get(&local.key) {
+                        Some(&gid) => {
+                            for (global, partial) in columns {
+                                let mut state = global.take(gid as usize);
+                                state.merge(&partial.take(lid));
+                                global.put(gid as usize, state);
+                            }
+                            self.groups[gid as usize].lineage_count += local.lineage_count;
+                            gid
                         }
-                        global.lineage_count += local.lineage_count;
-                        gid
-                    }
-                    None => {
-                        let gid = self.groups.len() as u32;
-                        gid_of.insert(local.key.clone(), gid);
-                        self.groups.push(local);
-                        gid
+                        None => {
+                            for (global, partial) in columns {
+                                global.push(partial.take(lid));
+                            }
+                            let gid = self.groups.len() as u32;
+                            gid_of.insert(local.key.clone(), gid);
+                            self.groups.push(local);
+                            gid
+                        }
                     }
                 })
                 .collect();
@@ -1115,6 +1329,12 @@ impl<'o> GroupByCore<'o> {
             self.begin_defer();
         }
         if let Some(b) = self.deferred_backward.take() {
+            if !b.is_full() {
+                return Err(EngineError::InvalidPlan(
+                    "the Defer re-probe met a group less often than the first pass counted"
+                        .to_string(),
+                ));
+            }
             self.backward_csr = Some(b.finish());
         }
         let deferred = self.defer_start.map_or(Duration::ZERO, |t| t.elapsed());
@@ -1134,12 +1354,12 @@ impl<'o> GroupByCore<'o> {
         }
         let (key_cols, agg_cols) = columns.split_at_mut(self.keys.len());
         let mut backward = RidIndex::with_len(0);
-        for entry in self.groups.iter_mut() {
+        for (gid, entry) in self.groups.iter_mut().enumerate() {
             for (col, value) in key_cols.iter_mut().zip(entry.key.to_values()) {
                 col.push(value)?;
             }
-            for (col, state) in agg_cols.iter_mut().zip(&entry.states) {
-                col.push(state.finalize())?;
+            for (col, states) in agg_cols.iter_mut().zip(&mut self.states) {
+                col.push(states.take(gid).finalize())?;
             }
             // Inject: the per-group arrays *are* the backward index
             // (data-structure reuse, principle P4).
@@ -1207,13 +1427,18 @@ impl<'o> GroupByCore<'o> {
             if finer.backward_csr.is_none() {
                 finer.seal();
             }
-            let (mut gids, mut keys, mut states) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut gids, mut keys) = (Vec::new(), Vec::new());
+            let cells = finer.groups.len();
             for group in finer.groups {
                 let parts = group.key.into_parts();
                 let (prefix, attr_parts) = parts.split_at(coarse_keys);
                 gids.push(gid_of[prefix]);
                 keys.extend(attr_parts.iter().map(KeyPart::to_value));
-                states.extend(group.states);
+            }
+            // The cube's flat buffer: each cell's states, cell after cell.
+            let mut states = Vec::with_capacity(cells * finer.states.len());
+            for cell in 0..cells {
+                states.extend(finer.states.iter_mut().map(|c| c.take(cell)));
             }
             let directory = Arc::new(CellDirectory::new(attrs.len(), &gids, keys));
             if let Some(csr) = finer.backward_csr.take() {
@@ -1617,5 +1842,36 @@ mod tests {
             let out = core.finish(first, Instant::now()).unwrap();
             assert_eq!(out.stats.edges, first.len() as u64, "{case}");
         }
+    }
+
+    #[test]
+    fn defer_reprobe_that_miscounts_a_known_key_is_a_typed_error() {
+        // The first pass counts key 1 once and key 2 twice. A replay that
+        // meets key 1 twice overfills its entry; one that meets key 2 once
+        // leaves its entry short. Both are errors in release builds too,
+        // not another group's rids or a panic in the builder.
+        let opts = GroupByOptions::defer();
+        let keys = ["k0".to_string()];
+        let aggs = [AggExpr::count("n")];
+        let first = keyed(&[&[1, 2, 2]], &["a", "b", "c"]);
+        let overfill = keyed(&[&[1, 1, 2]], &["a", "b", "c"]);
+        let underfill = keyed(&[&[1, 2]], &["a", "b"]);
+        let mut core = GroupByCore::new(&keys, &aggs, &opts, first.len());
+        core.ingest(&first, 0..first.len(), 0).unwrap();
+        let replay = core.ingest_defer(&overfill, 0..overfill.len(), 0);
+        assert!(
+            matches!(replay, Err(EngineError::InvalidPlan(_))),
+            "overfill: {replay:?}"
+        );
+        let mut core = GroupByCore::new(&keys, &aggs, &opts, first.len());
+        core.ingest(&first, 0..first.len(), 0).unwrap();
+        core.ingest_defer(&underfill, 0..underfill.len(), 0)
+            .unwrap();
+        let out = core.finish(&first, Instant::now());
+        assert!(
+            matches!(out, Err(EngineError::InvalidPlan(_))),
+            "underfill: {:?}",
+            out.map(|r| r.output)
+        );
     }
 }

@@ -20,12 +20,18 @@
 //!   size plus the 4-byte header;
 //! * [`CompressedCsrIndex::lookup`] pins and decodes **only the blocks the
 //!   requested entry overlaps** — a backward trace of one group touches
-//!   `O(edges(group) / EDGES_PER_BLOCK)` pages, not the whole index.
+//!   `O(edges(group) / EDGES_PER_BLOCK)` pages, not the whole index;
+//! * a packed block decodes **one 64-bit word per value**: its payload
+//!   length is checked once, then each delta is an unaligned little-endian
+//!   load, a shift and a mask, written straight into the lookup's result
+//!   (no per-byte loop, no scratch block). The encoder and the block bytes
+//!   are unchanged.
 //!
 //! [`CompressedCsrIndex::compressed_bytes`] vs
 //! [`CompressedCsrIndex::raw_bytes`] is the compressed-vs-raw `lineage_bytes`
 //! comparison the paged benchmarks report.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use smoke_pager::{BufferPool, PageId, PagerError, PAGE_SIZE};
@@ -133,16 +139,25 @@ impl CompressedCsrIndex {
         (hi - 1) / EDGES_PER_BLOCK - lo / EDGES_PER_BLOCK + 1
     }
 
-    /// Pins block `block` and decodes it into `out`. The block must hold
-    /// exactly the rids the resident offsets place in it — all
-    /// [`EDGES_PER_BLOCK`], or what is left in the last block — so a
-    /// corrupt count is an error, not a shorter or longer trace.
-    fn read_block(&self, block: usize, out: &mut Vec<Rid>) -> Result<(), PagerError> {
-        let expected = (self.edge_count)
+    /// How many rids block `block` holds, by the resident offsets: all
+    /// [`EDGES_PER_BLOCK`], or what is left in the last block.
+    fn block_len(&self, block: usize) -> usize {
+        (self.edge_count)
             .saturating_sub(block * EDGES_PER_BLOCK)
-            .min(EDGES_PER_BLOCK);
+            .min(EDGES_PER_BLOCK)
+    }
+
+    /// Pins block `block` and appends its rids `range` to `out`. The block
+    /// must hold exactly the rids the resident offsets place in it, so a
+    /// corrupt count is an error, not a shorter or longer trace.
+    fn read_block(
+        &self,
+        block: usize,
+        range: Range<usize>,
+        out: &mut Vec<Rid>,
+    ) -> Result<(), PagerError> {
         let guard = self.pool.pin(PageId(self.first_page.0 + block as u32))?;
-        decode_block(&guard, expected, out)
+        decode_block(&guard, self.block_len(block), range, out)
     }
 
     fn entry_range(&self, pos: usize) -> Option<(usize, usize)> {
@@ -152,7 +167,8 @@ impl CompressedCsrIndex {
     }
 
     /// The rids of entry `pos` (empty when out of bounds), pinning and
-    /// decoding only the blocks the entry overlaps.
+    /// decoding only the blocks the entry overlaps, each straight into the
+    /// result.
     pub fn lookup(&self, pos: usize) -> Result<Vec<Rid>, PagerError> {
         let Some((lo, hi)) = self.entry_range(pos) else {
             return Ok(Vec::new());
@@ -162,15 +178,11 @@ impl CompressedCsrIndex {
         }
         let mut out = Vec::with_capacity(hi - lo);
         let mut edge = lo;
-        let mut decoded = Vec::with_capacity(EDGES_PER_BLOCK);
         while edge < hi {
             let block = edge / EDGES_PER_BLOCK;
-            let block_end = ((block + 1) * EDGES_PER_BLOCK).min(hi);
-            self.read_block(block, &mut decoded)?;
             let base = block * EDGES_PER_BLOCK;
-            let rids = (decoded.get(edge - base..block_end - base))
-                .ok_or_else(|| invalid_data(format!("entry {pos} overruns block {block}")))?;
-            out.extend_from_slice(rids);
+            let block_end = (base + EDGES_PER_BLOCK).min(hi);
+            self.read_block(block, edge - base..block_end - base, &mut out)?;
             edge = block_end;
         }
         Ok(out)
@@ -180,10 +192,8 @@ impl CompressedCsrIndex {
     /// of [`CompressedCsrIndex::spill`], used by round-trip tests.
     pub fn materialize(&self) -> Result<CsrRidIndex, PagerError> {
         let mut rids = Vec::with_capacity(self.edge_count);
-        let mut decoded = Vec::with_capacity(EDGES_PER_BLOCK);
         for b in 0..self.blocks as usize {
-            self.read_block(b, &mut decoded)?;
-            rids.extend_from_slice(&decoded);
+            self.read_block(b, 0..self.block_len(b), &mut rids)?;
         }
         Ok(CsrRidIndex::from_parts(self.offsets.clone(), rids))
     }
@@ -280,10 +290,24 @@ fn invalid_data(what: String) -> PagerError {
     )
 }
 
-/// Decodes one block page, which must hold exactly `expected` rids, into
-/// `out` (cleared first).
-fn decode_block(page: &[u8], expected: usize, out: &mut Vec<Rid>) -> Result<(), PagerError> {
-    out.clear();
+/// Decodes rids `range` of one block page, which must hold exactly
+/// `expected` rids, and appends them to `out`.
+///
+/// A packed block is read one 64-bit word per value: the payload length,
+/// `4 + ceil((count - 1) * width / 8)` bytes, is checked once, and value
+/// `k` is the unaligned little-endian word at byte `bit / 8` of the bit
+/// stream, shifted right by `bit % 8` and masked to `width` bits (`bit =
+/// (k - 1) * width`). With `width <= 33` and a shift of at most 7, the 40
+/// bits needed always fit one word. Values are decoded from the block's
+/// first rid up to `range.end`, since each delta needs its predecessor, and
+/// every one of them is checked to lie within `u32` before the block
+/// returns.
+fn decode_block(
+    page: &[u8],
+    expected: usize,
+    range: Range<usize>,
+    out: &mut Vec<Rid>,
+) -> Result<(), PagerError> {
     let corrupt = || invalid_data("malformed block header".to_string());
     let [tag, width, count_lo, count_hi] = *page.get(..4).ok_or_else(corrupt)? else {
         return Err(corrupt());
@@ -294,54 +318,89 @@ fn decode_block(page: &[u8], expected: usize, out: &mut Vec<Rid>) -> Result<(), 
             "block holds {count} rids, the offsets place {expected} in it"
         )));
     }
+    if range.start > range.end || range.end > count {
+        return Err(invalid_data(format!(
+            "rids {range:?} overrun a block of {count}"
+        )));
+    }
     let payload = page.get(4..).ok_or_else(corrupt)?;
     match tag {
         TAG_RAW => {
             let bytes = payload.get(..count * 4).ok_or_else(corrupt)?;
-            for quad in bytes.chunks_exact(4) {
-                let [a, b, c, d] = *quad else {
-                    return Err(corrupt());
-                };
-                out.push(u32::from_le_bytes([a, b, c, d]));
-            }
+            let (quads, _) = bytes.as_chunks::<4>();
+            let quads = quads.get(range).ok_or_else(corrupt)?;
+            out.extend(quads.iter().map(|q| u32::from_le_bytes(*q)));
             Ok(())
         }
         TAG_PACKED => {
-            let width = width as u32;
+            let width = width as usize;
             if width > 33 || count == 0 {
                 return Err(corrupt());
             }
-            let first_bytes = payload.get(..4).ok_or_else(corrupt)?;
-            let [a, b, c, d] = *first_bytes else {
-                return Err(corrupt());
+            let first = *payload.first_chunk::<4>().ok_or_else(corrupt)?;
+            let stream_len = ((count - 1) * width).div_ceil(8);
+            let bits = payload.get(4..4 + stream_len).ok_or_else(corrupt)?;
+            let mask = (1u64 << width) - 1;
+            let first = u32::from_le_bytes(first);
+            // Every decoded value is OR-ed into `seen`, whose high half must
+            // stay clear: a value below 0 or past `u32::MAX` is reported once,
+            // after the loop. A delta moves `prev` by less than 2^33, so 1,023
+            // of them cannot overflow the `i64`.
+            let (mut prev, mut seen, mut bit) = (first as i64, 0u64, 0);
+            // Windows are read from the rest of the page: the bits past the
+            // stream are masked off, and only a window that would run past
+            // the page's end is read zero-padded.
+            let words = payload.get(4..).unwrap_or_default();
+            let mut next = || {
+                let byte = bit / 8;
+                let word = match words.get(byte..byte + 8).map(<[u8; 8]>::try_from) {
+                    Some(Ok(word)) => u64::from_le_bytes(word),
+                    _ => padded_word(bits, byte),
+                };
+                prev += unzigzag((word >> (bit % 8)) & mask);
+                seen |= prev as u64;
+                bit += width;
+                prev as u32
             };
-            let first = u32::from_le_bytes([a, b, c, d]);
-            out.push(first);
-            let mask = if width == 0 { 0 } else { (1u64 << width) - 1 };
-            let mut acc = 0u64;
-            let mut nbits = 0u32;
-            let mut at = 4usize;
-            let mut prev = first as i64;
-            for _ in 1..count {
-                while nbits < width {
-                    let byte = *payload.get(at).ok_or_else(corrupt)?;
-                    acc |= (byte as u64) << nbits;
-                    at += 1;
-                    nbits += 8;
+            let at = out.len();
+            out.resize(at + range.len(), 0);
+            let mut slots = out.get_mut(at..).unwrap_or_default().iter_mut();
+            if range.start == 0 {
+                if let Some(slot) = slots.next() {
+                    *slot = first;
                 }
-                let zz = acc & mask;
-                acc >>= width;
-                nbits -= width;
-                let value = prev + unzigzag(zz);
-                if !(0..=u32::MAX as i64).contains(&value) {
-                    return Err(corrupt());
-                }
-                out.push(value as u32);
-                prev = value;
+            }
+            for _ in 1..range.start {
+                next();
+            }
+            for slot in slots {
+                *slot = next();
+            }
+            let bad = seen >> 32;
+            if bad != 0 {
+                out.truncate(at);
+                return Err(corrupt());
             }
             Ok(())
         }
         _ => Err(corrupt()),
+    }
+}
+
+/// The little-endian word at byte `at` of `bits`, zero-padded past its end:
+/// the read of a window that would run past the end of its page.
+#[cold]
+fn padded_word(bits: &[u8], at: usize) -> u64 {
+    let rest = bits.get(at..).unwrap_or_default();
+    match rest.first_chunk::<8>() {
+        Some(word) => u64::from_le_bytes(*word),
+        None => {
+            let mut word = [0u8; 8];
+            if let Some(head) = word.get_mut(..rest.len()) {
+                head.copy_from_slice(rest);
+            }
+            u64::from_le_bytes(word)
+        }
     }
 }
 
@@ -534,13 +593,126 @@ mod tests {
         }
     }
 
+    /// The byte-at-a-time decoder [`decode_block`] replaced, kept verbatim
+    /// as the reference its rids and errors must match: it decodes the
+    /// whole block into `out` (cleared first).
+    fn decode_block_bytewise(
+        page: &[u8],
+        expected: usize,
+        out: &mut Vec<Rid>,
+    ) -> Result<(), PagerError> {
+        out.clear();
+        let corrupt = || invalid_data("malformed block header".to_string());
+        let [tag, width, count_lo, count_hi] = *page.get(..4).ok_or_else(corrupt)? else {
+            return Err(corrupt());
+        };
+        let count = u16::from_le_bytes([count_lo, count_hi]) as usize;
+        if count != expected {
+            return Err(invalid_data(format!(
+                "block holds {count} rids, the offsets place {expected} in it"
+            )));
+        }
+        let payload = page.get(4..).ok_or_else(corrupt)?;
+        match tag {
+            TAG_RAW => {
+                let bytes = payload.get(..count * 4).ok_or_else(corrupt)?;
+                for quad in bytes.chunks_exact(4) {
+                    let [a, b, c, d] = *quad else {
+                        return Err(corrupt());
+                    };
+                    out.push(u32::from_le_bytes([a, b, c, d]));
+                }
+                Ok(())
+            }
+            TAG_PACKED => {
+                let width = width as u32;
+                if width > 33 || count == 0 {
+                    return Err(corrupt());
+                }
+                let first_bytes = payload.get(..4).ok_or_else(corrupt)?;
+                let [a, b, c, d] = *first_bytes else {
+                    return Err(corrupt());
+                };
+                let first = u32::from_le_bytes([a, b, c, d]);
+                out.push(first);
+                let mask = if width == 0 { 0 } else { (1u64 << width) - 1 };
+                let mut acc = 0u64;
+                let mut nbits = 0u32;
+                let mut at = 4usize;
+                let mut prev = first as i64;
+                for _ in 1..count {
+                    while nbits < width {
+                        let byte = *payload.get(at).ok_or_else(corrupt)?;
+                        acc |= (byte as u64) << nbits;
+                        at += 1;
+                        nbits += 8;
+                    }
+                    let zz = acc & mask;
+                    acc >>= width;
+                    nbits -= width;
+                    let value = prev + unzigzag(zz);
+                    if !(0..=u32::MAX as i64).contains(&value) {
+                        return Err(corrupt());
+                    }
+                    out.push(value as u32);
+                    prev = value;
+                }
+                Ok(())
+            }
+            _ => Err(corrupt()),
+        }
+    }
+
+    /// Cases per property: a Miri-sized count under Miri, whose CI job runs
+    /// this crate's unit suite.
+    #[cfg(not(miri))]
+    const CASES: u32 = 256;
+    #[cfg(miri)]
+    const CASES: u32 = 4;
+
+    /// Corrupts an encoded block page in place by `damage`, and returns the
+    /// rid count to decode it against: 0 leaves it whole; 1 cuts the page
+    /// short at `at` bytes; 2 misstates the count; 3 sets a packed width
+    /// past 33; 4 overwrites the first rid with `at`, which can walk a
+    /// packed block's later values out of `u32`, or with a value within 64
+    /// of either end of `u32`, which makes that likelier.
+    fn damage_block(page: &mut Vec<u8>, len: usize, damage: u8, at: u32) -> usize {
+        match damage {
+            1 => {
+                page.truncate(at as usize % (4 + 4 * len + 1));
+                len
+            }
+            2 => len + 1 - 2 * usize::from(at.is_multiple_of(2) && len > 1),
+            3 if page.first() == Some(&TAG_PACKED) => {
+                if let Some(width) = page.get_mut(1) {
+                    *width = 34 + (at % 222) as u8;
+                }
+                len
+            }
+            4 => {
+                let rid = match at % 3 {
+                    0 => at,
+                    1 => at % 64,
+                    _ => u32::MAX - at % 64,
+                };
+                if let Some(first) = page.get_mut(4..8) {
+                    first.copy_from_slice(&rid.to_le_bytes());
+                }
+                len
+            }
+            _ => len,
+        }
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(CASES))]
 
         /// The word-at-a-time encoder writes the same bytes, and nothing past
         /// them, as the byte-at-a-time one: for every block length, every
         /// delta width up to 33 bits, the raw fallback and the `u32`
-        /// extremes.
+        /// extremes. The word-at-a-time decoder returns the rids the
+        /// byte-at-a-time one does, over the whole block and over any
+        /// sub-range of it.
         #[test]
         fn encoder_is_byte_identical(
             len in 1usize..EDGES_PER_BLOCK + 1,
@@ -548,15 +720,70 @@ mod tests {
             shape in 0u8..5,
             start in 0u32..u32::MAX,
             seed in 1u64..u64::MAX,
+            cut in 0u32..u32::MAX,
         ) {
             let rids = block_rids(len, width, shape.min(3), start, seed);
             let (mut want, mut got) = (vec![0xA5u8; PAGE_SIZE], vec![0xA5u8; PAGE_SIZE]);
             let used = encode_block_bytewise(&rids, &mut want);
             prop_assert_eq!(encode_block(&rids, &mut got), used);
             prop_assert!(want == got, "len {len} width {width} shape {shape}");
-            let mut back = Vec::new();
-            decode_block(&got, len, &mut back).unwrap();
-            prop_assert_eq!(back, rids);
+            let mut reference = Vec::new();
+            decode_block_bytewise(&got, len, &mut reference).unwrap();
+            prop_assert_eq!(&reference, &rids);
+            let mut back = vec![7];
+            decode_block(&got, len, 0..len, &mut back).unwrap();
+            prop_assert_eq!(back.get(1..), Some(&rids[..]));
+            let (lo, hi) = (cut as usize % len, (cut as usize / len) % len);
+            let range = lo.min(hi)..lo.max(hi) + 1;
+            back.clear();
+            decode_block(&got, len, range.clone(), &mut back).unwrap();
+            prop_assert_eq!(&back[..], &rids[range]);
+        }
+
+        /// On a damaged block (a truncated payload, a wrong count, a width
+        /// past 33, a first rid that walks a later value out of `u32`) the
+        /// word-at-a-time decoder fails exactly when the byte-at-a-time one
+        /// does, with the same error, and otherwise agrees with it.
+        #[test]
+        fn decoder_errs_like_the_bytewise_one(
+            len in 1usize..EDGES_PER_BLOCK + 1,
+            width in 0u32..34,
+            shape in 0u8..5,
+            start in 0u32..u32::MAX,
+            seed in 1u64..u64::MAX,
+            damage in 0u8..5,
+            at in 0u32..u32::MAX,
+        ) {
+            let rids = block_rids(len, width, shape.min(3), start, seed);
+            let mut page = vec![0u8; PAGE_SIZE];
+            let used = encode_block(&rids, &mut page);
+            page.truncate(used);
+            let expected = damage_block(&mut page, len, damage, at);
+            let mut want = Vec::new();
+            let want = decode_block_bytewise(&page, expected, &mut want).map(|()| want);
+            let mut got = Vec::new();
+            let got = decode_block(&page, expected, 0..expected, &mut got).map(|()| got);
+            prop_assert_eq!(got, want, "len {len} width {width} damage {damage}");
+        }
+    }
+
+    #[test]
+    fn a_delta_below_zero_or_past_u32_is_invalid_data() {
+        // Packed, width 2, two rids: the first verbatim, then zigzag 1
+        // (a delta of -1) from 0, or zigzag 2 (+1) from `u32::MAX`.
+        for (first, zz) in [(0u32, 1u8), (u32::MAX, 2)] {
+            let mut page = vec![TAG_PACKED, 2, 2, 0];
+            page.extend_from_slice(&first.to_le_bytes());
+            page.push(zz);
+            let mut out = vec![9];
+            let got = decode_block(&page, 2, 0..2, &mut out);
+            let mut want = Vec::new();
+            assert_eq!(got, decode_block_bytewise(&page, 2, &mut want));
+            let Err(PagerError::Io { cause, .. }) = got else {
+                panic!("first {first}, zigzag {zz}: {got:?}");
+            };
+            assert!(cause.contains("malformed block"), "{cause}");
+            assert_eq!(out, vec![9], "a failed decode appends nothing");
         }
     }
 

@@ -246,6 +246,37 @@ impl CsrBuilder {
         self.cursors[pos] = cursor + 1;
     }
 
+    /// Appends `rid` to entry `pos` if the entry has room left, checked in
+    /// release builds too: `false`, with nothing written, when `pos` is not
+    /// an entry or the entry already holds its declared count. For counts
+    /// that come from an earlier pass over data that may have changed since
+    /// (the Defer re-probe), where [`CsrBuilder::append`]'s debug-only check
+    /// would let a miscount write into the next entry's slots.
+    #[inline]
+    pub fn try_append(&mut self, pos: usize, rid: Rid) -> bool {
+        let (Some(cursor), Some(&end)) = (self.cursors.get_mut(pos), self.offsets.get(pos + 1))
+        else {
+            return false;
+        };
+        match self.rids.get_mut(*cursor as usize) {
+            Some(slot) if *cursor < end => {
+                *slot = rid;
+                *cursor += 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Whether every entry has received exactly its declared count — what
+    /// [`CsrBuilder::finish`] asserts, for a caller that reports an
+    /// under-filled build as an error instead.
+    pub fn is_full(&self) -> bool {
+        (self.cursors.iter())
+            .zip(self.offsets.get(1..).unwrap_or_default())
+            .all(|(c, end)| c == end)
+    }
+
     /// Appends a whole rid slice to entry `pos` in one `copy_from_slice` —
     /// the per-entry unit of the parallel merge in
     /// [`CsrRidIndex::merge_remapped`]. Counts toward the entry's declared
@@ -267,10 +298,7 @@ impl CsrBuilder {
     /// row 0. The check is O(entries), off the per-edge hot path.
     pub fn finish(self) -> CsrRidIndex {
         assert!(
-            self.cursors
-                .iter()
-                .zip(&self.offsets[1..])
-                .all(|(c, end)| c == end),
+            self.is_full(),
             "an entry received a different number of rids than its declared cardinality"
         );
         CsrRidIndex {
@@ -384,6 +412,21 @@ mod tests {
         let csr = CsrRidIndex::from(&idx);
         assert!(csr.heap_bytes() < idx.heap_bytes());
         assert_eq!(csr.edge_count(), idx.edge_count());
+    }
+
+    #[test]
+    fn try_append_refuses_a_full_or_unknown_entry() {
+        let mut b = CsrBuilder::with_counts([1usize, 2]);
+        assert!(b.try_append(0, 7));
+        assert!(!b.try_append(0, 8), "entry 0 is full");
+        assert!(!b.try_append(2, 9), "there is no entry 2");
+        assert!(b.try_append(1, 10));
+        assert!(!b.is_full(), "entry 1 holds 1 of 2");
+        assert!(b.try_append(1, 11));
+        assert!(b.is_full());
+        let csr = b.finish();
+        assert_eq!(csr.get(0), &[7]);
+        assert_eq!(csr.get(1), &[10, 11]);
     }
 
     #[test]

@@ -498,11 +498,11 @@ pub fn exact_int_json(path: &str, tokens: &[Token]) -> Vec<Violation> {
 
 /// Rule 7 — `one-agg-fold`.
 ///
-/// Folding one input row into a group's `AggState`s is written once
-/// (`AggInputs::update` in `ops/groupby.rs`, over the states of `agg.rs`);
-/// group-by capture, traced-row re-aggregation and the push-down cube all go
-/// through it, and the competitor baselines keep their own as baselines
-/// should. Anywhere else, non-test code that names an
+/// Folding input rows into groups' aggregate states is written once
+/// (`AggInputs::fold` in `ops/groupby.rs`, the batch kernel over the states
+/// of `agg.rs`); group-by capture, traced-row re-aggregation and the
+/// push-down cube all go through it, and the competitor baselines keep their
+/// own as baselines should. Anywhere else, non-test code that names an
 /// `AggFunc::` variant in a function that also calls `.update(` /
 /// `.update_key(` is a copy of that fold coming back.
 pub fn one_agg_fold(path: &str, tokens: &[Token]) -> Vec<Violation> {
@@ -534,7 +534,7 @@ pub fn one_agg_fold(path: &str, tokens: &[Token]) -> Vec<Violation> {
                     path,
                     tok,
                     format!(
-                        "`{name}` matches on `AggFunc::` and calls `.{}(`: a second copy of the aggregate fold; resolve the columns with `AggInputs::resolve` and fold with `AggInputs::update`",
+                        "`{name}` matches on `AggFunc::` and calls `.{}(`: a second copy of the aggregate fold; resolve the columns with `AggInputs::resolve` and fold with `AggInputs::fold`",
                         tok.text
                     ),
                 ));

@@ -1,5 +1,5 @@
 // Fixture: a hand-copied aggregate fold — the match on `AggFunc` next to
-// `AggState::update` that `AggInputs::update` already is.
+// `AggState::update` that `AggInputs::fold` already is.
 pub fn fold_row(aggs: &[AggExpr], states: &mut [AggState], rel: &Relation, rid: usize) {
     for (agg, state) in aggs.iter().zip(states) {
         match (&agg.func, column_of(rel, agg)) {

@@ -18,7 +18,9 @@
 //! execute any query; smaller budgets just evict harder. Trace-time row
 //! fetches use [`PagedRelation::gather`], which pins only the pages the
 //! requested rids actually touch — this is what makes partition pruning
-//! skip physical reads, not just rid scans.
+//! skip physical reads, not just rid scans. A gather pins once per *page
+//! run* (the following rids that land on the pinned page, sorted or not)
+//! and fills the column with one `extend` over that page's words.
 //!
 //! `ROWS_PER_PAGE` (1024) is a multiple of the 64-row morsel alignment, so
 //! chunk boundaries are always valid morsel boundaries.
@@ -429,18 +431,10 @@ impl PagedRelation {
             let column = match slot {
                 PagedSlot::Fixed { first_page } => match self.schema.field(c).data_type {
                     DataType::Int => {
-                        let mut out: Vec<i64> = Vec::with_capacity(rids.len());
-                        self.gather_fixed(*first_page, rids, |bytes| {
-                            out.push(i64::from_le_bytes(bytes));
-                        })?;
-                        Column::Int(out)
+                        Column::Int(self.gather_fixed(*first_page, rids, i64::from_le_bytes)?)
                     }
                     DataType::Float => {
-                        let mut out: Vec<f64> = Vec::with_capacity(rids.len());
-                        self.gather_fixed(*first_page, rids, |bytes| {
-                            out.push(f64::from_le_bytes(bytes));
-                        })?;
-                        Column::Float(out)
+                        Column::Float(self.gather_fixed(*first_page, rids, f64::from_le_bytes)?)
                     }
                     DataType::Str => {
                         return Err(StorageError::Pager(format!(
@@ -534,16 +528,20 @@ impl PagedRelation {
         }
     }
 
-    /// Fetches the 8-byte value of each rid in `rids`, keeping the current
-    /// page pinned across consecutive rids that land on it.
-    fn gather_fixed(
+    /// Fetches the 8-byte value of each rid in `rids`, decoded by `decode`.
+    /// Each pin serves the whole run of following rids that land on its
+    /// page: the run is measured once, then extended from the page's words
+    /// in one loop. Rids may be unsorted or repeated; a rid past the end of
+    /// the relation is a typed error wherever it sits in a run.
+    fn gather_fixed<T>(
         &self,
         first_page: PageId,
         rids: &[Rid],
-        mut emit: impl FnMut([u8; 8]),
-    ) -> Result<()> {
-        let mut i = 0usize;
-        while let Some(&rid0) = rids.get(i) {
+        decode: fn([u8; 8]) -> T,
+    ) -> Result<Vec<T>> {
+        let mut out = Vec::with_capacity(rids.len());
+        let mut rest = rids;
+        while let Some(&rid0) = rest.first() {
             let rid0 = rid0 as usize;
             if rid0 >= self.len {
                 return Err(StorageError::Pager(format!(
@@ -553,37 +551,31 @@ impl PagedRelation {
             }
             let page_no = rid0 / ROWS_PER_PAGE;
             let page_base = page_no * ROWS_PER_PAGE;
-            // One pin serves every following rid on the same page; the
-            // guard drops before the next pin, so a budget of a single
-            // frame can always make progress. The inner loop stays on the
-            // borrowed page slice — no per-rid pin bookkeeping.
+            // The rows of this page that exist: a rid at or past the end of
+            // the relation ends the run and fails at the top of the loop.
+            let rows = (self.len - page_base).min(ROWS_PER_PAGE);
+            let run = (rest.iter())
+                .position(|&rid| (rid as usize).wrapping_sub(page_base) >= rows)
+                .unwrap_or(rest.len());
+            let (head, tail) = rest.split_at(run);
+            // One pin serves the run; the guard drops before the next pin,
+            // so a budget of a single frame can always make progress.
             let guard = self.pool.pin(PageId(first_page.0 + page_no as u32))?;
-            let page: &[u8] = &guard;
-            while let Some(&rid) = rids.get(i) {
-                let rid = rid as usize;
-                if rid < page_base || rid >= page_base + ROWS_PER_PAGE {
-                    break;
-                }
-                if rid >= self.len {
-                    return Err(StorageError::Pager(format!(
-                        "rid {rid} out of bounds for `{}` (len {})",
-                        self.name, self.len
-                    )));
-                }
-                let lo = (rid - page_base) * 8;
-                match page.get(lo..lo + 8).map(TryInto::try_into) {
-                    Some(Ok(bytes)) => emit(bytes),
-                    _ => {
-                        return Err(StorageError::Pager(format!(
-                            "value bytes of rid {rid} out of page bounds in `{}`",
-                            self.name
-                        )))
-                    }
-                }
-                i += 1;
-            }
+            let (words, _) = guard.as_chunks::<8>();
+            let words = words.get(..rows).ok_or_else(|| {
+                StorageError::Pager(format!(
+                    "rows {page_base}..{} of `{}` overrun a page",
+                    page_base + rows,
+                    self.name
+                ))
+            })?;
+            out.extend(
+                head.iter()
+                    .map(|&rid| decode(words[rid as usize - page_base])),
+            );
+            rest = tail;
         }
-        Ok(())
+        Ok(out)
     }
 
     /// The distinct pages of one paged column that `rids` touch. Used by
@@ -918,6 +910,52 @@ mod tests {
             paged.gather(&[99], "g"),
             Err(StorageError::Pager(_))
         ));
+    }
+
+    #[test]
+    fn gather_page_runs_match_in_memory_gather_or_fail_typed() {
+        // 2,500 rows: the third page of each numeric column is partial
+        // (rows 2048..2500). Numeric columns only, so each case exercises
+        // the fixed-width gather alone.
+        let mut b = Relation::builder("n")
+            .column("id", DataType::Int)
+            .column("v", DataType::Float);
+        for i in 0..2500 {
+            b = b.row(vec![Value::Int(i), Value::Float(i as f64 * 0.5)]);
+        }
+        let rel = b.build().unwrap();
+        let pool = test_pool(2);
+        let paged = PagedRelation::spill(&rel, &pool).unwrap();
+        let good: [&[Rid]; 4] = [
+            // Unsorted and repeated, leaving a page and coming back.
+            &[5, 3, 3, 1023, 0, 1024, 7, 7],
+            // A run that ends on the last row of the last, partial page.
+            &[2047, 2048, 2300, 2499, 2499],
+            &[2499, 2048, 1, 2499],
+            &[],
+        ];
+        for rids in good {
+            assert_eq!(paged.gather(rids, "g").unwrap(), rel.gather(rids, "g"));
+        }
+        // A rid past the end in the middle of a run: on the partial page,
+        // past every page, and at the top of the rid domain.
+        let bad: [&[Rid]; 3] = [
+            &[2048, 2049, 2500, 2050],
+            &[10, 11, 5000, 12],
+            &[2499, Rid::MAX],
+        ];
+        for rids in bad {
+            let got = paged.gather(rids, "g");
+            assert!(
+                matches!(got, Err(StorageError::Pager(_))),
+                "{rids:?}: {got:?}"
+            );
+            // No pin leaked: every frame of the pool can be pinned at once.
+            let guards: Vec<_> = (0..pool.capacity() as u32)
+                .map(|p| pool.pin(PageId(p)).unwrap())
+                .collect();
+            assert_eq!(guards.len(), pool.capacity());
+        }
     }
 
     #[test]
