@@ -324,6 +324,8 @@ fn compose_side(
     if let (1, Some((table, lin))) = (child.len(), child.iter().next()) {
         let backward = match (op.backward, &lin.backward) {
             (Some(parent), Some(LineageIndex::Identity(n))) => {
+                // Debug only: an O(edges) scan, and the index moves in
+                // unchanged, so no write depends on it.
                 debug_assert!(
                     (0..parent.len() as Rid).all(|o| {
                         let mut inside = true;

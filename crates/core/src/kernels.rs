@@ -159,6 +159,8 @@ impl KernelPlan {
     ///
     /// [`eval`]: KernelPlan::eval
     pub fn eval_range(&self, relation: &Relation, start: usize, end: usize) -> SelectionMask {
+        // Debug only: the kernels slice every column at `start..end`,
+        // bounds-checked, and write only into a mask of `end - start` rows.
         debug_assert!(start <= end && end <= relation.len());
         let cols = self.cols.iter().map(|&c| relation.column(c)).collect();
         Chunk {

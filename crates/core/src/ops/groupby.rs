@@ -10,12 +10,15 @@
 //!   array during the build phase; `γagg` then moves those arrays into the
 //!   backward index (data-structure *reuse*, principle P4).
 //! * **Defer** stores only an output id per group during execution and builds
-//!   the indexes in a separate pass that re-probes the (pinned) hash table;
-//!   because group cardinalities are known by then, the indexes are allocated
+//!   the indexes in a separate pass that re-probes the (pinned) hash table.
+//!   The re-probe writes each row's gid into the forward rid array (scratch
+//!   when forward lineage is pruned), and the backward index is that array
+//!   inverted by counting sort ([`CsrRidIndex::from_slots`]): allocated
 //!   exactly and never resized. The re-probe matches the table's key mode
-//!   once per ingest and runs one tight loop per mode; a key the first pass
-//!   never saw (an input that changed between the passes) is a typed
-//!   [`EngineError`], not a panic.
+//!   once per ingest and runs one tight loop per mode. A key the first pass
+//!   never saw, or a group met a different number of times than the first
+//!   pass counted (an input that changed between the passes), is a typed
+//!   [`EngineError`], not a panic or another group's rids.
 //! * Cardinality hints (`Smoke-I+TC`) pre-allocate `i_rids` and eliminate the
 //!   resize costs that otherwise dominate capture overhead.
 //!
@@ -56,8 +59,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use smoke_lineage::{
-    CaptureStats, CellDirectory, CsrBuilder, CsrRidIndex, InputLineage, LineageIndex,
-    OperatorLineage, PartitionedRidIndex, RidArray, RidIndex, NO_RID,
+    CaptureStats, CellDirectory, CsrRidIndex, InputLineage, LineageIndex, OperatorLineage,
+    PartitionedRidIndex, RidArray, RidIndex, NO_RID,
 };
 use smoke_storage::kernels as sk;
 use smoke_storage::{Column, DataType, Field, Morsel, Relation, Rid, Schema, SelectionMask};
@@ -179,9 +182,9 @@ impl RowSet for Range<usize> {
 struct GroupEntry {
     key: HashKey,
     i_rids: RidArray,
-    /// Rows that passed the selection push-down (every row without one);
-    /// the exact backward cardinality the Defer pass and the morsel
-    /// fragments allocate with.
+    /// Rows that passed the selection push-down (every row without one),
+    /// counted only by a core that defers: the first pass's count, which
+    /// the Defer re-probe's result is checked against.
     lineage_count: u32,
 }
 
@@ -344,19 +347,20 @@ impl KeyMode<'_> {
     }
 }
 
-/// Where the Defer re-probe writes: the exactly-sized backward CSR and the
-/// forward array, either of which may be pruned.
+/// Where the Defer re-probe writes: each row's gid, into the forward array
+/// (scratch when forward lineage is pruned), from which
+/// [`GroupByCore::finish`] builds the backward CSR.
 struct DeferSink<'a> {
-    backward: Option<&'a mut CsrBuilder>,
-    forward: Option<&'a mut RidArray>,
+    forward: &'a mut RidArray,
     /// Global rid of `forward[0]`.
     base: usize,
     rid_offset: usize,
 }
 
 impl DeferSink<'_> {
-    /// Appends every row of `range` that passes the push-down `mask` (over
-    /// the range, from its first row) to the group `gid_of` finds for it.
+    /// Records, for every row of `range` that passes the push-down `mask`
+    /// (over the range, from its first row), the group `gid_of` finds for
+    /// it.
     #[inline]
     fn run(
         &mut self,
@@ -373,17 +377,7 @@ impl DeferSink<'_> {
                     "the Defer re-probe met a key at row {i} that the first pass never saw"
                 )));
             };
-            let rid = self.rid_offset + i;
-            if let Some(b) = self.backward.as_deref_mut() {
-                if !b.try_append(gid as usize, rid as Rid) {
-                    return Err(EngineError::InvalidPlan(format!(
-                        "the Defer re-probe met group {gid} at row {i} more often than the first pass counted"
-                    )));
-                }
-            }
-            if let Some(f) = self.forward.as_deref_mut() {
-                f.set(rid - self.base, gid);
-            }
+            self.forward.set(self.rid_offset + i - self.base, gid);
         }
         Ok(())
     }
@@ -618,7 +612,6 @@ impl CellSink<'_, '_> {
         self.agg_inputs.fold(states, aggs, rows, &self.cells);
         if core.capture {
             for (&i, &cell) in rows.iter().zip(&self.cells) {
-                groups[cell as usize].lineage_count += 1;
                 core.forward.set(rid_offset + i - core.base, cell);
             }
         }
@@ -892,8 +885,6 @@ pub(crate) struct GroupByCore<'o> {
     /// On a finer core whose groups become cube cells: the push-down whose
     /// aggregates it folds.
     cube: Option<&'o AggPushdown>,
-    /// Exact-count backward index under construction by the Defer re-probe.
-    deferred_backward: Option<CsrBuilder>,
     defer_start: Option<Instant>,
     /// A backward index already in CSR form: a sealed fragment's, or the
     /// merge of all fragments'.
@@ -977,7 +968,6 @@ impl<'o> GroupByCore<'o> {
             forward: RidArray::filled(if fuse_f { rows } else { 0 }),
             finer: Vec::new(),
             cube: None,
-            deferred_backward: None,
             defer_start: None,
             backward_csr: None,
         }
@@ -1033,14 +1023,7 @@ impl<'o> GroupByCore<'o> {
     /// backward CSR, sized exactly.
     fn seal(&mut self) {
         if self.capture_b {
-            let counts = self.groups.iter().map(|g| g.lineage_count as usize);
-            let mut csr = CsrBuilder::with_counts(counts);
-            for (i, gid) in self.forward.iter().enumerate() {
-                if gid != NO_RID {
-                    csr.append(gid as usize, (self.base + i) as Rid);
-                }
-            }
-            self.backward_csr = Some(csr.finish());
+            self.backward_csr = Some(self.forward_inverted());
         }
         self.finer.iter_mut().for_each(|f| f.core.seal());
     }
@@ -1129,7 +1112,7 @@ impl<'o> GroupByCore<'o> {
         }
         let mut key_mode = table.bind(&extractor);
         let (aggs, hints) = (self.aggs, self.hints);
-        let (capture, fuse_b, fuse_f) = (self.capture, self.fuse_b, self.fuse_f);
+        let (capture, fuse_b, fuse_f, defer) = (self.capture, self.fuse_b, self.fuse_f, self.defer);
         let (groups, states) = (&mut self.groups, &mut self.states);
         let (forward, base) = (&mut self.forward, self.base);
 
@@ -1165,7 +1148,9 @@ impl<'o> GroupByCore<'o> {
                 if pushdown_mask.as_ref().is_none_or(|m| m.get(i - first)) {
                     let rid = rid_offset + i;
                     let entry = &mut groups[gid as usize];
-                    entry.lineage_count += 1;
+                    if defer {
+                        entry.lineage_count += 1;
+                    }
                     if fuse_b {
                         entry.i_rids.push(rid as Rid);
                     }
@@ -1189,25 +1174,24 @@ impl<'o> GroupByCore<'o> {
         })
     }
 
-    /// Per-group cardinalities are exact once γht is done, so the Defer pass
-    /// builds the backward index directly in CSR form — two flat buffers
-    /// allocated once, zero resizes, no per-group arrays.
+    /// Starts the Defer pass: the forward array the re-probe writes gids
+    /// into, allocated whether or not forward lineage is captured.
     fn begin_defer(&mut self) {
         if self.defer_start.is_some() {
             return;
         }
         self.defer_start = Some(Instant::now());
-        if self.capture_b {
-            let counts = self.groups.iter().map(|g| g.lineage_count as usize);
-            self.deferred_backward = Some(CsrBuilder::with_counts(counts));
-        }
-        if self.capture_f {
-            self.forward = RidArray::filled(self.rows);
-        }
+        self.forward = RidArray::filled(self.rows);
+    }
+
+    /// The forward array (each row's gid, `NO_RID` for a row outside the
+    /// lineage) inverted into the backward CSR, sized exactly.
+    fn forward_inverted(&self) -> CsrRidIndex {
+        CsrRidIndex::from_slots(self.forward.as_slice(), self.groups.len(), self.base)
     }
 
     /// The Defer pass over rows `range` of `rel`: re-probes the pinned hash
-    /// table and appends each row to its group's exactly-sized entry. The
+    /// table and records each row's gid in the forward array. The
     /// key mode is matched once, and each mode runs its own loop: a dense
     /// slot read, a primitive-key probe or a generic-key probe. A row whose
     /// key the first pass never saw (its input changed between the passes)
@@ -1225,8 +1209,7 @@ impl<'o> GroupByCore<'o> {
             return Ok(());
         };
         let mut sink = DeferSink {
-            backward: self.deferred_backward.as_mut(),
-            forward: self.capture_f.then_some(&mut self.forward),
+            forward: &mut self.forward,
             base: self.base,
             rid_offset,
         };
@@ -1286,7 +1269,6 @@ impl<'o> GroupByCore<'o> {
                                 state.merge(&partial.take(lid));
                                 global.put(gid as usize, state);
                             }
-                            self.groups[gid as usize].lineage_count += local.lineage_count;
                             gid
                         }
                         None => {
@@ -1326,16 +1308,18 @@ impl<'o> GroupByCore<'o> {
         start: Instant,
     ) -> Result<GroupByResult> {
         if self.defer {
+            // Built even when backward lineage is pruned: it is the check
+            // that the re-probe met each group as often as the first pass.
             self.begin_defer();
-        }
-        if let Some(b) = self.deferred_backward.take() {
-            if !b.is_full() {
-                return Err(EngineError::InvalidPlan(
-                    "the Defer re-probe met a group less often than the first pass counted"
-                        .to_string(),
-                ));
+            let csr = self.forward_inverted();
+            let counted = self.groups.iter().map(|g| g.lineage_count as usize);
+            let miscounted = (csr.iter().zip(counted)).find(|((_, rids), n)| rids.len() != *n);
+            if let Some(((gid, _), _)) = miscounted {
+                return Err(EngineError::InvalidPlan(format!(
+                    "the Defer re-probe met group {gid} a different number of times than the first pass counted"
+                )));
             }
-            self.backward_csr = Some(b.finish());
+            self.backward_csr = self.capture_b.then_some(csr);
         }
         let deferred = self.defer_start.map_or(Duration::ZERO, |t| t.elapsed());
         let artifacts = self.artifacts(input.schema())?;
@@ -1849,29 +1833,35 @@ mod tests {
         // The first pass counts key 1 once and key 2 twice. A replay that
         // meets key 1 twice overfills its entry; one that meets key 2 once
         // leaves its entry short. Both are errors in release builds too,
-        // not another group's rids or a panic in the builder.
-        let opts = GroupByOptions::defer();
+        // not another group's rids or a panic: the re-probe records gids,
+        // and `finish` checks every entry against the first pass's count,
+        // whichever directions are captured.
         let keys = ["k0".to_string()];
         let aggs = [AggExpr::count("n")];
         let first = keyed(&[&[1, 2, 2]], &["a", "b", "c"]);
         let overfill = keyed(&[&[1, 1, 2]], &["a", "b", "c"]);
         let underfill = keyed(&[&[1, 2]], &["a", "b"]);
-        let mut core = GroupByCore::new(&keys, &aggs, &opts, first.len());
-        core.ingest(&first, 0..first.len(), 0).unwrap();
-        let replay = core.ingest_defer(&overfill, 0..overfill.len(), 0);
-        assert!(
-            matches!(replay, Err(EngineError::InvalidPlan(_))),
-            "overfill: {replay:?}"
-        );
-        let mut core = GroupByCore::new(&keys, &aggs, &opts, first.len());
-        core.ingest(&first, 0..first.len(), 0).unwrap();
-        core.ingest_defer(&underfill, 0..underfill.len(), 0)
-            .unwrap();
-        let out = core.finish(&first, Instant::now());
-        assert!(
-            matches!(out, Err(EngineError::InvalidPlan(_))),
-            "underfill: {:?}",
-            out.map(|r| r.output)
-        );
+        let directions = [
+            DirectionFilter::Both,
+            DirectionFilter::BackwardOnly,
+            DirectionFilter::ForwardOnly,
+        ];
+        for directions in directions {
+            let opts = GroupByOptions {
+                directions,
+                ..GroupByOptions::defer()
+            };
+            for (case, replay) in [("overfill", &overfill), ("underfill", &underfill)] {
+                let mut core = GroupByCore::new(&keys, &aggs, &opts, first.len());
+                core.ingest(&first, 0..first.len(), 0).unwrap();
+                core.ingest_defer(replay, 0..replay.len(), 0).unwrap();
+                let out = core.finish(&first, Instant::now());
+                assert!(
+                    matches!(out, Err(EngineError::InvalidPlan(_))),
+                    "{case} {directions:?}: {:?}",
+                    out.map(|r| r.output)
+                );
+            }
+        }
     }
 }

@@ -12,8 +12,10 @@
 //!   key has many matches.
 //! * **Defer** additionally stores, per hash entry, the rid of the *first*
 //!   output record of every match (`o_rids`); since matched outputs are
-//!   emitted contiguously, the left-side indexes can be exactly allocated and
-//!   populated in a final hash-table scan after the probe.
+//!   emitted contiguously, one hash-table scan after the probe writes every
+//!   output's left rid. That array is the left backward index, and inverted
+//!   by counting sort ([`CsrRidIndex::from_slots`]) the left forward index,
+//!   both allocated exactly.
 //! * **DeferForward** defers only the left forward index.
 //! * **pk-fk joins**: when the build side is unique, `i_rids` degenerates to a
 //!   single rid, the output cardinality is bounded by the probe side's, and
@@ -33,7 +35,7 @@ use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use smoke_lineage::{
-    CaptureStats, CsrBuilder, InputLineage, LineageIndex, OperatorLineage, RidArray, RidIndex,
+    CaptureStats, CsrRidIndex, InputLineage, LineageIndex, OperatorLineage, RidArray, RidIndex,
 };
 use smoke_storage::kernels as sk;
 use smoke_storage::{Column, Relation, Rid, Schema};
@@ -497,37 +499,27 @@ impl<'o> JoinProbe<'o> {
         let c = self.capture;
         let base_query = start.elapsed();
 
-        // Deferred construction of the left-side indexes: a scan of the
-        // hash table, never of the inputs. The forward index is built
-        // directly in CSR form: per-left-rid cardinalities are exact after
-        // the probe, so both flat buffers are allocated once and never
-        // resized.
+        // Deferred construction of the left-side indexes: one scan of the
+        // hash table, never of the inputs, writes every output's left rid.
+        // That array is the left backward index, and inverted by counting
+        // sort it is the forward index in CSR form, both flat buffers
+        // allocated once and never resized.
         let defer_start = Instant::now();
-        let mut a_bw_deferred = (c.defer_left && c.a_b).then(|| RidArray::filled(self.out_counter));
-        let mut a_fw_deferred: Option<CsrBuilder> = None;
-        if c.defers() && c.a_f {
-            let mut counts = vec![0usize; build.rows];
-            for entry in build.ht.values() {
-                for &l in &entry.rids {
-                    counts[l as usize] = self.o_rids[entry.slot as usize].len();
-                }
-            }
-            a_fw_deferred = Some(CsrBuilder::with_counts(counts));
-        }
-        if a_bw_deferred.is_some() || a_fw_deferred.is_some() {
+        let mut a_bw_deferred = None;
+        let mut a_fw_deferred = None;
+        if c.defers() && (c.a_f || c.defer_left && c.a_b) {
+            let mut left_of = RidArray::filled(self.out_counter);
             for entry in build.ht.values() {
                 for (j, &l) in entry.rids.iter().enumerate() {
                     for &start_o in &self.o_rids[entry.slot as usize] {
-                        let o = start_o + j as Rid;
-                        if let Some(fw) = a_fw_deferred.as_mut() {
-                            fw.append(l as usize, o);
-                        }
-                        if let Some(bw) = a_bw_deferred.as_mut() {
-                            bw.set(o as usize, l);
-                        }
+                        left_of.set(start_o as usize + j, l);
                     }
                 }
             }
+            if c.a_f {
+                a_fw_deferred = Some(CsrRidIndex::from_slots(left_of.as_slice(), build.rows, 0));
+            }
+            a_bw_deferred = (c.defer_left && c.a_b).then_some(left_of);
         }
         let deferred = match c.defers() {
             true => defer_start.elapsed(),
@@ -540,7 +532,7 @@ impl<'o> JoinProbe<'o> {
             .then(|| a_bw_deferred.unwrap_or_else(|| RidArray::from_vec(self.out_left)))
             .map(LineageIndex::Array);
         let a_forward = c.a_f.then(|| match a_fw_deferred {
-            Some(csr) => LineageIndex::Csr(csr.finish()),
+            Some(csr) => LineageIndex::Csr(csr),
             None => LineageIndex::Index(RidIndex::from_arrays(self.a_fw)),
         });
         let b_backward = (c.b_b).then(|| LineageIndex::Array(RidArray::from_vec(self.out_right)));
@@ -585,17 +577,14 @@ pub(crate) fn finish_from_runs(
     start: Instant,
 ) -> Result<JoinResult> {
     fn forward(run: &[Rid], entries: usize, csr: bool) -> LineageIndex {
-        let outputs = run.iter().enumerate().map(|(o, &i)| (i as usize, o as Rid));
-        if !csr {
-            let mut index = RidIndex::with_len(entries);
-            outputs.for_each(|(i, o)| index.append(i, o));
-            return LineageIndex::Index(index);
+        if csr {
+            return LineageIndex::Csr(CsrRidIndex::from_slots(run, entries, 0));
         }
-        let mut counts = vec![0usize; entries];
-        run.iter().for_each(|&i| counts[i as usize] += 1);
-        let mut builder = CsrBuilder::with_counts(counts);
-        outputs.for_each(|(i, o)| builder.append(i, o));
-        LineageIndex::Csr(builder.finish())
+        let mut index = RidIndex::with_len(entries);
+        for (o, &i) in run.iter().enumerate() {
+            index.append(i as usize, o as Rid);
+        }
+        LineageIndex::Index(index)
     }
 
     let c = Capture::of(opts);

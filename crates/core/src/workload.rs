@@ -45,6 +45,8 @@ impl LineageCube {
         directory: Arc<CellDirectory>,
         states: Vec<AggState>,
     ) -> Self {
+        // Debug only: nothing is written past this; `query` reads the
+        // states through bounds-checked slices.
         debug_assert_eq!(states.len(), directory.cell_count() * aggs.len());
         let (partition_by, partition_types) = (partition_fields.into_iter())
             .map(|f| (f.name, f.data_type))

@@ -2,7 +2,8 @@
 //! 0, −1, `i64::MIN`, `i64::MAX`, keys that differ only in their high bits
 //! (`k << 32`, `k << 48`), integer pairs that mirror each other, strings
 //! with long shared prefixes — checked rid for rid against nested-loop
-//! references under every capture mode. The group-by reference also folds
+//! references under every capture mode and with either direction pruned.
+//! The group-by reference also folds
 //! every aggregate function one row at a time, in rid order, and diffs the
 //! batched γ fold against it bit for bit — with and without the selection
 //! push-down and the §4.2 partitions and cube, resident and paged — over
@@ -13,7 +14,8 @@ use std::sync::Arc;
 use smoke_core::ops::groupby::{group_by, GroupByOptions, GroupByResult};
 use smoke_core::ops::join::{hash_join, JoinOptions, JoinResult};
 use smoke_core::{
-    paged_group_by, AggExpr, AggFunc, AggPushdown, AggState, CaptureMode, Expr, WorkloadOptions,
+    paged_group_by, AggExpr, AggFunc, AggPushdown, AggState, CaptureMode, DirectionFilter, Expr,
+    WorkloadOptions,
 };
 use smoke_lineage::{LineageIndex, Rid};
 use smoke_pager::{BufferPool, ReplacementPolicy, SegmentStore};
@@ -28,6 +30,15 @@ const MODES: [CaptureMode; 4] = [
     CaptureMode::Inject,
     CaptureMode::Defer,
     CaptureMode::DeferForward,
+];
+
+/// Both directions, then each one pruned: a Defer capture builds what it
+/// prunes as scratch (the γ re-probe's gid array, the ⋈ left side's slot
+/// array), so each pruning is its own path.
+const DIRECTIONS: [DirectionFilter; 3] = [
+    DirectionFilter::Both,
+    DirectionFilter::BackwardOnly,
+    DirectionFilter::ForwardOnly,
 ];
 
 /// The adversarial integer keys, `n` of them, with repeats.
@@ -90,6 +101,14 @@ fn lookups(index: &LineageIndex, len: usize) -> Vec<Vec<Rid>> {
     (0..len as Rid).map(|p| index.lookup(p)).collect()
 }
 
+/// A captured direction's index holds `want`; a pruned one is `None`.
+fn check_index(index: Option<&LineageIndex>, captured: bool, want: &[Vec<Rid>], what: &str) {
+    match index {
+        Some(index) if captured => assert_eq!(lookups(index, want.len()), want, "{what}"),
+        got => assert!(!captured && got.is_none(), "{what}: {got:?}"),
+    }
+}
+
 fn check_join(left: &Relation, right: &Relation, left_keys: &[String], right_keys: &[String]) {
     let (lk, rk) = (positions(left, left_keys), positions(right, right_keys));
     // The probe order: right rows in order, each left match in rid order.
@@ -111,19 +130,18 @@ fn check_join(left: &Relation, right: &Relation, left_keys: &[String], right_key
     let left_forward = outputs_of(left.len(), |p| p.0);
     let right_forward = outputs_of(right.len(), |p| p.1);
 
-    for mode in MODES {
+    for (mode, directions) in MODES.into_iter().flat_map(|m| DIRECTIONS.map(|d| (m, d))) {
         let opts = JoinOptions {
             mode,
+            left_directions: directions,
+            right_directions: directions,
             ..JoinOptions::default()
         };
+        let what = format!("{mode:?} {directions:?} {left_keys:?}");
         let got: JoinResult = hash_join(left, right, left_keys, right_keys, &opts).unwrap();
-        assert_eq!(got.output_rows, pairs.len(), "{mode:?} {left_keys:?}");
+        assert_eq!(got.output_rows, pairs.len(), "{what}");
         for (o, &(l, r)) in pairs.iter().enumerate() {
-            assert_eq!(
-                got.output.value(o, 0),
-                left.value(l as usize, 0),
-                "{mode:?}"
-            );
+            assert_eq!(got.output.value(o, 0), left.value(l as usize, 0), "{what}");
             let right_at = left.columns().len();
             assert_eq!(got.output.value(o, right_at), right.value(r as usize, 0));
         }
@@ -132,13 +150,13 @@ fn check_join(left: &Relation, right: &Relation, left_keys: &[String], right_key
             continue;
         }
         let (a, b) = (got.lineage.input(0), got.lineage.input(1));
-        let n = pairs.len();
+        let (bw, fw) = (directions.backward(), directions.forward());
         let left_backward: Vec<Vec<Rid>> = pairs.iter().map(|p| vec![p.0]).collect();
         let right_backward: Vec<Vec<Rid>> = pairs.iter().map(|p| vec![p.1]).collect();
-        assert_eq!(lookups(a.backward(), n), left_backward, "{mode:?}");
-        assert_eq!(lookups(b.backward(), n), right_backward, "{mode:?}");
-        assert_eq!(lookups(a.forward(), left.len()), left_forward, "{mode:?}");
-        assert_eq!(lookups(b.forward(), right.len()), right_forward, "{mode:?}");
+        check_index(a.backward.as_ref(), bw, &left_backward, &what);
+        check_index(b.backward.as_ref(), bw, &right_backward, &what);
+        check_index(a.forward.as_ref(), fw, &left_forward, &what);
+        check_index(b.forward.as_ref(), fw, &right_forward, &what);
     }
 }
 
@@ -250,17 +268,18 @@ fn check_group_by(rel: &Relation, keys: &[String]) {
     ));
     let paged = PagedRelation::spill(rel, &pool).unwrap();
 
-    for mode in MODES {
+    for (mode, directions) in MODES.into_iter().flat_map(|m| DIRECTIONS.map(|d| (m, d))) {
         for workload in workloads() {
             let opts = GroupByOptions {
                 mode,
+                directions,
                 workload: workload.clone(),
                 ..GroupByOptions::default()
             };
             let resident = group_by(rel, keys, &aggs, &opts).unwrap();
             let by_pages = paged_group_by(&paged, keys, &aggs, &opts, BATCH).unwrap();
             for (driver, got) in [("resident", &resident), ("paged", &by_pages)] {
-                let what = format!("{driver} {mode:?} {keys:?} {workload:?}");
+                let what = format!("{driver} {mode:?} {directions:?} {keys:?} {workload:?}");
                 check_groups(rel, &groups, &aggs, got, &what);
                 if mode == CaptureMode::Baseline {
                     assert!(got.lineage.is_none(), "{what}");
@@ -279,12 +298,18 @@ fn check_group_by(rel: &Relation, keys: &[String]) {
                         false => Vec::new(),
                     })
                     .collect();
-                assert_eq!(
-                    lookups(lineage.backward(), groups.len()),
-                    backward,
-                    "{what}"
+                check_index(
+                    lineage.backward.as_ref(),
+                    directions.backward(),
+                    &backward,
+                    &what,
                 );
-                assert_eq!(lookups(lineage.forward(), rel.len()), forward, "{what}");
+                check_index(
+                    lineage.forward.as_ref(),
+                    directions.forward(),
+                    &forward,
+                    &what,
+                );
                 if workload.agg_pushdown.is_some() {
                     check_cells(rel, p, &groups, &aggs, got, &what);
                 }

@@ -407,7 +407,6 @@ fn padded_word(bits: &[u8], at: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::CsrBuilder;
     use proptest::prelude::*;
     use smoke_pager::{ReplacementPolicy, SegmentStore};
 
@@ -422,14 +421,8 @@ mod tests {
     /// A skewed group-by-shaped CSR: entry g holds the ascending rids
     /// congruent to g modulo the group count.
     fn skewed_csr(groups: usize, rows: usize) -> CsrRidIndex {
-        let counts: Vec<usize> = (0..groups)
-            .map(|g| rows / groups + usize::from(g < rows % groups))
-            .collect();
-        let mut b = CsrBuilder::with_counts(counts);
-        for rid in 0..rows {
-            b.append(rid % groups, rid as Rid);
-        }
-        b.finish()
+        let slots: Vec<u32> = (0..rows).map(|rid| (rid % groups) as u32).collect();
+        CsrRidIndex::from_slots(&slots, groups, 0)
     }
 
     #[test]
@@ -466,12 +459,7 @@ mod tests {
         let rids: Vec<Rid> = (0..3000)
             .map(|i| if i % 2 == 0 { 0 } else { u32::MAX })
             .collect();
-        let n = rids.len();
-        let mut b = CsrBuilder::with_counts([n]);
-        for r in rids {
-            b.append(0, r);
-        }
-        let csr = b.finish();
+        let csr = CsrRidIndex::from_parts(vec![0, rids.len() as u32], rids);
         let comp = CompressedCsrIndex::spill(&csr, &pool(2)).unwrap();
         assert!(comp.compressed_bytes() <= comp.raw_bytes() + 4 * comp.pages() as usize);
         assert_eq!(comp.materialize().unwrap(), csr);
@@ -499,9 +487,7 @@ mod tests {
         assert_eq!(empty.pages(), 0);
         assert_eq!(empty.materialize().unwrap(), CsrRidIndex::new());
 
-        let mut b = CsrBuilder::with_counts([1usize]);
-        b.append(0, 42);
-        let one = b.finish();
+        let one = CsrRidIndex::from_slots(&[0], 1, 42);
         let comp = CompressedCsrIndex::spill(&one, &p).unwrap();
         assert_eq!(comp.lookup(0).unwrap(), vec![42]);
         assert_eq!(comp.blocks_touched(0), 1);
@@ -833,11 +819,7 @@ mod tests {
 
     #[test]
     fn u32_extremes_survive() {
-        let mut b = CsrBuilder::with_counts([5usize]);
-        for r in [0, u32::MAX, 0, 1, u32::MAX - 1] {
-            b.append(0, r);
-        }
-        let csr = b.finish();
+        let csr = CsrRidIndex::from_parts(vec![0, 5], vec![0, u32::MAX, 0, 1, u32::MAX - 1]);
         let comp = CompressedCsrIndex::spill(&csr, &pool(1)).unwrap();
         assert_eq!(comp.materialize().unwrap(), csr);
     }

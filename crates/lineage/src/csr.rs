@@ -13,14 +13,18 @@
 //! * `rids` holds every lineage edge back to back.
 //!
 //! Lookups are two adjacent `u32` reads plus one slice; a full traversal is
-//! one linear scan. The Defer capture paths, which know per-entry
-//! cardinalities before writing a single rid, build CSR directly through
-//! [`CsrBuilder`] with zero resizes; Inject paths build a [`crate::RidIndex`]
-//! and convert with [`CsrRidIndex::from`] (or [`crate::RidIndex::finalize`])
-//! in one pass.
+//! one linear scan. Every capture path that knows each row's entry before
+//! it writes a rid — the Defer re-probe, a sealed morsel fragment or finer
+//! γ, the join's deferred left side — holds that knowledge as a slot array
+//! (row → entry) and builds the CSR from it with
+//! [`CsrRidIndex::from_slots`], a counting sort that counts and fills from
+//! the same slice, so no entry can be miscounted and nothing is resized.
+//! Inject paths build a [`crate::RidIndex`] and convert with
+//! [`CsrRidIndex::from`] (or [`crate::RidIndex::finalize`]) in one pass.
 
 use smoke_storage::Rid;
 
+use crate::rid_array::NO_RID;
 use crate::rid_index::RidIndex;
 
 /// A 1-to-N lineage index stored in compressed-sparse-row form.
@@ -48,15 +52,50 @@ impl CsrRidIndex {
         }
     }
 
-    /// Assembles a CSR index from raw parts (used by the composition kernel,
-    /// which computes both buffers itself).
-    ///
-    /// Panics (in debug builds) when the offsets invariant does not hold.
-    pub fn from_parts(offsets: Vec<u32>, rids: Vec<Rid>) -> Self {
+    /// Assembles a CSR index from raw parts, for the kernels of this crate
+    /// that compute both buffers in one pass (composition, a compressed
+    /// index read back).
+    pub(crate) fn from_parts(offsets: Vec<u32>, rids: Vec<Rid>) -> Self {
+        // Debug only: no write follows, and `get` slices `rids` with
+        // bounds checks, so a broken invariant panics, never misreads.
         debug_assert!(!offsets.is_empty() && offsets[0] == 0);
         debug_assert_eq!(*offsets.last().unwrap() as usize, rids.len());
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
         CsrRidIndex { offsets, rids }
+    }
+
+    /// Inverts a slot array by counting sort: entry `slots[i]` receives rid
+    /// `base + i`, in ascending `i`, and a [`NO_RID`] slot is skipped. Both
+    /// passes read the same slice, so no entry can be miscounted, and
+    /// `offsets` (`entries + 1`) and `rids` are allocated once, exactly.
+    ///
+    /// Panics when a slot other than [`NO_RID`] is not below `entries`, or
+    /// when `base + slots.len()` passes the `u32` rid space (which also
+    /// bounds every offset: the total is at most `slots.len()`).
+    pub fn from_slots(slots: &[u32], entries: usize, base: usize) -> CsrRidIndex {
+        assert!(
+            base.checked_add(slots.len())
+                .is_some_and(|end| end <= Rid::MAX as usize),
+            "a slot array past the u32 rid space"
+        );
+        let mut offsets = vec![0u32; entries + 1];
+        for &slot in slots.iter().filter(|&&slot| slot != NO_RID) {
+            offsets[slot as usize + 1] += 1;
+        }
+        let mut rids = vec![0; counts_to_cursors(&mut offsets)];
+        for (i, &slot) in slots.iter().enumerate() {
+            if slot != NO_RID {
+                let cursor = &mut offsets[slot as usize + 1];
+                rids[*cursor as usize] = (base + i) as Rid;
+                *cursor += 1;
+            }
+        }
+        CsrRidIndex { offsets, rids }
+    }
+
+    /// The two buffers, for a caller that reuses them as its own layout.
+    pub(crate) fn into_parts(self) -> (Vec<u32>, Vec<Rid>) {
+        (self.offsets, self.rids)
     }
 
     /// Number of entries (e.g. number of output groups).
@@ -152,32 +191,64 @@ impl CsrRidIndex {
     ///
     /// Because CSR stores every edge in one flat buffer, the merge is a
     /// *memcpy-with-rebase*: a counting pass sums per-global-entry
-    /// cardinalities, then each partition's per-entry rid slice is copied
-    /// verbatim into its pre-computed window — no per-edge hashing or
-    /// re-bucketing. Partitions are drained in slice order, so when callers
-    /// pass partitions in morsel order the rids within each global entry
-    /// stay in ascending rid order, matching sequential capture bit for bit.
+    /// cardinalities into the offsets, then each partition's per-entry rid
+    /// slice is copied verbatim into its window — no per-edge hashing or
+    /// re-bucketing. Both passes walk the same `(part, map)` pairs, so every
+    /// window is filled exactly. Partitions are drained in slice order, so
+    /// when callers pass partitions in morsel order the rids within each
+    /// global entry stay in ascending rid order, matching sequential capture
+    /// bit for bit.
     pub fn merge_remapped(parts: &[CsrRidIndex], maps: &[Vec<u32>], entries: usize) -> CsrRidIndex {
+        // The merged total is at most the parts' total, so one check up
+        // front bounds every offset below.
+        let edges: usize = parts.iter().map(CsrRidIndex::edge_count).sum();
+        assert!(
+            edges <= u32::MAX as usize,
+            "merged lineage exceeds the u32 edge capacity of CSR offsets"
+        );
+        // Debug only: a length mismatch makes both passes skip the same
+        // edges, so no window is over- or under-filled.
         debug_assert_eq!(parts.len(), maps.len());
-        let mut counts = vec![0usize; entries];
-        for (part, map) in parts.iter().zip(maps) {
+        let pairs = || parts.iter().zip(maps);
+        let mut offsets = vec![0u32; entries + 1];
+        for (part, map) in pairs() {
             debug_assert_eq!(part.len(), map.len());
             for (local, &global) in map.iter().enumerate() {
-                counts[global as usize] += part.get(local).len();
+                offsets[global as usize + 1] += part.get(local).len() as u32;
             }
         }
-        let mut builder = CsrBuilder::with_counts(counts);
-        for (part, map) in parts.iter().zip(maps) {
+        let mut rids = vec![0; counts_to_cursors(&mut offsets)];
+        for (part, map) in pairs() {
             for (local, &global) in map.iter().enumerate() {
-                builder.append_slice(global as usize, part.get(local));
+                let (cursor, slice) = (&mut offsets[global as usize + 1], part.get(local));
+                let at = *cursor as usize;
+                rids[at..at + slice.len()].copy_from_slice(slice);
+                *cursor += slice.len() as u32;
             }
         }
-        builder.finish()
+        CsrRidIndex { offsets, rids }
     }
 }
 
+/// Turns the offsets of a count pass — entry `e`'s count at `offsets[e +
+/// 1]` — into write cursors, each at its entry's start, and returns the
+/// total. Filling entry `e` through cursor `offsets[e + 1]` leaves it at the
+/// entry's end, which is where a finished CSR's offset sits.
+fn counts_to_cursors(offsets: &mut [u32]) -> usize {
+    let mut total = 0;
+    for at in offsets.iter_mut().skip(1) {
+        (*at, total) = (total, total + *at);
+    }
+    total as usize
+}
+
 /// Asserts (in release builds too) that an edge total fits the `u32` offset
-/// space; a silently wrapped offset buffer would corrupt every lookup.
+/// space; a silently wrapped offset buffer would corrupt every lookup. Only
+/// composition and finalize call it: their totals are known only once
+/// counted, while [`CsrRidIndex::from_slots`] (at most its slot count) and
+/// [`CsrRidIndex::merge_remapped`] (at most its parts' edges) check a bound
+/// once, up front. It stays a panic rather than a typed error because the
+/// frozen benchmark names those functions' return types.
 #[inline]
 pub(crate) fn checked_offset(total: u64) -> u32 {
     assert!(
@@ -205,112 +276,10 @@ impl From<&RidIndex> for CsrRidIndex {
     }
 }
 
-/// Direct builder for capture paths that know every entry's cardinality up
-/// front (group-by / join Defer): the two flat buffers are allocated exactly
-/// once and filled through per-entry write cursors — zero resizes, no
-/// intermediate `Vec<RidArray>`.
-#[derive(Debug)]
-pub struct CsrBuilder {
-    offsets: Vec<u32>,
-    cursors: Vec<u32>,
-    rids: Vec<Rid>,
-}
-
-impl CsrBuilder {
-    /// Starts a builder from exact per-entry cardinalities.
-    pub fn with_counts(counts: impl IntoIterator<Item = usize>) -> Self {
-        let mut offsets = vec![0u32];
-        let mut total = 0u64;
-        for c in counts {
-            total += c as u64;
-            offsets.push(checked_offset(total));
-        }
-        let cursors = offsets[..offsets.len() - 1].to_vec();
-        CsrBuilder {
-            offsets,
-            cursors,
-            rids: vec![0; total as usize],
-        }
-    }
-
-    /// Appends `rid` to entry `pos`. Entries may be filled in any interleaved
-    /// order; each must receive exactly the count it was declared with.
-    #[inline]
-    pub fn append(&mut self, pos: usize, rid: Rid) {
-        let cursor = self.cursors[pos];
-        debug_assert!(
-            cursor < self.offsets[pos + 1],
-            "entry {pos} overflows its declared cardinality"
-        );
-        self.rids[cursor as usize] = rid;
-        self.cursors[pos] = cursor + 1;
-    }
-
-    /// Appends `rid` to entry `pos` if the entry has room left, checked in
-    /// release builds too: `false`, with nothing written, when `pos` is not
-    /// an entry or the entry already holds its declared count. For counts
-    /// that come from an earlier pass over data that may have changed since
-    /// (the Defer re-probe), where [`CsrBuilder::append`]'s debug-only check
-    /// would let a miscount write into the next entry's slots.
-    #[inline]
-    pub fn try_append(&mut self, pos: usize, rid: Rid) -> bool {
-        let (Some(cursor), Some(&end)) = (self.cursors.get_mut(pos), self.offsets.get(pos + 1))
-        else {
-            return false;
-        };
-        match self.rids.get_mut(*cursor as usize) {
-            Some(slot) if *cursor < end => {
-                *slot = rid;
-                *cursor += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Whether every entry has received exactly its declared count — what
-    /// [`CsrBuilder::finish`] asserts, for a caller that reports an
-    /// under-filled build as an error instead.
-    pub fn is_full(&self) -> bool {
-        (self.cursors.iter())
-            .zip(self.offsets.get(1..).unwrap_or_default())
-            .all(|(c, end)| c == end)
-    }
-
-    /// Appends a whole rid slice to entry `pos` in one `copy_from_slice` —
-    /// the per-entry unit of the parallel merge in
-    /// [`CsrRidIndex::merge_remapped`]. Counts toward the entry's declared
-    /// cardinality exactly like `rids.len()` calls to [`CsrBuilder::append`].
-    #[inline]
-    pub fn append_slice(&mut self, pos: usize, rids: &[Rid]) {
-        let cursor = self.cursors[pos] as usize;
-        debug_assert!(
-            cursor + rids.len() <= self.offsets[pos + 1] as usize,
-            "entry {pos} overflows its declared cardinality"
-        );
-        self.rids[cursor..cursor + rids.len()].copy_from_slice(rids);
-        self.cursors[pos] = (cursor + rids.len()) as u32;
-    }
-
-    /// Finishes the build. Panics when any entry received a different number
-    /// of rids than declared: `rids` is pre-filled with rid 0, so letting an
-    /// undercounted build through would silently attribute outputs to base
-    /// row 0. The check is O(entries), off the per-edge hot path.
-    pub fn finish(self) -> CsrRidIndex {
-        assert!(
-            self.is_full(),
-            "an entry received a different number of rids than its declared cardinality"
-        );
-        CsrRidIndex {
-            offsets: self.offsets,
-            rids: self.rids,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> RidIndex {
         RidIndex::from_entries(vec![vec![1, 2, 3], vec![], vec![3, 4]])
@@ -341,50 +310,13 @@ mod tests {
     }
 
     #[test]
-    fn builder_fills_interleaved_entries_without_resizes() {
-        let mut b = CsrBuilder::with_counts([2usize, 0, 3]);
-        b.append(2, 10);
-        b.append(0, 5);
-        b.append(2, 11);
-        b.append(0, 6);
-        b.append(2, 12);
-        let csr = b.finish();
-        assert_eq!(csr.get(0), &[5, 6]);
-        assert_eq!(csr.get(1), &[] as &[Rid]);
-        assert_eq!(csr.get(2), &[10, 11, 12]);
-    }
-
-    #[test]
-    fn append_slice_matches_per_rid_appends() {
-        let mut a = CsrBuilder::with_counts([3usize, 2]);
-        a.append_slice(1, &[7, 8]);
-        a.append_slice(0, &[1]);
-        a.append_slice(0, &[2, 3]);
-        let mut b = CsrBuilder::with_counts([3usize, 2]);
-        for r in [7, 8] {
-            b.append(1, r);
-        }
-        for r in [1, 2, 3] {
-            b.append(0, r);
-        }
-        assert_eq!(a.finish(), b.finish());
-    }
-
-    #[test]
     fn merge_remapped_rebases_partition_local_entries() {
         // Two partitions over morsels [0,4) and [4,8); three global groups.
         // Partition 0 saw groups A(=0) and B(=1) locally as 0 and 1;
         // partition 1 saw B and C first, so locally B=0, C=1, A=2.
-        let p0 = CsrBuilder::with_counts([2usize, 2]);
-        let mut p0 = p0;
-        p0.append_slice(0, &[0, 3]); // A
-        p0.append_slice(1, &[1, 2]); // B
-        let p0 = p0.finish();
-        let mut p1 = CsrBuilder::with_counts([1usize, 2, 1]);
-        p1.append_slice(0, &[5]); // B
-        p1.append_slice(1, &[4, 7]); // C
-        p1.append_slice(2, &[6]); // A
-        let p1 = p1.finish();
+        let p0 = CsrRidIndex::from_slots(&[0, 1, 1, 0], 2, 0); // A [0, 3], B [1, 2]
+        let p1 = CsrRidIndex::from_slots(&[1, 0, 2, 1], 3, 4); // B [5], C [4, 7], A [6]
+        assert_eq!((p0.get(0), p1.get(1)), (&[0, 3][..], &[4, 7][..]));
 
         let merged = CsrRidIndex::merge_remapped(&[p0, p1], &[vec![0, 1], vec![1, 2, 0]], 3);
         assert_eq!(merged.len(), 3);
@@ -403,6 +335,46 @@ mod tests {
         assert!(merged.is_empty());
     }
 
+    /// Cases per property: a Miri-sized count under Miri, whose CI job runs
+    /// this crate's unit suite.
+    #[cfg(not(miri))]
+    const CASES: u32 = 256;
+    #[cfg(miri)]
+    const CASES: u32 = 4;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+        /// `from_slots` agrees with a nested-loop inversion of the slot
+        /// array — over `NO_RID` holes, entries no slot names, entries past
+        /// the largest slot and a nonzero base — and carries no slack.
+        #[test]
+        fn from_slots_matches_the_nested_loops(
+            raw in prop::collection::vec(0u32..64, 0..300),
+            domain in 1u32..16,
+            extra in 0usize..4,
+            base in 0usize..1 << 20,
+        ) {
+            let slots: Vec<u32> = raw
+                .iter()
+                .map(|&r| if r % 4 == 0 { NO_RID } else { r % domain })
+                .collect();
+            let entries = domain as usize + extra;
+            let csr = CsrRidIndex::from_slots(&slots, entries, base);
+            prop_assert_eq!(csr.len(), entries);
+            for entry in 0..entries {
+                let want: Vec<Rid> = (0..slots.len())
+                    .filter(|&i| slots[i] == entry as u32)
+                    .map(|i| (base + i) as Rid)
+                    .collect();
+                prop_assert_eq!(csr.get(entry), &want[..], "entry {entry}");
+            }
+            let holes = slots.iter().filter(|&&s| s == NO_RID).count();
+            prop_assert_eq!(csr.edge_count(), slots.len() - holes);
+            prop_assert_eq!(csr.heap_bytes(), 4 * (entries + 1) + 4 * csr.edge_count());
+        }
+    }
+
     #[test]
     fn heap_bytes_is_strictly_below_vec_of_vecs() {
         // 100 entries of 10 rids each: the Vec<RidArray> layout pays one
@@ -412,21 +384,6 @@ mod tests {
         let csr = CsrRidIndex::from(&idx);
         assert!(csr.heap_bytes() < idx.heap_bytes());
         assert_eq!(csr.edge_count(), idx.edge_count());
-    }
-
-    #[test]
-    fn try_append_refuses_a_full_or_unknown_entry() {
-        let mut b = CsrBuilder::with_counts([1usize, 2]);
-        assert!(b.try_append(0, 7));
-        assert!(!b.try_append(0, 8), "entry 0 is full");
-        assert!(!b.try_append(2, 9), "there is no entry 2");
-        assert!(b.try_append(1, 10));
-        assert!(!b.is_full(), "entry 1 holds 1 of 2");
-        assert!(b.try_append(1, 11));
-        assert!(b.is_full());
-        let csr = b.finish();
-        assert_eq!(csr.get(0), &[7]);
-        assert_eq!(csr.get(1), &[10, 11]);
     }
 
     #[test]

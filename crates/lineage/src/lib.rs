@@ -51,7 +51,7 @@ mod stats;
 
 pub use compose::{compose_backward, compose_forward};
 pub use compressed::{CompressedCsrIndex, EDGES_PER_BLOCK};
-pub use csr::{CsrBuilder, CsrRidIndex};
+pub use csr::CsrRidIndex;
 pub use index::LineageIndex;
 pub use operator::{InputLineage, OperatorLineage, QueryLineage};
 pub use partitioned::{CellDirectory, PartitionedRidIndex};

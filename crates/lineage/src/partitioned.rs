@@ -42,19 +42,16 @@ impl CellDirectory {
     /// other cell of that gid shares. Covers gids up to the last with a cell.
     pub fn new(arity: usize, gids: &[u32], keys: Vec<Value>) -> Self {
         let len = gids.iter().max().map_or(0, |&g| g as usize + 1);
-        let mut starts = vec![0u32; len + 1];
-        for &gid in gids {
-            starts[gid as usize + 1] += 1;
-        }
-        for g in 0..len {
-            starts[g + 1] += starts[g];
-        }
+        // Cells grouped by gid, ascending within each: then each gid's span
+        // is sorted by key, which no two of its cells share.
+        let (starts, mut order) = CsrRidIndex::from_slots(gids, len, 0).into_parts();
         let key = |c: u32| &keys[c as usize * arity..][..arity];
-        let mut order: Vec<u32> = (0..gids.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let by_gid = gids[a as usize].cmp(&gids[b as usize]);
-            by_gid.then_with(|| cmp_keys(key(a), key(b)))
-        });
+        for bounds in starts.windows(2) {
+            if let &[lo, hi] = bounds {
+                let span = &mut order[lo as usize..hi as usize];
+                span.sort_unstable_by(|&a, &b| cmp_keys(key(a), key(b)));
+            }
+        }
         CellDirectory {
             starts,
             order,
@@ -126,6 +123,8 @@ pub struct PartitionedRidIndex {
 impl PartitionedRidIndex {
     /// An index on `attribute`: `directory` over the cell CSR `cells`.
     pub fn new(attribute: String, directory: Arc<CellDirectory>, cells: CsrRidIndex) -> Self {
+        // Debug only: nothing is written, and every probe reads a cell
+        // through `get_checked`, so a short CSR reads empty, never panics.
         debug_assert_eq!(directory.cell_count(), cells.len());
         PartitionedRidIndex {
             attribute,
@@ -152,7 +151,7 @@ impl PartitionedRidIndex {
     /// The rids of output `out_rid` whose partition attributes equal `key`
     /// under [`Value::total_cmp`]: a binary search, then one CSR slice.
     pub fn partition(&self, out_rid: usize, key: &[Value]) -> &[Rid] {
-        (self.directory.find(out_rid, key)).map_or(&[], |cell| self.cells.get(cell))
+        (self.directory.find(out_rid, key)).map_or(&[], |cell| self.cells.get_checked(cell))
     }
 
     /// Number of partitions of output `out_rid`.
@@ -162,7 +161,7 @@ impl PartitionedRidIndex {
 
     /// `(key, rids)` per partition of output `out_rid`, in typed key order.
     pub fn partitions(&self, out_rid: usize) -> impl Iterator<Item = (&[Value], &[Rid])> + '_ {
-        (self.directory.cells(out_rid)).map(|(key, cell)| (key, self.cells.get(cell)))
+        (self.directory.cells(out_rid)).map(|(key, cell)| (key, self.cells.get_checked(cell)))
     }
 
     /// Total number of lineage edges stored.

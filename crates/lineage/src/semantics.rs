@@ -45,6 +45,7 @@ pub fn why_provenance(backward_per_relation: &[Vec<Rid>]) -> Vec<Witness> {
         return Vec::new();
     }
     let n = backward_per_relation[0].len();
+    // Debug only: the lists are only read, `rids[k]` bounds-checked.
     debug_assert!(
         backward_per_relation.iter().all(|r| r.len() == n),
         "positionally-aligned backward indexes must have equal lengths"

@@ -218,6 +218,7 @@ impl BufferPool {
         }
         inner.table.insert(page.0, f);
         inner.replacer.on_admit(f);
+        // Debug only: frame accounting that no write reads.
         debug_assert_eq!(inner.free.len() + inner.replacer.len(), self.capacity);
         Ok(f)
     }

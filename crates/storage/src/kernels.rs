@@ -127,11 +127,15 @@ impl SelectionMask {
         self.len == 0
     }
 
-    /// Sets the bit for `row`.
+    /// Sets the bit for `row`; a no-op past `len`, where [`get`] reads
+    /// `false`, so no bit beyond `len` is ever set.
+    ///
+    /// [`get`]: SelectionMask::get
     #[inline]
     pub fn set(&mut self, row: usize) {
-        debug_assert!(row < self.len);
-        self.words[row / 64] |= 1u64 << (row % 64);
+        if row < self.len {
+            self.words[row / 64] |= 1u64 << (row % 64);
+        }
     }
 
     /// The bit for `row` (`false` when out of bounds).
@@ -147,6 +151,7 @@ impl SelectionMask {
 
     /// `self &= other` (both masks must cover the same rows).
     pub fn and_assign(&mut self, other: &SelectionMask) {
+        // Debug only: AND only clears bits, so none past `len` is set.
         debug_assert_eq!(self.len, other.len);
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= b;
@@ -155,14 +160,18 @@ impl SelectionMask {
 
     /// `self |= other` (both masks must cover the same rows).
     pub fn or_assign(&mut self, other: &SelectionMask) {
+        // Debug only: a longer `other` could set bits past `len`, which
+        // `clear_tail` clears in release too.
         debug_assert_eq!(self.len, other.len);
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
         }
+        self.clear_tail();
     }
 
     /// `self &= !other` (both masks must cover the same rows).
     pub fn and_not_assign(&mut self, other: &SelectionMask) {
+        // Debug only: AND-NOT only clears bits, so none past `len` is set.
         debug_assert_eq!(self.len, other.len);
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= !b;
@@ -310,6 +319,7 @@ pub fn cmp_col_col_range(
     end: usize,
 ) -> SelectionMask {
     let len = end - start;
+    // Debug only: both columns are sliced at `start..end`, bounds-checked.
     debug_assert_eq!(left.len(), right.len(), "column length mismatch");
     match (left, right) {
         (Column::Int(a), Column::Int(b)) => {
@@ -507,6 +517,9 @@ mod tests {
         assert_eq!(m.count_ones(), 2);
         assert!(m.get(69) && !m.get(68));
         assert!(!m.get(700), "out of bounds reads are false");
+        m.set(70);
+        m.set(127);
+        assert_eq!(m.count_ones(), 2, "a set past len writes no tail bit");
         assert_eq!(m.to_rids(), vec![0, 69]);
 
         let t = SelectionMask::all_true(70);

@@ -14,11 +14,12 @@ pub type Rid = u32;
 /// A list of row identifiers.
 pub type RidVec = Vec<Rid>;
 
-/// Converts a `usize` offset to a [`Rid`], panicking if the relation is too
-/// large to be rid-addressed.
+/// Converts a `usize` offset to a [`Rid`], panicking (in release builds
+/// too) if the relation is too large to be rid-addressed: a wrapped rid
+/// would name another row.
 #[inline]
 pub(crate) fn to_rid(i: usize) -> Rid {
-    debug_assert!(i <= u32::MAX as usize, "relation exceeds rid address space");
+    assert!(i <= u32::MAX as usize, "relation exceeds rid address space");
     i as Rid
 }
 
