@@ -108,7 +108,7 @@ impl CrossfilterSession {
                     DirectionFilter::Both
                 }
             };
-            let result = group_by(&base, &[dim.to_string()], &[AggExpr::count("cnt")], &opts)?;
+            let mut result = group_by(&base, &[dim.to_string()], &[AggExpr::count("cnt")], &opts)?;
             let mut bar_index = HashMap::new();
             for rid in 0..result.output.len() {
                 bar_index.insert(result.output.value(rid, 0).group_key(), rid as Rid);
@@ -116,13 +116,10 @@ impl CrossfilterSession {
             let (backward, forward) = if technique == CrossfilterTechnique::Lazy {
                 (None, None)
             } else {
-                // Capture is done once per session; finalize the indexes into
-                // CSR so every subsequent interaction traces flat buffers.
-                let lin = result.lineage.input(0);
-                (
-                    lin.backward.as_ref().map(LineageIndex::finalized),
-                    lin.forward.as_ref().map(LineageIndex::finalized),
-                )
+                // Capture is done once per session: the view keeps the
+                // operator's read-side indexes, moved out of the result.
+                let lin = std::mem::take(result.lineage.input_mut(0));
+                (lin.backward, lin.forward)
             };
             views.push(View {
                 dimension: dim.to_string(),

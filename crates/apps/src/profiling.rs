@@ -25,6 +25,7 @@ use smoke_core::baselines::physical::{LineageSink, PhysMemSink};
 use smoke_core::ops::groupby::{group_by, GroupByOptions};
 use smoke_core::{AggExpr, Result};
 use smoke_datagen::physician::FunctionalDependency;
+use smoke_lineage::InputLineage;
 use smoke_planner::{LineagePlanner, LineageQuery};
 use smoke_storage::{Column, DataType, Field, Relation, Rid, Schema};
 
@@ -128,7 +129,7 @@ fn check_ug(
     // Backward trace every distinct A value to its base tuples in one
     // planner batch (parallel across distinct values).
     let planner =
-        LineagePlanner::new(table, &lhs_view.output).backward_index(&lhs_view.backward_index);
+        LineagePlanner::new(table, &lhs_view.output).backward_index(lhs_view.lineage.backward());
     let sets: Vec<Vec<Rid>> = (0..lhs_view.len() as Rid).map(|a| vec![a]).collect();
     let all_tuples = planner.execute_batch(&LineageQuery::backward(), &sets)?;
 
@@ -184,8 +185,8 @@ struct DistinctView {
     /// The distinct view's output relation (one row per distinct value).
     output: Relation,
     column_index: usize,
-    backward_index: smoke_lineage::LineageIndex,
-    forward_index: smoke_lineage::LineageIndex,
+    /// Both directions, moved out of the capture.
+    lineage: InputLineage,
 }
 
 impl DistinctView {
@@ -200,7 +201,7 @@ impl DistinctView {
     }
 
     fn forward(&self, rid: Rid) -> Option<Rid> {
-        self.forward_index.lookup(rid).first().copied()
+        self.lineage.forward().lookup(rid).first().copied()
     }
 }
 
@@ -227,8 +228,7 @@ fn distinct_with_lineage(table: &Relation, attr: &str, metanome: bool) -> Result
             sink_dyn.emit_backward(gid, rid as Rid);
             sink_dyn.emit_forward(rid as Rid, gid);
         }
-        let lineage = sink.into_lineage("table");
-        let input = lineage.table("table").expect("registered above");
+        let lineage = sink.into_lineage("table").remove("table");
         // Metanome models every attribute as a string; the collected keys
         // move into the relation's column without re-allocation.
         let schema = Schema::new(vec![Field::new(attr.to_string(), DataType::Str)])?;
@@ -240,17 +240,14 @@ fn distinct_with_lineage(table: &Relation, attr: &str, metanome: bool) -> Result
         Ok(DistinctView {
             output,
             column_index,
-            backward_index: input.backward().finalized(),
-            forward_index: input.forward().finalized(),
+            lineage: lineage.expect("registered above"),
         })
     } else {
-        let result = group_by(table, &[attr.to_string()], &[], &GroupByOptions::inject())?;
-        let lin = result.lineage.input(0);
+        let mut result = group_by(table, &[attr.to_string()], &[], &GroupByOptions::inject())?;
         Ok(DistinctView {
+            lineage: std::mem::take(result.lineage.input_mut(0)),
             output: result.output,
             column_index,
-            backward_index: lin.backward().finalized(),
-            forward_index: lin.forward().finalized(),
         })
     }
 }

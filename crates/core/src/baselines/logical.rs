@@ -239,7 +239,10 @@ pub fn build_indexes_from_annotated(
         }
         lineage.insert(
             table.clone(),
-            InputLineage::new(LineageIndex::Index(backward), LineageIndex::Index(forward)),
+            InputLineage::new(
+                LineageIndex::Csr(backward.finalize()),
+                LineageIndex::Csr(forward.finalize()),
+            ),
         );
     }
     Ok(lineage)

@@ -46,14 +46,14 @@ impl PhysMemSink {
         PhysMemSink::default()
     }
 
-    /// Converts the collected edges into end-to-end query lineage for `table`.
+    /// Seals the collected edges into end-to-end query lineage for `table`.
     pub fn into_lineage(self, table: &str) -> QueryLineage {
         let mut lineage = QueryLineage::new();
         lineage.insert(
             table,
             InputLineage::new(
-                LineageIndex::Index(self.backward),
-                LineageIndex::Index(self.forward),
+                LineageIndex::Csr(self.backward.finalize()),
+                LineageIndex::Csr(self.forward.finalize()),
             ),
         );
         lineage

@@ -5,8 +5,8 @@
 //! lineage capture, plus the baseline capture techniques and workload-aware
 //! optimizations the paper evaluates against. Operators run row-at-a-time
 //! over typed columns (the paper's reference form) with every predicate
-//! evaluated by compiled column [`kernels`], or morsel-parallel with
-//! per-thread capture ([`parallel`]).
+//! evaluated by compiled column [`kernels`]; group-by also runs
+//! morsel-parallel with per-thread capture ([`parallel`]).
 //!
 //! The crate is organised around the paper's structure:
 //!
@@ -75,6 +75,6 @@ pub use instrument::{
 pub use kernels::KernelPlan;
 pub use key::{HashKey, KeyExtractor};
 pub use paged::{paged_group_by, paged_hash_join, paged_select};
-pub use parallel::{par_group_by, par_hash_join, par_select, ParallelOptions};
+pub use parallel::{par_group_by, par_select, ParallelOptions};
 pub use plan::{LogicalPlan, PlanBuilder};
 pub use workload::{LineageCube, WorkloadArtifacts};

@@ -3,8 +3,9 @@
 //! A hash join is split into a build phase (`⋈ht`, hash table on the left
 //! relation) and a probe phase (`⋈probe`, scan of the right relation). The
 //! backward lineage of every output record is exactly one rid per side (rid
-//! arrays); the forward lineage is 1-to-N (rid indexes), because an input
-//! record can participate in many join results.
+//! arrays); the forward lineage is 1-to-N, because an input record can
+//! participate in many join results: Inject writes it into rid indexes,
+//! which the join seals into CSR when it finishes.
 //!
 //! * **Inject** augments each hash-table entry with the left rids for that
 //!   join key (`i_rids`) and populates all four indexes during the probe.
@@ -143,7 +144,7 @@ pub struct JoinResult {
 /// borrowed `&str` keys (no per-probe `String` clone) and `(i64, i64)` pairs
 /// key the hash table by the primitive value; everything else goes through
 /// generic [`HashKey`]s. `&str` keys borrow from the build relation, so only
-/// drivers whose inputs outlive the join (resident, morsel) can pick them.
+/// drivers whose inputs outlive the join (resident) can pick them.
 pub(crate) trait JoinKey<'a>: Eq + Hash + Sized {
     /// The key columns of one relation, viewed as typed slices.
     type View;
@@ -312,7 +313,7 @@ impl Capture {
 struct BuildEntry {
     rids: Vec<Rid>,
     /// Position of this entry's `o_rids` in [`JoinProbe`]: everything a probe
-    /// mutates lives in the probe, so morsel workers can share one build.
+    /// mutates lives in the probe, so the build is read-only once written.
     slot: u32,
 }
 
@@ -371,8 +372,8 @@ impl<K> JoinBuild<K> {
 
 /// ⋈probe: the probe side of the hash join with Inject capture fused in,
 /// written once. Under [`JoinOptions::baseline`] it captures nothing and just
-/// emits `(left rid, right rid)` output runs — the form morsel workers and
-/// grace partitions run it in, leaving lineage to [`finish_from_runs`].
+/// emits `(left rid, right rid)` output runs — the form grace partitions run
+/// it in, leaving lineage to [`finish_from_runs`].
 pub(crate) struct JoinProbe<'o> {
     opts: &'o JoinOptions,
     capture: Capture,
@@ -528,17 +529,18 @@ impl<'o> JoinProbe<'o> {
 
         let output = join_output(self.opts, left, right, &self.out_left, &self.out_right)?;
         // The output is gathered, so the runs move into the backward indexes.
+        let array = |a: RidArray| Finished::Read(LineageIndex::Array(a));
         let a_backward = (c.a_b)
             .then(|| a_bw_deferred.unwrap_or_else(|| RidArray::from_vec(self.out_left)))
-            .map(LineageIndex::Array);
+            .map(array);
         let a_forward = c.a_f.then(|| match a_fw_deferred {
-            Some(csr) => LineageIndex::Csr(csr),
-            None => LineageIndex::Index(RidIndex::from_arrays(self.a_fw)),
+            Some(csr) => Finished::Read(LineageIndex::Csr(csr)),
+            None => Finished::Written(RidIndex::from_arrays(self.a_fw)),
         });
-        let b_backward = (c.b_b).then(|| LineageIndex::Array(RidArray::from_vec(self.out_right)));
+        let b_backward = (c.b_b).then(|| array(RidArray::from_vec(self.out_right)));
         let b_forward = c.b_f.then_some(match build.pk_fk {
-            true => LineageIndex::Array(self.b_fw_array),
-            false => LineageIndex::Index(self.b_fw_index),
+            true => array(self.b_fw_array),
+            false => Finished::Written(self.b_fw_index),
         });
         let indexes = [a_backward, a_forward, b_backward, b_forward];
         let shape = (self.out_counter, build.pk_fk, 1);
@@ -561,32 +563,18 @@ pub(crate) struct JoinRuns {
     pub(crate) grace_partitions: usize,
 }
 
-/// The epilogue of every driver that probes capture-free (morsel workers,
-/// grace partitions): materializes the output from the merged runs and
-/// rebuilds all four lineage indexes from them with exact counts. Backward
-/// lineage on both sides is the runs themselves. The 1-to-N forward indexes
-/// are CSR when `csr` is set (the morsel drivers' representation); otherwise
-/// they take the representation the resident operator picks per capture mode
-/// — CSR for the deferred left side, rid indexes elsewhere.
+/// The epilogue of the grace join, which probes capture-free: materializes
+/// the output from the merged runs and rebuilds all four lineage indexes
+/// from them with exact counts. Backward lineage on both sides is the runs
+/// themselves. A 1-to-N forward index is the runs inverted by counting sort,
+/// the CSR the resident operator hands out in every capture mode.
 pub(crate) fn finish_from_runs(
     opts: &JoinOptions,
     left: &impl RowSource,
     right: &impl RowSource,
     runs: JoinRuns,
-    csr: bool,
     start: Instant,
 ) -> Result<JoinResult> {
-    fn forward(run: &[Rid], entries: usize, csr: bool) -> LineageIndex {
-        if csr {
-            return LineageIndex::Csr(CsrRidIndex::from_slots(run, entries, 0));
-        }
-        let mut index = RidIndex::with_len(entries);
-        for (o, &i) in run.iter().enumerate() {
-            index.append(i as usize, o as Rid);
-        }
-        LineageIndex::Index(index)
-    }
-
     let c = Capture::of(opts);
     let base_query = start.elapsed();
     let JoinRuns {
@@ -598,7 +586,8 @@ pub(crate) fn finish_from_runs(
     let output = join_output(opts, left, right, &out_left, &out_right)?;
 
     let defer_start = Instant::now();
-    let a_forward = (c.a_f).then(|| forward(&out_left, left.rows(), csr || c.defers()));
+    let forward = |run, entries| LineageIndex::Csr(CsrRidIndex::from_slots(run, entries, 0));
+    let a_forward = (c.a_f).then(|| forward(&out_left, left.rows()));
     let deferred = match c.defers() {
         true => defer_start.elapsed(),
         false => Duration::ZERO,
@@ -611,12 +600,12 @@ pub(crate) fn finish_from_runs(
             }
             LineageIndex::Array(array)
         }
-        false => forward(&out_right, right.rows(), csr),
+        false => forward(&out_right, right.rows()),
     });
     let output_rows = out_left.len();
     let a_backward = (c.a_b).then(|| LineageIndex::Array(RidArray::from_vec(out_left)));
     let b_backward = (c.b_b).then(|| LineageIndex::Array(RidArray::from_vec(out_right)));
-    let indexes = [a_backward, a_forward, b_backward, b_forward];
+    let indexes = [a_backward, a_forward, b_backward, b_forward].map(|i| i.map(Finished::Read));
     let shape = (output_rows, pk_fk, grace_partitions);
     Ok(join_result(
         output,
@@ -645,27 +634,46 @@ fn join_output(
     Ok(Relation::from_columns(name, schema, columns)?)
 }
 
+/// A finished index as [`join_result`] receives it.
+enum Finished {
+    /// Read side already: an array or an exactly-sized CSR.
+    Read(LineageIndex),
+    /// Inject's write side, sealed into CSR once the stats have counted it.
+    Written(RidIndex),
+}
+
 /// The one place a [`JoinResult`] is put together: `(output_rows, pk_fk,
 /// grace_partitions)`, `(base_query, deferred)` and the `[left backward,
 /// left forward, right backward, right forward]` indexes, which the stats
-/// account for.
+/// account for. The bytes and resizes of a written index are what capture
+/// paid for; the seal only moves its rids into the CSR handed out.
 fn join_result(
     output: Relation,
     (output_rows, pk_fk, grace_partitions): (usize, bool, usize),
     (base_query, deferred): (Duration, Duration),
     capture: Capture,
-    indexes: [Option<LineageIndex>; 4],
+    indexes: [Option<Finished>; 4],
 ) -> JoinResult {
     let mut stats = CaptureStats {
         base_query,
         deferred,
         ..Default::default()
     };
-    for idx in indexes.iter().flatten() {
+    let indexes = indexes.map(|idx| {
+        let idx = match idx? {
+            Finished::Read(idx) => {
+                stats.lineage_bytes += idx.heap_bytes() as u64;
+                idx
+            }
+            Finished::Written(idx) => {
+                stats.rid_resizes += idx.resizes();
+                stats.lineage_bytes += idx.heap_bytes() as u64;
+                LineageIndex::Csr(idx.finalize())
+            }
+        };
         stats.edges += idx.edge_count() as u64;
-        stats.rid_resizes += idx.resizes();
-        stats.lineage_bytes += idx.heap_bytes() as u64;
-    }
+        Some(idx)
+    });
     let [a_backward, a_forward, b_backward, b_forward] = indexes;
     let sides = [(a_backward, a_forward), (b_backward, b_forward)];
     let [a, b] = sides.map(|(backward, forward)| InputLineage { backward, forward });
@@ -886,11 +894,11 @@ mod tests {
         let hinted = run(&opts);
         let plain = run(&JoinOptions::inject());
         assert_eq!(hinted.output, plain.output);
-        if let Some(LineageIndex::Index(idx)) = &hinted.lineage.input(0).forward {
-            assert_eq!(idx.resizes(), 0);
-        } else {
-            panic!("expected rid-index forward lineage");
-        }
+        assert_eq!(
+            hinted.lineage.input(0).forward,
+            plain.lineage.input(0).forward
+        );
+        assert_eq!(hinted.stats.rid_resizes, 0);
     }
 
     #[test]

@@ -61,18 +61,9 @@ pub fn select(input: &Relation, predicate: &Expr, opts: &SelectOptions) -> Resul
     core.finish(input, start)
 }
 
-/// Emits one match: the next output rid is the match count so far.
-#[inline]
-fn emit(matching: &mut Vec<Rid>, forward: &mut Option<RidArray>, rid: usize) {
-    if let Some(forward) = forward {
-        forward.set(rid, matching.len() as Rid);
-    }
-    matching.push(rid as Rid);
-}
-
-/// The selection operator, written once. [`select`], the morsel driver in
-/// [`crate::parallel`] and the page-run driver in [`crate::paged`] differ
-/// only in which rows they hand to [`SelectCore::ingest`].
+/// The selection operator, written once. [`select`] and the page-run driver
+/// in [`crate::paged`] differ only in which rows they hand to
+/// [`SelectCore::ingest`].
 pub(crate) struct SelectCore<'o> {
     predicate: &'o Expr,
     opts: &'o SelectOptions,
@@ -101,15 +92,6 @@ impl<'o> SelectCore<'o> {
         self.predicate.referenced_columns()
     }
 
-    /// A per-morsel core: it only collects matches, because output rids are
-    /// unknown until the ordered merge ([`SelectCore::absorb`]).
-    pub(crate) fn fragment(predicate: &'o Expr, opts: &'o SelectOptions) -> Self {
-        SelectCore {
-            forward: None,
-            ..SelectCore::new(predicate, opts, 0)
-        }
-    }
-
     /// Scans rows `range` of `rel`, whose global rid is `rid_offset + i`, and
     /// emits both lineage directions for every match in the same pass.
     pub(crate) fn ingest(
@@ -126,18 +108,15 @@ impl<'o> SelectCore<'o> {
             matching, forward, ..
         } = self;
         matching.reserve(mask.count_ones());
-        mask.for_each_one(|i| emit(matching, forward, rid_offset + range.start + i));
+        mask.for_each_one(|i| {
+            // The next output rid is the match count so far.
+            let rid = rid_offset + range.start + i;
+            if let Some(forward) = forward {
+                forward.set(rid, matching.len() as Rid);
+            }
+            matching.push(rid as Rid);
+        });
         Ok(())
-    }
-
-    /// Ordered merge: appends the matches of the next morsel's fragment.
-    /// Fragments arrive in morsel order, so the concatenation reproduces the
-    /// sequential scan's ascending rid order and output rids exactly.
-    pub(crate) fn absorb(&mut self, part: SelectCore<'_>) {
-        self.matching.reserve(part.matching.len());
-        for rid in part.matching {
-            emit(&mut self.matching, &mut self.forward, rid as usize);
-        }
     }
 
     /// Gathers the output and assembles lineage and [`CaptureStats`].

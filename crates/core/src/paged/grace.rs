@@ -16,7 +16,7 @@
 //! rid-for-rid, including the per-key build order of M:N duplicates.
 //! Each partition pair runs the ordinary [`JoinBuild`] / [`JoinProbe`] core
 //! capture-free; lineage is rebuilt from the merged output runs by the same
-//! [`finish_from_runs`] epilogue the morsel-parallel join ends with.
+//! [`finish_from_runs`] epilogue.
 //!
 //! Eligibility (checked by [`grace_plan`]): every key column on both sides
 //! must be numeric — partitions spill through fixed-width
@@ -296,7 +296,7 @@ pub fn paged_grace_hash_join(
         // The output gathers from the ORIGINAL paged inputs — the partitions
         // carry only keys and rids — and lineage takes the representations
         // the resident path picks per capture mode.
-        finish_from_runs(opts, left, right, runs, false, start)
+        finish_from_runs(opts, left, right, runs, start)
     }
 
     // Surface schema errors before any partition I/O, like the resident path.

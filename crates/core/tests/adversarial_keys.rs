@@ -2,7 +2,9 @@
 //! 0, −1, `i64::MIN`, `i64::MAX`, keys that differ only in their high bits
 //! (`k << 32`, `k << 48`), integer pairs that mirror each other, strings
 //! with long shared prefixes — checked rid for rid against nested-loop
-//! references under every capture mode and with either direction pruned.
+//! references under every capture mode and with either direction pruned,
+//! and Defer and DeferForward diffed against Inject byte for byte: every
+//! mode hands out the same read-side indexes.
 //! The group-by reference also folds
 //! every aggregate function one row at a time, in rid order, and diffs the
 //! batched γ fold against it bit for bit — with and without the selection
@@ -17,7 +19,7 @@ use smoke_core::{
     paged_group_by, AggExpr, AggFunc, AggPushdown, AggState, CaptureMode, DirectionFilter, Expr,
     WorkloadOptions,
 };
-use smoke_lineage::{LineageIndex, Rid};
+use smoke_lineage::{LineageIndex, OperatorLineage, Rid};
 use smoke_pager::{BufferPool, ReplacementPolicy, SegmentStore};
 use smoke_storage::{Column, DataType, Field, PagedRelation, Relation, Schema, Value};
 
@@ -109,6 +111,27 @@ fn check_index(index: Option<&LineageIndex>, captured: bool, want: &[Vec<Rid>], 
     }
 }
 
+/// Whether `mode` defers, and so must hand out Inject's indexes.
+fn defers(mode: CaptureMode) -> bool {
+    matches!(mode, CaptureMode::Defer | CaptureMode::DeferForward)
+}
+
+/// A deferred capture hands out exactly the indexes Inject does.
+fn same_as_inject(got: &OperatorLineage, inject: &OperatorLineage, what: &str) {
+    assert_eq!(got.input_count(), inject.input_count(), "{what}");
+    for i in 0..got.input_count() {
+        let (got, inject) = (got.input(i), inject.input(i));
+        assert_eq!(
+            got.backward, inject.backward,
+            "{what}: backward[{i}] against Inject"
+        );
+        assert_eq!(
+            got.forward, inject.forward,
+            "{what}: forward[{i}] against Inject"
+        );
+    }
+}
+
 fn check_join(left: &Relation, right: &Relation, left_keys: &[String], right_keys: &[String]) {
     let (lk, rk) = (positions(left, left_keys), positions(right, right_keys));
     // The probe order: right rows in order, each left match in rid order.
@@ -131,14 +154,15 @@ fn check_join(left: &Relation, right: &Relation, left_keys: &[String], right_key
     let right_forward = outputs_of(right.len(), |p| p.1);
 
     for (mode, directions) in MODES.into_iter().flat_map(|m| DIRECTIONS.map(|d| (m, d))) {
-        let opts = JoinOptions {
+        let opts = |mode| JoinOptions {
             mode,
             left_directions: directions,
             right_directions: directions,
             ..JoinOptions::default()
         };
         let what = format!("{mode:?} {directions:?} {left_keys:?}");
-        let got: JoinResult = hash_join(left, right, left_keys, right_keys, &opts).unwrap();
+        let join = |mode| hash_join(left, right, left_keys, right_keys, &opts(mode)).unwrap();
+        let got: JoinResult = join(mode);
         assert_eq!(got.output_rows, pairs.len(), "{what}");
         for (o, &(l, r)) in pairs.iter().enumerate() {
             assert_eq!(got.output.value(o, 0), left.value(l as usize, 0), "{what}");
@@ -157,6 +181,9 @@ fn check_join(left: &Relation, right: &Relation, left_keys: &[String], right_key
         check_index(b.backward.as_ref(), bw, &right_backward, &what);
         check_index(a.forward.as_ref(), fw, &left_forward, &what);
         check_index(b.forward.as_ref(), fw, &right_forward, &what);
+        if defers(mode) {
+            same_as_inject(&got.lineage, &join(CaptureMode::Inject).lineage, &what);
+        }
     }
 }
 
@@ -278,6 +305,13 @@ fn check_group_by(rel: &Relation, keys: &[String]) {
             };
             let resident = group_by(rel, keys, &aggs, &opts).unwrap();
             let by_pages = paged_group_by(&paged, keys, &aggs, &opts, BATCH).unwrap();
+            let inject = defers(mode).then(|| {
+                let inject = GroupByOptions {
+                    mode: CaptureMode::Inject,
+                    ..opts.clone()
+                };
+                group_by(rel, keys, &aggs, &inject).unwrap().lineage
+            });
             for (driver, got) in [("resident", &resident), ("paged", &by_pages)] {
                 let what = format!("{driver} {mode:?} {directions:?} {keys:?} {workload:?}");
                 check_groups(rel, &groups, &aggs, got, &what);
@@ -310,6 +344,9 @@ fn check_group_by(rel: &Relation, keys: &[String]) {
                     &forward,
                     &what,
                 );
+                if let Some(inject) = &inject {
+                    same_as_inject(&got.lineage, inject, &what);
+                }
                 if workload.agg_pushdown.is_some() {
                     check_cells(rel, p, &groups, &aggs, got, &what);
                 }

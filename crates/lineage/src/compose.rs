@@ -9,17 +9,16 @@
 //!
 //! Two kernels do every composition that is not an `Identity` rule. A 1-to-1
 //! chain (`Array∘Array`) is one gather over the two rid slices. Every other
-//! pair of `Array`, `Index` and `Csr` views both sides as per-position rid
-//! slices and runs one count-then-fill pass: the first pass sums each
-//! position's composed cardinality, the second copies the child's slices
-//! into two exactly-sized CSR buffers. The representation pair is matched
-//! once per call, into one of nine monomorphic instances of that kernel;
-//! no per-edge dispatch, no growing per-position arrays.
+//! pair of `Array` and `Csr` views both sides as per-position rid slices
+//! and runs one count-then-fill pass: the first pass sums each position's
+//! composed cardinality, the second copies the child's slices into two
+//! exactly-sized CSR buffers. The representation pair is matched once per
+//! call, into one of four monomorphic instances of that kernel; no
+//! per-edge dispatch, no growing per-position arrays.
 
 use crate::csr::CsrRidIndex;
 use crate::index::LineageIndex;
 use crate::rid_array::{RidArray, NO_RID};
-use crate::rid_index::RidIndex;
 use smoke_storage::Rid;
 
 /// Composes a parent backward index (parent-output → intermediate) with a
@@ -72,7 +71,6 @@ pub fn compose_forward(child: &LineageIndex, parent: &LineageIndex) -> LineageIn
 #[derive(Clone, Copy)]
 enum Slices<'a> {
     Array(&'a RidArray),
-    Index(&'a RidIndex),
     Csr(&'a CsrRidIndex),
 }
 
@@ -81,7 +79,6 @@ impl<'a> Slices<'a> {
     fn of(index: &'a LineageIndex) -> Result<Self, usize> {
         match index {
             LineageIndex::Array(a) => Ok(Slices::Array(a)),
-            LineageIndex::Index(i) => Ok(Slices::Index(i)),
             LineageIndex::Csr(c) => Ok(Slices::Csr(c)),
             LineageIndex::Identity(n) => Err(*n),
         }
@@ -94,7 +91,6 @@ impl<'a> Slices<'a> {
             // An array's 1-to-(0|1) entry is a sub-slice of its buffer, empty
             // at a NO_RID gap.
             Slices::Array(p) => child.compose_into(p.len(), |pos| p.slice_checked(pos)),
-            Slices::Index(p) => child.compose_into(p.len(), |pos| p.get(pos)),
             Slices::Csr(p) => child.compose_into(p.len(), |pos| p.get(pos)),
         }
     }
@@ -104,7 +100,6 @@ impl<'a> Slices<'a> {
     fn compose_into<'p>(self, len: usize, parent: impl Fn(usize) -> &'p [Rid]) -> CsrRidIndex {
         match self {
             Slices::Array(c) => count_then_fill(len, parent, |mid| c.slice_checked(mid as usize)),
-            Slices::Index(c) => count_then_fill(len, parent, |mid| c.get_checked(mid as usize)),
             Slices::Csr(c) => count_then_fill(len, parent, |mid| c.get_checked(mid as usize)),
         }
     }
@@ -149,9 +144,6 @@ fn restrict_positions(child: &LineageIndex, n: usize) -> LineageIndex {
             data.resize(n, NO_RID);
             LineageIndex::Array(RidArray::from_vec(data))
         }
-        LineageIndex::Index(i) => LineageIndex::Index(RidIndex::from_entries(
-            (0..n).map(|p| i.get_checked(p).to_vec()).collect(),
-        )),
         LineageIndex::Csr(c) => {
             let (offsets, rids) = if n < c.len() {
                 let offsets: Vec<u32> = c.offsets()[..=n].to_vec();
@@ -201,20 +193,6 @@ fn restrict_targets(parent: Slices<'_>, n: usize) -> LineageIndex {
                 ))
             }
         }
-        Slices::Index(i) => {
-            let clean = i
-                .iter()
-                .all(|(_, rids)| rids.iter().copied().all(in_domain));
-            if clean {
-                LineageIndex::Index(i.clone())
-            } else {
-                LineageIndex::Index(RidIndex::from_entries(
-                    i.iter()
-                        .map(|(_, rids)| rids.iter().copied().filter(|&r| in_domain(r)).collect())
-                        .collect(),
-                ))
-            }
-        }
         Slices::Csr(c) => {
             let survivors = c.rids().iter().copied().filter(|&r| in_domain(r)).count();
             if survivors == c.edge_count() {
@@ -238,7 +216,13 @@ fn restrict_targets(parent: Slices<'_>, n: usize) -> LineageIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rid_index::RidIndex;
     use smoke_storage::Rid;
+
+    /// A 1-to-N index with these entries, as every operator hands it out.
+    fn csr(entries: Vec<Vec<Rid>>) -> LineageIndex {
+        LineageIndex::Csr(RidIndex::from_entries(entries).finalize())
+    }
 
     #[test]
     fn backward_through_selection_then_groupby() {
@@ -246,7 +230,7 @@ mod tests {
         // (intermediate rid i -> base rid).
         let child = LineageIndex::Array(RidArray::from_vec(vec![1, 3, 5]));
         // Parent: group-by over the 3 intermediate rows producing 2 groups.
-        let parent = LineageIndex::Index(RidIndex::from_entries(vec![vec![0, 2], vec![1]]));
+        let parent = csr(vec![vec![0, 2], vec![1]]);
 
         let composed = compose_backward(&parent, &child);
         assert_eq!(composed.lookup(0), vec![1, 5]);
@@ -273,7 +257,7 @@ mod tests {
 
     #[test]
     fn identity_is_neutral() {
-        let idx = LineageIndex::Index(RidIndex::from_entries(vec![vec![2, 3], vec![4]]));
+        let idx = csr(vec![vec![2, 3], vec![4]]);
         let through_identity = compose_backward(&idx, &LineageIndex::Identity(10));
         assert_eq!(through_identity.lookup(0), vec![2, 3]);
         let identity_first = compose_backward(&LineageIndex::Identity(2), &idx);
@@ -291,20 +275,11 @@ mod tests {
         assert_eq!(composed.lookup(1), vec![8]);
         assert_eq!(composed.lookup(2), Vec::<Rid>::new());
 
-        let child_idx = LineageIndex::Index(RidIndex::from_entries(vec![
-            vec![1, 2],
-            vec![3],
-            vec![4, 5],
-        ]));
-        let composed = compose_backward(&LineageIndex::Identity(1), &child_idx);
+        let child_csr = csr(vec![vec![1, 2], vec![3], vec![4, 5]]);
+        let composed = compose_backward(&LineageIndex::Identity(1), &child_csr);
         assert_eq!(composed.len(), 1);
         assert_eq!(composed.lookup(0), vec![1, 2]);
         assert_eq!(composed.edge_count(), 2);
-
-        let child_csr = child_idx.finalize();
-        let composed_csr = compose_backward(&LineageIndex::Identity(1), &child_csr);
-        assert_eq!(composed_csr.len(), 1);
-        assert_eq!(composed_csr.lookup(0), vec![1, 2]);
     }
 
     #[test]
@@ -321,8 +296,9 @@ mod tests {
     fn identity_child_drops_out_of_domain_targets() {
         // Parent maps to intermediate rids {0,1,2,5}; Identity(3) child only
         // covers intermediate rids 0..3, so target 5 must be dropped.
-        let parent = LineageIndex::Index(RidIndex::from_entries(vec![vec![0, 5], vec![1, 2]]));
+        let parent = csr(vec![vec![0, 5], vec![1, 2]]);
         let composed = compose_backward(&parent, &LineageIndex::Identity(3));
+        assert!(matches!(composed, LineageIndex::Csr(_)));
         assert_eq!(composed.len(), 2);
         assert_eq!(composed.lookup(0), vec![0]);
         assert_eq!(composed.lookup(1), vec![1, 2]);
@@ -335,46 +311,6 @@ mod tests {
         assert_eq!(composed.lookup(0), vec![2]);
         assert_eq!(composed.lookup(1), Vec::<Rid>::new());
         assert_eq!(composed.lookup(2), vec![0]);
-
-        // And through a CSR parent.
-        let parent =
-            LineageIndex::Index(RidIndex::from_entries(vec![vec![0, 5], vec![1, 2]])).finalize();
-        let composed = compose_backward(&parent, &LineageIndex::Identity(3));
-        assert!(matches!(composed, LineageIndex::Csr(_)));
-        assert_eq!(composed.lookup(0), vec![0]);
-        assert_eq!(composed.lookup(1), vec![1, 2]);
-    }
-
-    #[test]
-    fn csr_parent_fast_paths_match_general_composition() {
-        let parent_entries = vec![vec![0, 2], vec![1], vec![], vec![2, 0, 1]];
-        let parent_idx = LineageIndex::Index(RidIndex::from_entries(parent_entries));
-        let parent_csr = parent_idx.clone().finalize();
-
-        // CSR×Array.
-        let mut child_arr = RidArray::filled(3);
-        child_arr.set(0, 10);
-        child_arr.set(2, 12);
-        let child = LineageIndex::Array(child_arr);
-        let general = compose_backward(&parent_idx, &child);
-        let fast = compose_backward(&parent_csr, &child);
-        assert!(matches!(fast, LineageIndex::Csr(_)));
-        assert_eq!(fast.len(), general.len());
-        for pos in 0..general.len() as Rid {
-            assert_eq!(fast.lookup(pos), general.lookup(pos));
-        }
-
-        // CSR×CSR.
-        let child_n =
-            LineageIndex::Index(RidIndex::from_entries(vec![vec![5, 6], vec![], vec![7]]));
-        let child_csr = child_n.clone().finalize();
-        let general = compose_backward(&parent_idx, &child_n);
-        let fast = compose_backward(&parent_csr, &child_csr);
-        assert!(matches!(fast, LineageIndex::Csr(_)));
-        for pos in 0..general.len() as Rid {
-            assert_eq!(fast.lookup(pos), general.lookup(pos));
-        }
-        assert_eq!(fast.edge_count(), general.edge_count());
     }
 
     #[test]
@@ -412,15 +348,15 @@ mod tests {
 
         /// `(representation, entries, identity length selector)`. The
         /// representation is 0 `Array` (an empty entry is a `NO_RID` gap,
-        /// a longer one keeps its first rid), 1 `Index`, 2 `Csr` or
-        /// 3 `Identity`, whose length is shorter than, equal to or longer
-        /// than the other side's, by the selector.
+        /// a longer one keeps its first rid), 1 `Csr` or 2 `Identity`,
+        /// whose length is shorter than, equal to or longer than the other
+        /// side's, by the selector.
         type Spec = (u32, Vec<Vec<Rid>>, u32);
 
         fn spec(targets: u32) -> impl Strategy<Value = Spec> {
             let entries =
                 prop::collection::vec(prop::collection::vec(0..targets, 0..FANOUT), 0..POSITIONS);
-            (0u32..4, entries, 0u32..3)
+            (0u32..3, entries, 0u32..3)
         }
 
         fn build((kind, entries, _): &Spec, identity: usize) -> LineageIndex {
@@ -431,8 +367,7 @@ mod tests {
                         .map(|e| e.first().copied().unwrap_or(NO_RID))
                         .collect(),
                 ),
-                1 => LineageIndex::Index(RidIndex::from_entries(entries.clone())),
-                2 => LineageIndex::Index(RidIndex::from_entries(entries.clone())).finalize(),
+                1 => csr(entries.clone()),
                 _ => LineageIndex::Identity(identity),
             }
         }
@@ -455,7 +390,6 @@ mod tests {
                     Some(&r) if r != NO_RID => vec![r],
                     _ => vec![],
                 },
-                LineageIndex::Index(i) => i.get_checked(pos).to_vec(),
                 LineageIndex::Csr(c) => c.get_checked(pos).to_vec(),
                 LineageIndex::Identity(n) => (pos < *n).then_some(pos as Rid).into_iter().collect(),
             }
@@ -464,7 +398,6 @@ mod tests {
         fn kind(index: &LineageIndex) -> &'static str {
             match index {
                 LineageIndex::Array(_) => "Array",
-                LineageIndex::Index(_) => "Index",
                 LineageIndex::Csr(_) => "Csr",
                 LineageIndex::Identity(_) => "Identity",
             }
@@ -481,7 +414,7 @@ mod tests {
                 // Parent targets run past the child's positions, so some mids
                 // are out of range.
                 let child_len = match child_spec.0 {
-                    3 => identity_len(child_spec.2, POSITIONS),
+                    2 => identity_len(child_spec.2, POSITIONS),
                     _ => child_spec.1.len(),
                 };
                 let child = build(&child_spec, child_len);
@@ -514,7 +447,6 @@ mod tests {
                     let exact = 4 * (c.len() + 1) + 4 * c.edge_count();
                     prop_assert_eq!(composed.heap_bytes(), exact);
                 }
-                prop_assert_eq!(composed.resizes(), 0);
             }
         }
     }

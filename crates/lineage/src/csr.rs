@@ -1,13 +1,12 @@
-//! Compressed-sparse-row rid indexes: the cache-friendly 1-to-N
-//! representation.
+//! Compressed-sparse-row rid indexes: the read side of 1-to-N lineage.
 //!
 //! A [`crate::RidIndex`] stores one heap-allocated [`crate::RidArray`] per
 //! entry, which is what the write path wants (entries grow independently
-//! while the operator runs). Once an index is *finished*, however, the
-//! pointer-chasing layout costs on every read: each lookup dereferences a
-//! `Vec` header, entries are scattered across the heap, and each entry pays
-//! its own allocation slack. `CsrRidIndex` packs the same mapping into two
-//! contiguous, exactly-sized buffers:
+//! while the operator runs). Read back, that pointer-chasing layout would
+//! cost on every lookup: each dereferences a `Vec` header, entries are
+//! scattered across the heap, and each entry pays its own allocation
+//! slack. `CsrRidIndex` packs the same mapping into two contiguous,
+//! exactly-sized buffers:
 //!
 //! * `offsets[i]..offsets[i + 1]` delimits the rids of entry `i`;
 //! * `rids` holds every lineage edge back to back.
@@ -15,12 +14,13 @@
 //! Lookups are two adjacent `u32` reads plus one slice; a full traversal is
 //! one linear scan. Every capture path that knows each row's entry before
 //! it writes a rid — the Defer re-probe, a sealed morsel fragment or finer
-//! γ, the join's deferred left side — holds that knowledge as a slot array
-//! (row → entry) and builds the CSR from it with
-//! [`CsrRidIndex::from_slots`], a counting sort that counts and fills from
-//! the same slice, so no entry can be miscounted and nothing is resized.
-//! Inject paths build a [`crate::RidIndex`] and convert with
-//! [`CsrRidIndex::from`] (or [`crate::RidIndex::finalize`]) in one pass.
+//! γ, the join's deferred left side, a join's merged output runs — holds
+//! that knowledge as a slot array (row → entry) and builds the CSR from it
+//! with [`CsrRidIndex::from_slots`], a counting sort that counts and fills
+//! from the same slice, so no entry can be miscounted and nothing is
+//! resized. Inject paths write a [`crate::RidIndex`], and the operator's
+//! finish seals it with [`CsrRidIndex::from`] (or
+//! [`crate::RidIndex::finalize`]) in one pass before lineage is handed out.
 
 use smoke_storage::Rid;
 
@@ -108,8 +108,7 @@ impl CsrRidIndex {
         self.offsets.len() == 1
     }
 
-    /// The rids at entry `pos`. Panics when `pos` is out of bounds, matching
-    /// [`RidIndex::get`].
+    /// The rids at entry `pos`. Panics when `pos` is out of bounds.
     #[inline]
     pub fn get(&self, pos: usize) -> &[Rid] {
         let lo = self.offsets[pos] as usize;
@@ -181,7 +180,7 @@ impl CsrRidIndex {
     }
 
     /// Merges per-partition CSR indexes into one global index — the
-    /// finalize step of parallel lineage capture.
+    /// merge step of parallel lineage capture.
     ///
     /// Each worker of a morsel-parallel operator captures lineage into its
     /// own private CSR whose entries are numbered in a partition-local id
@@ -244,11 +243,12 @@ fn counts_to_cursors(offsets: &mut [u32]) -> usize {
 
 /// Asserts (in release builds too) that an edge total fits the `u32` offset
 /// space; a silently wrapped offset buffer would corrupt every lookup. Only
-/// composition and finalize call it: their totals are known only once
-/// counted, while [`CsrRidIndex::from_slots`] (at most its slot count) and
-/// [`CsrRidIndex::merge_remapped`] (at most its parts' edges) check a bound
-/// once, up front. It stays a panic rather than a typed error because the
-/// frozen benchmark names those functions' return types.
+/// composition and the seal of a [`RidIndex`] call it: their totals are
+/// known only once counted, while [`CsrRidIndex::from_slots`] (at most its
+/// slot count) and [`CsrRidIndex::merge_remapped`] (at most its parts'
+/// edges) check a bound once, up front. It stays a panic rather than a
+/// typed error because the frozen benchmark names those functions' return
+/// types.
 #[inline]
 pub(crate) fn checked_offset(total: u64) -> u32 {
     assert!(
@@ -259,18 +259,19 @@ pub(crate) fn checked_offset(total: u64) -> u32 {
 }
 
 impl From<&RidIndex> for CsrRidIndex {
-    /// Converts a built rid index into CSR in one pass over its entries.
+    /// Seals a written rid index into CSR in one pass over its entries.
     fn from(index: &RidIndex) -> Self {
-        let mut offsets = Vec::with_capacity(index.len() + 1);
+        let entries = index.entries();
+        let mut offsets = Vec::with_capacity(entries.len() + 1);
         offsets.push(0u32);
         let mut total = 0u64;
-        for (_, entry) in index.iter() {
+        for entry in entries {
             total += entry.len() as u64;
             offsets.push(checked_offset(total));
         }
         let mut rids = Vec::with_capacity(total as usize);
-        for (_, entry) in index.iter() {
-            rids.extend_from_slice(entry);
+        for entry in entries {
+            rids.extend_from_slice(entry.as_slice());
         }
         CsrRidIndex { offsets, rids }
     }
@@ -376,14 +377,13 @@ mod tests {
     }
 
     #[test]
-    fn heap_bytes_is_strictly_below_vec_of_vecs() {
-        // 100 entries of 10 rids each: the Vec<RidArray> layout pays one
-        // header + allocation per entry, CSR pays two flat buffers.
+    fn sealed_heap_bytes_are_exact() {
+        // 100 entries of 10 rids each: two flat buffers, with no per-entry
+        // header, allocation or slack.
         let entries: Vec<Vec<Rid>> = (0..100).map(|i| (i * 10..(i + 1) * 10).collect()).collect();
-        let idx = RidIndex::from_entries(entries);
-        let csr = CsrRidIndex::from(&idx);
-        assert!(csr.heap_bytes() < idx.heap_bytes());
-        assert_eq!(csr.edge_count(), idx.edge_count());
+        let csr = CsrRidIndex::from(&RidIndex::from_entries(entries));
+        assert_eq!(csr.edge_count(), 1000);
+        assert_eq!(csr.heap_bytes(), 4 * (csr.len() + 1) + 4 * csr.edge_count());
     }
 
     #[test]
@@ -393,7 +393,7 @@ mod tests {
         assert_eq!(csr.len(), 0);
         assert_eq!(csr.edge_count(), 0);
         assert_eq!(csr.get_checked(0), &[] as &[Rid]);
-        let from_empty = CsrRidIndex::from(&RidIndex::new());
+        let from_empty = CsrRidIndex::from(&RidIndex::with_len(0));
         assert_eq!(from_empty, csr);
     }
 }

@@ -1,22 +1,22 @@
-//! Direction-agnostic lineage index wrapper.
+//! Direction-agnostic lineage index wrapper: the read side every operator
+//! hands out. Capture's write-side structures (growable rid arrays, paper
+//! §3.1–3.2) are sealed inside each operator's finish, so no reader,
+//! composer or driver sees them.
 
 use smoke_storage::Rid;
 
 use crate::csr::CsrRidIndex;
 use crate::rid_array::{RidArray, NO_RID};
-use crate::rid_index::RidIndex;
 
 /// A lineage mapping from positions (rids of one relation) to rids of another
 /// relation, in either the backward or forward direction.
 ///
 /// The representation mirrors paper §3.1:
 /// * [`LineageIndex::Array`] — 1-to-(0|1) relationships (rid array);
-/// * [`LineageIndex::Index`] — 1-to-N relationships (rid index), the write
-///   side: entries grow independently while the operator runs;
 /// * [`LineageIndex::Csr`] — 1-to-N relationships in compressed-sparse-row
-///   form, the read side: two contiguous exactly-sized buffers, built
-///   directly by Defer capture (cardinalities known up front) or by
-///   [`LineageIndex::finalize`] after an Inject build;
+///   form: two contiguous exactly-sized buffers, built directly by Defer
+///   capture (cardinalities known up front) or sealed from Inject's
+///   write-side [`crate::RidIndex`] when the operator finishes;
 /// * [`LineageIndex::Identity`] — the identity mapping used by bag-semantics
 ///   projection where input and output rids coincide, stored without any
 ///   materialization.
@@ -24,8 +24,6 @@ use crate::rid_index::RidIndex;
 pub enum LineageIndex {
     /// One (or zero, via the [`NO_RID`] sentinel) related rid per position.
     Array(RidArray),
-    /// Many related rids per position.
-    Index(RidIndex),
     /// Many related rids per position, in compressed-sparse-row form.
     Csr(CsrRidIndex),
     /// Identity mapping over `len` positions.
@@ -37,7 +35,6 @@ impl LineageIndex {
     pub fn len(&self) -> usize {
         match self {
             LineageIndex::Array(a) => a.len(),
-            LineageIndex::Index(i) => i.len(),
             LineageIndex::Csr(c) => c.len(),
             LineageIndex::Identity(n) => *n,
         }
@@ -55,7 +52,6 @@ impl LineageIndex {
                 Some(r) => vec![r],
                 None => vec![],
             },
-            LineageIndex::Index(i) => i.get_checked(pos as usize).to_vec(),
             LineageIndex::Csr(c) => c.get_checked(pos as usize).to_vec(),
             LineageIndex::Identity(n) => {
                 if (pos as usize) < *n {
@@ -73,11 +69,6 @@ impl LineageIndex {
         match self {
             LineageIndex::Array(a) => {
                 if let Some(r) = a.get_checked(pos as usize) {
-                    f(r);
-                }
-            }
-            LineageIndex::Index(i) => {
-                for &r in i.get_checked(pos as usize) {
                     f(r);
                 }
             }
@@ -99,14 +90,6 @@ impl LineageIndex {
         match self {
             LineageIndex::Array(a) => a.get_checked(pos as usize),
             LineageIndex::Identity(n) => ((pos as usize) < *n).then_some(pos),
-            LineageIndex::Index(i) => {
-                let rids = i.get_checked(pos as usize);
-                if rids.len() == 1 {
-                    Some(rids[0])
-                } else {
-                    None
-                }
-            }
             LineageIndex::Csr(c) => {
                 let rids = c.get_checked(pos as usize);
                 if rids.len() == 1 {
@@ -174,7 +157,6 @@ impl LineageIndex {
     pub fn edge_count(&self) -> usize {
         match self {
             LineageIndex::Array(a) => a.iter().filter(|&r| r != NO_RID).count(),
-            LineageIndex::Index(i) => i.edge_count(),
             LineageIndex::Csr(c) => c.edge_count(),
             LineageIndex::Identity(n) => *n,
         }
@@ -184,40 +166,8 @@ impl LineageIndex {
     pub fn heap_bytes(&self) -> usize {
         match self {
             LineageIndex::Array(a) => a.heap_bytes(),
-            LineageIndex::Index(i) => i.heap_bytes(),
             LineageIndex::Csr(c) => c.heap_bytes(),
             LineageIndex::Identity(_) => 0,
-        }
-    }
-
-    /// Total number of rid-array resizes incurred while building this index.
-    pub fn resizes(&self) -> u64 {
-        match self {
-            LineageIndex::Array(a) => a.resizes() as u64,
-            LineageIndex::Index(i) => i.resizes(),
-            // CSR indexes are allocated exactly once by construction.
-            LineageIndex::Csr(_) => 0,
-            LineageIndex::Identity(_) => 0,
-        }
-    }
-
-    /// Converts the write-optimized [`LineageIndex::Index`] representation
-    /// into read-optimized [`LineageIndex::Csr`] form in one pass; all other
-    /// representations are returned unchanged (they are already compact).
-    pub fn finalize(self) -> LineageIndex {
-        match self {
-            LineageIndex::Index(i) => LineageIndex::Csr(CsrRidIndex::from(&i)),
-            other => other,
-        }
-    }
-
-    /// Borrowing form of [`LineageIndex::finalize`]: converts an `Index`
-    /// straight from the borrowed entries instead of deep-cloning the
-    /// per-entry arrays first.
-    pub fn finalized(&self) -> LineageIndex {
-        match self {
-            LineageIndex::Index(i) => LineageIndex::Csr(CsrRidIndex::from(i)),
-            other => other.clone(),
         }
     }
 
@@ -232,6 +182,7 @@ impl LineageIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rid_index::RidIndex;
 
     fn array_index() -> LineageIndex {
         let mut a = RidArray::filled(4);
@@ -241,12 +192,12 @@ mod tests {
         LineageIndex::Array(a)
     }
 
-    fn rid_index() -> LineageIndex {
-        LineageIndex::Index(RidIndex::from_entries(vec![
-            vec![1, 2, 3],
-            vec![],
-            vec![3, 4],
-        ]))
+    fn csr(entries: Vec<Vec<Rid>>) -> LineageIndex {
+        LineageIndex::Csr(RidIndex::from_entries(entries).finalize())
+    }
+
+    fn csr_index() -> LineageIndex {
+        csr(vec![vec![1, 2, 3], vec![], vec![3, 4]])
     }
 
     #[test]
@@ -262,7 +213,7 @@ mod tests {
 
     #[test]
     fn index_lookup() {
-        let idx = rid_index();
+        let idx = csr_index();
         assert_eq!(idx.lookup(0), vec![1, 2, 3]);
         assert_eq!(idx.lookup(1), Vec::<Rid>::new());
         assert_eq!(idx.single(2), None);
@@ -281,14 +232,14 @@ mod tests {
 
     #[test]
     fn trace_set_deduplicates() {
-        let idx = rid_index();
+        let idx = csr_index();
         let traced = idx.trace_set(&[0, 2]);
         assert_eq!(traced, vec![1, 2, 3, 4]);
     }
 
     #[test]
     fn trace_multiset_keeps_duplicates() {
-        let idx = rid_index();
+        let idx = csr_index();
         let traced = idx.trace_multiset(&[0, 2]);
         assert_eq!(traced, vec![1, 2, 3, 3, 4]);
     }
@@ -297,7 +248,7 @@ mod tests {
     fn trace_set_handles_large_results() {
         // Force the bitmap path (> 64 distinct results).
         let entries: Vec<Vec<Rid>> = (0..10).map(|i| (i * 20..(i + 1) * 20).collect()).collect();
-        let idx = LineageIndex::Index(RidIndex::from_entries(entries));
+        let idx = csr(entries);
         let positions: Vec<Rid> = (0..10).collect();
         let mut traced = idx.trace_set(&positions);
         // Trace again including duplicates of the same positions.
@@ -315,12 +266,12 @@ mod tests {
         // Regression: rid 5000 shows up among the first 64 distinct results
         // (while dedup is still the linear scan) and again after the bitmap
         // path engages. The bitmap used to be sized from the hint (0 for
-        // Index) and the current rid only, so 5000 was never marked and its
+        // Csr) and the current rid only, so 5000 was never marked and its
         // second occurrence was emitted twice.
         let mut entries: Vec<Vec<Rid>> = vec![vec![5000]];
         entries.extend((0..70).map(|i| vec![i as Rid]));
         entries.push(vec![5000]);
-        let idx = LineageIndex::Index(RidIndex::from_entries(entries));
+        let idx = csr(entries);
         let positions: Vec<Rid> = (0..idx.len() as Rid).collect();
         let traced = idx.trace_set(&positions);
         assert_eq!(
@@ -333,34 +284,8 @@ mod tests {
     }
 
     #[test]
-    fn csr_variant_matches_index_variant() {
-        let idx = rid_index();
-        let csr = idx.clone().finalize();
-        assert!(matches!(csr, LineageIndex::Csr(_)));
-        assert_eq!(csr.len(), idx.len());
-        assert_eq!(csr.edge_count(), idx.edge_count());
-        assert_eq!(csr.resizes(), 0);
-        for pos in 0..idx.len() as Rid + 2 {
-            assert_eq!(csr.lookup(pos), idx.lookup(pos));
-            assert_eq!(csr.single(pos), idx.single(pos));
-        }
-        assert_eq!(csr.trace_set(&[0, 2, 0]), idx.trace_set(&[0, 2, 0]));
-        // finalize leaves the other representations alone.
-        assert_eq!(array_index().finalize(), array_index());
-        assert_eq!(
-            LineageIndex::Identity(4).finalize(),
-            LineageIndex::Identity(4)
-        );
-    }
-
-    #[test]
     fn for_each_matches_lookup() {
-        for idx in [
-            array_index(),
-            rid_index(),
-            rid_index().finalize(),
-            LineageIndex::Identity(5),
-        ] {
+        for idx in [array_index(), csr_index(), LineageIndex::Identity(5)] {
             for pos in 0..idx.len() as Rid {
                 let mut collected = Vec::new();
                 idx.for_each(pos, |r| collected.push(r));

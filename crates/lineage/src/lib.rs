@@ -11,9 +11,11 @@
 //! * [`RidArray`] — one rid per entry, for 1-to-1 relationships (e.g. the
 //!   backward lineage of a selection);
 //! * [`RidIndex`] — an inverted index whose `i`-th entry is a rid array, for
-//!   1-to-N relationships (e.g. the backward lineage of a group-by);
-//! * [`CsrRidIndex`] — the same 1-to-N mapping finalized into two contiguous
-//!   exactly-sized buffers (compressed sparse row) for read-heavy tracing;
+//!   1-to-N relationships (e.g. the backward lineage of a group-by): the
+//!   write side, which only an operator's capture ever sees;
+//! * [`CsrRidIndex`] — the same 1-to-N mapping sealed into two contiguous
+//!   exactly-sized buffers (compressed sparse row), which is what every
+//!   operator hands out for read-heavy tracing;
 //! * [`CompressedCsrIndex`] — a finished CSR spilled out of core: resident
 //!   offsets over delta + bit-packed rid blocks in a buffer-pool-backed
 //!   segment store, decoding only the blocks a trace touches.
@@ -25,8 +27,8 @@
 //!
 //! Higher-level structures combine these representations:
 //!
-//! * [`LineageIndex`] — a direction-agnostic mapping with identity and
-//!   single/multi variants;
+//! * [`LineageIndex`] — a direction-agnostic, read-side mapping: `Array`,
+//!   `Csr` or `Identity`;
 //! * [`OperatorLineage`] / [`QueryLineage`] — per-operator and end-to-end
 //!   (output ↔ base relation) lineage;
 //! * [`CellDirectory`] / [`PartitionedRidIndex`] — per output entry, the

@@ -66,19 +66,11 @@ impl InputLineage {
             + self.forward.as_ref().map_or(0, LineageIndex::heap_bytes)
     }
 
-    /// Total rid-array resizes across the captured indexes.
-    pub fn resizes(&self) -> u64 {
-        self.backward.as_ref().map_or(0, LineageIndex::resizes)
-            + self.forward.as_ref().map_or(0, LineageIndex::resizes)
-    }
-
-    /// Finalizes both captured directions into read-optimized representations
-    /// (`Index` → `Csr`; everything else is already compact).
+    /// The identity: every operator seals its lineage into read-side form
+    /// before handing it out. Kept only because the frozen benchmark calls
+    /// it (ROADMAP 11(h)).
     pub fn finalize(self) -> Self {
-        InputLineage {
-            backward: self.backward.map(LineageIndex::finalize),
-            forward: self.forward.map(LineageIndex::finalize),
-        }
+        self
     }
 }
 
@@ -169,6 +161,11 @@ impl QueryLineage {
         self.tables.get(table)
     }
 
+    /// Moves out the lineage w.r.t. the named base relation, if captured.
+    pub fn remove(&mut self, table: &str) -> Option<InputLineage> {
+        self.tables.remove(table)
+    }
+
     /// Names of all base relations with captured lineage.
     pub fn tables(&self) -> Vec<&str> {
         self.tables.keys().map(String::as_str).collect()
@@ -202,19 +199,9 @@ impl QueryLineage {
         self.tables.values().map(InputLineage::heap_bytes).sum()
     }
 
-    /// Total rid-array resizes across all captured indexes.
-    pub fn resizes(&self) -> u64 {
-        self.tables.values().map(InputLineage::resizes).sum()
-    }
-
-    /// Finalizes every captured index into its read-optimized representation
-    /// (`Index` → `Csr`), shrinking steady-state memory once capture is done.
-    pub fn finalize(mut self) -> Self {
-        self.tables = self
-            .tables
-            .into_iter()
-            .map(|(table, lineage)| (table, lineage.finalize()))
-            .collect();
+    /// The identity, as [`InputLineage::finalize`] is: kept only because
+    /// the frozen benchmark calls it (ROADMAP 11(h)).
+    pub fn finalize(self) -> Self {
         self
     }
 }
@@ -227,7 +214,8 @@ mod tests {
 
     fn groupby_like_lineage() -> InputLineage {
         // 2 output groups over 5 input rows.
-        let backward = LineageIndex::Index(RidIndex::from_entries(vec![vec![0, 2, 4], vec![1, 3]]));
+        let backward = RidIndex::from_entries(vec![vec![0, 2, 4], vec![1, 3]]).finalize();
+        let backward = LineageIndex::Csr(backward);
         let forward = LineageIndex::Array(RidArray::from_vec(vec![0, 1, 0, 1, 0]));
         InputLineage::new(backward, forward)
     }
@@ -272,23 +260,5 @@ mod tests {
     fn pruned_backward_panics_with_message() {
         let lin = InputLineage::forward_only(LineageIndex::Identity(1));
         let _ = lin.backward();
-    }
-
-    #[test]
-    fn finalize_converts_index_directions_to_csr() {
-        let mut q = QueryLineage::new();
-        q.insert("zipf", groupby_like_lineage());
-        let before_bytes = q.heap_bytes();
-        let q = q.finalize();
-        let lin = q.table("zipf").unwrap();
-        assert!(matches!(lin.backward, Some(LineageIndex::Csr(_))));
-        // The forward array was already compact and stays an array.
-        assert!(matches!(lin.forward, Some(LineageIndex::Array(_))));
-        assert!(q.heap_bytes() < before_bytes);
-        assert_eq!(lin.backward().lookup(0), vec![0, 2, 4]);
-
-        let input = groupby_like_lineage().finalize();
-        assert!(matches!(input.backward, Some(LineageIndex::Csr(_))));
-        assert_eq!(input.resizes(), 0);
     }
 }

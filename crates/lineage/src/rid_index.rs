@@ -1,11 +1,18 @@
-//! Rid indexes: the 1-to-N lineage representation.
+//! Rid indexes: the write side of 1-to-N lineage.
 
 use smoke_storage::Rid;
 
+use crate::csr::CsrRidIndex;
 use crate::rid_array::RidArray;
 
 /// An inverted index whose `i`-th entry holds the rids related to position
-/// `i` (paper §3.1).
+/// `i` (paper §3.1), as one growable [`RidArray`] per entry.
+///
+/// This is capture's write-efficient structure: entries grow independently
+/// while an Inject operator runs. It is never read. The operator's finish
+/// seals it into a [`CsrRidIndex`] with [`RidIndex::finalize`], after taking
+/// its [`RidIndex::resizes`] and [`RidIndex::heap_bytes`] as the capture
+/// statistics of what the write side cost.
 ///
 /// For the backward lineage of a group-by, entry `i` holds the input rids of
 /// the `i`-th output group; for the forward lineage of a join, entry `i`
@@ -16,13 +23,6 @@ pub struct RidIndex {
 }
 
 impl RidIndex {
-    /// Creates an empty rid index.
-    pub fn new() -> Self {
-        RidIndex {
-            entries: Vec::new(),
-        }
-    }
-
     /// Creates a rid index with `len` empty entries.
     pub fn with_len(len: usize) -> Self {
         RidIndex {
@@ -62,13 +62,6 @@ impl RidIndex {
         self.entries.len() - 1
     }
 
-    /// Ensures the index covers position `pos`, extending with empty entries.
-    pub fn ensure_len(&mut self, len: usize) {
-        if self.entries.len() < len {
-            self.entries.resize(len, RidArray::new());
-        }
-    }
-
     /// Appends `rid` to the entry at `pos`, extending the index if needed.
     #[inline]
     pub fn append(&mut self, pos: usize, rid: Rid) {
@@ -78,30 +71,9 @@ impl RidIndex {
         self.entries[pos].push(rid);
     }
 
-    /// The rids at entry `pos`.
-    #[inline]
-    pub fn get(&self, pos: usize) -> &[Rid] {
-        self.entries[pos].as_slice()
-    }
-
-    /// The rids at entry `pos`, or an empty slice when out of bounds.
-    #[inline]
-    pub fn get_checked(&self, pos: usize) -> &[Rid] {
-        self.entries.get(pos).map(RidArray::as_slice).unwrap_or(&[])
-    }
-
-    /// Iterates over `(position, rids)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &[Rid])> + '_ {
-        self.entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (i, e.as_slice()))
-    }
-
-    /// Total number of rids stored across all entries (number of lineage
-    /// edges represented).
-    pub fn edge_count(&self) -> usize {
-        self.entries.iter().map(RidArray::len).sum()
+    /// The per-entry arrays, for the seal.
+    pub(crate) fn entries(&self) -> &[RidArray] {
+        &self.entries
     }
 
     /// Total resizes across all entries.
@@ -115,10 +87,10 @@ impl RidIndex {
             + self.entries.capacity() * std::mem::size_of::<RidArray>()
     }
 
-    /// Converts this write-optimized index into read-optimized
-    /// compressed-sparse-row form in one pass over its entries.
-    pub fn finalize(&self) -> crate::CsrRidIndex {
-        crate::CsrRidIndex::from(self)
+    /// Seals this write-side index into read-side compressed-sparse-row form
+    /// in one pass over its entries.
+    pub fn finalize(&self) -> CsrRidIndex {
+        CsrRidIndex::from(self)
     }
 }
 
@@ -127,49 +99,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn append_and_get() {
+    fn appends_and_pushed_entries_seal_in_position_order() {
         let mut idx = RidIndex::with_len(3);
         idx.append(0, 5);
         idx.append(0, 6);
         idx.append(2, 9);
-        assert_eq!(idx.get(0), &[5, 6]);
-        assert_eq!(idx.get(1), &[] as &[Rid]);
-        assert_eq!(idx.get(2), &[9]);
-        assert_eq!(idx.edge_count(), 3);
-    }
-
-    #[test]
-    fn append_beyond_len_extends() {
-        let mut idx = RidIndex::new();
+        // Past the end: the index extends with empty entries.
         idx.append(4, 1);
-        assert_eq!(idx.len(), 5);
-        assert_eq!(idx.get_checked(4), &[1]);
-        assert_eq!(idx.get_checked(99), &[] as &[Rid]);
+        assert_eq!(idx.push_entry((0..4).collect()), 5);
+        let csr = idx.finalize();
+        assert_eq!(csr.len(), 6);
+        let entries: Vec<&[Rid]> = (0..6).map(|pos| csr.get(pos)).collect();
+        assert_eq!(entries, [&[5, 6][..], &[], &[9], &[], &[1], &[0, 1, 2, 3]]);
+        assert_eq!(csr.edge_count(), 8);
     }
 
     #[test]
-    fn push_entry_reuses_arrays() {
-        let mut idx = RidIndex::new();
-        let entry: RidArray = (0..4).collect();
-        let pos = idx.push_entry(entry);
-        assert_eq!(pos, 0);
-        assert_eq!(idx.get(0), &[0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn from_entries_and_iter() {
-        let idx = RidIndex::from_entries(vec![vec![1, 2], vec![], vec![3]]);
-        let collected: Vec<(usize, Vec<Rid>)> = idx.iter().map(|(i, r)| (i, r.to_vec())).collect();
-        assert_eq!(collected, vec![(0, vec![1, 2]), (1, vec![]), (2, vec![3])]);
+    fn from_entries_seals_to_the_same_entries() {
+        let entries = vec![vec![1, 2], vec![], vec![3]];
+        let idx = RidIndex::from_entries(entries.clone());
+        assert_eq!(idx.len(), 3);
         assert!(idx.heap_bytes() > 0);
-    }
-
-    #[test]
-    fn ensure_len_only_grows() {
-        let mut idx = RidIndex::with_len(2);
-        idx.ensure_len(5);
-        assert_eq!(idx.len(), 5);
-        idx.ensure_len(1);
-        assert_eq!(idx.len(), 5);
+        assert_eq!(idx.resizes(), 0);
+        let csr = idx.finalize();
+        let sealed: Vec<Vec<Rid>> = csr.iter().map(|(_, rids)| rids.to_vec()).collect();
+        assert_eq!(sealed, entries);
+        assert!(RidIndex::with_len(0).finalize().is_empty());
     }
 }
